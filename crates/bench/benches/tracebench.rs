@@ -2,7 +2,7 @@
 //! throughput for both record streams (text v1 vs compact binary v2 vs
 //! block-compressed v3 on the same workload, eager collect vs `_streamed`
 //! pull-iterator decode, plus the file-backed `_binary_file` buffered read vs
-//! `_mmap` zero-copy scan), and replay-from-trace versus regenerate-from-seed
+//! `_mmap` memory-mapped read), and replay-from-trace versus regenerate-from-seed
 //! simulation speed (the cost a trace-driven experiment pays — or saves —
 //! relative to re-rolling the workload every run).
 //!
@@ -16,8 +16,8 @@ use grass_bench::{recorded_execution, recorded_trace, workload_config};
 use grass_core::GsFactory;
 use grass_sim::{run_simulation, SimConfig};
 use grass_trace::{
-    replay, replay_config, ExecutionEvents, ExecutionTrace, MappedWorkload, TraceFormat,
-    WorkloadItems, WorkloadTrace,
+    replay, replay_config, ExecutionEvents, ExecutionTrace, TraceFormat, TraceStats, WorkloadItems,
+    WorkloadTrace,
 };
 use grass_workload::generate;
 
@@ -136,24 +136,17 @@ fn throughput_summary(c: &mut Criterion) {
         );
     }
 
-    // File-backed workload reads: mmap zero-copy scan vs the buffered streamed
-    // decode of the same binary file — the speedup EXPERIMENTS.md pins.
+    // File-backed workload reads: the same streamed stats fold over a buffered
+    // reader vs a memory map of one binary file — the ratio EXPERIMENTS.md pins.
     let binary = workload.to_bytes_as(TraceFormat::Binary);
     let mib = binary.len() as f64 / (1024.0 * 1024.0);
     let path = temp_trace("summary", &binary);
     let buffered = time_min(15, || {
-        let items = WorkloadItems::open_path(&path).unwrap();
-        criterion::black_box(items.map(|job| job.unwrap().total_tasks()).sum::<usize>());
+        criterion::black_box(TraceStats::load(&path).unwrap().tasks);
     })
     .as_secs_f64();
     let mapped = time_min(15, || {
-        let mapped = MappedWorkload::open(&path).unwrap();
-        criterion::black_box(
-            mapped
-                .jobs()
-                .map(|job| job.unwrap().task_count())
-                .sum::<usize>(),
-        );
+        criterion::black_box(TraceStats::load_mmap(&path).unwrap().tasks);
     })
     .as_secs_f64();
     println!(
@@ -241,27 +234,16 @@ fn codec_throughput(c: &mut Criterion) {
                 })
             });
         }
-        // File-backed binary reads: zero-copy mmap scan vs the buffered
-        // streamed decode of the same file — the tentpole comparison.
+        // File-backed binary reads: the same streamed stats fold over a
+        // buffered reader vs a memory map of the same file.
         let binary = trace.to_bytes_as(TraceFormat::Binary);
         let path = temp_trace("codec", &binary);
         group.throughput(Throughput::Bytes(binary.len() as u64));
         group.bench_function("decode_workload_500_jobs_binary_file", |b| {
-            b.iter(|| {
-                let items = WorkloadItems::open_path(&path).unwrap();
-                criterion::black_box(items.map(|job| job.unwrap().total_tasks()).sum::<usize>())
-            })
+            b.iter(|| criterion::black_box(TraceStats::load(&path).unwrap().tasks))
         });
         group.bench_function("decode_workload_500_jobs_mmap", |b| {
-            b.iter(|| {
-                let mapped = MappedWorkload::open(&path).unwrap();
-                criterion::black_box(
-                    mapped
-                        .jobs()
-                        .map(|job| job.unwrap().task_count())
-                        .sum::<usize>(),
-                )
-            })
+            b.iter(|| criterion::black_box(TraceStats::load_mmap(&path).unwrap().tasks))
         });
         let _ = std::fs::remove_file(&path);
     }

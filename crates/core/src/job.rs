@@ -158,7 +158,12 @@ impl JobSpec {
                 });
             }
         }
-        let declared: usize = self.stages.iter().map(|s| s.task_count).sum();
+        // Saturating: the counts are untrusted decode input, and a sum past
+        // usize::MAX can never match the task list anyway.
+        let declared = self
+            .stages
+            .iter()
+            .fold(0usize, |sum, s| sum.saturating_add(s.task_count));
         if declared != self.tasks.len() {
             return Err(Error::InvalidBound(format!(
                 "job {:?}: stage task counts sum to {declared} but {} tasks are declared",
@@ -430,6 +435,12 @@ mod tests {
         let mut bad = JobSpec::single_stage(1, 0.0, Bound::Deadline(5.0), vec![1.0]);
         bad.stages[0].task_count = 2;
         assert!(bad.validate().is_err());
+
+        // Stage counts whose sum overflows usize are a mismatch, not a panic.
+        let mut overflow = JobSpec::multi_stage(1, 0.0, Bound::EXACT, vec![vec![1.0], vec![]]);
+        overflow.stages[0].task_count = usize::MAX;
+        overflow.stages[1].task_count = 2;
+        assert!(matches!(overflow.validate(), Err(Error::InvalidBound(_))));
 
         let mut bad_stage = JobSpec::single_stage(1, 0.0, Bound::Deadline(5.0), vec![1.0]);
         bad_stage.tasks[0].stage = StageId(3);

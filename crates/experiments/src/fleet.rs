@@ -39,12 +39,13 @@ use grass_trace::codec::{escape, unescape};
 use grass_trace::{open_workload_source, open_workload_source_mmap, WorkloadMeta};
 use grass_workload::{JobSource, StreamedWorkload};
 
+use crate::cli::{write_stdout, Flags};
 use crate::common::ExpConfig;
 use crate::sweep::{
     assemble_sweep_result, merge_seed_sets, parse_policy, run_sweep_cell, sweep_config_from_flags,
     SweepConfig, SweepResult,
 };
-use crate::trace_cli::{resolve_workload_path, Flags};
+use crate::trace_cli::resolve_workload_path;
 use crate::PolicyKind;
 
 // ---------------------------------------------------------------------------
@@ -383,8 +384,8 @@ impl FleetPlan {
     }
 
     /// Open the trace at `path` and build the plan in one step. With `mmap`,
-    /// binary traces decode zero-copy out of a memory map (other formats fall
-    /// back to the streamed open; the plan is identical either way).
+    /// the trace is read through a memory map instead of a buffered reader;
+    /// the plan is identical either way.
     pub fn open(
         path: &Path,
         mmap: bool,
@@ -539,7 +540,7 @@ impl SweepCellRunner {
         }
     }
 
-    /// Open traces through the zero-copy mmap path (`repro fleet work --mmap`).
+    /// Read traces through a memory map (`repro fleet work --mmap`).
     /// Cell payloads are identical either way; only the read path differs.
     pub fn with_mmap(mut self, mmap: bool) -> SweepCellRunner {
         self.mmap = mmap;
@@ -781,11 +782,8 @@ pub fn run_fleet_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_serve_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["quick", "test-profile", "mmap"])?;
-    let mut allowed = vec!["quick", "test-profile", "cache", "port", "mmap"];
-    allowed.extend_from_slice(GRID_FLAGS);
-    allowed.extend_from_slice(TIMING_FLAGS);
-    flags.reject_unknown(&allowed)?;
+    let valued = [GRID_FLAGS, TIMING_FLAGS, &["cache", "port"]].concat();
+    let flags = Flags::parse(args, &["quick", "test-profile", "mmap"], &valued)?;
     let [path] = flags.positional.as_slice() else {
         return Err("fleet serve expects exactly one workload trace path".to_string());
     };
@@ -811,18 +809,8 @@ fn fleet_serve_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_run_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["quick", "test-profile", "mmap"])?;
-    let mut allowed = vec![
-        "quick",
-        "test-profile",
-        "cache",
-        "workers",
-        "stall-ms",
-        "mmap",
-    ];
-    allowed.extend_from_slice(GRID_FLAGS);
-    allowed.extend_from_slice(TIMING_FLAGS);
-    flags.reject_unknown(&allowed)?;
+    let valued = [GRID_FLAGS, TIMING_FLAGS, &["cache", "workers", "stall-ms"]].concat();
+    let flags = Flags::parse(args, &["quick", "test-profile", "mmap"], &valued)?;
     let [path] = flags.positional.as_slice() else {
         return Err("fleet run expects exactly one workload trace path".to_string());
     };
@@ -880,8 +868,7 @@ fn fleet_run_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_work_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["mmap"])?;
-    flags.reject_unknown(&["connect", "id", "stall-ms", "mmap"])?;
+    let flags = Flags::parse(args, &["mmap"], &["connect", "id", "stall-ms"])?;
     if !flags.positional.is_empty() {
         return Err("fleet work takes no positional arguments".to_string());
     }
@@ -972,8 +959,7 @@ fn finish_fleet(
         stats.stale_completes,
         stats.sync_exchanges,
     );
-    print!("{}", result.digest());
-    Ok(())
+    write_stdout(&result.digest())
 }
 
 #[cfg(test)]

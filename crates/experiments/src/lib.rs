@@ -13,6 +13,7 @@
 
 pub mod ablations;
 pub mod analytic;
+pub mod cli;
 pub mod common;
 pub mod dag;
 pub mod fleet;
@@ -22,6 +23,7 @@ pub mod sweep;
 pub mod tables;
 pub mod trace_cli;
 
+pub use cli::run_experiments_command;
 pub use common::{
     compare, compare_outcomes, metric_for, metric_for_source, run_once, run_policy,
     sample_task_durations, workload_jobs, Comparison, ExpConfig, PolicyKind,

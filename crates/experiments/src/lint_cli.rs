@@ -16,53 +16,31 @@ use std::path::PathBuf;
 
 use grass_analysis::{path_covers, render_json, render_text, run_lints, summarize, Workspace};
 
-enum Format {
-    Text,
-    Json,
-}
+use crate::cli::{write_stdout, Flags};
 
 /// Run `repro lint`. `Ok(true)` means the tree is clean (exit 0), `Ok(false)`
 /// that unsuppressed error findings remain (exit 1); `Err` is a usage or I/O
 /// error.
 pub fn run_lint_command(args: &[String]) -> Result<bool, String> {
-    let mut format = Format::Text;
-    let mut root: Option<PathBuf> = None;
-    let mut filters: Vec<String> = Vec::new();
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--format" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--format needs a value (text|json)".to_string())?;
-                format = match value.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format '{other}' (expected text|json)")),
-                };
-            }
-            "--root" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--root needs a directory".to_string())?;
-                root = Some(PathBuf::from(value));
-            }
-            "--help" | "-h" => {
-                print_help();
-                return Ok(true);
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag '{other}' (see repro lint --help)"));
-            }
-            path => filters.push(normalize_filter(path)),
-        }
+    let flags = Flags::parse(args, &["help"], &["format", "root"])?;
+    if flags.has("help") {
+        write_stdout(HELP)?;
+        return Ok(true);
     }
-
-    let root = match root {
-        Some(root) => root,
+    let render = match flags.get("format").unwrap_or("text") {
+        "text" => render_text,
+        "json" => render_json,
+        other => return Err(format!("unknown format '{other}' (expected text|json)")),
+    };
+    let root = match flags.get("root") {
+        Some(root) => PathBuf::from(root),
         None => default_root()?,
     };
+    let filters: Vec<String> = flags
+        .positional
+        .iter()
+        .map(|p| normalize_filter(p))
+        .collect();
     let mut workspace = Workspace::discover(&root)?;
     // An empty discovery means the root is wrong (e.g. run from outside the
     // workspace with no analysis.toml above) — passing silently would make
@@ -88,10 +66,7 @@ pub fn run_lint_command(args: &[String]) -> Result<bool, String> {
 
     let findings = run_lints(&workspace);
     let summary = summarize(&findings, workspace.files.len());
-    match format {
-        Format::Text => print!("{}", render_text(&findings, &summary)),
-        Format::Json => print!("{}", render_json(&findings, &summary)),
-    }
+    write_stdout(&render(&findings, &summary))?;
     Ok(summary.errors == 0)
 }
 
@@ -118,14 +93,14 @@ fn normalize_filter(path: &str) -> String {
         .to_string()
 }
 
-fn print_help() {
-    println!("repro lint — determinism & robustness lints over the workspace");
-    println!();
-    println!("USAGE: repro lint [--format text|json] [--root <dir>] [paths...]");
-    println!();
-    println!("Exit status 0 when no unsuppressed error-severity finding remains, 1 otherwise.");
-    println!("Configuration: analysis.toml at the workspace root (path classes, severities,");
-    println!("path-scoped allows). Per-line suppressions take the form");
-    println!("  <code>  // grass: allow(<lint-id>, \"<reason>\")");
-    println!("with the reason mandatory. See docs/lints.md for the lint catalog.");
-}
+const HELP: &str = "\
+repro lint — determinism & robustness lints over the workspace
+
+USAGE: repro lint [--format text|json] [--root <dir>] [paths...]
+
+Exit status 0 when no unsuppressed error-severity finding remains, 1 otherwise.
+Configuration: analysis.toml at the workspace root (path classes, severities,
+path-scoped allows). Per-line suppressions take the form
+  <code>  // grass: allow(<lint-id>, \"<reason>\")
+with the reason mandatory. See docs/lints.md for the lint catalog.
+";

@@ -25,8 +25,9 @@ use grass_sim::ClusterConfig;
 use grass_trace::{open_workload_source, open_workload_source_mmap};
 use grass_workload::JobSource;
 
+use crate::cli::{write_stdout, Flags};
 use crate::common::{compare_outcomes, metric_for_source, run_once, Comparison, ExpConfig};
-use crate::trace_cli::{resolve_workload_path, Flags};
+use crate::trace_cli::resolve_workload_path;
 use crate::PolicyKind;
 
 /// Grid definition of a sweep: which cluster sizes and policies to run one job
@@ -448,16 +449,18 @@ fn parse_list<T, E: std::fmt::Display>(
 /// rendered tables and progress go to stderr; stdout carries only the digest, so
 /// `diff <(run1) <(run2)` is the determinism check.
 pub fn run_sweep_command(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["quick", "mmap"])?;
-    flags.reject_unknown(&[
-        "machines", "slots", "policies", "baseline", "threads", "seeds", "quick", "resume", "mmap",
-    ])?;
+    let flags = Flags::parse(
+        args,
+        &["quick", "mmap"],
+        &[
+            "machines", "slots", "policies", "baseline", "threads", "seeds", "resume",
+        ],
+    )?;
     let [path] = flags.positional.as_slice() else {
         return Err("sweep expects exactly one workload trace path".to_string());
     };
     let path = resolve_workload_path(Path::new(path));
-    // --mmap decodes binary workload traces zero-copy out of a memory map;
-    // other formats fall back to the streamed open. Digests are identical.
+    // --mmap reads the trace through a memory map; digests are identical.
     let (meta, source) = if flags.has("mmap") {
         open_workload_source_mmap(&path)
     } else {
@@ -508,8 +511,7 @@ pub fn run_sweep_command(args: &[String]) -> Result<(), String> {
         result.elapsed,
         result.threads,
     );
-    print!("{}", result.digest());
-    Ok(())
+    write_stdout(&result.digest())
 }
 
 /// Build the [`SweepConfig`] for a recorded trace from common CLI flags

@@ -28,10 +28,9 @@
 //! <(replay)` is the record→replay determinism check CI runs in both formats.
 //! `convert` re-encodes a trace of either stream kind into the requested format,
 //! record at a time through `convert_stream` (O(one record) memory). `stats`
-//! folds each file in one streaming pass; `--mmap` switches binary workload
-//! traces to the zero-copy memory-mapped fold (other files fall back to the
-//! streaming pass with identical output). Informational messages go to stderr
-//! to keep stdout digest-clean.
+//! folds each file in one streaming pass; `--mmap` reads the files through a
+//! memory map instead of a buffered reader, with identical output.
+//! Informational messages go to stderr to keep stdout digest-clean.
 
 use std::path::{Path, PathBuf};
 
@@ -43,6 +42,8 @@ use grass_trace::{
     TraceStats, WorkloadMeta, WorkloadTrace, WorkloadTraceSink,
 };
 use grass_workload::{BoundSpec, Framework, JobGen, TraceProfile, WorkloadConfig};
+
+use crate::cli::{write_stdout, Flags};
 
 /// Entry point for `repro trace <verb> ...`. Returns an error message on failure.
 pub fn run_trace_command(args: &[String]) -> Result<(), String> {
@@ -114,85 +115,20 @@ pub fn make_factory(policy: &str, seed: u64) -> Result<Box<dyn PolicyFactory>, S
     }
 }
 
-/// Minimal `--flag value` command-line parser shared by the `trace` and `sweep`
-/// subcommands.
-pub(crate) struct Flags {
-    named: Vec<(String, String)>,
-    pub(crate) positional: Vec<String>,
-}
-
-impl Flags {
-    pub(crate) fn parse(args: &[String]) -> Result<Self, String> {
-        Self::parse_with_switches(args, &[])
-    }
-
-    /// Parse flags; names in `switches` are valueless booleans (present or absent),
-    /// every other `--flag` consumes the following argument as its value.
-    pub(crate) fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Self, String> {
-        let mut named = Vec::new();
-        let mut positional = Vec::new();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                if switches.contains(&name) {
-                    named.push((name.to_string(), "true".to_string()));
-                    continue;
-                }
-                let value = it
-                    .next()
-                    .ok_or_else(|| format!("flag --{name} is missing its value"))?;
-                named.push((name.to_string(), value.clone()));
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Ok(Flags { named, positional })
-    }
-
-    /// Reject any `--flag` not in `allowed` — a typo must not silently fall back to
-    /// a default and record a trace with the wrong parameters.
-    pub(crate) fn reject_unknown(&self, allowed: &[&str]) -> Result<(), String> {
-        for (name, _) in &self.named {
-            if !allowed.contains(&name.as_str()) {
-                return Err(format!(
-                    "unknown flag --{name}; expected one of: {}",
-                    allowed
-                        .iter()
-                        .map(|a| format!("--{a}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether a boolean switch was present.
-    pub(crate) fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-
-    pub(crate) fn get(&self, name: &str) -> Option<&str> {
-        self.named
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    pub(crate) fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag --{name} expects an integer, got '{v}'")),
-        }
-    }
-
-    pub(crate) fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        Ok(self.get_u64(name, default as u64)? as usize)
-    }
-}
+/// Flags `trace record` and `trace gen` share; record seeds the generator with
+/// `--gen-seed`, gen with `--seed`.
+const WORKLOAD_FLAGS: &[&str] = &[
+    "out",
+    "jobs",
+    "sim-seed",
+    "machines",
+    "slots",
+    "policy",
+    "profile",
+    "framework",
+    "bound",
+    "format",
+];
 
 /// Parse the shared `--profile` / `--framework` / `--bound` workload flags.
 fn workload_from_flags(flags: &Flags, jobs: usize) -> Result<WorkloadConfig, String> {
@@ -218,20 +154,7 @@ fn workload_from_flags(flags: &Flags, jobs: usize) -> Result<WorkloadConfig, Str
 }
 
 fn record(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_unknown(&[
-        "out",
-        "jobs",
-        "gen-seed",
-        "sim-seed",
-        "machines",
-        "slots",
-        "policy",
-        "profile",
-        "framework",
-        "bound",
-        "format",
-    ])?;
+    let flags = Flags::parse(args, &[], &[WORKLOAD_FLAGS, &["gen-seed"]].concat())?;
     if !flags.positional.is_empty() {
         return Err(format!(
             "unexpected positional arguments: {:?}",
@@ -283,8 +206,7 @@ fn record(args: &[String]) -> Result<(), String> {
         workload_path.display(),
         execution_path.display(),
     );
-    print!("{}", outcome_digest(&result));
-    Ok(())
+    write_stdout(&outcome_digest(&result))
 }
 
 /// `repro trace gen`: synthesize a (possibly GB-scale) workload trace straight
@@ -294,20 +216,7 @@ fn record(args: &[String]) -> Result<(), String> {
 /// record` (`--seed` here is `record`'s `--gen-seed`) the output file is
 /// byte-identical to `record`'s `workload.trace`.
 fn gen(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_unknown(&[
-        "out",
-        "jobs",
-        "seed",
-        "sim-seed",
-        "machines",
-        "slots",
-        "policy",
-        "profile",
-        "framework",
-        "bound",
-        "format",
-    ])?;
+    let flags = Flags::parse(args, &[], &[WORKLOAD_FLAGS, &["seed"]].concat())?;
     if !flags.positional.is_empty() {
         return Err(format!(
             "unexpected positional arguments: {:?}",
@@ -364,8 +273,7 @@ fn gen(args: &[String]) -> Result<(), String> {
 }
 
 fn replay_cmd(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_unknown(&["policy"])?;
+    let flags = Flags::parse(args, &[], &["policy"])?;
     let [path] = flags.positional.as_slice() else {
         return Err("replay expects exactly one trace path".to_string());
     };
@@ -383,13 +291,11 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
         trace.meta.sim_seed,
     );
     let result = run_simulation(&sim, trace.jobs.clone(), factory.as_ref());
-    print!("{}", outcome_digest(&result));
-    Ok(())
+    write_stdout(&outcome_digest(&result))
 }
 
 fn convert(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_unknown(&["format"])?;
+    let flags = Flags::parse(args, &[], &["format"])?;
     let [input, output] = flags.positional.as_slice() else {
         return Err("convert expects exactly two paths: <in> <out>".to_string());
     };
@@ -430,23 +336,19 @@ pub(crate) fn resolve_workload_path(path: &Path) -> PathBuf {
 }
 
 fn stats(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse_with_switches(args, &["mmap"])?;
-    flags.reject_unknown(&["mmap"])?;
+    let flags = Flags::parse(args, &["mmap"], &[])?;
     if flags.positional.is_empty() {
         return Err("stats expects at least one trace path".to_string());
     }
     let mmap = flags.has("mmap");
     for path in &flags.positional {
-        // --mmap folds binary workload traces zero-copy out of a memory map;
-        // other files silently fall back to the streaming pass (same result).
         let stats = if mmap {
             TraceStats::load_mmap(path)
         } else {
             TraceStats::load(path)
         }
         .map_err(|e| format!("cannot read {path}: {e}"))?;
-        println!("== {path}");
-        println!("{stats}");
+        write_stdout(&format!("== {path}\n{stats}\n"))?;
     }
     Ok(())
 }

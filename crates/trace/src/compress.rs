@@ -24,7 +24,7 @@
 
 use std::io::{BufRead, Write};
 
-use crate::binary::{frame_err, FrameReader, MAX_FRAME_LEN};
+use crate::binary::{frame_err, Body, FrameReader, FrameSource, MAX_FRAME_LEN};
 use crate::codec::{StreamKind, TraceError, COMPRESSED_FORMAT_VERSION};
 
 #[cfg(test)]
@@ -62,11 +62,11 @@ mod tests {
         let (mut br, kind) = BlockReader::open(&bytes[..]).unwrap();
         assert_eq!(kind, StreamKind::Workload);
         for (i, expected) in frames.iter().enumerate() {
-            let (start, end, _) = br
+            let (frame, _) = br
                 .next_frame()
                 .unwrap()
                 .unwrap_or_else(|| panic!("stream ended early at frame {i} of {}", frames.len()));
-            assert_eq!(br.frame(start, end), &expected[..], "frame {i}");
+            assert_eq!(frame, &expected[..], "frame {i}");
         }
         assert!(br.next_frame().unwrap().is_none());
     }
@@ -190,19 +190,6 @@ impl<R: BufRead> BlockReader<R> {
         ))
     }
 
-    /// Absolute file offset of the next unread byte — used to anchor
-    /// end-of-stream diagnostics, mirroring v2.
-    pub(crate) fn file_offset(&self) -> u64 {
-        self.fr.offset
-    }
-
-    /// The bytes of a frame previously returned by [`next_frame`].
-    ///
-    /// [`next_frame`]: BlockReader::next_frame
-    pub(crate) fn frame(&self, start: usize, end: usize) -> &[u8] {
-        self.block.get(start..end).unwrap_or(&[])
-    }
-
     /// Load and decompress the next block. `Ok(false)` at a clean end of
     /// stream. Block-level errors name absolute file offsets.
     fn load_block(&mut self) -> Result<bool, TraceError> {
@@ -254,18 +241,19 @@ impl<R: BufRead> BlockReader<R> {
         }
         Ok(true)
     }
+}
 
-    /// Yield the next frame as `(start, end, decompressed_offset_of_start)`
-    /// indices into the current block, or `None` at a clean end of stream.
-    /// Frame-level errors name decompressed-stream offsets.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<(usize, usize, u64)>, TraceError> {
+/// Frames come out of the current decompressed block; the offset that comes
+/// with each is a decompressed-stream offset, and so are frame-level errors.
+impl<R: BufRead> FrameSource for BlockReader<R> {
+    fn next_frame(&mut self) -> Result<Option<(&[u8], u64)>, TraceError> {
         if self.pos == self.block.len() && !self.load_block()? {
             return Ok(None);
         }
         let prefix_at = self.dbase + self.pos as u64;
         // Parse the frame length prefix in decompressed space via a Body cursor
         // so varint diagnostics match the v2 wording.
-        let mut cur = crate::binary::Body::new(self.frame(self.pos, self.block.len()), prefix_at);
+        let mut cur = Body::new(self.block.get(self.pos..).unwrap_or(&[]), prefix_at);
         let len = cur.take_varint("frame length")?;
         if len > MAX_FRAME_LEN {
             return Err(frame_err(
@@ -286,6 +274,11 @@ impl<R: BufRead> BlockReader<R> {
         }
         let end = start + len as usize;
         self.pos = end;
-        Ok(Some((start, end, self.dbase + start as u64)))
+        let frame = self.block.get(start..end).unwrap_or(&[]);
+        Ok(Some((frame, self.dbase + start as u64)))
+    }
+
+    fn file_offset(&self) -> u64 {
+        self.fr.offset
     }
 }

@@ -23,21 +23,19 @@
 //! take a [`TraceFormat`] (defaulting to text for debuggability). All formats
 //! round-trip every `f64` bit-exactly, the property the replay guarantee rests on.
 //!
-//! For binary (v2) traces there is additionally a **zero-copy memory-mapped read
-//! path** ([`mmap`]): [`MappedWorkload`] borrows stage names and task records
-//! straight out of the map ([`BorrowedJob`]), decoding without per-record
-//! allocation, with [`BorrowedJob::to_spec`] as the copy-on-demand escape hatch
-//! into the owned types. [`open_workload_source_mmap`] is the drop-in mmap
-//! variant of [`open_workload_source`] used by `repro sweep --mmap` and fleet
-//! warm-up.
-//!
 //! Decode is **streaming end to end** ([`stream`]): the codec plugins expose
 //! pull-based frame iterators ([`WorkloadItems`], [`ExecutionEvents`], and
 //! [`TraceItems`] for either-kind consumers) and the eager API is those iterators
-//! collected, so streaming and eager decode cannot diverge. One-pass consumers
-//! ([`TraceStats`], [`convert_stream`], [`open_workload_source`] prefix loads, the
-//! [`WorkloadTraceSink`] behind `repro trace gen`) run in O(one record) memory at
-//! any trace size.
+//! collected, so streaming and eager decode cannot diverge. v2 and v3 share one
+//! frame walker past their framing, and every decoded job passes
+//! `JobSpec::validate`. One-pass consumers ([`TraceStats`], [`convert_stream`],
+//! [`open_workload_source`] prefix loads, the [`WorkloadTraceSink`] behind
+//! `repro trace gen`) run in O(one record) memory at any trace size.
+//!
+//! Files can also be read through a **memory map** ([`mmap`]):
+//! [`open_workload_source_mmap`] and [`TraceStats::load_mmap`] hand the mapped
+//! bytes to the same streaming decoders, so every format and stream kind reads
+//! from the map with buffered-identical values and errors.
 //!
 //! The streams:
 //!
@@ -93,7 +91,7 @@ pub use codec::{
 };
 pub use execution::{ExecutionMeta, ExecutionTrace};
 pub use format::{codec_for, sniff_bytes, sniff_format, TraceCodec, TraceFormat};
-pub use mmap::{open_workload_source_mmap, BorrowedJob, BorrowedJobs, MappedWorkload};
+pub use mmap::open_workload_source_mmap;
 pub use replay::{replay, replay_config};
 pub use sink::{convert_stream, ExecutionTraceSink, WorkloadTraceSink};
 pub use stats::TraceStats;

@@ -1,23 +1,13 @@
-//! Zero-copy memory-mapped decode of binary (v2) workload traces.
+//! Memory-mapped trace reads: the map is one more byte source for the
+//! streaming decoders.
 //!
-//! [`MappedWorkload`] maps a trace file and decodes it *in place*: frames are
-//! located through the same length-prefix walk as the streamed reader, and each
-//! [`BorrowedJob`] holds `&[u8]`/`&str` slices straight into the map — stage
-//! names, the stage table and the fixed-width task records are never copied.
-//! Iterating jobs therefore allocates nothing per record, which is what lets
-//! the decode run at memory bandwidth instead of allocator speed; the
-//! copy-on-demand escape hatch into the owned types is [`BorrowedJob::to_spec`].
-//!
-//! Strictness is not relaxed: every structural check of the streamed v2 decoder
-//! runs here too, through the same `Body` cursor with the map index as its
-//! base offset — so a corrupt trace fails with an error **byte-identical** to
-//! the streamed decoder's, and every job is semantically validated (the same
-//! checks as `JobSpec::validate`, in the same order) before it is yielded.
-//!
-//! [`open_workload_source_mmap`] is the drop-in mmap variant of
-//! [`open_workload_source`]: binary traces take the zero-copy path, any other
-//! format transparently falls back to the streamed open, so callers can enable
-//! it unconditionally (`repro sweep --mmap`, fleet warm-up).
+//! [`open_workload_source_mmap`] and [`crate::TraceStats::load_mmap`] map the
+//! trace file read-only and hand the map, as a `Cursor` over its bytes, to
+//! the same [`crate::WorkloadItems`] / [`crate::TraceItems`] decoders that
+//! read buffered files. Every format and stream kind therefore decodes from
+//! the map, with values and errors identical to the buffered read by
+//! construction; only the I/O strategy differs (`repro sweep|fleet|trace
+//! stats --mmap`).
 //!
 //! # Safety
 //!
@@ -28,450 +18,41 @@
 //! workspace.
 
 use std::fs::File;
+use std::io::Cursor;
 use std::path::Path;
 
-use grass_core::{Bound, Error as CoreError, JobId, JobSpec, StageId, StageSpec, TaskSpec};
 use grass_workload::StreamedWorkload;
 
-use crate::binary::{frame_err, workload_meta_from_body, Body, FrameReader, TAG_JOB};
-use crate::codec::{StreamKind, TraceError, BINARY_FORMAT_VERSION};
-use crate::format::{sniff_format, TraceFormat, SNIFF_LEN};
-use crate::workload::{open_workload_source, WorkloadMeta};
+use crate::codec::TraceError;
+use crate::stream::WorkloadItems;
+use crate::workload::{open_source_with, WorkloadMeta};
 
-/// Bytes of one fixed-width task record on the v2 wire: a stage byte plus the
-/// eight raw bits of the work `f64`.
-const TASK_RECORD_LEN: usize = 9;
-
-/// A binary (v2) workload trace mapped into memory, decoded in place.
-///
-/// Opening validates the header and decodes the meta frame; jobs are decoded
-/// lazily and zero-copy by [`jobs`](MappedWorkload::jobs).
-#[derive(Debug)]
-pub struct MappedWorkload {
-    map: memmap2::Mmap,
-    meta: WorkloadMeta,
-    declared_jobs: usize,
-    /// Map offset of the first job frame (just past the meta frame).
-    jobs_at: u64,
+/// Map a trace file into memory as a buffered reader over the mapped bytes.
+pub(crate) fn map_trace(path: &Path) -> Result<Cursor<memmap2::Mmap>, TraceError> {
+    let file = File::open(path)?;
+    // SAFETY: read-only private mapping; trace files are write-once, so the
+    // file is not mutated or truncated while the map is alive (module
+    // contract above).
+    let map = unsafe { memmap2::Mmap::map(&file)? };
+    Ok(Cursor::new(map))
 }
 
-impl MappedWorkload {
-    /// Map a binary workload trace file and validate its header and meta frame.
-    ///
-    /// Fails with the same errors as the streamed decoder: [`TraceError::BadMagic`]
-    /// for non-trace files, [`TraceError::UnsupportedVersion`] for other format
-    /// versions (including text and v3 traces, which have no in-place
-    /// representation — use [`open_workload_source_mmap`] to fall back
-    /// automatically), [`TraceError::WrongStream`] for execution traces.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let file = File::open(path)?;
-        // SAFETY: read-only private mapping; trace files are write-once, so the
-        // file is not mutated or truncated while the map is alive (module
-        // contract above).
-        let map = unsafe { memmap2::Mmap::map(&file)? };
-        MappedWorkload::from_map(map)
-    }
-
-    fn from_map(map: memmap2::Mmap) -> Result<Self, TraceError> {
-        let data: &[u8] = &map;
-        // Text traces share the magic but not the framing; reading one here
-        // must say "wrong version", not mis-parse the header, so sniff first.
-        if sniff_format(data.get(..SNIFF_LEN).unwrap_or(data))? == TraceFormat::Text {
-            return Err(TraceError::UnsupportedVersion(crate::codec::FORMAT_VERSION));
-        }
-        let mut fr = FrameReader::new(data);
-        let kind = fr.read_header_version(BINARY_FORMAT_VERSION)?;
-        if kind != StreamKind::Workload {
-            return Err(TraceError::WrongStream {
-                expected: StreamKind::Workload,
-                found: kind,
-            });
-        }
-        let at = fr.offset;
-        let Some((frame, base)) = fr.next_frame_borrowed()? else {
-            return Err(frame_err(at, "workload trace has no meta frame"));
-        };
-        let mut body = Body::new(frame, base);
-        let (meta, declared_jobs) = workload_meta_from_body(&mut body, base)?;
-        let jobs_at = fr.offset;
-        Ok(MappedWorkload {
-            map,
-            meta,
-            declared_jobs,
-            jobs_at,
-        })
-    }
-
-    /// The trace's meta record, decoded at open.
-    pub fn meta(&self) -> &WorkloadMeta {
-        &self.meta
-    }
-
-    /// Number of jobs the meta record declares; enforced against the actual
-    /// frame count when a [`jobs`](MappedWorkload::jobs) iteration reaches the
-    /// end of the map.
-    pub fn declared_jobs(&self) -> usize {
-        self.declared_jobs
-    }
-
-    /// Size of the mapped file in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Iterate the jobs zero-copy: each [`BorrowedJob`] borrows from the map.
-    ///
-    /// Every call walks the frames from the start; like the streamed decoder,
-    /// the iterator is fused after the first error and enforces the declared
-    /// job count at end of stream (prefix reads that stop early skip the check
-    /// by construction).
-    pub fn jobs(&self) -> BorrowedJobs<'_> {
-        let data: &[u8] = &self.map;
-        let mut fr = FrameReader::new(data.get(self.jobs_at as usize..).unwrap_or(&[]));
-        // Error offsets must be absolute map offsets, identical to the streamed
-        // decoder's file offsets.
-        fr.offset = self.jobs_at;
-        BorrowedJobs {
-            fr,
-            declared_jobs: self.declared_jobs,
-            seen: 0,
-            fused: false,
-        }
-    }
-}
-
-/// Zero-copy job iterator over a [`MappedWorkload`]; yields one
-/// `Result<BorrowedJob, TraceError>` per job frame.
-pub struct BorrowedJobs<'a> {
-    fr: FrameReader<&'a [u8]>,
-    declared_jobs: usize,
-    seen: usize,
-    fused: bool,
-}
-
-impl<'a> BorrowedJobs<'a> {
-    fn pull(&mut self) -> Option<Result<BorrowedJob<'a>, TraceError>> {
-        match self.fr.next_frame_borrowed() {
-            Err(e) => Some(Err(e)),
-            Ok(Some((frame, base))) => {
-                let mut body = Body::new(frame, base);
-                let tag = match body.take_u8("frame tag") {
-                    Ok(tag) => tag,
-                    Err(e) => return Some(Err(e)),
-                };
-                if tag != TAG_JOB {
-                    return Some(Err(frame_err(
-                        base,
-                        format!("unknown frame tag {tag:#04x} in workload trace"),
-                    )));
-                }
-                self.seen += 1;
-                Some(decode_job_borrowed(&mut body).and_then(|job| {
-                    body.expect_end("job")?;
-                    Ok(job)
-                }))
-            }
-            Ok(None) => {
-                if self.seen != self.declared_jobs {
-                    Some(Err(frame_err(
-                        self.fr.offset,
-                        format!(
-                            "meta declares {} jobs but the trace contains {}",
-                            self.declared_jobs, self.seen
-                        ),
-                    )))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-}
-
-impl<'a> Iterator for BorrowedJobs<'a> {
-    type Item = Result<BorrowedJob<'a>, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.fused {
-            return None;
-        }
-        let item = self.pull();
-        if matches!(item, Some(Err(_)) | None) {
-            self.fused = true;
-        }
-        item
-    }
-}
-
-/// One job decoded in place: scalar fields are parsed, the variable-length
-/// regions (stage table, task records) stay as borrowed slices of the map.
-///
-/// The job was fully validated when it was decoded — structurally (same checks
-/// and offsets as the streamed decoder) and semantically (same checks as
-/// `JobSpec::validate`) — so the accessors are infallible.
-#[derive(Debug, Clone, Copy)]
-pub struct BorrowedJob<'a> {
-    /// Job identifier.
-    pub id: JobId,
-    /// Arrival time in seconds from the start of the trace.
-    pub arrival: f64,
-    /// Approximation bound.
-    pub bound: Bound,
-    stage_count: usize,
-    /// The encoded stage table: `(name:str task_count:varint)*`.
-    stage_bytes: &'a [u8],
-    /// The encoded task records: `(stage:u8 work:f64)*`, 9 bytes each.
-    task_bytes: &'a [u8],
-}
-
-impl<'a> BorrowedJob<'a> {
-    /// Number of DAG stages.
-    pub fn stage_count(&self) -> usize {
-        self.stage_count
-    }
-
-    /// Total number of tasks across all stages.
-    pub fn task_count(&self) -> usize {
-        self.task_bytes.len() / TASK_RECORD_LEN
-    }
-
-    /// Iterate the stage table zero-copy as `(name, task_count)` pairs; names
-    /// borrow straight from the map.
-    pub fn stages(&self) -> BorrowedStages<'a> {
-        BorrowedStages {
-            body: Body::new(self.stage_bytes, 0),
-            remaining: self.stage_count,
-        }
-    }
-
-    /// Iterate the task records. [`TaskSpec`] is `Copy` and the records are
-    /// fixed-width, so this decodes without allocating.
-    pub fn tasks(&self) -> BorrowedTasks<'a> {
-        BorrowedTasks {
-            records: self.task_bytes,
-        }
-    }
-
-    /// Sum of work over every task (the streamed analogue of
-    /// `JobSpec::total_work`).
-    pub fn total_work(&self) -> f64 {
-        self.tasks().map(|t| t.work).sum()
-    }
-
-    /// Copy-on-demand escape hatch: materialise the owned [`JobSpec`].
-    /// Equal to what the streamed decoder yields for the same frame (and
-    /// already validated, at decode time).
-    pub fn to_spec(&self) -> JobSpec {
-        JobSpec {
-            id: self.id,
-            arrival: self.arrival,
-            bound: self.bound,
-            stages: self
-                .stages()
-                .map(|(name, task_count)| StageSpec {
-                    name: name.to_string(),
-                    task_count,
-                })
-                .collect(),
-            tasks: self.tasks().collect(),
-        }
-    }
-}
-
-/// Zero-copy iterator over a [`BorrowedJob`]'s stage table.
-pub struct BorrowedStages<'a> {
-    body: Body<'a>,
-    remaining: usize,
-}
-
-impl<'a> Iterator for BorrowedStages<'a> {
-    type Item = (&'a str, usize);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        // The region was validated when the job was decoded, so these cannot
-        // fail; `ok()?` keeps the accessor panic-free regardless.
-        let name = self.body.take_str_borrowed("stage name").ok()?;
-        let task_count = self.body.take_usize("stage task count").ok()?;
-        Some((name, task_count))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// Zero-copy iterator over a [`BorrowedJob`]'s fixed-width task records.
-pub struct BorrowedTasks<'a> {
-    records: &'a [u8],
-}
-
-impl Iterator for BorrowedTasks<'_> {
-    type Item = TaskSpec;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let record = self.records.get(..TASK_RECORD_LEN)?;
-        self.records = self.records.get(TASK_RECORD_LEN..).unwrap_or(&[]);
-        let (&stage, bits) = record.split_first()?;
-        let bits: [u8; 8] = bits.try_into().ok()?;
-        Some(TaskSpec::in_stage(
-            f64::from_bits(u64::from_le_bytes(bits)),
-            stage,
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.records.len() / TASK_RECORD_LEN;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for BorrowedTasks<'_> {}
-
-/// Decode one job frame in place: scalars are parsed, the stage table and task
-/// records are captured as regions after a validating scan. Field order,
-/// structural checks and error offsets are those of the streamed decoder.
-fn decode_job_borrowed<'a>(body: &mut Body<'a>) -> Result<BorrowedJob<'a>, TraceError> {
-    let start = body.offset();
-    let id = JobId(body.take_varint("job id")?);
-    let arrival = body.take_f64("arrival")?;
-    let bound_at = body.offset();
-    let bound = match body.take_u8("bound kind")? {
-        0 => Bound::Deadline(body.take_f64("deadline")?),
-        1 => Bound::Error(body.take_f64("error bound")?),
-        other => return Err(frame_err(bound_at, format!("bad bound kind {other}"))),
-    };
-    let stage_count = body.take_usize("stage count")?;
-    let stages_from = body.position();
-    let mut declared_task_sum = 0usize;
-    for _ in 0..stage_count {
-        body.take_str_borrowed("stage name")?;
-        declared_task_sum = declared_task_sum.saturating_add(body.take_usize("stage task count")?);
-    }
-    let stage_bytes = body.slice_between(stages_from, body.position());
-    let task_count = body.take_usize("task count")?;
-    let tasks_from = body.position();
-    for _ in 0..task_count {
-        body.take_u8("task stage")?;
-        body.take_f64("task work")?;
-    }
-    let task_bytes = body.slice_between(tasks_from, body.position());
-    let job = BorrowedJob {
-        id,
-        arrival,
-        bound,
-        stage_count,
-        stage_bytes,
-        task_bytes,
-    };
-    validate_borrowed(&job, declared_task_sum)
-        .map_err(|e| frame_err(start, format!("decoded job is invalid: {e}")))?;
-    Ok(job)
-}
-
-/// The semantic checks of `JobSpec::validate`, run over the borrowed regions —
-/// same checks, same order, same error values, so the mmap path rejects exactly
-/// the jobs (with exactly the messages) the streamed path rejects. Parity is
-/// pinned by `tests/trace_mmap.rs`.
-fn validate_borrowed(job: &BorrowedJob<'_>, declared_task_sum: usize) -> Result<(), CoreError> {
-    if job.task_count() == 0 || job.stage_count == 0 {
-        return Err(CoreError::EmptyJob(job.id));
-    }
-    job.bound.validate()?;
-    if !(job.arrival.is_finite() && job.arrival >= 0.0) {
-        return Err(CoreError::DegenerateValue {
-            job: job.id,
-            message: format!(
-                "arrival time {} must be finite and non-negative",
-                job.arrival
-            ),
-        });
-    }
-    for (i, t) in job.tasks().enumerate() {
-        if !(t.work.is_finite() && t.work >= 0.0) {
-            return Err(CoreError::DegenerateValue {
-                job: job.id,
-                message: format!("task {i} work {} must be finite and non-negative", t.work),
-            });
-        }
-    }
-    if declared_task_sum != job.task_count() {
-        return Err(CoreError::InvalidBound(format!(
-            "job {:?}: stage task counts sum to {declared_task_sum} but {} tasks are declared",
-            job.id,
-            job.task_count()
-        )));
-    }
-    for t in job.tasks() {
-        if t.stage.value() as usize >= job.stage_count {
-            return Err(CoreError::UnknownStage {
-                job: job.id,
-                stage: StageId(t.stage.value()),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Open a workload trace as a streaming job source through the zero-copy mmap
-/// path — the drop-in variant of [`open_workload_source`].
-///
-/// For binary (v2) traces the validation pass and every subsequent
-/// `jobs()`/`warmup_jobs()` load decode borrowed records out of a private
-/// read-only map, allocating owned `JobSpec`s only for the jobs the caller
-/// actually requests. Text and compressed traces have no in-place
-/// representation, so they transparently fall back to the streamed
-/// [`open_workload_source`] — callers can pass `--mmap` unconditionally.
-///
-/// The validation semantics, the returned metadata and the decoded jobs are
-/// identical to the streamed open; only the I/O strategy differs.
+/// Open a workload trace as a streaming job source read through a memory map —
+/// the drop-in variant of [`crate::open_workload_source`], sharing its
+/// validation pass and on-demand loader. Metadata, jobs and errors are
+/// identical to the buffered open for every format.
 pub fn open_workload_source_mmap(
     path: impl AsRef<Path>,
 ) -> Result<(WorkloadMeta, StreamedWorkload), TraceError> {
-    let path = path.as_ref().to_path_buf();
-    let file = File::open(&path)?;
-    // SAFETY: read-only private mapping of a write-once trace file (module
-    // contract above).
-    let map = unsafe { memmap2::Mmap::map(&file)? };
-    let data: &[u8] = &map;
-    if sniff_format(data.get(..SNIFF_LEN).unwrap_or(data))? != TraceFormat::Binary {
-        drop(map);
-        return open_workload_source(&path);
-    }
-    let mapped = MappedWorkload::from_map(map)?;
-    let meta = mapped.meta().clone();
-    let (mut total, mut deadline_jobs) = (0usize, 0usize);
-    for job in mapped.jobs() {
-        let job = job?;
-        total += 1;
-        if job.bound.is_deadline() {
-            deadline_jobs += 1;
-        }
-    }
-    let source = StreamedWorkload::new(
-        meta.profile.clone(),
-        total,
-        deadline_jobs * 2 > total,
-        move |count| {
-            let mapped = MappedWorkload::open(&path).map_err(|e| e.to_string())?;
-            mapped
-                .jobs()
-                .take(count)
-                .map(|job| job.map(|j| j.to_spec()).map_err(|e| e.to_string()))
-                .collect()
-        },
-    );
-    Ok((meta, source))
+    open_source_with(path.as_ref(), |path| WorkloadItems::open(map_trace(path)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{record_workload, WorkloadTrace};
-    use grass_workload::{BoundSpec, Framework, TraceProfile, WorkloadConfig};
+    use crate::format::TraceFormat;
+    use crate::workload::{open_workload_source, record_workload, WorkloadTrace};
+    use grass_workload::{BoundSpec, Framework, JobSource, TraceProfile, WorkloadConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -506,110 +87,46 @@ mod tests {
         }
     }
 
-    fn write_binary(trace: &WorkloadTrace) -> TempTrace {
-        let file = TempTrace::new("bin");
-        trace.save_as(file.path(), TraceFormat::Binary).unwrap();
-        file
-    }
-
-    #[test]
-    fn borrowed_decode_matches_owned_decode() {
-        let trace = sample_trace();
-        let file = write_binary(&trace);
-        let mapped = MappedWorkload::open(file.path()).unwrap();
-        assert_eq!(mapped.meta(), &trace.meta);
-        assert_eq!(mapped.declared_jobs(), trace.jobs.len());
-        let jobs: Result<Vec<_>, _> = mapped.jobs().map(|j| j.map(|j| j.to_spec())).collect();
-        let jobs = jobs.unwrap();
-        assert_eq!(jobs, trace.jobs);
-        // Bit-exact floats, borrowed accessors agree with the owned spec.
-        for (borrowed, owned) in mapped.jobs().map(Result::unwrap).zip(&trace.jobs) {
-            assert_eq!(borrowed.arrival.to_bits(), owned.arrival.to_bits());
-            assert_eq!(borrowed.stage_count(), owned.stages.len());
-            assert_eq!(borrowed.task_count(), owned.tasks.len());
-            for ((name, count), stage) in borrowed.stages().zip(&owned.stages) {
-                assert_eq!(name, stage.name);
-                assert_eq!(count, stage.task_count);
-            }
-            for (task, owned_task) in borrowed.tasks().zip(&owned.tasks) {
-                assert_eq!(task.stage, owned_task.stage);
-                assert_eq!(task.work.to_bits(), owned_task.work.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn mapped_open_rejects_non_binary_and_wrong_streams() {
-        let trace = sample_trace();
-        let text = TempTrace::new("text");
-        trace.save_as(text.path(), TraceFormat::Text).unwrap();
-        assert!(matches!(
-            MappedWorkload::open(text.path()),
-            Err(TraceError::UnsupportedVersion(1))
-        ));
-        let v3 = TempTrace::new("v3");
-        trace.save_as(v3.path(), TraceFormat::Compressed).unwrap();
-        assert!(matches!(
-            MappedWorkload::open(v3.path()),
-            Err(TraceError::UnsupportedVersion(3))
-        ));
-        let junk = TempTrace::new("junk");
-        std::fs::write(junk.path(), b"not a trace").unwrap();
-        assert!(matches!(
-            MappedWorkload::open(junk.path()),
-            Err(TraceError::BadMagic)
-        ));
-    }
-
     #[test]
     fn mmap_errors_match_streamed_errors_byte_for_byte() {
         let trace = sample_trace();
-        let bytes = trace.to_bytes_as(TraceFormat::Binary);
-        // Truncate at every byte boundary in the job region; the mapped decoder
-        // must produce exactly the streamed decoder's error.
         let file = TempTrace::new("cut");
-        for cut in (20..bytes.len()).step_by(7) {
-            std::fs::write(file.path(), &bytes[..cut]).unwrap();
-            let streamed_err = crate::stream::WorkloadItems::open(&bytes[..cut])
-                .map(|items| items.map(|j| j.map(|_| ())).collect::<Result<Vec<_>, _>>());
-            let mapped_err = MappedWorkload::open(file.path()).map(|m| {
-                m.jobs()
-                    .map(|j| j.map(|_| ()))
-                    .collect::<Result<Vec<_>, _>>()
-            });
-            match (streamed_err, mapped_err) {
-                (Ok(Ok(_)), Ok(Ok(_))) => {}
-                (Ok(Err(a)), Ok(Err(b))) => assert_eq!(a.to_string(), b.to_string(), "cut {cut}"),
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "cut {cut}"),
-                (a, b) => panic!("divergent outcomes at cut {cut}: {a:?} vs {b:?}"),
+        for format in TraceFormat::ALL {
+            // Truncate at byte boundaries from the header on; the mapped open
+            // must fail (or succeed) exactly like the buffered open.
+            let bytes = trace.to_bytes_as(format);
+            for cut in (0..bytes.len()).step_by(7) {
+                std::fs::write(file.path(), &bytes[..cut]).unwrap();
+                let streamed = open_workload_source(file.path()).map(|(meta, _)| meta);
+                let mapped = open_workload_source_mmap(file.path()).map(|(meta, _)| meta);
+                match (streamed, mapped) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{format} cut {cut}"),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a.to_string(), b.to_string(), "{format} cut {cut}")
+                    }
+                    (a, b) => panic!("divergent outcomes, {format} cut {cut}: {a:?} vs {b:?}"),
+                }
             }
         }
     }
 
     #[test]
     fn mmap_source_matches_streamed_source() {
-        use grass_workload::JobSource;
         let trace = sample_trace();
-        let file = write_binary(&trace);
-        let (meta_a, streamed) = open_workload_source(file.path()).unwrap();
-        let (meta_b, mapped) = open_workload_source_mmap(file.path()).unwrap();
-        assert_eq!(meta_a, meta_b);
-        assert_eq!(streamed.label(), mapped.label());
-        assert_eq!(streamed.jobs(0), mapped.jobs(0));
-        // Warm-up prefixes decode only the requested jobs; same prefix either way.
-        assert_eq!(streamed.warmup_jobs(0.3, 0), mapped.warmup_jobs(0.3, 0));
-    }
-
-    #[test]
-    fn mmap_source_falls_back_for_other_formats() {
-        use grass_workload::JobSource;
-        let trace = sample_trace();
-        for format in [TraceFormat::Text, TraceFormat::Compressed] {
-            let file = TempTrace::new("fallback");
+        for format in TraceFormat::ALL {
+            let file = TempTrace::new("source");
             trace.save_as(file.path(), format).unwrap();
-            let (meta, source) = open_workload_source_mmap(file.path()).unwrap();
-            assert_eq!(meta, trace.meta, "{format}");
-            assert_eq!(source.jobs(0), trace.jobs, "{format}");
+            let (meta_a, streamed) = open_workload_source(file.path()).unwrap();
+            let (meta_b, mapped) = open_workload_source_mmap(file.path()).unwrap();
+            assert_eq!(meta_a, meta_b, "{format}");
+            assert_eq!(streamed.label(), mapped.label(), "{format}");
+            assert_eq!(mapped.jobs(0), trace.jobs, "{format}");
+            // Warm-up prefixes decode only the requested jobs; same prefix either way.
+            assert_eq!(
+                streamed.warmup_jobs(0.3, 0),
+                mapped.warmup_jobs(0.3, 0),
+                "{format}"
+            );
         }
     }
 }

@@ -52,29 +52,11 @@ impl TraceStats {
         Self::read_from(BufReader::new(std::fs::File::open(path)?))
     }
 
-    /// Compute statistics over a memory-mapped binary workload trace without
-    /// copying a single record: jobs fold straight out of the mapped bytes via
-    /// [`crate::MappedWorkload`]. Files the mapped path does not cover (text,
-    /// compressed, execution streams) fall back to [`TraceStats::load`] — the
-    /// result is identical either way, only the read path differs.
+    /// Compute statistics for a trace file read through a memory map instead
+    /// of a buffered reader (see [`crate::mmap`]); the result is identical to
+    /// [`TraceStats::load`] for every format and stream kind.
     pub fn load_mmap(path: impl AsRef<Path>) -> Result<Self, TraceError> {
-        let path = path.as_ref();
-        let mapped = match crate::MappedWorkload::open(path) {
-            Ok(mapped) => mapped,
-            Err(TraceError::UnsupportedVersion(_) | TraceError::WrongStream { .. }) => {
-                return Self::load(path);
-            }
-            Err(e) => return Err(e),
-        };
-        let mut acc = WorkloadAccumulator::default();
-        for job in mapped.jobs() {
-            let job = job?;
-            acc.jobs += 1;
-            acc.tasks += job.task_count();
-            acc.total_work += job.total_work();
-            acc.horizon = acc.horizon.max(job.arrival);
-        }
-        Ok(acc.finish(TraceFormat::Binary))
+        Self::read_from(crate::mmap::map_trace(path.as_ref())?)
     }
 
     /// Compute statistics over any buffered reader in a single O(one record)
@@ -281,16 +263,33 @@ mod tests {
             .with_jobs(4)
             .with_bound(BoundSpec::paper_errors());
         let trace = record_workload(&config, 3, 4, "GS", 2, 2);
+        let sim = crate::replay_config(&trace);
+        let mut sink = VecSink::new();
+        run_simulation_traced(&sim, trace.jobs.clone(), &GsFactory, &mut sink);
+        let execution = crate::ExecutionTrace::new(
+            crate::ExecutionMeta {
+                sim_seed: 4,
+                policy: "GS".into(),
+                machines: 2,
+                slots_per_machine: 2,
+            },
+            sink.into_events(),
+        );
         let dir = std::env::temp_dir().join(format!("grass-stats-mmap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for format in TraceFormat::ALL {
-            // Binary takes the zero-copy mapped fold; text and compressed fall
-            // back to the streaming reader. The stats must agree exactly.
-            let path = dir.join(format!("workload-{format}.trace"));
-            std::fs::write(&path, trace.to_bytes_as(format)).unwrap();
-            let mapped = TraceStats::load_mmap(&path).unwrap();
-            let streamed = TraceStats::load(&path).unwrap();
-            assert_eq!(mapped, streamed, "{format}");
+            // Both stream kinds decode from the map in every format; the stats
+            // must agree exactly with the buffered read.
+            for (kind, bytes) in [
+                ("workload", trace.to_bytes_as(format)),
+                ("execution", execution.to_bytes_as(format)),
+            ] {
+                let path = dir.join(format!("{kind}-{format}.trace"));
+                std::fs::write(&path, bytes).unwrap();
+                let mapped = TraceStats::load_mmap(&path).unwrap();
+                let streamed = TraceStats::load(&path).unwrap();
+                assert_eq!(mapped, streamed, "{kind} {format}");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -24,15 +24,14 @@ use grass_core::JobSpec;
 use grass_sim::SimTraceEvent;
 
 use crate::binary::{
-    decode_event, decode_job, event_body, execution_meta_body, execution_meta_from_body, frame_err,
-    job_body, kind_code, workload_meta_body, workload_meta_from_body, Body, FrameReader,
-    MAGIC_TERMINATOR, TAG_JOB,
+    event_body, execution_meta_body, framed_execution_events, framed_workload_items, job_body,
+    kind_code, workload_meta_body, FrameReader, MAGIC_TERMINATOR,
 };
 use crate::codec::{StreamKind, TraceError, COMPRESSED_FORMAT_VERSION, MAGIC};
 use crate::compress::{BlockReader, BlockWriter};
 use crate::execution::ExecutionMeta;
 use crate::format::{TraceCodec, TraceFormat};
-use crate::stream::{ExecutionEvents, ExecutionFrames, WorkloadFrames, WorkloadItems};
+use crate::stream::{ExecutionEvents, WorkloadItems};
 use crate::workload::WorkloadMeta;
 
 /// The compressed binary plugin (format v3). Buffers at most one block of
@@ -108,124 +107,19 @@ impl TraceCodec for CompressedCodec {
         &mut self,
         r: Box<dyn BufRead + 'r>,
     ) -> Result<WorkloadItems<'r>, TraceError> {
-        let (mut br, kind) = BlockReader::open(r)?;
-        if kind != StreamKind::Workload {
-            return Err(TraceError::WrongStream {
-                expected: StreamKind::Workload,
-                found: kind,
-            });
-        }
-        let at = br.file_offset();
-        let Some((start, end, base)) = br.next_frame()? else {
-            return Err(frame_err(at, "workload trace has no meta frame"));
-        };
-        let mut body = Body::new(br.frame(start, end), base);
-        let (meta, declared_jobs) = workload_meta_from_body(&mut body, base)?;
-        Ok(WorkloadItems::from_parts(
-            TraceFormat::Compressed,
-            meta,
-            declared_jobs,
-            Box::new(CompressedWorkloadFrames {
-                br,
-                declared_jobs,
-                seen: 0,
-            }),
-        ))
+        let (br, kind) = BlockReader::open(r)?;
+        framed_workload_items(TraceFormat::Compressed, kind, br)
     }
 
     fn execution_events<'r>(
         &mut self,
         r: Box<dyn BufRead + 'r>,
     ) -> Result<ExecutionEvents<'r>, TraceError> {
-        let (mut br, kind) = BlockReader::open(r)?;
-        if kind != StreamKind::Execution {
-            return Err(TraceError::WrongStream {
-                expected: StreamKind::Execution,
-                found: kind,
-            });
-        }
-        let at = br.file_offset();
-        let Some((start, end, base)) = br.next_frame()? else {
-            return Err(frame_err(at, "execution trace has no meta frame"));
-        };
-        let mut body = Body::new(br.frame(start, end), base);
-        let meta = execution_meta_from_body(&mut body, base)?;
-        Ok(ExecutionEvents::from_parts(
-            TraceFormat::Compressed,
-            meta,
-            Box::new(CompressedExecutionFrames { br }),
-        ))
+        let (br, kind) = BlockReader::open(r)?;
+        framed_execution_events(TraceFormat::Compressed, kind, br)
     }
 
     fn peek_kind(&mut self, r: &mut dyn BufRead) -> Result<StreamKind, TraceError> {
         FrameReader::new(r).read_header_version(COMPRESSED_FORMAT_VERSION)
-    }
-}
-
-/// Frame-at-a-time job puller behind [`WorkloadItems`] for v3 streams; enforces
-/// the declared job count at end of stream like its v2 counterpart.
-struct CompressedWorkloadFrames<R> {
-    br: BlockReader<R>,
-    declared_jobs: usize,
-    seen: usize,
-}
-
-impl<R: BufRead> WorkloadFrames for CompressedWorkloadFrames<R> {
-    fn next_job(&mut self) -> Option<Result<JobSpec, TraceError>> {
-        match self.br.next_frame() {
-            Err(e) => Some(Err(e)),
-            Ok(Some((start, end, base))) => {
-                let mut body = Body::new(self.br.frame(start, end), base);
-                let tag = match body.take_u8("frame tag") {
-                    Ok(tag) => tag,
-                    Err(e) => return Some(Err(e)),
-                };
-                if tag != TAG_JOB {
-                    return Some(Err(frame_err(
-                        base,
-                        format!("unknown frame tag {tag:#04x} in workload trace"),
-                    )));
-                }
-                self.seen += 1;
-                Some(decode_job(&mut body).and_then(|job| {
-                    body.expect_end("job")?;
-                    Ok(job)
-                }))
-            }
-            Ok(None) => {
-                if self.seen != self.declared_jobs {
-                    Some(Err(frame_err(
-                        self.br.file_offset(),
-                        format!(
-                            "meta declares {} jobs but the trace contains {}",
-                            self.declared_jobs, self.seen
-                        ),
-                    )))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-}
-
-/// Frame-at-a-time event puller behind [`ExecutionEvents`] for v3 streams.
-struct CompressedExecutionFrames<R> {
-    br: BlockReader<R>,
-}
-
-impl<R: BufRead> ExecutionFrames for CompressedExecutionFrames<R> {
-    fn next_event(&mut self) -> Option<Result<SimTraceEvent, TraceError>> {
-        match self.br.next_frame() {
-            Err(e) => Some(Err(e)),
-            Ok(Some((start, end, base))) => {
-                let mut body = Body::new(self.br.frame(start, end), base);
-                Some(decode_event(&mut body).and_then(|event| {
-                    body.expect_end("event")?;
-                    Ok(event)
-                }))
-            }
-            Ok(None) => None,
-        }
     }
 }

@@ -143,8 +143,18 @@ impl WorkloadTrace {
 pub fn open_workload_source(
     path: impl AsRef<Path>,
 ) -> Result<(WorkloadMeta, StreamedWorkload), TraceError> {
-    let path = path.as_ref().to_path_buf();
-    let mut items = WorkloadItems::open_path(&path)?;
+    open_source_with(path.as_ref(), |path| WorkloadItems::open_path(path))
+}
+
+/// The validation pass and on-demand loader behind [`open_workload_source`] and
+/// [`crate::open_workload_source_mmap`]; `open` (re)opens the decoder over the
+/// file, so the two differ only in how the bytes are read.
+pub(crate) fn open_source_with(
+    path: &Path,
+    open: fn(&Path) -> Result<WorkloadItems<'static>, TraceError>,
+) -> Result<(WorkloadMeta, StreamedWorkload), TraceError> {
+    let path = path.to_path_buf();
+    let mut items = open(&path)?;
     let meta = items.meta().clone();
     let (mut total, mut deadline_jobs) = (0usize, 0usize);
     for job in &mut items {
@@ -159,7 +169,7 @@ pub fn open_workload_source(
         total,
         deadline_jobs * 2 > total,
         move |count| {
-            let items = WorkloadItems::open_path(&path).map_err(|e| e.to_string())?;
+            let items = open(&path).map_err(|e| e.to_string())?;
             items
                 .take(count)
                 .map(|job| job.map_err(|e| e.to_string()))

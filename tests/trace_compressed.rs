@@ -233,6 +233,14 @@ fn compressed_stream_kinds_versions_and_job_counts_are_checked() {
         .unwrap();
     let err = WorkloadTrace::from_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("declares 2 jobs"), "{err}");
+
+    // Stage task counts whose sum overflows usize fail validation, not a panic.
+    let mut job = JobSpec::multi_stage(1, 0.0, Bound::EXACT, vec![vec![1.0], vec![]]);
+    job.stages[0].task_count = usize::MAX;
+    job.stages[1].task_count = 2;
+    let bytes = WorkloadTrace::new(meta("GS"), vec![job]).to_bytes_as(TraceFormat::Compressed);
+    let err = WorkloadTrace::from_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("invalid"), "{err}");
 }
 
 #[test]

@@ -203,6 +203,14 @@ fn corrupt_binary_jobs_fail_validation_like_text() {
     let bytes = trace.to_bytes_as(TraceFormat::Binary);
     let err = WorkloadTrace::from_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("invalid"), "{err}");
+
+    // Stage task counts whose sum overflows usize fail validation, not a panic.
+    let mut job = JobSpec::multi_stage(1, 0.0, Bound::EXACT, vec![vec![1.0], vec![]]);
+    job.stages[0].task_count = usize::MAX;
+    job.stages[1].task_count = 2;
+    let bytes = WorkloadTrace::new(meta("GS"), vec![job]).to_bytes_as(TraceFormat::Binary);
+    let err = WorkloadTrace::from_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("invalid"), "{err}");
 }
 
 proptest! {

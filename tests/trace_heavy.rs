@@ -1,10 +1,10 @@
 //! GB-scale streaming pin: `trace gen` → `trace stats` → `trace convert` over a
 //! ≥100 MiB trace must run in bounded memory — far less than the file itself,
 //! which is what the eager (slurp + full decode) design structurally required.
-//! The mmap and compressed (v3) legs ride the same bound: the borrowed decode
-//! maps the binary trace (touched pages count toward VmHWM, so the file must
-//! fit under the bound once, not twice), and v3 stats decompress one ~64 KiB
-//! block at a time.
+//! The mmap and compressed (v3) legs ride the same bound: the mmap leg streams
+//! the binary trace out of a memory map (touched pages count toward VmHWM, so
+//! the file must fit under the bound once, not twice), and v3 stats decompress
+//! one ~64 KiB block at a time.
 //!
 //! Gated behind `GRASS_HEAVY=1` (run by the scheduled bench workflow, skipped in
 //! tier-1) because it writes ~350 MiB of temp files; the wall time itself is
@@ -120,9 +120,9 @@ fn hundred_mib_trace_streams_through_gen_stats_and_convert_in_bounded_memory() {
     assert_eq!(binary_stats.format, TraceFormat::Binary);
     assert_eq!(binary_stats.tasks, stats.tasks);
 
-    // mmap: the zero-copy read path folds the same stats. Mapped pages that are
-    // actually touched count toward VmHWM, so this leg also proves the borrowed
-    // decode adds (file size + epsilon), not a second materialised copy.
+    // mmap: the same streaming fold over a memory map. Mapped pages that are
+    // actually touched count toward VmHWM, so this leg also proves the mapped
+    // read adds (file size + epsilon), not a second materialised copy.
     let started = Instant::now();
     let mmap_stats = TraceStats::load_mmap(&binary_path).unwrap();
     let mmap_elapsed = started.elapsed();

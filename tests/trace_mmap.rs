@@ -1,8 +1,8 @@
-//! Integration tests of the zero-copy mmap read path: borrowed decode must be
-//! bit-identical to the eager decode, replay digests must agree across every
-//! format *and* read path (text, binary, compressed, mmap), error diagnostics
-//! must match the buffered reader byte for byte, and the non-binary fallbacks
-//! of `open_workload_source_mmap` must stay transparent.
+//! Integration tests of the memory-mapped read path: the map is one more byte
+//! source for the streaming decoders, so replay digests must agree across
+//! every format *and* read path (text, binary, compressed, mmap), error
+//! diagnostics must match the buffered reader byte for byte, and
+//! `open_workload_source_mmap` must read every format.
 
 use grass::prelude::*;
 
@@ -18,59 +18,26 @@ fn recorded_trace() -> WorkloadTrace {
 }
 
 #[test]
-fn mapped_decode_is_bit_identical_to_eager_decode() {
-    let trace = recorded_trace();
-    let path = temp_path("decode");
-    std::fs::write(&path, trace.to_bytes_as(TraceFormat::Binary)).unwrap();
-
-    let mapped = MappedWorkload::open(&path).unwrap();
-    assert_eq!(mapped.meta(), &trace.meta);
-    assert_eq!(mapped.declared_jobs(), trace.jobs.len());
-
-    let mut count = 0;
-    for (borrowed, original) in mapped.jobs().zip(trace.jobs.iter()) {
-        let borrowed = borrowed.unwrap();
-        assert_eq!(borrowed.id, original.id);
-        assert_eq!(borrowed.arrival.to_bits(), original.arrival.to_bits());
-        assert_eq!(borrowed.bound, original.bound);
-        assert_eq!(borrowed.task_count(), original.tasks.len());
-        // The owned escape hatch rebuilds the exact JobSpec, floats included.
-        let owned = borrowed.to_spec();
-        assert_eq!(&owned, original);
-        for (a, b) in owned.tasks.iter().zip(original.tasks.iter()) {
-            assert_eq!(a.work.to_bits(), b.work.to_bits());
-        }
-        count += 1;
-    }
-    assert_eq!(count, trace.jobs.len());
-    drop(mapped);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn replay_digests_are_identical_across_formats_and_read_paths() {
     let trace = recorded_trace();
     let sim = replay_config(&trace);
     let baseline = outcome_digest(&replay(&trace, &sim, &GrassFactory::new(sim.seed)));
 
-    // Every encoding decodes to a trace whose replay digest is bit-identical.
+    // Every encoding, decoded through a buffered reader or through a memory
+    // map, replays to a bit-identical digest.
     for format in TraceFormat::ALL {
         let decoded = WorkloadTrace::from_bytes(&trace.to_bytes_as(format)).unwrap();
         let digest = outcome_digest(&replay(&decoded, &sim, &GrassFactory::new(sim.seed)));
         assert_eq!(digest, baseline, "{format}");
-    }
 
-    // The mmap read path: borrowed jobs lifted through `to_spec` must replay to
-    // the same digest as every buffered decode.
-    let path = temp_path("replay");
-    std::fs::write(&path, trace.to_bytes_as(TraceFormat::Binary)).unwrap();
-    let mapped = MappedWorkload::open(&path).unwrap();
-    let jobs: Vec<JobSpec> = mapped.jobs().map(|job| job.unwrap().to_spec()).collect();
-    let from_map = WorkloadTrace::new(mapped.meta().clone(), jobs);
-    let digest = outcome_digest(&replay(&from_map, &sim, &GrassFactory::new(sim.seed)));
-    assert_eq!(digest, baseline, "mmap");
-    drop(mapped);
-    let _ = std::fs::remove_file(&path);
+        let path = temp_path(&format!("replay-{format}"));
+        std::fs::write(&path, trace.to_bytes_as(format)).unwrap();
+        let (meta, source) = open_workload_source_mmap(&path).unwrap();
+        let from_map = WorkloadTrace::new(meta, source.jobs(0));
+        let digest = outcome_digest(&replay(&from_map, &sim, &GrassFactory::new(sim.seed)));
+        assert_eq!(digest, baseline, "mmap {format}");
+        let _ = std::fs::remove_file(&path);
+    }
 }
 
 #[test]
@@ -84,18 +51,14 @@ fn mapped_errors_match_the_buffered_reader_exactly() {
 
     let path = temp_path("errors");
     std::fs::write(&path, &bytes).unwrap();
-    let mapped = MappedWorkload::open(&path).unwrap();
-    let from_map = mapped
-        .jobs()
-        .find_map(|job| job.err())
-        .expect("truncated map must surface an error");
+    let from_map = open_workload_source_mmap(&path).expect_err("truncated map must fail to open");
     assert_eq!(from_map.to_string(), buffered.to_string());
-    drop(mapped);
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn open_workload_source_mmap_falls_back_for_non_binary_formats() {
+    // Nothing falls back any more: every format decodes from the map.
     let trace = recorded_trace();
     for format in TraceFormat::ALL {
         let path = temp_path(&format!("source-{format}"));
@@ -107,7 +70,7 @@ fn open_workload_source_mmap_falls_back_for_non_binary_formats() {
         let _ = std::fs::remove_file(&path);
     }
 
-    // An execution stream is still a WrongStream error, not a fallback.
+    // An execution stream is a WrongStream error.
     let exec = ExecutionTrace::new(
         ExecutionMeta {
             sim_seed: 0,

@@ -160,6 +160,14 @@ fn corrupt_and_mismatched_inputs_are_rejected() {
         WorkloadTrace::from_bytes(with_junk.as_bytes()),
         Err(TraceError::Parse { .. })
     ));
+
+    // Stage task counts whose sum overflows usize fail validation, not a panic.
+    let mut job = JobSpec::multi_stage(1, 0.0, Bound::EXACT, vec![vec![1.0], vec![]]);
+    job.stages[0].task_count = usize::MAX;
+    job.stages[1].task_count = 2;
+    let bytes = WorkloadTrace::new(meta("GS"), vec![job]).to_bytes();
+    let err = WorkloadTrace::from_bytes(&bytes).unwrap_err();
+    assert!(err.to_string().contains("invalid"), "{err}");
 }
 
 #[test]
