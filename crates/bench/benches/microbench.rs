@@ -19,7 +19,7 @@ use grass_sim::{run_simulation, ClusterConfig, SimConfig};
 use grass_workload::{generate, BoundSpec, Framework, TraceProfile, WorkloadConfig};
 
 /// Build a job view with `n` tasks, half of them running, for decision benchmarks.
-fn synthetic_view(n: u32) -> (Vec<TaskView>, JobSpec) {
+fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
     let tasks: Vec<TaskView> = (0..n)
         .map(|i| {
             let running = i % 2 == 0;
@@ -43,16 +43,16 @@ fn synthetic_view(n: u32) -> (Vec<TaskView>, JobSpec) {
             }
         })
         .collect();
-    let spec = JobSpec::single_stage(1, 0.0, Bound::Deadline(100.0), vec![2.0; n as usize]);
+    let spec = JobSpec::single_stage(1, 0.0, bound, vec![2.0; n as usize]);
     (tasks, spec)
 }
 
-fn view_of(tasks: &[TaskView]) -> JobView<'_> {
+fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
     JobView {
         job: JobId(1),
         now: 10.0,
         arrival: 0.0,
-        bound: Bound::Deadline(100.0),
+        bound,
         input_deadline: None,
         total_input_tasks: tasks.len() + 10,
         completed_input_tasks: 10,
@@ -62,36 +62,46 @@ fn view_of(tasks: &[TaskView]) -> JobView<'_> {
         wave_width: 20,
         cluster_utilization: 0.8,
         estimation_accuracy: 0.75,
+        decline_hold: std::cell::Cell::new(false),
     }
 }
 
+/// `choose()` over the same 500 tasks under a deadline bound (GS/RAS run
+/// Pseudocode 1) and under a 10% error bound (Pseudocode 2: 449 of the 500 are
+/// still needed, so the needed-set selection does real work).
 fn policy_decision_latency(c: &mut Criterion) {
-    let mut group = c.benchmark_group("policy_choose_500_tasks");
-    group
-        .sample_size(30)
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(2));
-    let (tasks, spec) = synthetic_view(500);
-    let factories: Vec<(&str, Box<dyn PolicyFactory>)> = vec![
-        ("GS", Box::new(GsFactory)),
-        ("RAS", Box::new(RasFactory)),
-        ("GRASS", Box::new(GrassFactory::new(1))),
-        ("LATE", Box::new(LateFactory::default())),
-        ("Mantri", Box::new(MantriFactory::default())),
+    let groups = [
+        ("policy_choose_500_tasks", Bound::Deadline(100.0)),
+        ("policy_choose_500_tasks_error", Bound::Error(0.1)),
     ];
-    for (name, factory) in &factories {
-        group.bench_function(*name, |b| {
-            b.iter_batched(
-                || factory.create(&spec),
-                |mut policy| {
-                    let view = view_of(&tasks);
-                    criterion::black_box(policy.choose(&view))
-                },
-                BatchSize::SmallInput,
-            )
-        });
+    for (group_name, bound) in groups {
+        let mut group = c.benchmark_group(group_name);
+        group
+            .sample_size(30)
+            .warm_up_time(Duration::from_millis(500))
+            .measurement_time(Duration::from_secs(2));
+        let (tasks, spec) = synthetic_view(500, bound);
+        let factories: Vec<(&str, Box<dyn PolicyFactory>)> = vec![
+            ("GS", Box::new(GsFactory)),
+            ("RAS", Box::new(RasFactory)),
+            ("GRASS", Box::new(GrassFactory::new(1))),
+            ("LATE", Box::new(LateFactory::default())),
+            ("Mantri", Box::new(MantriFactory::default())),
+        ];
+        for (name, factory) in &factories {
+            group.bench_function(*name, |b| {
+                b.iter_batched(
+                    || factory.create(&spec),
+                    |mut policy| {
+                        let view = view_of(&tasks, bound);
+                        criterion::black_box(policy.choose(&view))
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 /// Deterministic synthetic sample stream spread evenly over all four
@@ -253,7 +263,7 @@ fn grass_choose_warmed(c: &mut Criterion) {
         .sample_size(30)
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(2));
-    let (tasks, spec) = synthetic_view(500);
+    let (tasks, spec) = synthetic_view(500, Bound::Deadline(100.0));
     for n in [1_000usize, 10_000, 50_000] {
         let exact = Arc::new(SampleStore::with_capacity(n));
         let sketched = Arc::new(SampleStore::sketched());
@@ -270,7 +280,7 @@ fn grass_choose_warmed(c: &mut Criterion) {
                 b.iter_batched(
                     || factory.create(&spec),
                     |mut policy| {
-                        let view = view_of(&tasks);
+                        let view = view_of(&tasks, Bound::Deadline(100.0));
                         criterion::black_box(policy.choose(&view))
                     },
                     BatchSize::SmallInput,

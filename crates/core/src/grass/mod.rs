@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::job::{JobSpec, JobView};
 use crate::outcome::JobOutcome;
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::speculation::{choose, SpeculationMode};
+use crate::speculation::{choose, choose_holding, SpeculationMode};
 use crate::task::Time;
 
 /// Configuration of the GRASS algorithm.
@@ -203,10 +203,16 @@ impl SpeculationPolicy for GrassPolicy {
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         if let Some(mode) = self.forced {
-            return choose(view, mode);
+            return choose_holding(view, mode);
         }
         self.maybe_switch(view);
-        choose(view, self.mode)
+        // Before its mode is final, a RAS decline may become a GS launch once the
+        // switch rule (which reads utilisation and the shared store) fires.
+        if self.switched || matches!(self.config.strategy, SwitchStrategy::Never) {
+            choose_holding(view, self.mode)
+        } else {
+            choose(view, self.mode)
+        }
     }
 
     fn on_job_complete(&mut self, outcome: &JobOutcome) {
@@ -335,6 +341,7 @@ mod tests {
             wave_width: 2,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,
+            decline_hold: std::cell::Cell::new(false),
         }
     }
 
@@ -364,6 +371,43 @@ mod tests {
         policy.choose(&view);
         assert_eq!(policy.current_mode(), SpeculationMode::Gs);
         assert!(policy.has_switched());
+    }
+
+    #[test]
+    fn declines_are_held_only_once_the_mode_is_final() {
+        // Every task runs and a copy would save nothing, so every mode declines.
+        let tasks: Vec<TaskView> = (0..10)
+            .map(|i| TaskView {
+                running_copies: 1,
+                trem: 1.0,
+                ..unscheduled(i, 4.0)
+            })
+            .collect();
+        let store = Arc::new(SampleStore::new());
+        let never = GrassConfig {
+            strategy: SwitchStrategy::Never,
+            ..GrassConfig::paper_default()
+        };
+        let ras = Some(SpeculationMode::Ras);
+        let cases = [
+            // Far from the deadline both switch rules stay in RAS: not final.
+            (GrassConfig::paper_default(), None, 0.0, false),
+            (GrassConfig::strawman(), None, 0.0, false),
+            // One second before it the strawman switches to GS for good.
+            (GrassConfig::strawman(), None, 99.0, true),
+            (never, None, 0.0, true),
+            (GrassConfig::paper_default(), ras, 0.0, true),
+        ];
+        for (config, forced, now, held) in cases {
+            let mut policy = GrassPolicy::new(config, Arc::clone(&store), forced);
+            let view = deadline_view(&tasks, now, 100.0);
+            assert!(policy.choose(&view).is_none());
+            assert_eq!(
+                view.is_decline_held(),
+                held,
+                "{config:?} {forced:?} at {now}"
+            );
+        }
     }
 
     #[test]

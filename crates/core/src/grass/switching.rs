@@ -439,6 +439,7 @@ mod tests {
             wave_width,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,
+            decline_hold: std::cell::Cell::new(false),
         }
     }
 

@@ -1,5 +1,7 @@
 //! Job specifications, approximation bounds and the per-job view handed to policies.
 
+use std::cell::Cell;
+
 use serde::{Deserialize, Serialize};
 
 use crate::task::{JobId, StageId, TaskId, TaskSpec, TaskView, Time};
@@ -269,9 +271,38 @@ pub struct JobView<'a> {
     /// Measured estimation accuracy of `trem`/`tnew` (1.0 = perfect), as tracked by
     /// the scheduler from completed tasks.
     pub estimation_accuracy: f64,
+    /// Held-decline hint. Build views with `Cell::new(false)`; only
+    /// [`JobView::hold_decline`] sets it.
+    pub decline_hold: Cell<bool>,
 }
 
 impl<'a> JobView<'a> {
+    /// Mark the `None` that [`crate::SpeculationPolicy::choose`] is about to return
+    /// for this view as *held*: the policy would decline again at every later time,
+    /// whatever the rest of the cluster does, until one of this job's own tasks,
+    /// copies or completed counts changes. The simulator then offers the job no slot
+    /// until one of its copies finishes. This is the second half of the
+    /// [`crate::SpeculationPolicy::choose`] contract; the first, that a job which
+    /// declined is not asked again within the same dispatch pass, holds for every
+    /// policy whether or not it calls this.
+    ///
+    /// Set it only for a decision that reads nothing but the job's own state, the
+    /// bound and `now`. GS and RAS qualify: while the job is unchanged, `trem`,
+    /// [`TaskView::speculation_saving`] and [`JobView::remaining_deadline`] only
+    /// shrink as `now` grows, and `tnew` and eligibility stay fixed, so no pruned
+    /// task comes back. A decision that reads utilisation, fair share or shared
+    /// learned state must not hold: GRASS before its mode is final, or LATE, whose
+    /// speculation budget scales with the wave width.
+    pub fn hold_decline(&self) {
+        self.decline_hold.set(true);
+    }
+
+    /// Whether the policy held its decline on this view (see
+    /// [`JobView::hold_decline`]).
+    pub fn is_decline_held(&self) -> bool {
+        self.decline_hold.get()
+    }
+
     /// Seconds left until the (input-stage) deadline, or `None` for error-bound jobs.
     /// Saturates at zero.
     pub fn remaining_deadline(&self) -> Option<Time> {
@@ -345,6 +376,7 @@ mod tests {
             wave_width: 2,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,
+            decline_hold: Cell::new(false),
         }
     }
 

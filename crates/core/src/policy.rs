@@ -63,6 +63,16 @@ pub trait SpeculationPolicy: Send {
     /// Called whenever a slot allocated to this job is free. Return `Some(action)` to
     /// run one more copy, or `None` if the job has nothing useful to run right now
     /// (the slot is then offered to other jobs).
+    ///
+    /// The simulator relies on a two-part contract to avoid re-asking jobs whose
+    /// answer cannot have changed:
+    ///
+    /// 1. Within one dispatch pass (one `now`, one fair share) a job that declined is
+    ///    not asked again, even after other jobs launched copies and utilisation rose.
+    ///    A decision must therefore not flip on utilisation alone within one instant.
+    /// 2. A `None` returned after [`JobView::hold_decline`] stands until the job's own
+    ///    state changes: the job is not asked again until one of its copies finishes.
+    ///    Policies that cannot promise this simply never call it.
     fn choose(&mut self, view: &JobView) -> Option<Action>;
 
     /// Called when one of the job's tasks completes (its first copy finishes).
@@ -79,7 +89,8 @@ pub type BoxedPolicy = Box<dyn SpeculationPolicy>;
 /// Factory that creates one [`SpeculationPolicy`] instance per job.
 ///
 /// Factories are shared across the whole simulation run, so cross-job state (GRASS's
-/// sample store, LATE's cluster-wide speculation cap) lives here.
+/// sample store and its ξ-perturbation draws) lives here. Per-job limits such as
+/// LATE's speculation budget (`wave_width × cap`) live in the policy instances.
 pub trait PolicyFactory: Send + Sync {
     /// Name of the policy family this factory creates.
     fn name(&self) -> &str;

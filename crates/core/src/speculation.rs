@@ -15,6 +15,8 @@
 //!    unscheduled tasks ("at default, both algorithms schedule the task with the
 //!    lowest `tnew` / highest `trem`").
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use crate::job::{Bound, JobSpec, JobView};
@@ -137,88 +139,144 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
 
 /// Pseudocode 2: error-bound jobs.
 fn choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
-    // Rank unfinished *input* tasks by effective duration and keep only the earliest
-    // ones that will make up the (1 − ε) result, plus every eligible non-input task
-    // (intermediate stages must run in full for the completed fraction).
-    let mut input_tasks: Vec<&TaskView> = view
-        .eligible_tasks()
-        .filter(|t| t.stage.is_input())
+    // Keep the earliest unfinished *input* tasks by effective duration that will make
+    // up the (1 − ε) result, plus every eligible non-input task (intermediate stages
+    // must run in full for the completed fraction). Only the needed *set* matters, so
+    // a selection replaces a sort; `Walk` keeps the sorted order's tie-breaks.
+    let mut needed: Vec<Walk> = view
+        .tasks
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.eligible && t.stage.is_input())
+        .map(|(index, task)| Walk {
+            non_input: false,
+            effective: task.effective_duration(),
+            index,
+            task,
+        })
         .collect();
-    input_tasks.sort_by(|a, b| a.effective_duration().total_cmp(&b.effective_duration()));
     let still_needed = view
         .input_tasks_still_needed()
-        .unwrap_or(input_tasks.len())
-        .min(input_tasks.len());
-    let candidates = input_tasks
-        .into_iter()
-        .take(still_needed)
-        .chain(view.eligible_tasks().filter(|t| !t.stage.is_input()));
+        .unwrap_or(needed.len())
+        .min(needed.len());
+    if still_needed < needed.len() {
+        needed.select_nth_unstable_by(still_needed, Walk::cmp);
+        needed.truncate(still_needed);
+    }
+    let non_input = view
+        .tasks
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.eligible && !t.stage.is_input())
+        .map(|(index, task)| Walk {
+            non_input: true,
+            effective: 0.0,
+            index,
+            task,
+        });
 
-    // Pruning stage.
-    let mut fresh: Vec<&TaskView> = Vec::new();
-    let mut speculative: Vec<&TaskView> = Vec::new();
-    for t in candidates {
-        if t.is_running() {
-            if t.running_copies >= MAX_COPIES_PER_TASK {
-                continue;
-            }
+    // Pruning and selection in one pass. The goal is to minimise the makespan of the
+    // needed tasks, so the default ordering is LJF: longest work first. GS picks the
+    // candidate with the largest remaining time: the task that most threatens the
+    // makespan, whether by launching it (fresh) or by racing a copy against its
+    // straggling original. RAS speculates only when that saves resources.
+    let mut fresh: Option<Pick> = None;
+    let mut speculative: Option<Pick> = None;
+    for at in needed.into_iter().chain(non_input) {
+        let t = at.task;
+        if !t.is_running() {
+            keep_last_max(&mut fresh, t.tnew, at);
+        } else if t.running_copies < MAX_COPIES_PER_TASK {
             match mode {
                 SpeculationMode::Gs => {
                     if t.new_copy_beats_running() {
-                        speculative.push(t);
+                        keep_last_max(&mut speculative, t.trem, at);
                     }
                 }
                 SpeculationMode::Ras => {
-                    if t.speculation_saving().is_some_and(|s| s > 0.0) {
-                        speculative.push(t);
+                    if let Some(saving) = t.speculation_saving().filter(|s| *s > 0.0) {
+                        keep_last_max(&mut speculative, saving, at);
                     }
                 }
             }
-        } else {
-            fresh.push(t);
         }
     }
+    // GS races a copy only when its original's `trem` exceeds the longest fresh
+    // task's `tnew`; RAS speculates whenever that saves resources.
+    let prefer_copy = match (mode, &fresh, &speculative) {
+        (SpeculationMode::Gs, Some(f), Some(s)) => s.value > f.value,
+        (_, _, s) => s.is_some(),
+    };
+    if prefer_copy {
+        speculative.map(|s| Action::speculate(s.at.task.id))
+    } else {
+        fresh.map(|f| Action::launch(f.at.task.id))
+    }
+}
 
-    // Selection stage. The goal is to minimise the makespan of the needed tasks, so
-    // the default ordering is LJF: longest work first.
-    match mode {
-        SpeculationMode::Gs => {
-            // GS picks the candidate with the largest remaining time: the task that
-            // most threatens the makespan, whether by launching it (fresh) or by
-            // racing a copy against its straggling original.
-            let best_fresh = fresh.into_iter().max_by(|a, b| a.tnew.total_cmp(&b.tnew));
-            let best_spec = speculative
-                .into_iter()
-                .max_by(|a, b| a.trem.total_cmp(&b.trem));
-            match (best_fresh, best_spec) {
-                (Some(f), Some(s)) => {
-                    if s.trem > f.tnew {
-                        Some(Action::speculate(s.id))
-                    } else {
-                        Some(Action::launch(f.id))
-                    }
-                }
-                (Some(f), None) => Some(Action::launch(f.id)),
-                (None, Some(s)) => Some(Action::speculate(s.id)),
-                (None, None) => None,
-            }
-        }
-        SpeculationMode::Ras => {
-            if let Some(s) = speculative.into_iter().max_by(|a, b| {
-                // Candidates were filtered on `speculation_saving().is_some_and(..)`
-                // above; NEG_INFINITY keeps the comparator total if that ever changes.
-                a.speculation_saving()
-                    .unwrap_or(f64::NEG_INFINITY)
-                    .total_cmp(&b.speculation_saving().unwrap_or(f64::NEG_INFINITY))
-            }) {
-                return Some(Action::speculate(s.id));
-            }
-            fresh
-                .into_iter()
-                .max_by(|a, b| a.tnew.total_cmp(&b.tnew))
-                .map(|f| Action::launch(f.id))
-        }
+/// A candidate's position in Pseudocode 2's walk: the needed input tasks sorted by
+/// `(effective duration, view index)` (a stable sort by duration), then every
+/// eligible non-input task in view order.
+#[derive(Clone, Copy)]
+struct Walk<'v> {
+    non_input: bool,
+    /// Effective duration for input tasks; 0 for non-input tasks, which the walk
+    /// orders by view index alone.
+    effective: f64,
+    index: usize,
+    task: &'v TaskView,
+}
+
+impl Walk<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.non_input
+            .cmp(&other.non_input)
+            .then(self.effective.total_cmp(&other.effective))
+            .then(self.index.cmp(&other.index))
     }
+}
+
+/// The best candidate so far and the value it was ranked by.
+#[derive(Clone, Copy)]
+struct Pick<'v> {
+    value: f64,
+    at: Walk<'v>,
+}
+
+/// Keep what `max_by` over the walk would return: the largest `value` and, among
+/// equal values, the candidate latest in the walk (`max_by` keeps the last maximum).
+fn keep_last_max<'v>(best: &mut Option<Pick<'v>>, value: f64, at: Walk<'v>) {
+    let wins = best.as_ref().is_none_or(|b| {
+        value
+            .total_cmp(&b.value)
+            .then_with(|| at.cmp(&b.at))
+            .is_gt()
+    });
+    if wins {
+        *best = Some(Pick { value, at });
+    }
+}
+
+/// [`choose`], holding a decline (see [`JobView::hold_decline`]).
+///
+/// GS and RAS read only the job's own tasks, its bound and `now`. While the job's
+/// tasks, copies and completed counts are unchanged, `tnew`, eligibility, copy counts
+/// and the needed count stay fixed, while `trem`, the resource saving and the
+/// remaining deadline only shrink. So no pruned candidate comes back:
+///
+/// * deadline bounds: a task whose copy would miss the deadline keeps missing it, and
+///   a running task that failed `tnew < trem` or `saving > 0` keeps failing;
+/// * error bounds: a `None` means every candidate (needed input task or eligible
+///   non-input task) is running and fails its test. A fresh task's effective
+///   duration `tnew` is fixed while a running task's only falls, so no fresh task
+///   joins the needed set, and a running task joins it only once `trem ≤ tnew`,
+///   which fails both tests.
+pub(crate) fn choose_holding(view: &JobView, mode: SpeculationMode) -> Option<Action> {
+    let action = choose(view, mode);
+    if action.is_none() {
+        view.hold_decline();
+    }
+    action
 }
 
 /// Greedy Speculative scheduling as a standalone per-job policy ("GS-only" in §6.3.1).
@@ -231,7 +289,7 @@ impl SpeculationPolicy for GsPolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        choose(view, SpeculationMode::Gs)
+        choose_holding(view, SpeculationMode::Gs)
     }
 }
 
@@ -245,7 +303,7 @@ impl SpeculationPolicy for RasPolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        choose(view, SpeculationMode::Ras)
+        choose_holding(view, SpeculationMode::Ras)
     }
 }
 
@@ -315,6 +373,7 @@ mod tests {
             wave_width: 2,
             cluster_utilization: 0.8,
             estimation_accuracy: 0.75,
+            decline_hold: std::cell::Cell::new(false),
         }
     }
 
@@ -338,6 +397,7 @@ mod tests {
             wave_width: 3,
             cluster_utilization: 0.8,
             estimation_accuracy: 0.75,
+            decline_hold: std::cell::Cell::new(false),
         }
     }
 

@@ -1,0 +1,383 @@
+//! Property tests for the GS / RAS decision rules.
+//!
+//! * The error-bound selection (`select_nth_unstable_by` plus one pass) picks
+//!   exactly what the sort-based walk of Pseudocode 2 picks, ties included. The
+//!   sorted walk is kept below as a test-only oracle. Estimates are drawn from a
+//!   few quantised values so that equal `tnew`, `trem`, effective durations and
+//!   savings are common — the simulator's continuous estimates almost never tie.
+//! * The held-decline contract (`JobView::hold_decline`): when GS or RAS
+//!   declines, the decline stands at every later time while the job's own
+//!   tasks, copies and completed counts are unchanged.
+
+use std::cell::Cell;
+
+use grass_core::speculation::{choose, MAX_COPIES_PER_TASK};
+use grass_core::{
+    Action, Bound, GsPolicy, JobId, JobView, RasPolicy, SpeculationMode, SpeculationPolicy,
+    StageId, TaskId, TaskView, Time,
+};
+use proptest::prelude::*;
+
+const MODES: [SpeculationMode; 2] = [SpeculationMode::Gs, SpeculationMode::Ras];
+const TNEW: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
+const TREM: [f64; 6] = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0];
+const EPSILON: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
+
+/// The pre-selection `choose_error`: stable-sort the eligible input tasks by
+/// effective duration, keep the needed prefix, append the eligible non-input
+/// tasks, then prune and pick with `max_by` (which keeps the last maximum).
+fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
+    let mut input_tasks: Vec<&TaskView> = view
+        .eligible_tasks()
+        .filter(|t| t.stage.is_input())
+        .collect();
+    input_tasks.sort_by(|a, b| a.effective_duration().total_cmp(&b.effective_duration()));
+    let still_needed = view
+        .input_tasks_still_needed()
+        .unwrap_or(input_tasks.len())
+        .min(input_tasks.len());
+    let candidates = input_tasks
+        .into_iter()
+        .take(still_needed)
+        .chain(view.eligible_tasks().filter(|t| !t.stage.is_input()));
+
+    let mut fresh: Vec<&TaskView> = Vec::new();
+    let mut speculative: Vec<&TaskView> = Vec::new();
+    for t in candidates {
+        if t.is_running() {
+            if t.running_copies >= MAX_COPIES_PER_TASK {
+                continue;
+            }
+            let admissible = match mode {
+                SpeculationMode::Gs => t.new_copy_beats_running(),
+                SpeculationMode::Ras => t.speculation_saving().is_some_and(|s| s > 0.0),
+            };
+            if admissible {
+                speculative.push(t);
+            }
+        } else {
+            fresh.push(t);
+        }
+    }
+
+    let saving = |t: &TaskView| t.speculation_saving().unwrap_or(f64::NEG_INFINITY);
+    match mode {
+        SpeculationMode::Gs => {
+            let best_fresh = fresh.into_iter().max_by(|a, b| a.tnew.total_cmp(&b.tnew));
+            let best_spec = speculative
+                .into_iter()
+                .max_by(|a, b| a.trem.total_cmp(&b.trem));
+            match (best_fresh, best_spec) {
+                (Some(f), Some(s)) => {
+                    if s.trem > f.tnew {
+                        Some(Action::speculate(s.id))
+                    } else {
+                        Some(Action::launch(f.id))
+                    }
+                }
+                (Some(f), None) => Some(Action::launch(f.id)),
+                (None, Some(s)) => Some(Action::speculate(s.id)),
+                (None, None) => None,
+            }
+        }
+        SpeculationMode::Ras => {
+            if let Some(s) = speculative
+                .into_iter()
+                .max_by(|a, b| saving(a).total_cmp(&saving(b)))
+            {
+                return Some(Action::speculate(s.id));
+            }
+            fresh
+                .into_iter()
+                .max_by(|a, b| a.tnew.total_cmp(&b.tnew))
+                .map(|f| Action::launch(f.id))
+        }
+    }
+}
+
+fn pick<T: Copy>(values: &[T], i: usize) -> T {
+    values[i % values.len()]
+}
+
+/// One task view from quantised draws: `(tnew, trem, copies, eligible, stage)`.
+fn quantised_task(
+    id: usize,
+    (tnew, trem, copies, eligible, stage): (usize, usize, u32, u8, u8),
+) -> TaskView {
+    let running = copies > 0;
+    let tnew = pick(&TNEW, tnew);
+    TaskView {
+        id: TaskId(id as u32),
+        // Mostly input tasks; a quarter belong to stages 1 and 2.
+        stage: StageId(stage.saturating_sub(5)),
+        // One task in eight waits for its stage to unlock.
+        eligible: eligible != 0,
+        running_copies: copies,
+        elapsed: if running { 1.0 } else { 0.0 },
+        progress: if running { 0.5 } else { 0.0 },
+        progress_rate: if running { 0.5 } else { 0.0 },
+        trem: if running {
+            pick(&TREM, trem)
+        } else {
+            f64::INFINITY
+        },
+        tnew,
+        true_remaining: 0.0,
+        true_new_hint: tnew,
+        work: tnew,
+    }
+}
+
+fn error_view(
+    tasks: &[TaskView],
+    epsilon: f64,
+    total_input: usize,
+    completed: usize,
+    now: Time,
+) -> JobView<'_> {
+    JobView {
+        job: JobId(1),
+        now,
+        arrival: 0.0,
+        bound: Bound::Error(epsilon),
+        input_deadline: None,
+        total_input_tasks: total_input,
+        completed_input_tasks: completed,
+        total_tasks: total_input + tasks.len(),
+        completed_tasks: completed,
+        tasks,
+        wave_width: 4,
+        cluster_utilization: 0.5,
+        estimation_accuracy: 0.75,
+        decline_hold: Cell::new(false),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn error_selection_matches_the_sorted_walk_with_ties(
+        raw in prop::collection::vec((0usize..4, 0usize..6, 0u32..=MAX_COPIES_PER_TASK, 0u8..8, 0u8..8), 0..24),
+        eps in 0usize..4,
+        completed in 0usize..6,
+        extra_input in 0usize..8,
+    ) {
+        let tasks: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let input_in_view = tasks.iter().filter(|t| t.stage.is_input()).count();
+        // `still_needed` spans 0 through more than the eligible input tasks.
+        let view = error_view(&tasks, pick(&EPSILON, eps), input_in_view + completed + extra_input, completed, 5.0);
+        for mode in MODES {
+            prop_assert_eq!(choose(&view, mode), sorted_choose_error(&view, mode));
+        }
+    }
+}
+
+/// A running copy in the job model: ground truth plus the estimate bias the
+/// simulator draws once per copy.
+#[derive(Debug, Clone)]
+struct RunningCopy {
+    start: Time,
+    duration: Time,
+    rem_bias: f64,
+}
+
+#[derive(Debug, Clone)]
+struct ModelTask {
+    stage: u8,
+    eligible: bool,
+    tnew: f64,
+    copies: Vec<RunningCopy>,
+}
+
+/// The job's bound and completed counts, which stay fixed while the job is unchanged.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Error {
+        epsilon: f64,
+        total_input: usize,
+        completed: usize,
+    },
+    Deadline {
+        deadline: Time,
+        input_deadline: Option<Time>,
+    },
+}
+
+const T1: Time = 10.0;
+
+/// One model task's draws: `(tnew, copies, eligible, stage, (elapsed, left, bias))`.
+type TaskDraw = (usize, u32, u8, u8, (usize, usize, usize));
+
+/// Between 1 and 15 model tasks.
+fn task_draws() -> impl Strategy<Value = Vec<TaskDraw>> {
+    prop::collection::vec(
+        (
+            0usize..4,
+            0u32..=MAX_COPIES_PER_TASK,
+            0u8..8,
+            0u8..8,
+            (0usize..4, 0usize..4, 0usize..3),
+        ),
+        1..16,
+    )
+}
+
+fn model_tasks(raw: &[TaskDraw]) -> Vec<ModelTask> {
+    raw.iter()
+        .map(
+            |&(tnew, copies, eligible, stage, (elapsed, left, bias))| ModelTask {
+                stage: stage.saturating_sub(5),
+                eligible: eligible != 0,
+                tnew: pick(&TNEW, tnew),
+                // Copies of one task started at different times, all still running at T1.
+                copies: (0..copies as usize)
+                    .map(|k| {
+                        let elapsed = pick(&[0.0, 0.5, 2.0, 5.0], elapsed + k);
+                        RunningCopy {
+                            start: T1 - elapsed,
+                            duration: elapsed + pick(&[0.25, 1.0, 3.0, 7.5], left + 3 * k),
+                            rem_bias: pick(&[0.5, 1.0, 1.6], bias + k),
+                        }
+                    })
+                    .collect(),
+            },
+        )
+        .collect()
+}
+
+/// The task views at `now`, built the way the simulator builds them: `trem` is the
+/// best copy's true remaining time (clamped at zero) times that copy's bias, and
+/// `tnew` does not depend on `now`.
+fn views_at(tasks: &[ModelTask], now: Time) -> Vec<TaskView> {
+    let remaining = |c: &RunningCopy| (c.start + c.duration - now).max(0.0);
+    tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let best = t
+                .copies
+                .iter()
+                .min_by(|a, b| remaining(a).total_cmp(&remaining(b)));
+            let (trem, true_rem) = best.map_or((f64::INFINITY, f64::INFINITY), |c| {
+                ((remaining(c) * c.rem_bias).max(0.0), remaining(c))
+            });
+            TaskView {
+                id: TaskId(i as u32),
+                stage: StageId(t.stage),
+                eligible: t.eligible,
+                running_copies: t.copies.len() as u32,
+                elapsed: 0.0,
+                progress: 0.0,
+                progress_rate: 0.0,
+                trem,
+                tnew: t.tnew,
+                true_remaining: true_rem,
+                true_new_hint: t.tnew,
+                work: t.tnew,
+            }
+        })
+        .collect()
+}
+
+fn job_view(shape: Shape, tasks: &[TaskView], now: Time) -> JobView<'_> {
+    match shape {
+        Shape::Error {
+            epsilon,
+            total_input,
+            completed,
+        } => error_view(tasks, epsilon, total_input, completed, now),
+        Shape::Deadline {
+            deadline,
+            input_deadline,
+        } => JobView {
+            bound: Bound::Deadline(deadline),
+            input_deadline,
+            ..error_view(tasks, 0.0, tasks.len() + 2, 2, now)
+        },
+    }
+}
+
+/// Later times up to the first copy finish (when the job would change), or 30 s
+/// on when nothing is running.
+fn later_times(tasks: &[ModelTask], steps: &[usize]) -> Vec<Time> {
+    let first_finish = tasks
+        .iter()
+        .flat_map(|t| &t.copies)
+        .map(|c| c.start + c.duration)
+        .fold(T1 + 30.0, f64::min);
+    let mut times: Vec<Time> = steps
+        .iter()
+        .map(|&k| T1 + (first_finish - T1) * (k as f64 + 1.0) / 16.0)
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times
+}
+
+/// When GS or RAS declines at `T1`, the decline must be held, and it must stand at
+/// every later time with the job unchanged.
+fn check_declines_hold(tasks: &[ModelTask], shape: Shape, later: &[Time]) -> Result<(), String> {
+    let policies: [(&str, Box<dyn SpeculationPolicy>); 2] =
+        [("GS", Box::new(GsPolicy)), ("RAS", Box::new(RasPolicy))];
+    for (name, mut policy) in policies {
+        let views = views_at(tasks, T1);
+        let first = job_view(shape, &views, T1);
+        if policy.choose(&first).is_some() {
+            continue;
+        }
+        if !first.is_decline_held() {
+            return Err(format!("{name} declined at {T1} without holding"));
+        }
+        for &now in later {
+            let views = views_at(tasks, now);
+            if let Some(action) = policy.choose(&job_view(shape, &views, now)) {
+                return Err(format!(
+                    "{name} declined at {T1} but chose {action:?} at {now} with the job unchanged"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn error_bound_declines_hold_while_the_job_is_unchanged(
+        raw in task_draws(),
+        eps in 0usize..4,
+        completed in 0usize..6,
+        extra_input in 0usize..8,
+        steps in prop::collection::vec(0usize..16, 1..6),
+    ) {
+        let tasks = model_tasks(&raw);
+        let input = tasks.iter().filter(|t| t.stage == 0).count();
+        let shape = Shape::Error {
+            epsilon: pick(&EPSILON, eps),
+            total_input: input + completed + extra_input,
+            completed,
+        };
+        let checked = check_declines_hold(&tasks, shape, &later_times(&tasks, &steps));
+        prop_assert!(checked.is_ok(), "{checked:?} for {tasks:?} {shape:?}");
+    }
+
+    #[test]
+    fn deadline_bound_declines_hold_while_the_job_is_unchanged(
+        raw in task_draws(),
+        deadline in 0usize..5,
+        dag in any::<bool>(),
+        steps in prop::collection::vec(0usize..16, 1..6),
+    ) {
+        let tasks = model_tasks(&raw);
+        // Remaining deadline at T1 from negative to 30 s; DAG jobs get a shorter
+        // input-stage deadline.
+        let deadline = pick(&[8.0, 11.0, 12.5, 15.0, 40.0], deadline);
+        let shape = Shape::Deadline {
+            deadline,
+            input_deadline: dag.then_some(deadline - 0.5),
+        };
+        let checked = check_declines_hold(&tasks, shape, &later_times(&tasks, &steps));
+        prop_assert!(checked.is_ok(), "{checked:?} for {tasks:?} {shape:?}");
+    }
+}

@@ -42,6 +42,9 @@ struct Shared {
     config: FleetConfig,
     started: Instant,
     done: AtomicBool,
+    /// Set by [`BrokerHandle::wait`] once the grid is done; the accept loop then
+    /// serves its backlog and closes the listener.
+    stop: AtomicBool,
 }
 
 impl Shared {
@@ -58,7 +61,8 @@ impl Shared {
 }
 
 /// A running broker. Dropping the handle does not stop the accept thread;
-/// call [`BrokerHandle::wait`] to drive the run to completion.
+/// call [`BrokerHandle::wait`] to drive the run to completion and close the
+/// listener.
 pub struct BrokerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -96,6 +100,7 @@ pub fn serve_broker_on(
     }
     let shared = Arc::new(Shared {
         done: AtomicBool::new(state.all_done()),
+        stop: AtomicBool::new(false),
         state: Mutex::new(state),
         specs,
         config: config.clone(),
@@ -136,7 +141,8 @@ impl BrokerHandle {
         }
     }
 
-    /// Block until every cell is terminal, then return grid-order results.
+    /// Block until every cell is terminal, stop accepting workers, then return
+    /// grid-order results.
     ///
     /// Returns [`FleetError::Exhausted`] when any cell ran out of retries.
     pub fn wait(mut self) -> Result<FleetOutcome, FleetError> {
@@ -144,7 +150,9 @@ impl BrokerHandle {
         while !self.done() {
             thread::sleep(poll);
         }
+        self.shared.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         let state = self.shared.state.lock().unwrap();
@@ -158,12 +166,17 @@ impl BrokerHandle {
     }
 }
 
+/// Accept workers until [`BrokerHandle::wait`] stops the broker.
+///
+/// The loop outlives `done`: a worker that connects after the last cell
+/// finished, or to a fully cached grid, still gets `welcome` and then
+/// `finished`, because closing the listener resets every connection still
+/// queued on it. On stop, the queued connections are accepted and served
+/// before the listener closes.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let poll = Duration::from_millis(shared.config.poll_ms.max(1));
     loop {
-        if shared.done.load(Ordering::SeqCst) {
-            return;
-        }
+        let stopping = shared.stop.load(Ordering::SeqCst);
         // Drive lease expiry from the accept loop: the broker's one ticker.
         {
             let mut state = shared.state.lock().unwrap();
@@ -177,8 +190,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .name("grass-fleet-conn".into())
                     .spawn(move || handle_connection(stream, conn_shared));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(poll),
-            Err(_) => thread::sleep(poll),
+            // The backlog is empty (or the listener failed): close once stopped.
+            Err(_) if stopping => return,
+            // `wait` unparks the thread when it stops the broker.
+            Err(_) => thread::park_timeout(poll),
         }
     }
 }
@@ -374,6 +389,28 @@ mod tests {
         let outcome = handle.wait().unwrap();
         assert_eq!(outcome.results, vec!["ra", "rb"]);
         assert_eq!(outcome.stats.cached, 2);
+        assert_eq!(outcome.stats.dispatched, 0);
+    }
+
+    #[test]
+    fn worker_joining_a_finished_grid_before_wait_is_told_finished() {
+        let handle = serve_broker(
+            vec!["a".into()],
+            vec![Some("ra".into())],
+            FleetConfig::test_profile(),
+        )
+        .unwrap();
+        assert!(handle.done());
+        // The grid is done from the start, but the broker keeps answering
+        // until `wait()` stops it.
+        let report = run_worker(handle.addr(), "late", &|_c: usize, _s: &str| {
+            Err("no cell should be granted".to_string())
+        })
+        .unwrap();
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.failed, 0);
+        let outcome = handle.wait().unwrap();
+        assert_eq!(outcome.results, vec!["ra"]);
         assert_eq!(outcome.stats.dispatched, 0);
     }
 

@@ -60,6 +60,7 @@ pub fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobV
         wave_width: 4,
         cluster_utilization: 0.7,
         estimation_accuracy: 0.75,
+        decline_hold: std::cell::Cell::new(false),
     }
 }
 
@@ -84,5 +85,6 @@ pub fn error_view<'a>(
         wave_width: 4,
         cluster_utilization: 0.7,
         estimation_accuracy: 0.75,
+        decline_hold: std::cell::Cell::new(false),
     }
 }

@@ -365,6 +365,7 @@ impl<'a> ReferenceSimulator<'a> {
                 .max(fair_share.min(job.spec.total_tasks())),
             cluster_utilization: utilization,
             estimation_accuracy: job.accuracy.accuracy(),
+            decline_hold: std::cell::Cell::new(false),
         }
     }
 

@@ -151,8 +151,11 @@ pub fn run_simulation_traced(
 ///   (slot identity feeds the trace and copy durations) plus per-machine free
 ///   counts, so `utilization()` and machine-load queries are O(1).
 /// * `candidates` — an ordered `(allocated_slots, job id)` index over jobs that
-///   are live and still have unfinished work. One dispatch probe is an O(log n)
-///   range step instead of an O(n log n) collect-and-sort of every live job.
+///   are live, still have unfinished work, and have not held a decline since
+///   their last copy finish. One dispatch probe is an O(log n) range step
+///   instead of an O(n log n) collect-and-sort of every live job, and a job
+///   whose policy held its decline (`JobView::hold_decline`) costs nothing
+///   until one of its own copies finishes.
 /// * `timeline` + per-job `stats_cursor` — the lazy statistics ledger. The old
 ///   engine settled every event by calling `update_stats` on *every* live job.
 ///   Those per-job time-weighted integrals feed GRASS's learned switching
@@ -188,8 +191,8 @@ struct Simulator<'a> {
     running: HashMap<JobId, JobRuntime>,
     active_order: Vec<JobId>,
     /// Dispatch index: `(allocated_slots, job id)` for every job that is not
-    /// done and still has unfinished work. Kept in lockstep with every
-    /// launch / completion / finalisation.
+    /// done, still has unfinished work and is not holding a decline. Kept in
+    /// lockstep with every launch / completion / finalisation.
     candidates: BTreeSet<(usize, u64)>,
     /// Jobs arrived and not yet finalised — the fair-share denominator, O(1).
     active_count: usize,
@@ -572,50 +575,33 @@ impl<'a> Simulator<'a> {
                 .max(fair_share.min(job.spec.total_tasks())),
             cluster_utilization: utilization,
             estimation_accuracy: job.accuracy.accuracy(),
+            decline_hold: std::cell::Cell::new(false),
         }
     }
 
-    /// Hand out free slots: repeatedly offer the next free slot to the active job with
-    /// the fewest allocated slots (max–min fair sharing without preemption) until no
-    /// job wants a slot or no slots remain.
+    /// Hand out free slots: offer each free slot to the active job with the fewest
+    /// allocated slots (max–min fair sharing without preemption) until no job wants a
+    /// slot or no slots remain.
     ///
-    /// Probe order walks the `candidates` index, which is ordered by
-    /// `(allocated_slots, job id)` — exactly the collect-and-sort ordering of
-    /// the pre-refactor engine. Declined offers mutate nothing, so stepping the
-    /// index with a range cursor visits the same sequence the sorted snapshot
-    /// would have; a successful launch re-keys the job and restarts the pass
-    /// (as the old loop did, to recompute utilisation and fair share).
+    /// One forward walk of the `candidates` index, ordered by `(allocated_slots, job
+    /// id)` — the pre-refactor engine's collect-and-sort order. That engine restarted
+    /// from the smallest key after every launch, re-asking every job that had just
+    /// declined. Within one pass `now` and the fair share are fixed and a decliner's
+    /// own state is untouched, so by the `SpeculationPolicy::choose` contract it
+    /// declines again; the walk instead continues past the launcher, whose re-keyed
+    /// entry lies ahead of the cursor exactly where the restarted walk would next
+    /// reach it. Utilisation is re-read per probe, as each restart re-read it.
     fn dispatch(&mut self) {
-        loop {
-            if self.free_slots.is_empty() {
+        let fair = self.fair_share();
+        let mut from = RangeBound::Unbounded;
+        while !self.free_slots.is_empty() {
+            let Some(&key) = self.candidates.range((from, RangeBound::Unbounded)).next() else {
                 break;
-            }
+            };
+            from = RangeBound::Excluded(key);
+            self.stats.job_touches += 1;
             let util = self.utilization();
-            let fair = self.fair_share();
-            let mut launched = false;
-            let mut cursor: Option<(usize, u64)> = None;
-            loop {
-                let next = match cursor {
-                    None => self.candidates.iter().next().copied(),
-                    Some(key) => self
-                        .candidates
-                        .range((RangeBound::Excluded(key), RangeBound::Unbounded))
-                        .next()
-                        .copied(),
-                };
-                let Some(key) = next else {
-                    break;
-                };
-                cursor = Some(key);
-                self.stats.job_touches += 1;
-                if self.try_launch_for(JobId(key.1), fair, util) {
-                    launched = true;
-                    break;
-                }
-            }
-            if !launched {
-                break;
-            }
+            self.try_launch_for(JobId(key.1), fair, util);
         }
         // Settle: one global ledger entry instead of touching every live job.
         // Jobs fold the entry in lazily on their next touch (see type docs).
@@ -625,12 +611,11 @@ impl<'a> Simulator<'a> {
         self.maybe_compact_timeline();
     }
 
-    /// Offer one free slot to `job_id`. Returns true if a copy was launched.
-    fn try_launch_for(&mut self, job_id: JobId, fair_share: usize, utilization: f64) -> bool {
+    /// Offer one free slot to `job_id`.
+    fn try_launch_for(&mut self, job_id: JobId, fair_share: usize, utilization: f64) {
         let mut views = std::mem::take(&mut self.view_scratch);
-        let launched = self.try_launch_with_views(job_id, fair_share, utilization, &mut views);
+        self.try_launch_with_views(job_id, fair_share, utilization, &mut views);
         self.view_scratch = views;
-        launched
     }
 
     fn try_launch_with_views(
@@ -639,23 +624,28 @@ impl<'a> Simulator<'a> {
         fair_share: usize,
         utilization: f64,
         views: &mut Vec<grass_core::TaskView>,
-    ) -> bool {
+    ) {
         let mean_slowdown = self.mean_slowdown;
         let estimator = self.config.estimator;
         let Some(job) = self.running.get_mut(&job_id) else {
-            return false;
+            return;
         };
         // A launch mutates `allocated_slots`; pending settle entries must be
         // folded in against the pre-launch value first.
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
         job.build_task_views_into(self.now, &estimator, mean_slowdown, views);
         if views.is_empty() {
-            return false;
+            return;
         }
         let view = Self::job_view(job, views, self.now, fair_share, utilization);
         self.stats.policy_consultations += 1;
         let Some(action) = job.policy.choose(&view) else {
-            return false;
+            // A held decline stands until the job's own state changes, and only a
+            // copy finish changes it: leave the index until that finish re-keys it.
+            if view.is_decline_held() {
+                self.candidates.remove(&(job.allocated_slots, job_id.0));
+            }
+            return;
         };
 
         // Validate the action against ground truth; a policy bug must not wedge or
@@ -663,20 +653,20 @@ impl<'a> Simulator<'a> {
         let idx = action.task.index();
         // grass: allow(panicky-lib, "short-circuit bounds check: the index is rejected before it is used")
         if idx >= job.tasks.len() || job.tasks[idx].finished {
-            return false;
+            return;
         }
         // grass: allow(panicky-lib, "idx was bounds-checked against job.tasks.len() above")
         let task_running = !job.tasks[idx].copies.is_empty();
         if action.kind == ActionKind::Launch && task_running {
-            return false;
+            return;
         }
         // grass: allow(panicky-lib, "idx was bounds-checked against job.tasks.len() above")
         if !job.stage_eligible(job.tasks[idx].spec.stage.value() as usize) {
-            return false;
+            return;
         }
 
         let Some(slot) = self.free_slots.pop() else {
-            return false;
+            return;
         };
         self.sink.record(&SimTraceEvent::Decision {
             time: self.now,
@@ -723,14 +713,14 @@ impl<'a> Simulator<'a> {
                 copy: copy_id,
             },
         );
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grass_core::{GsFactory, RasFactory};
+    use grass_core::policy::FnFactory;
+    use grass_core::{Action, BoxedPolicy, GsFactory, GsPolicy, RasFactory, SpeculationPolicy};
 
     fn exact_job(id: u64, arrival: f64, tasks: usize, work: f64) -> JobSpec {
         JobSpec::single_stage(id, arrival, Bound::EXACT, vec![work; tasks])
@@ -888,6 +878,41 @@ mod tests {
             assert!(e.time() >= last - 1e-12, "events out of order");
             last = e.time();
         }
+    }
+
+    /// GS that never holds a decline: the inner policy sees a copy of each view,
+    /// so its hint never reaches the simulator.
+    struct UnheldGs;
+
+    impl SpeculationPolicy for UnheldGs {
+        fn name(&self) -> &str {
+            "GS"
+        }
+
+        fn choose(&mut self, view: &JobView) -> Option<Action> {
+            GsPolicy.choose(&view.clone())
+        }
+    }
+
+    #[test]
+    fn held_declines_skip_consultations_without_changing_outcomes() {
+        let jobs: Vec<JobSpec> = (0..6)
+            .map(|i| JobSpec::single_stage(i, i as f64, Bound::Error(0.3), vec![3.0; 12]))
+            .collect();
+        // More slots than any job needs, so jobs decline once their needed tasks run.
+        let mut config = small_config(12);
+        config.cluster = ClusterConfig::small(5, 4);
+        let held = run_simulation(&config, jobs.clone(), &GsFactory);
+        let unheld = FnFactory::new("GS", |_: &JobSpec| Box::new(UnheldGs) as BoxedPolicy);
+        let unheld = run_simulation(&config, jobs, &unheld);
+        assert_eq!(held.outcomes, unheld.outcomes);
+        assert_eq!(held.total_copies, unheld.total_copies);
+        assert!(
+            held.stats.policy_consultations < unheld.stats.policy_consultations,
+            "held {:?} vs unheld {:?}",
+            held.stats,
+            unheld.stats
+        );
     }
 
     #[test]

@@ -30,32 +30,35 @@ struct Scale {
     /// Required separation between `job_touches` and the `jobs × events`
     /// scan-engine product: touches × this factor must stay below the product.
     scan_margin: u128,
-    /// Ceiling on `job_touches / events_processed`. Not O(1): the fair-share
-    /// dispatcher must keep offering slots to every *active candidate* after a
-    /// settle (utilization and fair share changed, so a previous decliner may
-    /// now accept — behaviour pinned byte-exact by the differential harness),
-    /// so this tracks the concurrently-active population, which is far below
-    /// the total job count.
+    /// Ceiling on `job_touches / events_processed`. A job whose policy held
+    /// its decline (`JobView::hold_decline`) leaves the dispatch index until
+    /// one of its own copies finishes, and one dispatch pass walks the index
+    /// forward once instead of restarting after every launch, so touches track
+    /// launches and copy finishes, not the concurrently-active population. A
+    /// previous decliner whose own state is unchanged does not accept: with
+    /// the forward walk but no holds, `sim-midscale` re-asked such jobs
+    /// 155,115 times and none accepted (behaviour pinned byte-exact by the
+    /// differential harness).
     max_touches_per_event: f64,
 }
 
 /// The full heavy profile: 10k machines (20k slots), 10k jobs (~2M tasks).
 ///
-/// Pins carry headroom over the measured run (EXPERIMENTS.md: 3200s wall,
-/// ~0.6 GiB peak, 197 touches/event, touches 50× below the scan product) so
-/// they trip on structural regressions — an engine sliding back toward
-/// scan-per-event, or runtime state ballooning — not on CI machine jitter.
-/// Touches/event at this scale tracks the ~200-job active window the staggered
-/// arrivals sustain, two orders of magnitude below the 10k job population.
+/// Pins carry headroom over the measured run (EXPERIMENTS.md: 91–104 s wall,
+/// 619 MiB peak, 2.58 touches/event, touches ~3900× below the scan product)
+/// so they trip on structural regressions — an engine sliding back toward
+/// scan-per-event, re-asking declined jobs (197 touches/event and 3200 s
+/// before held declines), or runtime state ballooning — not on CI machine
+/// jitter.
 const HEAVY: Scale = Scale {
     label: "heavy",
     machines: 10_000,
     slots: 2,
     jobs: 10_000,
-    max_wall: Some(5400.0),
+    max_wall: Some(600.0),
     max_peak_rss: Some(3 * 1024 * 1024 * 1024),
     scan_margin: 20,
-    max_touches_per_event: 400.0,
+    max_touches_per_event: 10.0,
 };
 
 const SMOKE: Scale = Scale {
