@@ -315,6 +315,30 @@ fn simulator_throughput(c: &mut Criterion) {
             criterion::black_box(result.total_copies)
         })
     });
+    // One cell of the recorded-trace sweep (perfbench `sweep-fleet`): 48
+    // deadline-bound jobs of generator seed 7 on the grid's smallest cluster,
+    // where deadline-bound dispatch dominates.
+    let workload = WorkloadConfig::new(TraceProfile::facebook(Framework::Spark))
+        .with_jobs(48)
+        .with_bound(BoundSpec::paper_deadlines());
+    let deadline_jobs = generate(&workload, 7);
+    let sweep_cell = SimConfig {
+        cluster: ClusterConfig {
+            machines: 8,
+            slots_per_machine: 4,
+            ..ClusterConfig::ec2_scaled()
+        },
+        ..SimConfig::default()
+    };
+    let factories: [(&str, &dyn PolicyFactory); 2] = [("gs", &GsFactory), ("ras", &RasFactory)];
+    for (name, factory) in factories {
+        group.bench_function(format!("48_deadline_jobs_{name}"), |b| {
+            b.iter(|| {
+                let result = run_simulation(&sweep_cell, deadline_jobs.clone(), factory);
+                criterion::black_box(result.total_copies)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -58,6 +58,9 @@ pub trait SpeculationPolicy: Send {
     fn name(&self) -> &str;
 
     /// Called once when the job becomes active (its arrival is processed).
+    ///
+    /// `view.tasks` is the job's resident task table, built at arrival: the
+    /// same rows `choose()` reads at this instant.
     fn on_job_start(&mut self, _view: &JobView) {}
 
     /// Called whenever a slot allocated to this job is free. Return `Some(action)` to
@@ -76,6 +79,10 @@ pub trait SpeculationPolicy: Send {
     fn choose(&mut self, view: &JobView) -> Option<Action>;
 
     /// Called when one of the job's tasks completes (its first copy finishes).
+    ///
+    /// `view.tasks` is the job's resident task table, already refreshed for the
+    /// completion (the finished task's row is gone): the same rows `choose()`
+    /// reads at this instant.
     fn on_task_complete(&mut self, _view: &JobView, _task: TaskId) {}
 
     /// Called when the job finishes (deadline reached or error bound satisfied).

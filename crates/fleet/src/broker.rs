@@ -7,10 +7,10 @@
 //! just wait for external workers (`repro fleet serve`).
 
 use crate::config::FleetConfig;
-use crate::protocol::{Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{read_frame, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use crate::state::{CellStatus, Claim, Completion, FleetStats, GridState};
 use crate::FleetError;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -220,10 +220,21 @@ fn serve_connection(
     worker_id: &mut Option<String>,
     clean_exit: &mut bool,
 ) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream.try_clone()?;
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        let line = match read_frame(&mut reader, MAX_FRAME_BYTES) {
+            Ok(Some(line)) => line,
+            Ok(None) => return Ok(()),
+            // An over-long or non-UTF-8 frame: answer, then drop the peer
+            // through the crash-release path.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let message = e.to_string();
+                write_response(&mut writer, &Response::Error { message })?;
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -251,7 +262,6 @@ fn serve_connection(
             return Ok(());
         }
     }
-    Ok(())
 }
 
 /// Translate one request into a state transition plus an optional response
@@ -319,6 +329,7 @@ fn write_response(writer: &mut TcpStream, response: &Response) -> io::Result<()>
 mod tests {
     use super::*;
     use crate::worker::run_worker;
+    use std::io::{BufRead, Read};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -436,6 +447,56 @@ mod tests {
         }
 
         // A healthy worker picks the cell back up after the crash release.
+        let worker = thread::spawn(move || {
+            run_worker(addr, "healthy", &|_c: usize, _s: &str| Ok("done".into()))
+        });
+        let outcome = handle.wait().unwrap();
+        worker.join().unwrap().unwrap();
+        assert_eq!(outcome.results, vec!["done"]);
+        assert_eq!(outcome.stats.crash_releases, 1);
+        assert_eq!(outcome.stats.dispatched, 2);
+    }
+
+    #[test]
+    fn over_long_frame_is_refused_and_its_lease_released() {
+        // The flooding client never heartbeats: only the crash release, not
+        // lease expiry, may return its cell.
+        let config = FleetConfig {
+            lease_timeout_ms: 600_000,
+            ..FleetConfig::test_profile()
+        };
+        let handle = serve_broker(vec!["only".into()], vec![None], config).unwrap();
+        let addr = handle.addr();
+        {
+            let stream = TcpStream::connect(addr).unwrap();
+            // A broker that kept buffering would never answer: fail, not hang.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            writer.write_all(b"hello worker=flood\n").unwrap();
+            reader.read_line(&mut line).unwrap();
+            writer.write_all(b"claim worker=flood\n").unwrap();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains("grant "), "got {line:?}");
+
+            // Cap + 1 bytes and no newline.
+            let chunk = vec![b'x'; 1 << 16];
+            let mut left = MAX_FRAME_BYTES + 1;
+            while left > 0 {
+                let n = left.min(chunk.len());
+                writer.write_all(&chunk[..n]).unwrap();
+                left -= n;
+            }
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("error "), "got {line:?}");
+            // The broker hung up instead of reading on.
+            assert_eq!(reader.read(&mut [0u8; 16]).unwrap(), 0);
+        }
+
         let worker = thread::spawn(move || {
             run_worker(addr, "healthy", &|_c: usize, _s: &str| Ok("done".into()))
         });

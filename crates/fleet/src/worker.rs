@@ -1,9 +1,9 @@
 //! The worker side: connect, claim cells, heartbeat while running, report
 //! results, repeat until the broker says `finished`.
 
-use crate::protocol::{Request, Response, PROTOCOL_VERSION};
+use crate::protocol::{read_frame, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use crate::FleetError;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -223,14 +223,43 @@ fn run_with_heartbeats<T>(
 }
 
 fn recv(reader: &mut BufReader<TcpStream>) -> Result<Response, FleetError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
-        return Err(FleetError::Protocol("broker closed the connection".into()));
+    match read_frame(reader, MAX_FRAME_BYTES) {
+        Ok(Some(line)) => Response::parse(&line).map_err(FleetError::Protocol),
+        Ok(None) => Err(FleetError::Protocol("broker closed the connection".into())),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            Err(FleetError::Protocol(format!("broker frame: {e}")))
+        }
+        Err(e) => Err(FleetError::Io(e)),
     }
-    Response::parse(line.trim_end_matches('\n')).map_err(FleetError::Protocol)
 }
 
 fn unexpected(wanted: &str, got: &Response) -> FleetError {
     FleetError::Protocol(format!("expected {wanted}, got `{}`", got.encode()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::BufRead;
+    use std::net::TcpListener;
+
+    #[test]
+    fn malformed_broker_frame_is_a_protocol_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let broker = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut hello = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut hello)
+                .unwrap();
+            // Not UTF-8: refused like an over-long frame.
+            stream
+                .write_all(b"welcome version=2 cells=1 \xff\n")
+                .unwrap();
+        });
+        let err = run_worker(addr, "w", &|_c: usize, _s: &str| Ok(String::new())).unwrap_err();
+        broker.join().unwrap();
+        assert!(matches!(err, FleetError::Protocol(_)), "{err}");
+    }
 }

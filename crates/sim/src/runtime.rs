@@ -85,6 +85,35 @@ impl TaskRuntime {
             .iter()
             .min_by(|a, b| a.true_remaining(now).total_cmp(&b.true_remaining(now)))
     }
+
+    /// Derive `row`'s copy fields (running copies and every field that depends
+    /// on `now`) from this task's running copies.
+    fn derive_copy_fields(&self, row: &mut TaskView, now: Time, estimator: &EstimatorConfig) {
+        row.running_copies = self.copies.len() as u32;
+        let Some(best) = self.best_copy(now) else {
+            (row.elapsed, row.progress, row.progress_rate) = (0.0, 0.0, 0.0);
+            (row.trem, row.true_remaining) = (f64::INFINITY, f64::INFINITY);
+            return;
+        };
+        let oldest_start = self
+            .copies
+            .iter()
+            .map(|c| c.start)
+            .fold(f64::INFINITY, f64::min);
+        row.elapsed = (now - oldest_start).max(0.0);
+        row.true_remaining = best.true_remaining(now);
+        row.trem = if estimator.oracle {
+            row.true_remaining
+        } else {
+            (row.true_remaining * best.rem_bias).max(0.0)
+        };
+        row.progress = best.progress(now);
+        row.progress_rate = if row.elapsed > 0.0 {
+            row.progress / row.elapsed
+        } else {
+            0.0
+        };
+    }
 }
 
 /// What happened when a copy-finish event was applied to a job.
@@ -136,8 +165,13 @@ pub struct JobRuntime {
     /// Effective deadline for the input stage (deadline-bound jobs only), relative to
     /// arrival.
     pub input_deadline: Option<Time>,
-    /// Completed copy durations normalised by task work, used to estimate `tnew`.
-    pub duration_per_work: Vec<f64>,
+    /// Running sum of completed copy durations normalised by task work, used to
+    /// estimate `tnew`. Folded in completion order from `-0.0`, the identity
+    /// `Sum for f64` starts from, so it equals `iter().sum()` over the
+    /// durations bit for bit.
+    duration_per_work_sum: f64,
+    /// Number of durations folded into `duration_per_work_sum`.
+    duration_per_work_count: usize,
     /// Measured estimation accuracy.
     pub accuracy: AccuracyTracker,
     /// Time-weighted allocated-slot count.
@@ -157,6 +191,16 @@ pub struct JobRuntime {
     /// the simulator's lazy stats catch-up). Unused by the frozen reference
     /// engine.
     pub stats_cursor: usize,
+    /// Resident [`TaskView`] table: one row per unfinished task, in ascending
+    /// task id, as [`refresh_task_views`](Self::refresh_task_views) last left
+    /// it. Empty until the first refresh and again once the job is finalised.
+    pub(crate) task_views: Vec<TaskView>,
+    /// `now` the running rows' copy fields were derived at; `None` while the
+    /// table is unbuilt.
+    views_at: Option<Time>,
+    /// A task completed since the last refresh: finished rows are still in the
+    /// table, and `tnew` / `eligible` may be out of date in every row.
+    views_stale: bool,
 }
 
 impl JobRuntime {
@@ -193,7 +237,8 @@ impl JobRuntime {
             killed_copies: 0,
             slot_seconds: 0.0,
             input_deadline: None,
-            duration_per_work: Vec::new(),
+            duration_per_work_sum: -0.0,
+            duration_per_work_count: 0,
             accuracy: AccuracyTracker::new(prior_accuracy),
             wave_width_stat: TimeWeighted::new(now, 0.0),
             util_stat: TimeWeighted::new(now, 0.0),
@@ -201,6 +246,9 @@ impl JobRuntime {
             done: false,
             unfinished,
             stats_cursor: 0,
+            task_views: Vec::new(),
+            views_at: None,
+            views_stale: false,
         }
     }
 
@@ -259,11 +307,85 @@ impl JobRuntime {
     /// copy durations normalised by work, falling back to the cluster's mean slowdown
     /// before any completions.
     pub fn duration_per_work_estimate(&self, cluster_mean_slowdown: f64) -> f64 {
-        if self.duration_per_work.is_empty() {
+        if self.duration_per_work_count == 0 {
             cluster_mean_slowdown
         } else {
-            self.duration_per_work.iter().sum::<f64>() / self.duration_per_work.len() as f64
+            self.duration_per_work_sum / self.duration_per_work_count as f64
         }
+    }
+
+    /// Derive `row`'s estimate fields (`eligible` and `tnew`): the fields a task
+    /// completion can move in every row.
+    fn derive_estimate_fields(
+        &self,
+        row: &mut TaskView,
+        task: &TaskRuntime,
+        per_work: f64,
+        estimator: &EstimatorConfig,
+    ) {
+        row.eligible = self.stage_eligible(row.stage.value() as usize);
+        row.tnew = if estimator.oracle {
+            row.true_new_hint
+        } else {
+            (row.work * per_work * task.tnew_bias).max(1e-6)
+        };
+    }
+
+    /// The resident task views, as the last
+    /// [`refresh_task_views`](Self::refresh_task_views) left them.
+    pub fn task_views(&self) -> &[TaskView] {
+        &self.task_views
+    }
+
+    /// Bring the resident task views up to date at `now`. Afterwards they equal,
+    /// bit for bit, what [`build_task_views`](Self::build_task_views) returns at
+    /// `now`, provided `now` never runs backwards.
+    ///
+    /// The first refresh builds the table. After that, only what changed is
+    /// re-derived:
+    ///
+    /// * a launch re-derives its task's row ([`launch_copy`](Self::launch_copy));
+    /// * after a task completion, finished rows are dropped and every row's
+    ///   `tnew` and `eligible` re-derived, since the completion moved the
+    ///   per-work estimate and may have unlocked a stage;
+    /// * when `now` moved, the rows with a running copy re-derive their copy
+    ///   fields (a row without one does not depend on `now`).
+    pub fn refresh_task_views(
+        &mut self,
+        now: Time,
+        estimator: &EstimatorConfig,
+        cluster_mean_slowdown: f64,
+    ) {
+        let mut rows = std::mem::take(&mut self.task_views);
+        match self.views_at {
+            None => self.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut rows),
+            Some(at) => {
+                let moved = at.to_bits() != now.to_bits();
+                if self.views_stale {
+                    let per_work = self.duration_per_work_estimate(cluster_mean_slowdown);
+                    rows.retain_mut(|row| {
+                        // grass: allow(panicky-lib, "rows are built from this runtime's own tasks")
+                        let task = &self.tasks[row.id.index()];
+                        if task.finished {
+                            return false;
+                        }
+                        self.derive_estimate_fields(row, task, per_work, estimator);
+                        if moved && row.running_copies > 0 {
+                            task.derive_copy_fields(row, now, estimator);
+                        }
+                        true
+                    });
+                } else if moved {
+                    for row in rows.iter_mut().filter(|row| row.running_copies > 0) {
+                        // grass: allow(panicky-lib, "rows are built from this runtime's own tasks")
+                        self.tasks[row.id.index()].derive_copy_fields(row, now, estimator);
+                    }
+                }
+            }
+        }
+        self.task_views = rows;
+        self.views_at = Some(now);
+        self.views_stale = false;
     }
 
     /// Build the [`TaskView`]s for every unfinished task.
@@ -279,9 +401,10 @@ impl JobRuntime {
     }
 
     /// Build the [`TaskView`]s for every unfinished task into a caller-provided
-    /// buffer, clearing it first. The simulator reuses one scratch buffer across all
-    /// slot-free events instead of allocating a fresh `Vec` per decision (a measured
-    /// hot path: one allocation per event at thousands of events per run).
+    /// buffer, clearing it first. This full build serves a job's first
+    /// [`refresh_task_views`](Self::refresh_task_views) and the frozen
+    /// [`crate::reference`] engine; it derives each row with the same helpers
+    /// the refresh uses.
     pub fn build_task_views_into(
         &self,
         now: Time,
@@ -295,58 +418,23 @@ impl JobRuntime {
             if task.finished {
                 continue;
             }
-            let eligible = self.stage_eligible(task.spec.stage.value() as usize);
-            let true_new_hint = task.spec.work * cluster_mean_slowdown;
-            let tnew = if estimator.oracle {
-                true_new_hint
-            } else {
-                (task.spec.work * per_work * task.tnew_bias).max(1e-6)
-            };
-            let (running, elapsed, progress, rate, trem, true_rem) = match task.best_copy(now) {
-                Some(best) => {
-                    let oldest_start = task
-                        .copies
-                        .iter()
-                        .map(|c| c.start)
-                        .fold(f64::INFINITY, f64::min);
-                    let elapsed = (now - oldest_start).max(0.0);
-                    let true_rem = best.true_remaining(now);
-                    let trem = if estimator.oracle {
-                        true_rem
-                    } else {
-                        (true_rem * best.rem_bias).max(0.0)
-                    };
-                    let progress = best.progress(now);
-                    let rate = if elapsed > 0.0 {
-                        progress / elapsed
-                    } else {
-                        0.0
-                    };
-                    (
-                        task.copies.len() as u32,
-                        elapsed,
-                        progress,
-                        rate,
-                        trem,
-                        true_rem,
-                    )
-                }
-                None => (0, 0.0, 0.0, 0.0, f64::INFINITY, f64::INFINITY),
-            };
-            views.push(TaskView {
+            let mut row = TaskView {
                 id: TaskId(idx as u32),
                 stage: task.spec.stage,
-                eligible,
-                running_copies: running,
-                elapsed,
-                progress,
-                progress_rate: rate,
-                trem,
-                tnew,
-                true_remaining: true_rem,
-                true_new_hint,
+                eligible: false,
+                running_copies: 0,
+                elapsed: 0.0,
+                progress: 0.0,
+                progress_rate: 0.0,
+                trem: f64::INFINITY,
+                tnew: 0.0,
+                true_remaining: f64::INFINITY,
+                true_new_hint: task.spec.work * cluster_mean_slowdown,
                 work: task.spec.work,
-            });
+            };
+            self.derive_estimate_fields(&mut row, task, per_work, estimator);
+            task.derive_copy_fields(&mut row, now, estimator);
+            views.push(row);
         }
     }
 
@@ -384,6 +472,11 @@ impl JobRuntime {
             self.speculative_copies += 1;
         }
         self.allocated_slots += 1;
+        // Keep the resident row current (an unbuilt table is empty).
+        if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
+            // grass: allow(panicky-lib, "pos was just returned by binary_search over task_views")
+            t.derive_copy_fields(&mut self.task_views[pos], now, estimator);
+        }
     }
 
     /// Apply a copy-finish event. Marks the task finished, kills sibling copies, and
@@ -433,6 +526,7 @@ impl JobRuntime {
         t.finish_time = Some(now);
         effect.task_completed = true;
         self.unfinished -= 1;
+        self.views_stale = true;
 
         let stage = t.spec.stage.value() as usize;
         let work = t.spec.work;
@@ -442,7 +536,8 @@ impl JobRuntime {
         // grass: allow(panicky-lib, "stage comes from this task's spec; completed_per_stage is sized from spec.stages")
         self.completed_per_stage[stage] += 1;
         if work > 0.0 && actual > 0.0 {
-            self.duration_per_work.push(actual / work);
+            self.duration_per_work_sum += actual / work;
+            self.duration_per_work_count += 1;
             // What the estimator believed versus what happened, folded into the
             // measured-accuracy signal GRASS consumes.
             self.accuracy.record(actual * rem_bias, actual);
@@ -452,8 +547,11 @@ impl JobRuntime {
 
     /// Kill every running copy of every task (used when a job hits its deadline or is
     /// finalised early). Returns the identity of every killed copy
-    /// (task, copy id, freed slot).
+    /// (task, copy id, freed slot). The job is done, so its resident task views
+    /// are freed; a later refresh would build them afresh.
     pub fn kill_all_copies(&mut self, now: Time) -> Vec<(TaskId, CopyId, SlotId)> {
+        self.task_views = Vec::new();
+        self.views_at = None;
         let mut freed = Vec::new();
         for (idx, t) in self.tasks.iter_mut().enumerate() {
             for c in t.copies.drain(..) {
@@ -615,6 +713,32 @@ mod tests {
         // Observed duration/work = 3.0, so the non-oracle tnew estimate for the other
         // task (work 2.0) would be ~6.0; the oracle hint stays work × slowdown.
         assert!((rt.duration_per_work_estimate(1.0) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn running_duration_per_work_sum_equals_a_left_fold_bit_for_bit() {
+        // Work 0.0 (task 0) is skipped by the estimate, as before.
+        let work: Vec<f64> = (0..40).map(|i| f64::from(i % 9) * 0.37).collect();
+        let mut rt = job_runtime(Bound::EXACT, work.clone());
+        let mut rng = StdRng::seed_from_u64(11);
+        let est = EstimatorConfig::with_accuracy(0.6);
+        let mut folded: Vec<f64> = Vec::new();
+        for (i, &w) in work.iter().enumerate() {
+            let duration = 0.1 + (i as f64 * 1.618).fract() * 7.0;
+            let task = TaskId(i as u32);
+            rt.launch_copy(task, i as u64, slot(0), 0.0, duration, &est, &mut rng);
+            rt.complete_copy(task, i as u64, duration);
+            if w > 0.0 {
+                folded.push(duration / w);
+            }
+            assert_eq!(
+                rt.duration_per_work_sum.to_bits(),
+                folded.iter().sum::<f64>().to_bits()
+            );
+            assert_eq!(rt.duration_per_work_count, folded.len());
+        }
+        let mean = folded.iter().sum::<f64>() / folded.len() as f64;
+        assert_eq!(rt.duration_per_work_estimate(1.0).to_bits(), mean.to_bits());
     }
 
     #[test]

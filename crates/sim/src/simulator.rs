@@ -171,14 +171,19 @@ pub fn run_simulation_traced(
 ///   deferred replay applies bit-identical `update_stats(t, u)` calls in the
 ///   original order — same floats, batched into cache-friendly runs, with no
 ///   hash lookups or full-population walks per event.
+///
+/// Each live job also keeps its `TaskView` rows resident
+/// ([`JobRuntime::refresh_task_views`]) instead of rebuilding every row per
+/// consultation and per completion hook. `on_job_start`, `on_task_complete` and
+/// `choose()` all read that table: built once at arrival, refreshed in place
+/// (a launch re-derives its row, a completion drops finished rows and
+/// re-derives `tnew` / `eligible`, a new `now` re-derives the running rows),
+/// and freed when the job is finalised. Every refresh yields the rows
+/// [`JobRuntime::build_task_views`] would build at that instant, bit for bit.
 struct Simulator<'a> {
     config: SimConfig,
     factory: &'a dyn PolicyFactory,
     sink: &'a mut dyn TraceSink,
-    /// Scratch buffer reused for every `TaskView` snapshot (hot path: one snapshot
-    /// per slot-free event; rebuilding the `Vec` from scratch each time showed up in
-    /// `microbench/simulator`).
-    view_scratch: Vec<grass_core::TaskView>,
     /// Scratch completion effect reused across copy-finish events (retires the
     /// two per-event `Vec` allocations of the slot-free path).
     effect_scratch: CompletionEffect,
@@ -238,7 +243,6 @@ impl<'a> Simulator<'a> {
             config,
             factory,
             sink,
-            view_scratch: Vec::new(),
             effect_scratch: CompletionEffect::default(),
             machines,
             free_slots,
@@ -383,25 +387,17 @@ impl<'a> Simulator<'a> {
             );
         }
 
-        // Let the policy observe the job's initial state.
-        {
-            let mut views = std::mem::take(&mut self.view_scratch);
-            runtime.build_task_views_into(
-                self.now,
-                &self.config.estimator,
-                self.mean_slowdown,
-                &mut views,
-            );
-            let view = Self::job_view(
-                &runtime,
-                &views,
-                self.now,
-                self.fair_share(),
-                self.utilization(),
-            );
-            runtime.policy.on_job_start(&view);
-            self.view_scratch = views;
-        }
+        // Let the policy observe the job's initial state: the first build of
+        // its resident task views.
+        runtime.refresh_task_views(self.now, &self.config.estimator, self.mean_slowdown);
+        let view = Self::job_view(
+            &runtime,
+            &runtime.task_views,
+            self.now,
+            self.fair_share(),
+            self.utilization(),
+        );
+        runtime.policy.on_job_start(&view);
 
         // The job consumes settle entries only from its arrival onwards (the
         // eager engine never updated jobs that had not arrived yet).
@@ -485,16 +481,9 @@ impl<'a> Simulator<'a> {
         job.update_stats(self.now, util);
 
         if effect.task_completed {
-            let mut views = std::mem::take(&mut self.view_scratch);
-            job.build_task_views_into(
-                self.now,
-                &self.config.estimator,
-                self.mean_slowdown,
-                &mut views,
-            );
-            let view = Self::job_view(job, &views, self.now, fair, util);
+            job.refresh_task_views(self.now, &self.config.estimator, self.mean_slowdown);
+            let view = Self::job_view(job, &job.task_views, self.now, fair, util);
             job.policy.on_task_complete(&view, task);
-            self.view_scratch = views;
         }
 
         // Error-bound jobs finish the moment their bound is satisfied.
@@ -613,19 +602,6 @@ impl<'a> Simulator<'a> {
 
     /// Offer one free slot to `job_id`.
     fn try_launch_for(&mut self, job_id: JobId, fair_share: usize, utilization: f64) {
-        let mut views = std::mem::take(&mut self.view_scratch);
-        self.try_launch_with_views(job_id, fair_share, utilization, &mut views);
-        self.view_scratch = views;
-    }
-
-    fn try_launch_with_views(
-        &mut self,
-        job_id: JobId,
-        fair_share: usize,
-        utilization: f64,
-        views: &mut Vec<grass_core::TaskView>,
-    ) {
-        let mean_slowdown = self.mean_slowdown;
         let estimator = self.config.estimator;
         let Some(job) = self.running.get_mut(&job_id) else {
             return;
@@ -633,11 +609,11 @@ impl<'a> Simulator<'a> {
         // A launch mutates `allocated_slots`; pending settle entries must be
         // folded in against the pre-launch value first.
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
-        job.build_task_views_into(self.now, &estimator, mean_slowdown, views);
-        if views.is_empty() {
+        job.refresh_task_views(self.now, &estimator, self.mean_slowdown);
+        if job.task_views.is_empty() {
             return;
         }
-        let view = Self::job_view(job, views, self.now, fair_share, utilization);
+        let view = Self::job_view(job, &job.task_views, self.now, fair_share, utilization);
         self.stats.policy_consultations += 1;
         let Some(action) = job.policy.choose(&view) else {
             // A held decline stands until the job's own state changes, and only a

@@ -1,0 +1,173 @@
+//! The simulator keeps each job's `TaskView` rows resident and refreshes them
+//! in place (`JobRuntime::refresh_task_views`) instead of rebuilding every row
+//! per consultation. This property pins the refresh against a full build: one
+//! `JobRuntime` is driven through random launches, speculative races, stale
+//! finishes, time advances and the stage unlocks its completions cause, and
+//! after every step the resident rows must equal `build_task_views` at the
+//! same `now`, every `f64` compared by its bits.
+//!
+//! `PROPTEST_CASES` sets the case count (CI runs 500 in release).
+
+use grass::prelude::*;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const MEAN_SLOWDOWN: f64 = 1.3;
+
+/// Policy stub: the runtime only needs a policy to hold.
+struct Idle;
+
+impl SpeculationPolicy for Idle {
+    fn name(&self) -> &str {
+        "idle"
+    }
+
+    fn choose(&mut self, _view: &JobView) -> Option<Action> {
+        None
+    }
+}
+
+/// Every field of a row, with each `f64` as its bit pattern.
+fn row_bits(row: &TaskView) -> (u32, u8, bool, u32, [u64; 8]) {
+    (
+        row.id.0,
+        row.stage.0,
+        row.eligible,
+        row.running_copies,
+        [
+            row.elapsed.to_bits(),
+            row.progress.to_bits(),
+            row.progress_rate.to_bits(),
+            row.trem.to_bits(),
+            row.tnew.to_bits(),
+            row.true_remaining.to_bits(),
+            row.true_new_hint.to_bits(),
+            row.work.to_bits(),
+        ],
+    )
+}
+
+fn assert_resident_rows_match_a_full_build(
+    rt: &JobRuntime,
+    now: Time,
+    estimator: &EstimatorConfig,
+    step: usize,
+) {
+    let built = rt.build_task_views(now, estimator, MEAN_SLOWDOWN);
+    let resident = rt.task_views();
+    assert_eq!(
+        resident.len(),
+        built.len(),
+        "step {step} at t={now}: {} resident rows, {} built",
+        resident.len(),
+        built.len()
+    );
+    for (have, want) in resident.iter().zip(&built) {
+        assert_eq!(
+            row_bits(have),
+            row_bits(want),
+            "step {step} at t={now}: resident {have:?} != built {want:?}"
+        );
+    }
+}
+
+/// `(task, copy id)` of every running copy, in task then launch order.
+fn running_copies(rt: &JobRuntime) -> Vec<(TaskId, CopyId)> {
+    rt.tasks
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| t.copies.iter().map(move |c| (TaskId(i as u32), c.id)))
+        .collect()
+}
+
+proptest! {
+    #[test]
+    fn resident_task_views_equal_a_fresh_build_after_every_step(
+        stage_sizes in prop::collection::vec(1usize..9, 1..4),
+        (error_bound, epsilon) in (any::<bool>(), 0.0f64..0.6),
+        noisy in any::<bool>(),
+        seed in any::<u64>(),
+        ops in prop::collection::vec((0u8..6, any::<u32>(), 0.0f64..1.0), 1..160),
+    ) {
+        // Work 0.0 appears too: it skips the per-work estimate's update.
+        let stage_work: Vec<Vec<f64>> = stage_sizes
+            .iter()
+            .enumerate()
+            .map(|(s, &n)| (0..n).map(|i| ((s * 7 + i * 3) % 11) as f64 * 0.5).collect())
+            .collect();
+        let bound = if error_bound { Bound::Error(epsilon) } else { Bound::Deadline(50.0) };
+        let spec = JobSpec::multi_stage(1, 0.0, bound, stage_work);
+        let estimator = if noisy {
+            EstimatorConfig::with_accuracy(0.6)
+        } else {
+            EstimatorConfig::oracle()
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rt = JobRuntime::new(spec, Box::new(Idle), &estimator, 0.0, &mut rng);
+        let mut now = 0.0;
+        rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
+        assert_resident_rows_match_a_full_build(&rt, now, &estimator, 0);
+
+        let slot = SlotId { machine: 0, slot: 0 };
+        let mut next_copy: CopyId = 0;
+        // Every copy ever launched, so finishes can name killed or won copies.
+        let mut launched: Vec<(TaskId, CopyId)> = Vec::new();
+        for (step, &(kind, pick, amount)) in ops.iter().enumerate() {
+            let running = running_copies(&rt);
+            match kind {
+                // First copy of an idle unfinished task.
+                0 => {
+                    let idle: Vec<usize> = (0..rt.tasks.len())
+                        .filter(|&i| !rt.tasks[i].finished && rt.tasks[i].copies.is_empty())
+                        .collect();
+                    if !idle.is_empty() {
+                        let task = TaskId(idle[pick as usize % idle.len()] as u32);
+                        let duration = 0.1 + 10.0 * amount;
+                        rt.launch_copy(task, next_copy, slot, now, duration, &estimator, &mut rng);
+                        launched.push((task, next_copy));
+                        next_copy += 1;
+                    }
+                }
+                // A speculative copy of a running task.
+                1 => {
+                    if !running.is_empty() {
+                        let (task, _) = running[pick as usize % running.len()];
+                        let duration = 0.1 + 10.0 * amount;
+                        rt.launch_copy(task, next_copy, slot, now, duration, &estimator, &mut rng);
+                        launched.push((task, next_copy));
+                        next_copy += 1;
+                    }
+                }
+                // A running copy finishes at its end time (or now, if that has
+                // passed), winning its race and killing its siblings.
+                2 => {
+                    if !running.is_empty() {
+                        let (task, copy) = running[pick as usize % running.len()];
+                        let c = rt.tasks[task.index()].copies.iter().find(|c| c.id == copy).unwrap();
+                        now = f64::max(now, c.start + c.duration);
+                        let effect = rt.complete_copy(task, copy, now);
+                        assert!(effect.task_completed && !effect.stale);
+                    }
+                }
+                // A finish event for a copy that already won or was killed.
+                3 => {
+                    let gone: Vec<(TaskId, CopyId)> = launched
+                        .iter()
+                        .copied()
+                        .filter(|l| !running.contains(l))
+                        .collect();
+                    if !gone.is_empty() {
+                        let (task, copy) = gone[pick as usize % gone.len()];
+                        assert!(rt.complete_copy(task, copy, now).stale);
+                    }
+                }
+                // Time moves, possibly past running copies' end times, so that
+                // several copies of one task clamp to zero remaining time.
+                _ => now += 8.0 * amount,
+            }
+            rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
+            assert_resident_rows_match_a_full_build(&rt, now, &estimator, step + 1);
+        }
+    }
+}
