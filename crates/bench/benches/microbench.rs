@@ -11,7 +11,7 @@ use grass_core::grass::reference::ReferenceSampleStore;
 use grass_core::grass::{BoundKind, QueryContext, Sample};
 use grass_core::{
     Bound, FactorSet, GrassConfig, GrassFactory, GsFactory, JobId, JobSpec, JobView, PolicyFactory,
-    RasFactory, SampleStore, SizeBucket, SpeculationMode, StageId, TaskId, TaskView,
+    RasFactory, SampleStore, SizeBucket, SpeculationMode, StageId, TaskId, TaskView, TnewEstimate,
 };
 use grass_model::tail_index;
 use grass_policies::{LateFactory, MantriFactory};
@@ -19,6 +19,7 @@ use grass_sim::{run_simulation, ClusterConfig, SimConfig};
 use grass_workload::{generate, BoundSpec, Framework, TraceProfile, WorkloadConfig};
 
 /// Build a job view with `n` tasks, half of them running, for decision benchmarks.
+/// A row's `tnew` is its work: [`view_of`] reads it through a unit per-work estimate.
 fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
     let tasks: Vec<TaskView> = (0..n)
         .map(|i| {
@@ -36,7 +37,7 @@ fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
                 } else {
                     f64::INFINITY
                 },
-                tnew: 2.0 + (i % 5) as f64,
+                tnew_bias: 1.0,
                 true_remaining: 4.0 + (i % 7) as f64,
                 true_new_hint: 2.0 + (i % 5) as f64,
                 work: 2.0 + (i % 5) as f64,
@@ -59,6 +60,7 @@ fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
         total_tasks: tasks.len() + 10,
         completed_tasks: 10,
         tasks,
+        tnew_estimate: TnewEstimate::PerWork(1.0),
         wave_width: 20,
         cluster_utilization: 0.8,
         estimation_accuracy: 0.75,

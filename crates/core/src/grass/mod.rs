@@ -306,7 +306,7 @@ impl PolicyFactory for GrassFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::Bound;
+    use crate::job::{Bound, TnewEstimate};
     use crate::task::{JobId, StageId, TaskId, TaskView};
 
     fn unscheduled(id: u32, tnew: f64) -> TaskView {
@@ -319,7 +319,7 @@ mod tests {
             progress: 0.0,
             progress_rate: 0.0,
             trem: f64::INFINITY,
-            tnew,
+            tnew_bias: 1.0,
             true_remaining: tnew,
             true_new_hint: tnew,
             work: tnew,
@@ -338,6 +338,7 @@ mod tests {
             total_tasks: 20,
             completed_tasks: 0,
             tasks,
+            tnew_estimate: TnewEstimate::PerWork(1.0),
             wave_width: 2,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,

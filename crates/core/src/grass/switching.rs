@@ -142,7 +142,7 @@ impl SwitchScanCache {
             view.tasks
                 .iter()
                 .filter(|t| t.eligible)
-                .map(|t| t.tnew)
+                .map(|t| view.tnew(t))
                 .filter(|v| v.is_finite() && *v > 0.0),
         );
         let median = if self.scratch.is_empty() {
@@ -398,6 +398,7 @@ mod tests {
     use super::*;
     use crate::bins::SizeBucket;
     use crate::grass::samples::Sample;
+    use crate::job::TnewEstimate;
     use crate::task::{JobId, StageId, TaskId, TaskView};
 
     fn unscheduled(id: u32, tnew: f64) -> TaskView {
@@ -410,7 +411,7 @@ mod tests {
             progress: 0.0,
             progress_rate: 0.0,
             trem: f64::INFINITY,
-            tnew,
+            tnew_bias: 1.0,
             true_remaining: tnew,
             true_new_hint: tnew,
             work: tnew,
@@ -436,6 +437,7 @@ mod tests {
             total_tasks: total,
             completed_tasks: completed,
             tasks,
+            tnew_estimate: TnewEstimate::PerWork(1.0),
             wave_width,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,
@@ -597,7 +599,7 @@ mod tests {
             let v = view(&tasks, Bound::Deadline(1000.0), 0.0, 2, 0, n as usize);
             let mut cache = SwitchScanCache::new();
             let selected = cache.median_tnew(&v);
-            let mut sorted: Vec<f64> = tasks.iter().map(|t| t.tnew).collect();
+            let mut sorted: Vec<f64> = tasks.iter().map(|t| v.tnew(t)).collect();
             sorted.sort_by(f64::total_cmp);
             assert_eq!(selected, sorted[sorted.len() / 2], "n = {n}");
         }

@@ -237,6 +237,18 @@ impl JobSpec {
     }
 }
 
+/// Where a job's fresh-copy estimates come from: the input of [`JobView::tnew`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TnewEstimate {
+    /// The job's estimate of a fresh copy's duration per unit work: the mean of its
+    /// completed copy durations per work, or the cluster's mean slowdown before any
+    /// completion. It moves only when one of the job's tasks completes.
+    PerWork(f64),
+    /// Oracle estimates: a fresh copy takes its ground-truth hint,
+    /// [`TaskView::true_new_hint`].
+    Oracle,
+}
+
 /// Snapshot of a job's state handed to its [`crate::SpeculationPolicy`] whenever a slot
 /// allocated to the job becomes free.
 #[derive(Debug, Clone)]
@@ -262,8 +274,12 @@ pub struct JobView<'a> {
     pub total_tasks: usize,
     /// Completed tasks (all stages).
     pub completed_tasks: usize,
-    /// Views of every *unfinished* task of the job (running or not, eligible or not).
+    /// Views of every *unfinished* task of the job (running or not, eligible or not),
+    /// in ascending task id. A row holds no job-wide state: read a task's `tnew`
+    /// through [`JobView::tnew`].
     pub tasks: &'a [TaskView],
+    /// The job-wide input of every row's [`JobView::tnew`].
+    pub tnew_estimate: TnewEstimate,
     /// Number of slots currently allocated to this job (its current wave width).
     pub wave_width: usize,
     /// Fraction of the cluster's slots that are currently busy, in `[0, 1]`.
@@ -289,12 +305,25 @@ impl<'a> JobView<'a> {
     /// Set it only for a decision that reads nothing but the job's own state, the
     /// bound and `now`. GS and RAS qualify: while the job is unchanged, `trem`,
     /// [`TaskView::speculation_saving`] and [`JobView::remaining_deadline`] only
-    /// shrink as `now` grows, and `tnew` and eligibility stay fixed, so no pruned
-    /// task comes back. A decision that reads utilisation, fair share or shared
-    /// learned state must not hold: GRASS before its mode is final, or LATE, whose
-    /// speculation budget scales with the wave width.
+    /// shrink as `now` grows, and eligibility and [`JobView::tnew`] stay fixed (the
+    /// per-work estimate in [`TnewEstimate::PerWork`] moves only when one of the
+    /// job's tasks completes), so no pruned task comes back. A decision that reads
+    /// utilisation, fair share or shared learned state must not hold: GRASS before
+    /// its mode is final, or LATE, whose speculation budget scales with the wave
+    /// width.
     pub fn hold_decline(&self) {
         self.decline_hold.set(true);
+    }
+
+    /// Estimated duration of a freshly launched copy of `task`, one of this view's
+    /// rows: `(work × per_work) × tnew_bias`, in that order, floored at `1e-6`; or
+    /// the ground-truth hint under [`TnewEstimate::Oracle`]. Every reader of `tnew`
+    /// goes through here.
+    pub fn tnew(&self, task: &TaskView) -> Time {
+        match self.tnew_estimate {
+            TnewEstimate::PerWork(per_work) => (task.work * per_work * task.tnew_bias).max(1e-6),
+            TnewEstimate::Oracle => task.true_new_hint,
+        }
     }
 
     /// Whether the policy held its decline on this view (see
@@ -373,11 +402,56 @@ mod tests {
             total_tasks: 10,
             completed_tasks: 4,
             tasks,
+            tnew_estimate: TnewEstimate::PerWork(1.0),
             wave_width: 2,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,
             decline_hold: Cell::new(false),
         }
+    }
+
+    fn row(work: f64, tnew_bias: f64, true_new_hint: f64) -> TaskView {
+        TaskView {
+            id: TaskId(0),
+            stage: StageId::INPUT,
+            eligible: true,
+            running_copies: 0,
+            elapsed: 0.0,
+            progress: 0.0,
+            progress_rate: 0.0,
+            trem: f64::INFINITY,
+            tnew_bias,
+            true_remaining: f64::INFINITY,
+            true_new_hint,
+            work,
+        }
+    }
+
+    #[test]
+    fn tnew_scales_work_by_the_per_work_estimate_and_the_bias() {
+        let tasks = [row(2.0, 1.5, 9.0), row(0.0, 0.8, 0.0)];
+        let mut v = view_with(Bound::Deadline(5.0), &tasks);
+        v.tnew_estimate = TnewEstimate::PerWork(1.3);
+        assert_eq!(v.tnew(&tasks[0]).to_bits(), (2.0f64 * 1.3 * 1.5).to_bits());
+        // Zero work is floored, so no fresh copy is estimated to take no time.
+        assert_eq!(v.tnew(&tasks[1]), 1e-6);
+    }
+
+    #[test]
+    fn oracle_tnew_is_the_true_new_hint_bit_for_bit() {
+        // Zero work: the ground truth is 0.0 (or -0.0), where the estimated path's
+        // 1e-6 floor would answer differently.
+        let tasks = [row(0.0, 1.0, 0.0), row(0.0, 1.0, -0.0), row(3.0, 0.7, 4.1)];
+        let mut v = view_with(Bound::Error(0.1), &tasks);
+        v.tnew_estimate = TnewEstimate::Oracle;
+        for t in &tasks {
+            assert_eq!(v.tnew(t).to_bits(), t.true_new_hint.to_bits());
+        }
+        v.tnew_estimate = TnewEstimate::PerWork(1.0);
+        assert_ne!(
+            v.tnew(&tasks[0]).to_bits(),
+            tasks[0].true_new_hint.to_bits()
+        );
     }
 
     #[test]

@@ -82,7 +82,8 @@ pub trait SpeculationPolicy: Send {
     ///
     /// `view.tasks` is the job's resident task table, already refreshed for the
     /// completion (the finished task's row is gone): the same rows `choose()`
-    /// reads at this instant.
+    /// reads at this instant. `view.tnew_estimate` already folds in the finished
+    /// copy's duration, so [`JobView::tnew`] reads the moved estimate.
     fn on_task_complete(&mut self, _view: &JobView, _task: TaskId) {}
 
     /// Called when the job finishes (deadline reached or error bound satisfied).

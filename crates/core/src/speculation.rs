@@ -59,81 +59,66 @@ pub fn choose(view: &JobView, mode: SpeculationMode) -> Option<Action> {
 }
 
 /// Pseudocode 1: deadline-bound jobs.
+///
+/// Pruning and selection in one pass over the rows, with no allocation. The picks
+/// are the ones `min_by` / `max_by` over the pruned candidates in view order make:
+/// SJF keeps the *first* minimum `tnew`, and RAS keeps the *last* maximum saving.
 fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let remaining = view.remaining_deadline().unwrap_or(f64::INFINITY);
     if remaining <= 0.0 {
         return None;
     }
 
-    // Pruning stage.
-    let mut fresh: Vec<&TaskView> = Vec::new();
-    let mut speculative: Vec<&TaskView> = Vec::new();
+    // The best fresh task by `tnew`, and the best admissible speculative copy by
+    // `tnew` (GS) or by resource saving (RAS), each with the value it ranks by.
+    let mut fresh: Option<(f64, &TaskView)> = None;
+    let mut speculative: Option<(f64, &TaskView)> = None;
     for t in view.eligible_tasks() {
+        let tnew = view.tnew(t);
         // A copy launched now must be expected to finish before the deadline.
-        if t.tnew > remaining {
+        if tnew > remaining {
             continue;
         }
-        if t.is_running() {
-            if t.running_copies >= MAX_COPIES_PER_TASK {
-                continue;
+        if !t.is_running() {
+            if fresh.is_none_or(|(best, _)| tnew.total_cmp(&best).is_lt()) {
+                fresh = Some((tnew, t));
             }
-            match mode {
-                SpeculationMode::Gs => {
-                    if t.new_copy_beats_running() {
-                        speculative.push(t);
+            continue;
+        }
+        if t.running_copies >= MAX_COPIES_PER_TASK {
+            continue;
+        }
+        match mode {
+            SpeculationMode::Gs => {
+                if t.new_copy_beats_running(tnew)
+                    && speculative.is_none_or(|(best, _)| tnew.total_cmp(&best).is_lt())
+                {
+                    speculative = Some((tnew, t));
+                }
+            }
+            SpeculationMode::Ras => {
+                if let Some(saving) = t.speculation_saving(tnew).filter(|s| *s > 0.0) {
+                    if speculative.is_none_or(|(best, _)| saving.total_cmp(&best).is_ge()) {
+                        speculative = Some((saving, t));
                     }
                 }
-                SpeculationMode::Ras => {
-                    if t.speculation_saving().is_some_and(|s| s > 0.0) {
-                        speculative.push(t);
-                    }
-                }
             }
-        } else {
-            fresh.push(t);
         }
     }
 
-    // Selection stage.
-    match mode {
-        SpeculationMode::Gs => {
-            // SJF over the union of fresh tasks and admissible speculative copies:
-            // schedule whatever finishes soonest.
-            let best_fresh = fresh.into_iter().min_by(|a, b| a.tnew.total_cmp(&b.tnew));
-            let best_spec = speculative
-                .into_iter()
-                .min_by(|a, b| a.tnew.total_cmp(&b.tnew));
-            match (best_fresh, best_spec) {
-                (Some(f), Some(s)) => {
-                    if s.tnew < f.tnew {
-                        Some(Action::speculate(s.id))
-                    } else {
-                        Some(Action::launch(f.id))
-                    }
-                }
-                (Some(f), None) => Some(Action::launch(f.id)),
-                (None, Some(s)) => Some(Action::speculate(s.id)),
-                (None, None) => None,
-            }
-        }
-        SpeculationMode::Ras => {
-            // Speculating only happens when it frees resources; in that case it is a
-            // strict win and takes priority (Figure 1, right). Otherwise launch the
-            // shortest fresh task that fits the deadline.
-            if let Some(s) = speculative.into_iter().max_by(|a, b| {
-                // Candidates were filtered on `speculation_saving().is_some_and(..)`
-                // above; NEG_INFINITY keeps the comparator total if that ever changes.
-                a.speculation_saving()
-                    .unwrap_or(f64::NEG_INFINITY)
-                    .total_cmp(&b.speculation_saving().unwrap_or(f64::NEG_INFINITY))
-            }) {
-                return Some(Action::speculate(s.id));
-            }
-            fresh
-                .into_iter()
-                .min_by(|a, b| a.tnew.total_cmp(&b.tnew))
-                .map(|f| Action::launch(f.id))
-        }
+    // Selection. GS runs SJF over the union of fresh tasks and admissible
+    // speculative copies: schedule whatever finishes soonest. RAS speculates only
+    // when that frees resources; then it is a strict win and takes priority
+    // (Figure 1, right). Otherwise both launch the shortest fresh task that fits
+    // the deadline.
+    let prefer_copy = match (mode, fresh, speculative) {
+        (SpeculationMode::Gs, Some((f_tnew, _)), Some((s_tnew, _))) => s_tnew < f_tnew,
+        (_, _, s) => s.is_some(),
+    };
+    if prefer_copy {
+        speculative.map(|(_, s)| Action::speculate(s.id))
+    } else {
+        fresh.map(|(_, f)| Action::launch(f.id))
     }
 }
 
@@ -150,7 +135,7 @@ fn choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
         .filter(|(_, t)| t.eligible && t.stage.is_input())
         .map(|(index, task)| Walk {
             non_input: false,
-            effective: task.effective_duration(),
+            effective: task.effective_duration(view.tnew(task)),
             index,
             task,
         })
@@ -184,17 +169,18 @@ fn choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let mut speculative: Option<Pick> = None;
     for at in needed.into_iter().chain(non_input) {
         let t = at.task;
+        let tnew = view.tnew(t);
         if !t.is_running() {
-            keep_last_max(&mut fresh, t.tnew, at);
+            keep_last_max(&mut fresh, tnew, at);
         } else if t.running_copies < MAX_COPIES_PER_TASK {
             match mode {
                 SpeculationMode::Gs => {
-                    if t.new_copy_beats_running() {
+                    if t.new_copy_beats_running(tnew) {
                         keep_last_max(&mut speculative, t.trem, at);
                     }
                 }
                 SpeculationMode::Ras => {
-                    if let Some(saving) = t.speculation_saving().filter(|s| *s > 0.0) {
+                    if let Some(saving) = t.speculation_saving(tnew).filter(|s| *s > 0.0) {
                         keep_last_max(&mut speculative, saving, at);
                     }
                 }
@@ -260,9 +246,10 @@ fn keep_last_max<'v>(best: &mut Option<Pick<'v>>, value: f64, at: Walk<'v>) {
 /// [`choose`], holding a decline (see [`JobView::hold_decline`]).
 ///
 /// GS and RAS read only the job's own tasks, its bound and `now`. While the job's
-/// tasks, copies and completed counts are unchanged, `tnew`, eligibility, copy counts
-/// and the needed count stay fixed, while `trem`, the resource saving and the
-/// remaining deadline only shrink. So no pruned candidate comes back:
+/// tasks, copies and completed counts are unchanged, `tnew` (the per-work estimate
+/// moves only on a completion), eligibility, copy counts and the needed count stay
+/// fixed, while `trem`, the resource saving and the remaining deadline only shrink.
+/// So no pruned candidate comes back:
 ///
 /// * deadline bounds: a task whose copy would miss the deadline keeps missing it, and
 ///   a running task that failed `tnew < trem` or `saving > 0` keeps failing;
@@ -338,6 +325,7 @@ impl PolicyFactory for RasFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::TnewEstimate;
     use crate::policy::ActionKind;
     use crate::task::{JobId, StageId, TaskId};
 
@@ -351,7 +339,7 @@ mod tests {
             progress: if running { 0.5 } else { 0.0 },
             progress_rate: 0.1,
             trem: if running { trem } else { f64::INFINITY },
-            tnew,
+            tnew_bias: 1.0,
             true_remaining: trem,
             true_new_hint: tnew,
             work: tnew,
@@ -370,6 +358,7 @@ mod tests {
             total_tasks: tasks.len() + 2,
             completed_tasks: 2,
             tasks,
+            tnew_estimate: TnewEstimate::PerWork(1.0),
             wave_width: 2,
             cluster_utilization: 0.8,
             estimation_accuracy: 0.75,
@@ -394,6 +383,7 @@ mod tests {
             total_tasks: total,
             completed_tasks: done,
             tasks,
+            tnew_estimate: TnewEstimate::PerWork(1.0),
             wave_width: 3,
             cluster_utilization: 0.8,
             estimation_accuracy: 0.75,

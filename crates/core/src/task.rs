@@ -86,11 +86,14 @@ impl TaskSpec {
 /// Snapshot of one unfinished task handed to a [`crate::SpeculationPolicy`] when it has
 /// to pick what to run on a freed slot.
 ///
-/// `trem` / `tnew` are the *estimates* the scheduler would have in a real deployment
+/// `trem` and `tnew` are the *estimates* the scheduler would have in a real deployment
 /// (progress-report extrapolation and completed-task sampling, degraded to the
-/// configured estimation accuracy). `true_remaining` / `true_new_hint` carry the
-/// simulator's ground truth so that oracle baselines can be expressed; honest policies
-/// must not read them.
+/// configured estimation accuracy). `trem` is a field. `tnew` is read through
+/// [`JobView::tnew`](crate::JobView::tnew): it scales with the job-wide per-work
+/// estimate, so a row holds only its own part of it, `work` and `tnew_bias`, and a
+/// task completion that moves the estimate rewrites no row. `true_remaining` /
+/// `true_new_hint` carry the simulator's ground truth so that oracle baselines can be
+/// expressed; honest policies must not read them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskView {
     /// Task identifier within the job.
@@ -114,8 +117,9 @@ pub struct TaskView {
     /// Estimated remaining duration of the best (soonest-finishing) running copy.
     /// `f64::INFINITY` if the task is not running.
     pub trem: Time,
-    /// Estimated duration of a freshly launched copy.
-    pub tnew: Time,
+    /// Multiplicative estimation bias of this task's fresh-copy estimate, drawn once
+    /// per task; [`JobView::tnew`](crate::JobView::tnew) applies it.
+    pub tnew_bias: f64,
     /// Ground-truth remaining duration of the best running copy (oracle only).
     pub true_remaining: Time,
     /// Ground-truth duration a new copy would take on a typical slot (oracle only).
@@ -132,27 +136,30 @@ impl TaskView {
 
     /// Effective duration of the task as defined in Pseudocode 2 of the paper:
     /// `min(trem, tnew)` — the soonest this task could possibly contribute to the
-    /// result, over both its running copies and a hypothetical new copy.
-    pub fn effective_duration(&self) -> Time {
-        self.trem.min(self.tnew)
+    /// result, over both its running copies and a hypothetical new copy. `tnew` is
+    /// this task's [`JobView::tnew`](crate::JobView::tnew).
+    pub fn effective_duration(&self, tnew: Time) -> Time {
+        self.trem.min(tnew)
     }
 
     /// Resource saving of launching one more speculative copy, as defined for RAS:
     /// `c * trem − (c + 1) * tnew`. Positive iff speculating saves both time and
     /// resources. Returns `None` for tasks that are not running (launching the first
-    /// copy is not speculation).
-    pub fn speculation_saving(&self) -> Option<f64> {
+    /// copy is not speculation). `tnew` is this task's
+    /// [`JobView::tnew`](crate::JobView::tnew).
+    pub fn speculation_saving(&self, tnew: Time) -> Option<f64> {
         if !self.is_running() {
             return None;
         }
         let c = f64::from(self.running_copies);
-        Some(c * self.trem - (c + 1.0) * self.tnew)
+        Some(c * self.trem - (c + 1.0) * tnew)
     }
 
     /// Whether a new copy is expected to beat the best running copy (`tnew < trem`),
-    /// the GS speculation criterion.
-    pub fn new_copy_beats_running(&self) -> bool {
-        self.is_running() && self.tnew < self.trem
+    /// the GS speculation criterion. `tnew` is this task's
+    /// [`JobView::tnew`](crate::JobView::tnew).
+    pub fn new_copy_beats_running(&self, tnew: Time) -> bool {
+        self.is_running() && tnew < self.trem
     }
 }
 
@@ -160,7 +167,7 @@ impl TaskView {
 mod tests {
     use super::*;
 
-    fn running_task(trem: f64, tnew: f64, copies: u32) -> TaskView {
+    fn running_task(trem: f64, copies: u32) -> TaskView {
         TaskView {
             id: TaskId(0),
             stage: StageId::INPUT,
@@ -170,10 +177,10 @@ mod tests {
             progress: 0.5,
             progress_rate: 0.1,
             trem,
-            tnew,
+            tnew_bias: 1.0,
             true_remaining: trem,
-            true_new_hint: tnew,
-            work: tnew,
+            true_new_hint: 1.0,
+            work: 1.0,
         }
     }
 
@@ -194,39 +201,32 @@ mod tests {
 
     #[test]
     fn effective_duration_is_min_of_trem_and_tnew() {
-        let t = running_task(5.0, 4.0, 1);
-        assert_eq!(t.effective_duration(), 4.0);
-        let t = running_task(3.0, 4.0, 1);
-        assert_eq!(t.effective_duration(), 3.0);
+        assert_eq!(running_task(5.0, 1).effective_duration(4.0), 4.0);
+        assert_eq!(running_task(3.0, 1).effective_duration(4.0), 3.0);
     }
 
     #[test]
     fn speculation_saving_matches_paper_formula() {
         // Figure 1 (right): T1 has trem = 5, tnew = 2 with one running copy.
         // saving = 1*5 - 2*2 = 1 > 0, so RAS speculates.
-        let t = running_task(5.0, 2.0, 1);
-        assert_eq!(t.speculation_saving(), Some(1.0));
+        assert_eq!(running_task(5.0, 1).speculation_saving(2.0), Some(1.0));
         // Two copies already running: saving = 2*5 - 3*2 = 4.
-        let t = running_task(5.0, 2.0, 2);
-        assert_eq!(t.speculation_saving(), Some(4.0));
+        assert_eq!(running_task(5.0, 2).speculation_saving(2.0), Some(4.0));
         // Not running => no speculation saving defined.
-        let mut t = running_task(5.0, 2.0, 0);
-        t.running_copies = 0;
-        assert_eq!(t.speculation_saving(), None);
+        assert_eq!(running_task(5.0, 0).speculation_saving(2.0), None);
     }
 
     #[test]
     fn saving_negative_when_new_copy_too_slow() {
         // trem = 3, tnew = 2: a new copy helps time-wise (GS would copy) but
         // saving = 3 - 4 = -1 < 0, so RAS refuses.
-        let t = running_task(3.0, 2.0, 1);
-        assert!(t.new_copy_beats_running());
-        assert!(t.speculation_saving().unwrap() < 0.0);
+        let t = running_task(3.0, 1);
+        assert!(t.new_copy_beats_running(2.0));
+        assert!(t.speculation_saving(2.0).unwrap() < 0.0);
     }
 
     #[test]
     fn gs_criterion_requires_running_copy() {
-        let t = running_task(3.0, 2.0, 0);
-        assert!(!t.new_copy_beats_running());
+        assert!(!running_task(3.0, 0).new_copy_beats_running(2.0));
     }
 }

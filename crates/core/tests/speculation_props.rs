@@ -2,9 +2,14 @@
 //!
 //! * The error-bound selection (`select_nth_unstable_by` plus one pass) picks
 //!   exactly what the sort-based walk of Pseudocode 2 picks, ties included. The
-//!   sorted walk is kept below as a test-only oracle. Estimates are drawn from a
-//!   few quantised values so that equal `tnew`, `trem`, effective durations and
-//!   savings are common — the simulator's continuous estimates almost never tie.
+//!   sorted walk is kept below as a test-only oracle.
+//! * The one-pass deadline pick picks exactly what Pseudocode 1's prune into two
+//!   `Vec`s followed by `min_by` / `max_by` picks, ties included. That two-`Vec`
+//!   version is kept below as a test-only oracle too.
+//!
+//!   Estimates are drawn from a few quantised values so that equal `tnew`,
+//!   `trem`, effective durations and savings are common — the simulator's
+//!   continuous estimates almost never tie.
 //! * The held-decline contract (`JobView::hold_decline`): when GS or RAS
 //!   declines, the decline stands at every later time while the job's own
 //!   tasks, copies and completed counts are unchanged.
@@ -14,7 +19,7 @@ use std::cell::Cell;
 use grass_core::speculation::{choose, MAX_COPIES_PER_TASK};
 use grass_core::{
     Action, Bound, GsPolicy, JobId, JobView, RasPolicy, SpeculationMode, SpeculationPolicy,
-    StageId, TaskId, TaskView, Time,
+    StageId, TaskId, TaskView, Time, TnewEstimate,
 };
 use proptest::prelude::*;
 
@@ -27,11 +32,13 @@ const EPSILON: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
 /// effective duration, keep the needed prefix, append the eligible non-input
 /// tasks, then prune and pick with `max_by` (which keeps the last maximum).
 fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
+    let tnew = |t: &TaskView| view.tnew(t);
+    let effective = |t: &TaskView| t.effective_duration(tnew(t));
     let mut input_tasks: Vec<&TaskView> = view
         .eligible_tasks()
         .filter(|t| t.stage.is_input())
         .collect();
-    input_tasks.sort_by(|a, b| a.effective_duration().total_cmp(&b.effective_duration()));
+    input_tasks.sort_by(|a, b| effective(a).total_cmp(&effective(b)));
     let still_needed = view
         .input_tasks_still_needed()
         .unwrap_or(input_tasks.len())
@@ -49,8 +56,8 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
                 continue;
             }
             let admissible = match mode {
-                SpeculationMode::Gs => t.new_copy_beats_running(),
-                SpeculationMode::Ras => t.speculation_saving().is_some_and(|s| s > 0.0),
+                SpeculationMode::Gs => t.new_copy_beats_running(tnew(t)),
+                SpeculationMode::Ras => t.speculation_saving(tnew(t)).is_some_and(|s| s > 0.0),
             };
             if admissible {
                 speculative.push(t);
@@ -60,16 +67,16 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
         }
     }
 
-    let saving = |t: &TaskView| t.speculation_saving().unwrap_or(f64::NEG_INFINITY);
+    let saving = |t: &TaskView| t.speculation_saving(tnew(t)).unwrap_or(f64::NEG_INFINITY);
     match mode {
         SpeculationMode::Gs => {
-            let best_fresh = fresh.into_iter().max_by(|a, b| a.tnew.total_cmp(&b.tnew));
+            let best_fresh = fresh.into_iter().max_by(|a, b| tnew(a).total_cmp(&tnew(b)));
             let best_spec = speculative
                 .into_iter()
                 .max_by(|a, b| a.trem.total_cmp(&b.trem));
             match (best_fresh, best_spec) {
                 (Some(f), Some(s)) => {
-                    if s.trem > f.tnew {
+                    if s.trem > tnew(f) {
                         Some(Action::speculate(s.id))
                     } else {
                         Some(Action::launch(f.id))
@@ -89,8 +96,71 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
             }
             fresh
                 .into_iter()
-                .max_by(|a, b| a.tnew.total_cmp(&b.tnew))
+                .max_by(|a, b| tnew(a).total_cmp(&tnew(b)))
                 .map(|f| Action::launch(f.id))
+        }
+    }
+}
+
+/// The pre-one-pass `choose_deadline` (Pseudocode 1): prune into a `Vec` of fresh
+/// tasks and one of admissible speculative copies, then pick with `min_by` (which
+/// keeps the first minimum) and `max_by` (which keeps the last maximum).
+fn two_vec_choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
+    let remaining = view.remaining_deadline().unwrap_or(f64::INFINITY);
+    if remaining <= 0.0 {
+        return None;
+    }
+    let tnew = |t: &TaskView| view.tnew(t);
+    let mut fresh: Vec<&TaskView> = Vec::new();
+    let mut speculative: Vec<&TaskView> = Vec::new();
+    for t in view.eligible_tasks() {
+        if tnew(t) > remaining {
+            continue;
+        }
+        if t.is_running() {
+            if t.running_copies >= MAX_COPIES_PER_TASK {
+                continue;
+            }
+            let admissible = match mode {
+                SpeculationMode::Gs => t.new_copy_beats_running(tnew(t)),
+                SpeculationMode::Ras => t.speculation_saving(tnew(t)).is_some_and(|s| s > 0.0),
+            };
+            if admissible {
+                speculative.push(t);
+            }
+        } else {
+            fresh.push(t);
+        }
+    }
+
+    let best_fresh = fresh.into_iter().min_by(|a, b| tnew(a).total_cmp(&tnew(b)));
+    match mode {
+        SpeculationMode::Gs => {
+            let best_spec = speculative
+                .into_iter()
+                .min_by(|a, b| tnew(a).total_cmp(&tnew(b)));
+            match (best_fresh, best_spec) {
+                (Some(f), Some(s)) => {
+                    if tnew(s) < tnew(f) {
+                        Some(Action::speculate(s.id))
+                    } else {
+                        Some(Action::launch(f.id))
+                    }
+                }
+                (Some(f), None) => Some(Action::launch(f.id)),
+                (None, Some(s)) => Some(Action::speculate(s.id)),
+                (None, None) => None,
+            }
+        }
+        SpeculationMode::Ras => {
+            let saving = |t: &TaskView| t.speculation_saving(tnew(t)).unwrap_or(f64::NEG_INFINITY);
+            if let Some(s) = speculative
+                .into_iter()
+                .max_by(|a, b| saving(a).total_cmp(&saving(b)))
+            {
+                return Some(Action::speculate(s.id));
+            }
+            best_fresh.map(|f| Action::launch(f.id))
         }
     }
 }
@@ -100,6 +170,7 @@ fn pick<T: Copy>(values: &[T], i: usize) -> T {
 }
 
 /// One task view from quantised draws: `(tnew, trem, copies, eligible, stage)`.
+/// `tnew` is the row's work, read through a unit per-work estimate and bias.
 fn quantised_task(
     id: usize,
     (tnew, trem, copies, eligible, stage): (usize, usize, u32, u8, u8),
@@ -121,7 +192,7 @@ fn quantised_task(
         } else {
             f64::INFINITY
         },
-        tnew,
+        tnew_bias: 1.0,
         true_remaining: 0.0,
         true_new_hint: tnew,
         work: tnew,
@@ -146,6 +217,7 @@ fn error_view(
         total_tasks: total_input + tasks.len(),
         completed_tasks: completed,
         tasks,
+        tnew_estimate: TnewEstimate::PerWork(1.0),
         wave_width: 4,
         cluster_utilization: 0.5,
         estimation_accuracy: 0.75,
@@ -169,6 +241,27 @@ proptest! {
         let view = error_view(&tasks, pick(&EPSILON, eps), input_in_view + completed + extra_input, completed, 5.0);
         for mode in MODES {
             prop_assert_eq!(choose(&view, mode), sorted_choose_error(&view, mode));
+        }
+    }
+
+    #[test]
+    fn deadline_pick_matches_the_two_vec_walk_with_ties(
+        raw in prop::collection::vec((0usize..4, 0usize..6, 0u32..=MAX_COPIES_PER_TASK, 0u8..8, 0u8..8), 0..24),
+        remaining in 0usize..7,
+        dag in any::<bool>(),
+    ) {
+        let tasks: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        // Remaining deadline at `now` = 5 from past due through wider than every
+        // `tnew`, with values equal to a `tnew` so admission ties occur; DAG jobs
+        // get a shorter input-stage deadline.
+        let deadline = 5.0 + pick(&[-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 10.0], remaining);
+        let view = JobView {
+            bound: Bound::Deadline(deadline),
+            input_deadline: dag.then_some(deadline - 0.5),
+            ..error_view(&tasks, 0.0, tasks.len() + 2, 2, 5.0)
+        };
+        for mode in MODES {
+            prop_assert_eq!(choose(&view, mode), two_vec_choose_deadline(&view, mode));
         }
     }
 }
@@ -248,7 +341,7 @@ fn model_tasks(raw: &[TaskDraw]) -> Vec<ModelTask> {
 
 /// The task views at `now`, built the way the simulator builds them: `trem` is the
 /// best copy's true remaining time (clamped at zero) times that copy's bias, and
-/// `tnew` does not depend on `now`.
+/// `tnew`, the work read through a unit per-work estimate, does not depend on `now`.
 fn views_at(tasks: &[ModelTask], now: Time) -> Vec<TaskView> {
     let remaining = |c: &RunningCopy| (c.start + c.duration - now).max(0.0);
     tasks
@@ -271,7 +364,7 @@ fn views_at(tasks: &[ModelTask], now: Time) -> Vec<TaskView> {
                 progress: 0.0,
                 progress_rate: 0.0,
                 trem,
-                tnew: t.tnew,
+                tnew_bias: 1.0,
                 true_remaining: true_rem,
                 true_new_hint: t.tnew,
                 work: t.tnew,

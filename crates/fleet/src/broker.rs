@@ -144,6 +144,12 @@ impl BrokerHandle {
     /// Block until every cell is terminal, stop accepting workers, then return
     /// grid-order results.
     ///
+    /// Workers already queued on the listener are still served, so they are told
+    /// `finished`. The listener is closed before this returns: a worker that
+    /// first connects afterwards is refused by the operating system, and
+    /// [`crate::run_worker`] fails with [`FleetError::Io`] (connection refused),
+    /// not `finished`.
+    ///
     /// Returns [`FleetError::Exhausted`] when any cell ran out of retries.
     pub fn wait(mut self) -> Result<FleetOutcome, FleetError> {
         let poll = Duration::from_millis(self.shared.config.poll_ms.max(1));
@@ -423,6 +429,27 @@ mod tests {
         let outcome = handle.wait().unwrap();
         assert_eq!(outcome.results, vec!["ra"]);
         assert_eq!(outcome.stats.dispatched, 0);
+    }
+
+    #[test]
+    fn worker_connecting_after_wait_is_refused() {
+        let handle = serve_broker(
+            vec!["a".into()],
+            vec![Some("ra".into())],
+            FleetConfig::test_profile(),
+        )
+        .unwrap();
+        let addr = handle.addr();
+        // `wait` joins the accept thread, which closes the listener.
+        handle.wait().unwrap();
+        let err = run_worker(addr, "too-late", &|_c: usize, _s: &str| {
+            Err("no cell should be granted".to_string())
+        })
+        .unwrap_err();
+        match err {
+            FleetError::Io(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused),
+            other => panic!("expected a refused connection, got {other}"),
+        }
     }
 
     #[test]

@@ -193,17 +193,17 @@ impl Request {
             }),
             "heartbeat" => Ok(Request::Heartbeat {
                 worker: frame.text("worker")?,
-                cell: frame.number("cell")? as usize,
+                cell: frame.number("cell")?,
             }),
             "complete" => Ok(Request::Complete {
                 worker: frame.text("worker")?,
-                cell: frame.number("cell")? as usize,
+                cell: frame.number("cell")?,
                 lease: frame.number("lease")?,
                 payload: frame.text("payload")?,
             }),
             "fail" => Ok(Request::Fail {
                 worker: frame.text("worker")?,
-                cell: frame.number("cell")? as usize,
+                cell: frame.number("cell")?,
                 lease: frame.number("lease")?,
                 error: frame.text("error")?,
             }),
@@ -263,12 +263,12 @@ impl Response {
         let frame = Frame::parse(line)?;
         match frame.tag {
             "welcome" => Ok(Response::Welcome {
-                version: frame.number("version")? as u32,
-                cells: frame.number("cells")? as usize,
+                version: frame.number("version")?,
+                cells: frame.number("cells")?,
             }),
             "grant" => Ok(Response::Grant {
-                cell: frame.number("cell")? as usize,
-                attempt: frame.number("attempt")? as u32,
+                cell: frame.number("cell")?,
+                attempt: frame.number("attempt")?,
                 lease: frame.number("lease")?,
                 heartbeat_ms: frame.number("heartbeat_ms")?,
                 spec: frame.text("spec")?,
@@ -322,10 +322,14 @@ impl<'a> Frame<'a> {
         unescape(self.raw(key)?).map_err(|e| format!("field `{key}`: {e}"))
     }
 
-    fn number(&self, key: &str) -> Result<u64, String> {
+    /// A decimal field converted to the frame's field type. A value out of that
+    /// type's range is an error naming the field, never a truncation.
+    fn number<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
         let raw = self.raw(key)?;
-        raw.parse::<u64>()
-            .map_err(|e| format!("field `{key}`={raw}: {e}"))
+        let wide = raw
+            .parse::<u64>()
+            .map_err(|e| format!("field `{key}`={raw}: {e}"))?;
+        T::try_from(wide).map_err(|_| format!("field `{key}`={raw}: out of range"))
     }
 }
 
@@ -424,6 +428,28 @@ mod tests {
 
         let err = read_frame(&mut &b"caf\xe9\n"[..], 8).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn out_of_range_numbers_fail_instead_of_truncating() {
+        // 2^32 + 2 once truncated to version 2 and passed the worker's check.
+        let err = Response::parse("welcome version=4294967298 cells=12").unwrap_err();
+        assert!(err.contains("`version`"), "{err}");
+        let err = Response::parse("grant cell=1 attempt=4294967297 lease=1 heartbeat_ms=5 spec=s")
+            .unwrap_err();
+        assert!(err.contains("`attempt`"), "{err}");
+        // The largest in-range values still parse.
+        assert_eq!(
+            Response::parse(&format!("welcome version={} cells=12", u32::MAX)).unwrap(),
+            Response::Welcome {
+                version: u32::MAX,
+                cells: 12
+            }
+        );
+        if usize::BITS < u64::BITS {
+            let err = Request::parse(&format!("heartbeat worker=w cell={}", u64::MAX)).unwrap_err();
+            assert!(err.contains("`cell`"), "{err}");
+        }
     }
 
     #[test]

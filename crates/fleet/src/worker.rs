@@ -73,6 +73,10 @@ impl FrameWriter {
 /// While a cell runs, a background thread heartbeats it at the cadence the
 /// broker supplied in the grant, so a long cell keeps its lease and a
 /// SIGKILLed worker stops heartbeating (and loses it).
+///
+/// A worker that first connects after [`crate::BrokerHandle::wait`] has
+/// returned finds the listener closed: it fails with [`FleetError::Io`]
+/// (connection refused), not with `finished`.
 pub fn run_worker(
     addr: impl ToSocketAddrs,
     worker_id: &str,

@@ -57,7 +57,7 @@ impl MantriPolicy {
                     && t.is_running()
                     && t.running_copies < self.config.max_copies
                     && t.progress >= self.config.min_progress
-                    && t.trem > self.config.restart_threshold * t.tnew
+                    && t.trem > self.config.restart_threshold * view.tnew(t)
             })
             .max_by(|a, b| a.trem.total_cmp(&b.trem))
     }

@@ -53,7 +53,7 @@ impl SpeculationPolicy for SjfPolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        pick_unscheduled(view, |a, b| a.tnew.total_cmp(&b.tnew))
+        pick_unscheduled(view, |a, b| view.tnew(a).total_cmp(&view.tnew(b)))
     }
 }
 
@@ -68,7 +68,7 @@ impl SpeculationPolicy for LjfPolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        pick_unscheduled(view, |a, b| b.tnew.total_cmp(&a.tnew))
+        pick_unscheduled(view, |a, b| view.tnew(b).total_cmp(&view.tnew(a)))
     }
 }
 

@@ -17,7 +17,7 @@
 
 use grass_core::speculation::{choose, SpeculationMode};
 use grass_core::{
-    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
+    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView, TnewEstimate,
 };
 
 /// Per-job oracle policy.
@@ -25,11 +25,10 @@ use grass_core::{
 pub struct OraclePolicy;
 
 impl OraclePolicy {
-    /// Rewrite a task view so the estimate fields carry ground truth.
+    /// Rewrite a task view so its remaining-time estimate carries ground truth.
     fn with_truth(task: &TaskView) -> TaskView {
         let mut t = task.clone();
         t.trem = t.true_remaining;
-        t.tnew = t.true_new_hint;
         t
     }
 }
@@ -40,11 +39,13 @@ impl SpeculationPolicy for OraclePolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        // Substitute ground truth for every estimate, then run the GS/RAS machinery
-        // with the oracle-exact switch point.
+        // Substitute ground truth for every estimate (`trem` per row, `tnew` by
+        // marking the view's estimates oracle), then run the GS/RAS machinery with
+        // the oracle-exact switch point.
         let truth_tasks: Vec<TaskView> = view.tasks.iter().map(Self::with_truth).collect();
         let truth_view = JobView {
             tasks: &truth_tasks,
+            tnew_estimate: TnewEstimate::Oracle,
             estimation_accuracy: 1.0,
             ..view.clone()
         };

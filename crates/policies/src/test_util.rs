@@ -2,9 +2,10 @@
 
 #![allow(dead_code)]
 
-use grass_core::{Bound, JobId, JobView, StageId, TaskId, TaskView};
+use grass_core::{Bound, JobId, JobView, StageId, TaskId, TaskView, TnewEstimate};
 
-/// An unscheduled input-stage task with the given estimated fresh-copy duration.
+/// An unscheduled input-stage task with the given estimated fresh-copy duration: its
+/// `work` with a unit bias, read through the helper views' unit per-work estimate.
 pub fn unscheduled_task(id: u32, tnew: f64) -> TaskView {
     TaskView {
         id: TaskId(id),
@@ -15,7 +16,7 @@ pub fn unscheduled_task(id: u32, tnew: f64) -> TaskView {
         progress: 0.0,
         progress_rate: 0.0,
         trem: f64::INFINITY,
-        tnew,
+        tnew_bias: 1.0,
         true_remaining: f64::INFINITY,
         true_new_hint: tnew,
         work: tnew,
@@ -37,7 +38,7 @@ pub fn running_task(id: u32, trem: f64, tnew: f64, copies: u32) -> TaskView {
         progress,
         progress_rate: progress / elapsed,
         trem,
-        tnew,
+        tnew_bias: 1.0,
         true_remaining: trem,
         true_new_hint: tnew,
         work: tnew,
@@ -57,6 +58,7 @@ pub fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobV
         total_tasks: tasks.len() + 1,
         completed_tasks: 1,
         tasks,
+        tnew_estimate: TnewEstimate::PerWork(1.0),
         wave_width: 4,
         cluster_utilization: 0.7,
         estimation_accuracy: 0.75,
@@ -82,6 +84,7 @@ pub fn error_view<'a>(
         total_tasks: total,
         completed_tasks: completed,
         tasks,
+        tnew_estimate: TnewEstimate::PerWork(1.0),
         wave_width: 4,
         cluster_utilization: 0.7,
         estimation_accuracy: 0.75,

@@ -19,7 +19,9 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use grass_core::{ActionKind, Bound, JobId, JobOutcome, JobSpec, JobView, PolicyFactory, Time};
+use grass_core::{
+    ActionKind, Bound, JobId, JobOutcome, JobSpec, JobView, PolicyFactory, Time, TnewEstimate,
+};
 
 use crate::event::{Event, EventQueue};
 use crate::machine::{Machine, SlotId};
@@ -213,6 +215,7 @@ impl<'a> ReferenceSimulator<'a> {
                 self.now,
                 self.fair_share(),
                 self.utilization(),
+                runtime.tnew_estimate(&self.config.estimator, self.mean_slowdown),
             );
             runtime.policy.on_job_start(&view);
             self.view_scratch = views;
@@ -287,7 +290,8 @@ impl<'a> ReferenceSimulator<'a> {
                 self.mean_slowdown,
                 &mut views,
             );
-            let view = Self::job_view(job, &views, self.now, fair, util);
+            let estimate = job.tnew_estimate(&self.config.estimator, self.mean_slowdown);
+            let view = Self::job_view(job, &views, self.now, fair, util, estimate);
             job.policy.on_task_complete(&view, task);
             self.view_scratch = views;
         }
@@ -348,6 +352,7 @@ impl<'a> ReferenceSimulator<'a> {
         now: Time,
         fair_share: usize,
         utilization: f64,
+        tnew_estimate: TnewEstimate,
     ) -> JobView<'v> {
         JobView {
             job: job.spec.id,
@@ -360,6 +365,7 @@ impl<'a> ReferenceSimulator<'a> {
             total_tasks: job.spec.total_tasks(),
             completed_tasks: job.completed_total(),
             tasks: views,
+            tnew_estimate,
             wave_width: job
                 .allocated_slots
                 .max(fair_share.min(job.spec.total_tasks())),
@@ -440,7 +446,8 @@ impl<'a> ReferenceSimulator<'a> {
         if views.is_empty() {
             return false;
         }
-        let view = Self::job_view(job, views, self.now, fair_share, utilization);
+        let estimate = job.tnew_estimate(&estimator, mean_slowdown);
+        let view = Self::job_view(job, views, self.now, fair_share, utilization, estimate);
         let Some(action) = job.policy.choose(&view) else {
             return false;
         };

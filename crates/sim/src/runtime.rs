@@ -5,7 +5,7 @@ use rand::Rng;
 
 use grass_core::{
     degrade_estimate, AccuracyTracker, Bound, BoxedPolicy, EstimatorConfig, JobOutcome, JobSpec,
-    TaskId, TaskSpec, TaskView, Time,
+    TaskId, TaskSpec, TaskView, Time, TnewEstimate,
 };
 
 use crate::event::CopyId;
@@ -192,15 +192,14 @@ pub struct JobRuntime {
     /// engine.
     pub stats_cursor: usize,
     /// Resident [`TaskView`] table: one row per unfinished task, in ascending
-    /// task id, as [`refresh_task_views`](Self::refresh_task_views) last left
-    /// it. Empty until the first refresh and again once the job is finalised.
+    /// task id. Launches and completions keep its rows current; the running
+    /// rows' time fields are as of the last
+    /// [`refresh_task_views`](Self::refresh_task_views). Empty until the first
+    /// refresh and again once the job is finalised.
     pub(crate) task_views: Vec<TaskView>,
     /// `now` the running rows' copy fields were derived at; `None` while the
     /// table is unbuilt.
     views_at: Option<Time>,
-    /// A task completed since the last refresh: finished rows are still in the
-    /// table, and `tnew` / `eligible` may be out of date in every row.
-    views_stale: bool,
 }
 
 impl JobRuntime {
@@ -248,7 +247,6 @@ impl JobRuntime {
             stats_cursor: 0,
             task_views: Vec::new(),
             views_at: None,
-            views_stale: false,
         }
     }
 
@@ -314,25 +312,22 @@ impl JobRuntime {
         }
     }
 
-    /// Derive `row`'s estimate fields (`eligible` and `tnew`): the fields a task
-    /// completion can move in every row.
-    fn derive_estimate_fields(
+    /// What the job's views derive `tnew` from ([`grass_core::JobView::tnew`]):
+    /// the per-work estimate, or ground truth under oracle estimates.
+    pub fn tnew_estimate(
         &self,
-        row: &mut TaskView,
-        task: &TaskRuntime,
-        per_work: f64,
         estimator: &EstimatorConfig,
-    ) {
-        row.eligible = self.stage_eligible(row.stage.value() as usize);
-        row.tnew = if estimator.oracle {
-            row.true_new_hint
+        cluster_mean_slowdown: f64,
+    ) -> TnewEstimate {
+        if estimator.oracle {
+            TnewEstimate::Oracle
         } else {
-            (row.work * per_work * task.tnew_bias).max(1e-6)
-        };
+            TnewEstimate::PerWork(self.duration_per_work_estimate(cluster_mean_slowdown))
+        }
     }
 
-    /// The resident task views, as the last
-    /// [`refresh_task_views`](Self::refresh_task_views) left them.
+    /// The resident task views, their running rows' time fields as of the last
+    /// [`refresh_task_views`](Self::refresh_task_views).
     pub fn task_views(&self) -> &[TaskView] {
         &self.task_views
     }
@@ -341,51 +336,41 @@ impl JobRuntime {
     /// bit for bit, what [`build_task_views`](Self::build_task_views) returns at
     /// `now`, provided `now` never runs backwards.
     ///
-    /// The first refresh builds the table. After that, only what changed is
-    /// re-derived:
+    /// The first refresh builds the table. A row holds nothing job-wide (`tnew`
+    /// is derived on read from the job's per-work estimate), so after that only
+    /// the rows an event changed are touched:
     ///
     /// * a launch re-derives its task's row ([`launch_copy`](Self::launch_copy));
-    /// * after a task completion, finished rows are dropped and every row's
-    ///   `tnew` and `eligible` re-derived, since the completion moved the
-    ///   per-work estimate and may have unlocked a stage;
+    /// * a task completion removes its task's row, and when it meets its
+    ///   stage's requirement marks the next stage's rows eligible
+    ///   ([`complete_copy`](Self::complete_copy));
     /// * when `now` moved, the rows with a running copy re-derive their copy
-    ///   fields (a row without one does not depend on `now`).
+    ///   fields here (a row without one does not depend on `now`).
     pub fn refresh_task_views(
         &mut self,
         now: Time,
         estimator: &EstimatorConfig,
         cluster_mean_slowdown: f64,
     ) {
-        let mut rows = std::mem::take(&mut self.task_views);
         match self.views_at {
-            None => self.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut rows),
-            Some(at) => {
-                let moved = at.to_bits() != now.to_bits();
-                if self.views_stale {
-                    let per_work = self.duration_per_work_estimate(cluster_mean_slowdown);
-                    rows.retain_mut(|row| {
-                        // grass: allow(panicky-lib, "rows are built from this runtime's own tasks")
-                        let task = &self.tasks[row.id.index()];
-                        if task.finished {
-                            return false;
-                        }
-                        self.derive_estimate_fields(row, task, per_work, estimator);
-                        if moved && row.running_copies > 0 {
-                            task.derive_copy_fields(row, now, estimator);
-                        }
-                        true
-                    });
-                } else if moved {
-                    for row in rows.iter_mut().filter(|row| row.running_copies > 0) {
-                        // grass: allow(panicky-lib, "rows are built from this runtime's own tasks")
-                        self.tasks[row.id.index()].derive_copy_fields(row, now, estimator);
-                    }
+            None => {
+                let mut rows = std::mem::take(&mut self.task_views);
+                self.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut rows);
+                self.task_views = rows;
+            }
+            Some(at) if at.to_bits() != now.to_bits() => {
+                for row in self
+                    .task_views
+                    .iter_mut()
+                    .filter(|row| row.running_copies > 0)
+                {
+                    // grass: allow(panicky-lib, "rows are built from this runtime's own tasks")
+                    self.tasks[row.id.index()].derive_copy_fields(row, now, estimator);
                 }
             }
+            Some(_) => {}
         }
-        self.task_views = rows;
         self.views_at = Some(now);
-        self.views_stale = false;
     }
 
     /// Build the [`TaskView`]s for every unfinished task.
@@ -413,7 +398,6 @@ impl JobRuntime {
         views: &mut Vec<TaskView>,
     ) {
         views.clear();
-        let per_work = self.duration_per_work_estimate(cluster_mean_slowdown);
         for (idx, task) in self.tasks.iter().enumerate() {
             if task.finished {
                 continue;
@@ -421,18 +405,17 @@ impl JobRuntime {
             let mut row = TaskView {
                 id: TaskId(idx as u32),
                 stage: task.spec.stage,
-                eligible: false,
+                eligible: self.stage_eligible(task.spec.stage.value() as usize),
                 running_copies: 0,
                 elapsed: 0.0,
                 progress: 0.0,
                 progress_rate: 0.0,
                 trem: f64::INFINITY,
-                tnew: 0.0,
+                tnew_bias: task.tnew_bias,
                 true_remaining: f64::INFINITY,
                 true_new_hint: task.spec.work * cluster_mean_slowdown,
                 work: task.spec.work,
             };
-            self.derive_estimate_fields(&mut row, task, per_work, estimator);
             task.derive_copy_fields(&mut row, now, estimator);
             views.push(row);
         }
@@ -526,7 +509,6 @@ impl JobRuntime {
         t.finish_time = Some(now);
         effect.task_completed = true;
         self.unfinished -= 1;
-        self.views_stale = true;
 
         let stage = t.spec.stage.value() as usize;
         let work = t.spec.work;
@@ -542,6 +524,21 @@ impl JobRuntime {
             // measured-accuracy signal GRASS consumes.
             self.accuracy.record(actual * rem_bias, actual);
             self.accuracy.record(work * tnew_bias, actual);
+        }
+
+        // Keep the resident table current (an unbuilt table is empty): the
+        // task's row goes, and the completion that meets its stage's requirement
+        // unlocks the next stage.
+        if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
+            self.task_views.remove(pos);
+        }
+        // grass: allow(panicky-lib, "stage comes from this task's spec; completed_per_stage is sized from spec.stages")
+        if self.completed_per_stage[stage] == self.stage_needed(stage) {
+            for row in &mut self.task_views {
+                if row.stage.value() as usize == stage + 1 {
+                    row.eligible = true;
+                }
+            }
         }
     }
 
@@ -698,7 +695,9 @@ mod tests {
         let idle = views.iter().find(|v| v.id == TaskId(1)).unwrap();
         assert_eq!(idle.running_copies, 0);
         assert!(idle.trem.is_infinite());
-        assert!((idle.tnew - 4.0).abs() < 1e-12);
+        // Oracle estimates: views read `tnew` as the ground-truth hint.
+        assert_eq!(rt.tnew_estimate(&est, 1.0), TnewEstimate::Oracle);
+        assert!((idle.true_new_hint - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -826,16 +825,19 @@ mod tests {
         let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, 0.0, &mut rng);
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 5.0, &est, &mut rng);
         let views = rt.build_task_views(1.0, &est, 1.0);
+        // Before any completion the per-work estimate is the mean slowdown, 1.0
+        // here, so `tnew` = work × bias deviates from the hint iff the bias is not 1.
+        assert_eq!(rt.tnew_estimate(&est, 1.0), TnewEstimate::PerWork(1.0));
         let mut any_differs = false;
         for v in &views {
-            assert!(v.tnew > 0.0);
+            assert!(v.tnew_bias > 0.0);
             if v.is_running() {
                 assert!(v.trem >= 0.0);
                 if (v.trem - v.true_remaining).abs() > 1e-9 {
                     any_differs = true;
                 }
             }
-            if (v.tnew - v.true_new_hint).abs() > 1e-9 {
+            if (v.tnew_bias - 1.0).abs() > 1e-9 {
                 any_differs = true;
             }
         }

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use grass_core::{
     ActionKind, Bound, EstimatorConfig, JobId, JobOutcome, JobSpec, JobView, PolicyFactory, Time,
+    TnewEstimate,
 };
 
 use crate::cluster::ClusterConfig;
@@ -176,10 +177,14 @@ pub fn run_simulation_traced(
 /// ([`JobRuntime::refresh_task_views`]) instead of rebuilding every row per
 /// consultation and per completion hook. `on_job_start`, `on_task_complete` and
 /// `choose()` all read that table: built once at arrival, refreshed in place
-/// (a launch re-derives its row, a completion drops finished rows and
-/// re-derives `tnew` / `eligible`, a new `now` re-derives the running rows),
-/// and freed when the job is finalised. Every refresh yields the rows
-/// [`JobRuntime::build_task_views`] would build at that instant, bit for bit.
+/// (a launch re-derives its row, a completion removes its own row and, when it
+/// meets its stage's requirement, marks the next stage's rows eligible, and a
+/// new `now` re-derives the running rows), and freed when the job is
+/// finalised. Every refresh yields the rows [`JobRuntime::build_task_views`]
+/// would build at that instant, bit for bit. Rows hold no job-wide state: each
+/// view carries the job's [`TnewEstimate`], and policies derive `tnew` from it
+/// on read ([`JobView::tnew`]), so the per-work estimate a completion moves
+/// rewrites no row.
 struct Simulator<'a> {
     config: SimConfig,
     factory: &'a dyn PolicyFactory,
@@ -396,6 +401,7 @@ impl<'a> Simulator<'a> {
             self.now,
             self.fair_share(),
             self.utilization(),
+            runtime.tnew_estimate(&self.config.estimator, self.mean_slowdown),
         );
         runtime.policy.on_job_start(&view);
 
@@ -482,7 +488,8 @@ impl<'a> Simulator<'a> {
 
         if effect.task_completed {
             job.refresh_task_views(self.now, &self.config.estimator, self.mean_slowdown);
-            let view = Self::job_view(job, &job.task_views, self.now, fair, util);
+            let estimate = job.tnew_estimate(&self.config.estimator, self.mean_slowdown);
+            let view = Self::job_view(job, &job.task_views, self.now, fair, util, estimate);
             job.policy.on_task_complete(&view, task);
         }
 
@@ -547,6 +554,7 @@ impl<'a> Simulator<'a> {
         now: Time,
         fair_share: usize,
         utilization: f64,
+        tnew_estimate: TnewEstimate,
     ) -> JobView<'v> {
         JobView {
             job: job.spec.id,
@@ -559,6 +567,7 @@ impl<'a> Simulator<'a> {
             total_tasks: job.spec.total_tasks(),
             completed_tasks: job.completed_total(),
             tasks: views,
+            tnew_estimate,
             wave_width: job
                 .allocated_slots
                 .max(fair_share.min(job.spec.total_tasks())),
@@ -613,7 +622,15 @@ impl<'a> Simulator<'a> {
         if job.task_views.is_empty() {
             return;
         }
-        let view = Self::job_view(job, &job.task_views, self.now, fair_share, utilization);
+        let estimate = job.tnew_estimate(&estimator, self.mean_slowdown);
+        let view = Self::job_view(
+            job,
+            &job.task_views,
+            self.now,
+            fair_share,
+            utilization,
+            estimate,
+        );
         self.stats.policy_consultations += 1;
         let Some(action) = job.policy.choose(&view) else {
             // A held decline stands until the job's own state changes, and only a

@@ -144,17 +144,17 @@ fn parse_err(line: usize, message: impl Into<String>) -> TraceError {
 
 /// Percent-escape a text value so what remains is printable ASCII containing no
 /// whitespace and none of the codec's structural characters (`=`, `%`, and the
-/// `:` / `|` / `,` list separators used inside composite fields). Non-ASCII bytes
-/// are escaped too, so the escaped form is byte-for-byte ASCII and [`unescape`]
-/// reassembles the original UTF-8 exactly.
+/// `:` / `|` / `,` list separators used inside composite fields). Every other
+/// byte outside printable ASCII is escaped too: spaces and control bytes
+/// (including the vertical tab and form feed that `split_whitespace` splits on),
+/// and non-ASCII bytes, so the escaped form is byte-for-byte ASCII and
+/// [`unescape`] reassembles the original UTF-8 exactly.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for b in s.bytes() {
         match b {
-            b' ' | b'=' | b'%' | b'\n' | b'\r' | b'\t' | b':' | b'|' | b',' => {
-                escape_byte(b, &mut out)
-            }
-            _ if !b.is_ascii() => escape_byte(b, &mut out),
+            b'=' | b'%' | b':' | b'|' | b',' => escape_byte(b, &mut out),
+            _ if !b.is_ascii_graphic() => escape_byte(b, &mut out),
             _ => out.push(b as char),
         }
     }
@@ -449,8 +449,10 @@ mod tests {
             "日本語",
             "map:shuffle",
             "a|b,c:d",
+            "vt\x0bff\x0cus\x1fdel\x7f",
         ] {
             assert_eq!(unescape(&escape(s)).unwrap(), s, "round trip of {s:?}");
+            assert!(escape(s).bytes().all(|b| b.is_ascii_graphic()), "{s:?}");
         }
         assert!(escape("a b=c%").chars().all(|c| c != ' ' && c != '='));
         // Escaped output is pure ASCII with no structural characters left.

@@ -78,6 +78,7 @@ pub mod prelude {
         JobSizeBin, JobSpec, JobView, PolicyFactory, QuantileSketch, RasFactory, RasPolicy,
         SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
         StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskSpec, TaskView, Time,
+        TnewEstimate,
     };
     pub use grass_experiments::{
         assemble_sweep_result, compare, compare_outcomes, experiment_ids, make_factory,

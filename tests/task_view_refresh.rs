@@ -6,7 +6,15 @@
 //! after every step the resident rows must equal `build_task_views` at the
 //! same `now`, every `f64` compared by its bits.
 //!
+//! Rows hold no `tnew`: views derive it on read (`JobView::tnew`) from the
+//! job's per-work estimate. So every step also checks each resident row's
+//! `JobView::tnew`, by bits, against `(work × per_work) × tnew_bias` floored at
+//! `1e-6` (or `work × mean slowdown` under oracle estimates), evaluated from the
+//! runtime's own state.
+//!
 //! `PROPTEST_CASES` sets the case count (CI runs 500 in release).
+
+use std::cell::Cell;
 
 use grass::prelude::*;
 use proptest::prelude::*;
@@ -40,7 +48,7 @@ fn row_bits(row: &TaskView) -> (u32, u8, bool, u32, [u64; 8]) {
             row.progress.to_bits(),
             row.progress_rate.to_bits(),
             row.trem.to_bits(),
-            row.tnew.to_bits(),
+            row.tnew_bias.to_bits(),
             row.true_remaining.to_bits(),
             row.true_new_hint.to_bits(),
             row.work.to_bits(),
@@ -68,6 +76,38 @@ fn assert_resident_rows_match_a_full_build(
             row_bits(have),
             row_bits(want),
             "step {step} at t={now}: resident {have:?} != built {want:?}"
+        );
+    }
+
+    let view = JobView {
+        job: rt.spec.id,
+        now,
+        arrival: rt.spec.arrival,
+        bound: rt.spec.bound,
+        input_deadline: rt.input_deadline,
+        total_input_tasks: rt.spec.input_tasks(),
+        completed_input_tasks: rt.completed_input(),
+        total_tasks: rt.spec.total_tasks(),
+        completed_tasks: rt.completed_total(),
+        tasks: resident,
+        tnew_estimate: rt.tnew_estimate(estimator, MEAN_SLOWDOWN),
+        wave_width: 1,
+        cluster_utilization: 0.0,
+        estimation_accuracy: rt.accuracy.accuracy(),
+        decline_hold: Cell::new(false),
+    };
+    let per_work = rt.duration_per_work_estimate(MEAN_SLOWDOWN);
+    for row in resident {
+        let task = &rt.tasks[row.id.index()];
+        let want = if estimator.oracle {
+            task.spec.work * MEAN_SLOWDOWN
+        } else {
+            (task.spec.work * per_work * task.tnew_bias).max(1e-6)
+        };
+        assert_eq!(
+            view.tnew(row).to_bits(),
+            want.to_bits(),
+            "step {step} at t={now}: tnew of {row:?}"
         );
     }
 }
