@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::job::{JobSpec, JobView};
 use crate::outcome::JobOutcome;
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::speculation::{choose, choose_holding, SpeculationMode};
+use crate::speculation::{choose_holding, choose_memoised, NeededSetMemo, SpeculationMode};
 use crate::task::Time;
 
 /// Configuration of the GRASS algorithm.
@@ -131,6 +131,9 @@ pub struct GrassPolicy {
     switched: bool,
     last_check: Option<Time>,
     scan_cache: SwitchScanCache,
+    /// Where this job's error-bound needed set ended at its last decision. The set
+    /// does not depend on the mode, so one memo serves RAS and GS alike.
+    memo: NeededSetMemo,
 }
 
 impl GrassPolicy {
@@ -148,6 +151,7 @@ impl GrassPolicy {
             switched: false,
             last_check: None,
             scan_cache: SwitchScanCache::new(),
+            memo: NeededSetMemo::default(),
         }
     }
 
@@ -203,15 +207,15 @@ impl SpeculationPolicy for GrassPolicy {
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         if let Some(mode) = self.forced {
-            return choose_holding(view, mode);
+            return choose_holding(view, mode, &mut self.memo);
         }
         self.maybe_switch(view);
         // Before its mode is final, a RAS decline may become a GS launch once the
         // switch rule (which reads utilisation and the shared store) fires.
         if self.switched || matches!(self.config.strategy, SwitchStrategy::Never) {
-            choose_holding(view, self.mode)
+            choose_holding(view, self.mode, &mut self.memo)
         } else {
-            choose(view, self.mode)
+            choose_memoised(view, self.mode, &mut self.memo)
         }
     }
 

@@ -76,6 +76,11 @@ pub trait SpeculationPolicy: Send {
     /// 2. A `None` returned after [`JobView::hold_decline`] stands until the job's own
     ///    state changes: the job is not asked again until one of its copies finishes.
     ///    Policies that cannot promise this simply never call it.
+    ///
+    /// An instance is asked only about the job it was created for, so it may keep
+    /// state that speeds up its next decision on that job: GS, RAS and GRASS remember
+    /// where the job's error-bound needed set ended last time. Such a memo must stay
+    /// a hint the decision re-checks: it may make a decision cheaper, never different.
     fn choose(&mut self, view: &JobView) -> Option<Action>;
 
     /// Called when one of the job's tasks completes (its first copy finishes).

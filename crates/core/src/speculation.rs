@@ -15,13 +15,11 @@
 //!    unscheduled tasks ("at default, both algorithms schedule the task with the
 //!    lowest `tnew` / highest `trem`").
 
-use std::cmp::Ordering;
-
 use serde::{Deserialize, Serialize};
 
 use crate::job::{Bound, JobSpec, JobView};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::task::TaskView;
+use crate::task::{TaskId, TaskView};
 
 /// Which of the two building-block algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -48,13 +46,28 @@ impl SpeculationMode {
 /// pathological duplication when estimates are badly wrong.
 pub const MAX_COPIES_PER_TASK: u32 = 3;
 
-/// Choose the next action for a job under GS or RAS. Shared by the plain [`GsPolicy`]
-/// / [`RasPolicy`] wrappers, by GRASS (which alternates between the two modes), and by
-/// the oracle baseline (which feeds ground-truth estimates through the same logic).
+/// Choose the next action for a job under GS or RAS, keeping no state between calls.
+///
+/// The oracle baseline (which feeds ground-truth estimates through the same logic)
+/// and tests call this. The per-job policies, [`GsPolicy`], [`RasPolicy`] and GRASS
+/// (which alternates between the two modes), make the same decisions through a
+/// memoised entry that remembers where the job's error-bound needed set ended; this
+/// entry passes it an empty memo, so every error-bound decision selects the needed
+/// set afresh. Both return the same action for the same view.
 pub fn choose(view: &JobView, mode: SpeculationMode) -> Option<Action> {
+    choose_memoised(view, mode, &mut NeededSetMemo::default())
+}
+
+/// [`choose`], checking and updating `memo`, the needed-set memo of the job `view`
+/// belongs to. The memo only saves work: the action equals [`choose`]'s for any memo.
+pub(crate) fn choose_memoised(
+    view: &JobView,
+    mode: SpeculationMode,
+    memo: &mut NeededSetMemo,
+) -> Option<Action> {
     match view.bound {
         Bound::Deadline(_) => choose_deadline(view, mode),
-        Bound::Error(_) => choose_error(view, mode),
+        Bound::Error(_) => choose_error(view, mode, memo),
     }
 }
 
@@ -123,127 +136,214 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
 }
 
 /// Pseudocode 2: error-bound jobs.
-fn choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
-    // Keep the earliest unfinished *input* tasks by effective duration that will make
-    // up the (1 − ε) result, plus every eligible non-input task (intermediate stages
-    // must run in full for the completed fraction). Only the needed *set* matters, so
-    // a selection replaces a sort; `Walk` keeps the sorted order's tie-breaks.
-    let mut needed: Vec<Walk> = view
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.eligible && t.stage.is_input())
-        .map(|(index, task)| Walk {
-            non_input: false,
-            effective: task.effective_duration(view.tnew(task)),
-            index,
-            task,
-        })
-        .collect();
-    let still_needed = view
-        .input_tasks_still_needed()
-        .unwrap_or(needed.len())
-        .min(needed.len());
-    if still_needed < needed.len() {
-        needed.select_nth_unstable_by(still_needed, Walk::cmp);
-        needed.truncate(still_needed);
+///
+/// The candidates are the earliest `still_needed` unfinished *input* tasks by
+/// effective duration, which will make up the (1 − ε) result, plus every eligible
+/// non-input task (intermediate stages must run in full for the completed
+/// fraction). Only the needed *set* matters, and the picks below depend only on it,
+/// not on the order its rows are offered in.
+fn choose_error(view: &JobView, mode: SpeculationMode, memo: &mut NeededSetMemo) -> Option<Action> {
+    let still_needed = view.input_tasks_still_needed().unwrap_or(usize::MAX);
+    let mut picks = ErrorPicks::default();
+    if still_needed > 0 && !memo.offer_checked(view, mode, still_needed, &mut picks) {
+        picks = ErrorPicks::default();
+        memo.offer_selected(view, mode, still_needed, &mut picks);
     }
-    let non_input = view
-        .tasks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.eligible && !t.stage.is_input())
-        .map(|(index, task)| Walk {
-            non_input: true,
-            effective: 0.0,
-            index,
-            task,
-        });
+    for (index, t) in view.tasks.iter().enumerate() {
+        if t.eligible && !t.stage.is_input() {
+            picks.offer(mode, walk_key(true, 0.0, index), t, view.tnew(t));
+        }
+    }
+    picks.action(mode)
+}
 
-    // Pruning and selection in one pass. The goal is to minimise the makespan of the
-    // needed tasks, so the default ordering is LJF: longest work first. GS picks the
-    // candidate with the largest remaining time: the task that most threatens the
-    // makespan, whether by launching it (fresh) or by racing a copy against its
-    // straggling original. RAS speculates only when that saves resources.
-    let mut fresh: Option<Pick> = None;
-    let mut speculative: Option<Pick> = None;
-    for at in needed.into_iter().chain(non_input) {
-        let t = at.task;
-        let tnew = view.tnew(t);
+/// Whether Pseudocode 2 ranks `t` by effective duration: an eligible input task.
+fn needed_candidate(t: &TaskView) -> bool {
+    t.eligible && t.stage.is_input()
+}
+
+/// A row's position in Pseudocode 2's walk: the needed input tasks sorted by
+/// `(effective duration, view index)` (a stable sort by duration), then every
+/// eligible non-input task in view order. Packed into one integer with that order,
+/// most significant first: the non-input flag (bit 127), the [`f64::total_cmp`]
+/// order of the effective duration (bits 63–126; non-input rows pass 0), and the view
+/// index (bits 0–62; a slice holds fewer than 2^63 rows). The index makes every
+/// row's key distinct.
+fn walk_key(non_input: bool, effective: f64, index: usize) -> u128 {
+    let bits = effective.to_bits();
+    // `total_cmp` order as an unsigned integer: negatives flip every bit, so larger
+    // magnitudes sort lower; positives set the sign bit, so they sort above them.
+    let order = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(non_input) << 127 | u128::from(order) << 63 | index as u128
+}
+
+/// The view index packed into a [`walk_key`].
+fn key_index(key: u128) -> usize {
+    (key & ((1 << 63) - 1)) as usize
+}
+
+/// An eligible input row's walk key and `tnew`.
+fn input_key(view: &JobView, index: usize, t: &TaskView) -> (u128, f64) {
+    let tnew = view.tnew(t);
+    (walk_key(false, t.effective_duration(tnew), index), tnew)
+}
+
+/// Where one job's error-bound needed set ended at its previous decision: the task
+/// whose walk position was the `still_needed`-th smallest, i.e. the needed set's
+/// last row.
+///
+/// Between two decisions of a job that boundary rarely moves, so the next decision
+/// re-keys that task at its own `now` and per-work estimate and counts, in one pass,
+/// the rows at or below it. If they number exactly `still_needed` they are the needed
+/// set, because walk keys are distinct. Otherwise the decision selects the set and
+/// stores its new boundary. The memo is a hint that every decision re-checks: one that
+/// is missing, stale or from another job costs one selection and never changes an
+/// answer.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct NeededSetMemo {
+    boundary: Option<TaskId>,
+}
+
+impl NeededSetMemo {
+    /// Offer the needed set to `picks` if the stored boundary still delimits it, and
+    /// report whether it did. On `false`, `picks` holds a partial offer to discard.
+    fn offer_checked(
+        &self,
+        view: &JobView,
+        mode: SpeculationMode,
+        still_needed: usize,
+        picks: &mut ErrorPicks,
+    ) -> bool {
+        // Rows are in ascending task id, so the boundary task is a binary search away.
+        let Some(at) = self
+            .boundary
+            .and_then(|id| view.tasks.binary_search_by_key(&id, |t| t.id).ok())
+        else {
+            return false;
+        };
+        let Some(boundary) = view.tasks.get(at).filter(|t| needed_candidate(t)) else {
+            return false;
+        };
+        let (threshold, _) = input_key(view, at, boundary);
+        let (mut candidates, mut at_or_below) = (0, 0);
+        for (index, t) in view.tasks.iter().enumerate() {
+            if !needed_candidate(t) {
+                continue;
+            }
+            candidates += 1;
+            let (key, tnew) = input_key(view, index, t);
+            if key <= threshold {
+                at_or_below += 1;
+                picks.offer(mode, key, t, tnew);
+            }
+        }
+        at_or_below == still_needed.min(candidates)
+    }
+
+    /// Select the needed set, offer it to `picks` and store its boundary.
+    fn offer_selected(
+        &mut self,
+        view: &JobView,
+        mode: SpeculationMode,
+        still_needed: usize,
+        picks: &mut ErrorPicks,
+    ) {
+        let mut keys: Vec<u128> = view
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| needed_candidate(t))
+            .map(|(index, t)| input_key(view, index, t).0)
+            .collect();
+        let needed = still_needed.min(keys.len());
+        let Some(last) = needed.checked_sub(1) else {
+            return;
+        };
+        let boundary = *keys.select_nth_unstable(last).1;
+        keys.truncate(needed);
+        let row = |key: u128| view.tasks.get(key_index(key));
+        self.boundary = row(boundary).map(|t| t.id);
+        for key in keys {
+            if let Some(t) = row(key) {
+                picks.offer(mode, key, t, view.tnew(t));
+            }
+        }
+    }
+}
+
+/// The best candidate so far, the value it was ranked by and its walk key.
+#[derive(Clone, Copy)]
+struct Pick {
+    value: f64,
+    key: u128,
+    id: TaskId,
+}
+
+/// Pseudocode 2's pruning and selection over the candidates offered, in any order.
+///
+/// The goal is to minimise the makespan of the needed tasks, so the default
+/// ordering is LJF: longest work first. GS picks the candidate with the largest
+/// remaining time: the task that most threatens the makespan, whether by launching
+/// it (fresh) or by racing a copy against its straggling original. RAS speculates
+/// only when that saves resources.
+#[derive(Default)]
+struct ErrorPicks {
+    fresh: Option<Pick>,
+    speculative: Option<Pick>,
+}
+
+impl ErrorPicks {
+    /// Offer the candidate `t` at walk position `key`, with its `tnew`.
+    fn offer(&mut self, mode: SpeculationMode, key: u128, t: &TaskView, tnew: f64) {
         if !t.is_running() {
-            keep_last_max(&mut fresh, tnew, at);
+            keep_last_max(&mut self.fresh, tnew, key, t.id);
         } else if t.running_copies < MAX_COPIES_PER_TASK {
             match mode {
                 SpeculationMode::Gs => {
                     if t.new_copy_beats_running(tnew) {
-                        keep_last_max(&mut speculative, t.trem, at);
+                        keep_last_max(&mut self.speculative, t.trem, key, t.id);
                     }
                 }
                 SpeculationMode::Ras => {
                     if let Some(saving) = t.speculation_saving(tnew).filter(|s| *s > 0.0) {
-                        keep_last_max(&mut speculative, saving, at);
+                        keep_last_max(&mut self.speculative, saving, key, t.id);
                     }
                 }
             }
         }
     }
-    // GS races a copy only when its original's `trem` exceeds the longest fresh
-    // task's `tnew`; RAS speculates whenever that saves resources.
-    let prefer_copy = match (mode, &fresh, &speculative) {
-        (SpeculationMode::Gs, Some(f), Some(s)) => s.value > f.value,
-        (_, _, s) => s.is_some(),
-    };
-    if prefer_copy {
-        speculative.map(|s| Action::speculate(s.at.task.id))
-    } else {
-        fresh.map(|f| Action::launch(f.at.task.id))
+
+    /// GS races a copy only when its original's `trem` exceeds the longest fresh
+    /// task's `tnew`; RAS speculates whenever that saves resources.
+    fn action(self, mode: SpeculationMode) -> Option<Action> {
+        let prefer_copy = match (mode, &self.fresh, &self.speculative) {
+            (SpeculationMode::Gs, Some(f), Some(s)) => s.value > f.value,
+            (_, _, s) => s.is_some(),
+        };
+        if prefer_copy {
+            self.speculative.map(|s| Action::speculate(s.id))
+        } else {
+            self.fresh.map(|f| Action::launch(f.id))
+        }
     }
-}
-
-/// A candidate's position in Pseudocode 2's walk: the needed input tasks sorted by
-/// `(effective duration, view index)` (a stable sort by duration), then every
-/// eligible non-input task in view order.
-#[derive(Clone, Copy)]
-struct Walk<'v> {
-    non_input: bool,
-    /// Effective duration for input tasks; 0 for non-input tasks, which the walk
-    /// orders by view index alone.
-    effective: f64,
-    index: usize,
-    task: &'v TaskView,
-}
-
-impl Walk<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.non_input
-            .cmp(&other.non_input)
-            .then(self.effective.total_cmp(&other.effective))
-            .then(self.index.cmp(&other.index))
-    }
-}
-
-/// The best candidate so far and the value it was ranked by.
-#[derive(Clone, Copy)]
-struct Pick<'v> {
-    value: f64,
-    at: Walk<'v>,
 }
 
 /// Keep what `max_by` over the walk would return: the largest `value` and, among
 /// equal values, the candidate latest in the walk (`max_by` keeps the last maximum).
-fn keep_last_max<'v>(best: &mut Option<Pick<'v>>, value: f64, at: Walk<'v>) {
-    let wins = best.as_ref().is_none_or(|b| {
-        value
-            .total_cmp(&b.value)
-            .then_with(|| at.cmp(&b.at))
-            .is_gt()
-    });
+fn keep_last_max(best: &mut Option<Pick>, value: f64, key: u128, id: TaskId) {
+    let wins = best
+        .as_ref()
+        .is_none_or(|b| value.total_cmp(&b.value).then(key.cmp(&b.key)).is_gt());
     if wins {
-        *best = Some(Pick { value, at });
+        *best = Some(Pick { value, key, id });
     }
 }
 
-/// [`choose`], holding a decline (see [`JobView::hold_decline`]).
+/// [`choose_memoised`], holding a decline (see [`JobView::hold_decline`]).
 ///
 /// GS and RAS read only the job's own tasks, its bound and `now`. While the job's
 /// tasks, copies and completed counts are unchanged, `tnew` (the per-work estimate
@@ -258,8 +358,12 @@ fn keep_last_max<'v>(best: &mut Option<Pick<'v>>, value: f64, at: Walk<'v>) {
 ///   duration `tnew` is fixed while a running task's only falls, so no fresh task
 ///   joins the needed set, and a running task joins it only once `trem ≤ tnew`,
 ///   which fails both tests.
-pub(crate) fn choose_holding(view: &JobView, mode: SpeculationMode) -> Option<Action> {
-    let action = choose(view, mode);
+pub(crate) fn choose_holding(
+    view: &JobView,
+    mode: SpeculationMode,
+    memo: &mut NeededSetMemo,
+) -> Option<Action> {
+    let action = choose_memoised(view, mode, memo);
     if action.is_none() {
         view.hold_decline();
     }
@@ -267,8 +371,15 @@ pub(crate) fn choose_holding(view: &JobView, mode: SpeculationMode) -> Option<Ac
 }
 
 /// Greedy Speculative scheduling as a standalone per-job policy ("GS-only" in §6.3.1).
+///
+/// One instance serves one job: it remembers where the job's error-bound needed set
+/// ended at its last decision, so a decision whose boundary has not moved is one pass
+/// over the rows instead of a selection. Its actions equal [`choose`]'s in
+/// [`SpeculationMode::Gs`] on every view.
 #[derive(Debug, Default, Clone)]
-pub struct GsPolicy;
+pub struct GsPolicy {
+    memo: NeededSetMemo,
+}
 
 impl SpeculationPolicy for GsPolicy {
     fn name(&self) -> &str {
@@ -276,13 +387,18 @@ impl SpeculationPolicy for GsPolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        choose_holding(view, SpeculationMode::Gs)
+        choose_holding(view, SpeculationMode::Gs, &mut self.memo)
     }
 }
 
 /// Resource Aware Speculative scheduling as a standalone per-job policy ("RAS-only").
+///
+/// One instance serves one job, with the same needed-set memo as [`GsPolicy`]. Its
+/// actions equal [`choose`]'s in [`SpeculationMode::Ras`] on every view.
 #[derive(Debug, Default, Clone)]
-pub struct RasPolicy;
+pub struct RasPolicy {
+    memo: NeededSetMemo,
+}
 
 impl SpeculationPolicy for RasPolicy {
     fn name(&self) -> &str {
@@ -290,7 +406,7 @@ impl SpeculationPolicy for RasPolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        choose_holding(view, SpeculationMode::Ras)
+        choose_holding(view, SpeculationMode::Ras, &mut self.memo)
     }
 }
 
@@ -304,7 +420,7 @@ impl PolicyFactory for GsFactory {
     }
 
     fn create(&self, _job: &JobSpec) -> BoxedPolicy {
-        Box::new(GsPolicy)
+        Box::new(GsPolicy::default())
     }
 }
 
@@ -318,7 +434,7 @@ impl PolicyFactory for RasFactory {
     }
 
     fn create(&self, _job: &JobSpec) -> BoxedPolicy {
-        Box::new(RasPolicy)
+        Box::new(RasPolicy::default())
     }
 }
 
@@ -541,10 +657,135 @@ mod tests {
         assert_eq!(a.task, TaskId(2));
     }
 
+    /// The walk order the packed key replaces: the non-input flag, then the
+    /// effective duration by `total_cmp`, then the view index.
+    fn tuple_cmp(a: (bool, f64, usize), b: (bool, f64, usize)) -> std::cmp::Ordering {
+        a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2))
+    }
+
+    #[test]
+    fn walk_key_orders_like_the_tuple_comparator() {
+        let durations = [
+            -0.0,
+            0.0,
+            1e-6,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            f64::MAX,
+            f64::INFINITY,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut walk = Vec::new();
+        for non_input in [false, true] {
+            for &effective in &durations {
+                for index in [0, 1, 2, 1 << 40, (1 << 63) - 1] {
+                    walk.push((non_input, effective, index));
+                }
+            }
+        }
+        for &a in &walk {
+            let key = walk_key(a.0, a.1, a.2);
+            assert_eq!(key_index(key), a.2);
+            for &b in &walk {
+                assert_eq!(
+                    key.cmp(&walk_key(b.0, b.1, b.2)),
+                    tuple_cmp(a, b),
+                    "{a:?} against {b:?}"
+                );
+            }
+        }
+
+        // Rows as views present them: an infinite `trem` on fresh rows, equal
+        // durations, and oracle hints of zero work, `+0.0` and `-0.0`.
+        let mut rows = vec![
+            task(0, false, 0.0, 2.0, 0),
+            task(1, true, f64::INFINITY, 2.0, 1),
+            task(2, true, 2.0, 3.0, 1),
+            task(3, false, 0.0, 0.0, 0),
+            task(4, false, 0.0, 0.0, 0),
+        ];
+        rows[3].true_new_hint = 0.0;
+        rows[4].true_new_hint = -0.0;
+        let mut view = error_view(&rows, 0.0, 10, 5);
+        for estimate in [TnewEstimate::PerWork(1.0), TnewEstimate::Oracle] {
+            view.tnew_estimate = estimate;
+            let walk: Vec<(bool, f64, usize)> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (false, t.effective_duration(view.tnew(t)), i))
+                .collect();
+            for (i, a) in rows.iter().enumerate() {
+                for (j, b) in rows.iter().enumerate() {
+                    assert_eq!(
+                        input_key(&view, i, a).0.cmp(&input_key(&view, j, b).0),
+                        tuple_cmp(walk[i], walk[j]),
+                        "{estimate:?}: row {i} against row {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Whether `memo` alone settles the needed set of `view`, and the action then.
+    fn memo_check(memo: &NeededSetMemo, view: &JobView, mode: SpeculationMode) -> bool {
+        let mut picks = ErrorPicks::default();
+        let still_needed = view.input_tasks_still_needed().unwrap();
+        memo.offer_checked(view, mode, still_needed, &mut picks)
+    }
+
+    #[test]
+    fn the_memo_settles_decisions_while_the_boundary_holds() {
+        // Works 1..=6 under a unit estimate; 10 input tasks, ε = 0.2, 5 done: the
+        // three shortest rows are needed, so the row of work 3 is the boundary.
+        let rows: Vec<TaskView> = (1..=6)
+            .map(|w| task(w, false, 0.0, f64::from(w), 0))
+            .collect();
+        let view = error_view(&rows, 0.2, 10, 5);
+        for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
+            let mut memo = NeededSetMemo::default();
+            assert!(
+                !memo_check(&memo, &view, mode),
+                "an empty memo settles nothing"
+            );
+            assert_eq!(
+                choose_memoised(&view, mode, &mut memo),
+                Some(Action::launch(TaskId(3)))
+            );
+            assert_eq!(memo.boundary, Some(TaskId(3)));
+            // The same view again: the boundary row counts itself.
+            assert!(memo_check(&memo, &view, mode));
+
+            // The row of work 1 completes and the per-work estimate doubles: every
+            // key moves, but re-keyed at the new estimate the boundary still holds.
+            let mut later = error_view(&rows[1..], 0.2, 10, 6);
+            later.tnew_estimate = TnewEstimate::PerWork(2.0);
+            assert!(memo_check(&memo, &later, mode));
+            assert_eq!(
+                choose_memoised(&later, mode, &mut memo),
+                choose(&later, mode)
+            );
+
+            // A boundary task that is gone, or a foreign one, falls back to selection.
+            let foreign = NeededSetMemo {
+                boundary: Some(TaskId(99)),
+            };
+            assert!(!memo_check(&foreign, &view, mode));
+            let mut foreign = foreign;
+            assert_eq!(
+                choose_memoised(&view, mode, &mut foreign),
+                choose(&view, mode)
+            );
+            assert_eq!(foreign.boundary, Some(TaskId(3)));
+        }
+    }
+
     #[test]
     fn policies_expose_names() {
-        assert_eq!(GsPolicy.name(), "GS");
-        assert_eq!(RasPolicy.name(), "RAS");
+        assert_eq!(GsPolicy::default().name(), "GS");
+        assert_eq!(RasPolicy::default().name(), "RAS");
         assert_eq!(GsFactory.name(), "GS");
         assert_eq!(RasFactory.name(), "RAS");
         assert_eq!(SpeculationMode::Gs.name(), "GS");

@@ -10,6 +10,11 @@
 //!   Estimates are drawn from a few quantised values so that equal `tnew`,
 //!   `trem`, effective durations and savings are common — the simulator's
 //!   continuous estimates almost never tie.
+//! * One `GsPolicy` and one `RasPolicy`, each kept across a random sequence of
+//!   quantised views of one job, decide exactly what the sorted walk decides at
+//!   every step. Between steps copies launch, tasks complete (their row goes,
+//!   and the per-work estimate moves), stages unlock and `trem` shrinks, so the
+//!   policies' needed-set memo is sometimes still right and sometimes stale.
 //! * The held-decline contract (`JobView::hold_decline`): when GS or RAS
 //!   declines, the decline stands at every later time while the job's own
 //!   tasks, copies and completed counts are unchanged.
@@ -266,6 +271,92 @@ proptest! {
     }
 }
 
+/// Per-work estimates a completion moves the job's to. With the quantised works
+/// and `trem`s they give exact products, so ties stay common.
+const PER_WORK: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
+
+/// One step of a job's life between two decisions: `(kind, pick, value)`.
+type Step = (u8, usize, usize);
+
+/// Apply one step to the job's rows: launch a first copy, race another copy,
+/// complete a task (its row goes, and the per-work estimate moves), unlock the
+/// waiting rows, or let time pass so every running `trem` shrinks. Returns
+/// whether an input task completed.
+fn apply_step(rows: &mut Vec<TaskView>, per_work: &mut f64, (kind, pick_at, value): Step) -> bool {
+    let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
+    match kind {
+        0 => {
+            let idle: Vec<usize> = (0..rows.len())
+                .filter(|&i| rows[i].eligible && !rows[i].is_running())
+                .collect();
+            if let Some(&i) = idle.get(pick_at % idle.len().max(1)) {
+                rows[i].running_copies = 1;
+                rows[i].trem = pick(&TREM, value);
+            }
+        }
+        1 => {
+            if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+                let row = &mut rows[i];
+                row.running_copies = (row.running_copies + 1).min(MAX_COPIES_PER_TASK);
+                row.trem = row.trem.min(pick(&TREM, value));
+            }
+        }
+        2 => {
+            if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+                *per_work = pick(&PER_WORK, value);
+                return rows.remove(i).stage.is_input();
+            }
+        }
+        3 => rows.iter_mut().for_each(|t| t.eligible = true),
+        _ => {
+            let elapsed = pick(&[0.5, 1.0, 2.0], value);
+            for t in rows.iter_mut().filter(|t| t.is_running()) {
+                t.trem = (t.trem - elapsed).max(0.0);
+            }
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn memoised_decisions_match_the_sorted_walk_at_every_step(
+        raw in prop::collection::vec((0usize..4, 0usize..6, 0u32..=MAX_COPIES_PER_TASK, 0u8..8, 0u8..8), 1..24),
+        eps in 0usize..4,
+        extra_input in 0usize..8,
+        steps in prop::collection::vec((0u8..6, any::<usize>(), 0usize..6), 1..40),
+    ) {
+        let mut rows: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let total_input = rows.iter().filter(|t| t.stage.is_input()).count() + extra_input;
+        let epsilon = pick(&EPSILON, eps);
+        let (mut per_work, mut completed, mut now) = (1.0, 0, 5.0);
+        let mut gs = GsPolicy::default();
+        let mut ras = RasPolicy::default();
+        for (step, &op) in steps.iter().enumerate() {
+            let view = JobView {
+                tnew_estimate: TnewEstimate::PerWork(per_work),
+                ..error_view(&rows, epsilon, total_input, completed, now)
+            };
+            for (mode, policy) in [
+                (SpeculationMode::Gs, &mut gs as &mut dyn SpeculationPolicy),
+                (SpeculationMode::Ras, &mut ras),
+            ] {
+                prop_assert_eq!(
+                    policy.choose(&view),
+                    sorted_choose_error(&view, mode),
+                    "{:?} at step {} on {:?} (per work {})", mode, step, rows, per_work
+                );
+            }
+            if apply_step(&mut rows, &mut per_work, op) {
+                completed += 1;
+            }
+            now += 1.0;
+        }
+    }
+}
+
 /// A running copy in the job model: ground truth plus the estimate bias the
 /// simulator draws once per copy.
 #[derive(Debug, Clone)]
@@ -410,8 +501,10 @@ fn later_times(tasks: &[ModelTask], steps: &[usize]) -> Vec<Time> {
 /// When GS or RAS declines at `T1`, the decline must be held, and it must stand at
 /// every later time with the job unchanged.
 fn check_declines_hold(tasks: &[ModelTask], shape: Shape, later: &[Time]) -> Result<(), String> {
-    let policies: [(&str, Box<dyn SpeculationPolicy>); 2] =
-        [("GS", Box::new(GsPolicy)), ("RAS", Box::new(RasPolicy))];
+    let policies: [(&str, Box<dyn SpeculationPolicy>); 2] = [
+        ("GS", Box::<GsPolicy>::default()),
+        ("RAS", Box::<RasPolicy>::default()),
+    ];
     for (name, mut policy) in policies {
         let views = views_at(tasks, T1);
         let first = job_view(shape, &views, T1);

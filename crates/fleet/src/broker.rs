@@ -7,9 +7,10 @@
 //! just wait for external workers (`repro fleet serve`).
 
 use crate::config::FleetConfig;
-use crate::protocol::{read_frame, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use crate::state::{CellStatus, Claim, Completion, FleetStats, GridState};
 use crate::FleetError;
+use grass_trace::codec::read_frame;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

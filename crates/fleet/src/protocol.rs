@@ -23,8 +23,6 @@
 //! <- ok
 //! ```
 
-use std::io::{self, BufRead};
-
 use grass_trace::codec::{escape, unescape};
 
 /// Protocol version carried in `welcome`; workers refuse a mismatch.
@@ -32,53 +30,12 @@ use grass_trace::codec::{escape, unescape};
 /// `sync`/`state` learned-state exchange frames.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// Longest frame either side reads, in bytes, newline excluded. The largest
-/// frames are `complete` payloads, about 450 B per trace job (21.7 KB for a
-/// 48-job trace); `sync` snapshots stay near 14 KB. 64 MiB holds the cells of
-/// a 100k-job trace (about 45 MB) with room to spare, and bounds what one
-/// peer can make the other buffer.
+/// Longest frame either side reads through [`grass_trace::codec::read_frame`],
+/// in bytes, newline excluded. The largest frames are `complete` payloads,
+/// about 450 B per trace job (21.7 KB for a 48-job trace); `sync` snapshots
+/// stay near 14 KB. 64 MiB holds the cells of a 100k-job trace (about 45 MB)
+/// with room to spare, and bounds what one peer can make the other buffer.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
-
-/// Read one newline-terminated frame, without its newline. `Ok(None)` means
-/// the stream ended before a frame began; a final frame without a newline is
-/// still returned.
-///
-/// A frame longer than `cap` bytes, or one that is not UTF-8, fails with
-/// [`io::ErrorKind::InvalidData`]. At most `cap` bytes of a frame are ever
-/// buffered, so a peer that never sends a newline cannot grow the reader's
-/// memory without bound.
-pub fn read_frame(reader: &mut impl BufRead, cap: usize) -> io::Result<Option<String>> {
-    let mut bytes = Vec::new();
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            if bytes.is_empty() {
-                return Ok(None);
-            }
-            break;
-        }
-        let newline = chunk.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(chunk.len());
-        if bytes.len() + take > cap {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame exceeds {cap} bytes"),
-            ));
-        }
-        bytes.extend_from_slice(&chunk[..take]);
-        reader.consume(take + usize::from(newline.is_some()));
-        if newline.is_some() {
-            break;
-        }
-    }
-    String::from_utf8(bytes)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
 
 /// Separator between individual peer snapshots inside a `state` payload. Chosen as
 /// an ASCII control character that never appears in snapshot encodings (which are
@@ -406,28 +363,6 @@ mod tests {
             assert!(!line.contains('\n'));
             assert_eq!(Response::parse(&line).unwrap(), resp);
         }
-    }
-
-    #[test]
-    fn read_frame_splits_lines_and_enforces_the_cap() {
-        // Exactly the cap, a final frame without a newline, then the end.
-        let mut reader = io::BufReader::with_capacity(3, &b"12345678\nabc"[..]);
-        assert_eq!(read_frame(&mut reader, 8).unwrap().unwrap(), "12345678");
-        assert_eq!(read_frame(&mut reader, 8).unwrap().unwrap(), "abc");
-        assert_eq!(read_frame(&mut reader, 8).unwrap(), None);
-
-        // Cap + 1 bytes fail, with or without a newline after them.
-        for input in [&b"123456789"[..], &b"123456789\nok\n"[..]] {
-            let err = read_frame(&mut io::BufReader::new(input), 8).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        }
-        // A peer that never sends a newline is cut off at the cap.
-        let mut endless = io::BufReader::new(io::repeat(b'x'));
-        let err = read_frame(&mut endless, 1 << 16).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-
-        let err = read_frame(&mut &b"caf\xe9\n"[..], 8).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The worker side: connect, claim cells, heartbeat while running, report
 //! results, repeat until the broker says `finished`.
 
-use crate::protocol::{read_frame, Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use crate::FleetError;
+use grass_trace::codec::read_frame;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -179,8 +180,10 @@ pub fn run_worker(
 }
 
 /// Run `body`, heartbeating `(worker, cell)` every `heartbeat_ms` until it
-/// returns. The heartbeat thread is joined before reporting, so a `complete`
-/// frame is never followed by a heartbeat for the same (released) lease.
+/// returns. The heartbeat thread waits on a channel that `body`'s return
+/// closes, so it stops at once instead of at the end of a sleep. It is joined
+/// before reporting, so a `complete` frame is never followed by a heartbeat
+/// for the same (released) lease.
 fn run_with_heartbeats<T>(
     writer: &FrameWriter,
     worker: &str,
@@ -188,40 +191,24 @@ fn run_with_heartbeats<T>(
     heartbeat_ms: u64,
     body: impl FnOnce() -> T,
 ) -> T {
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat_stop = Arc::clone(&stop);
+    let (done, stop) = mpsc::channel::<()>();
     let beat_writer = writer.clone();
     let beat_worker = worker.to_string();
     let interval = Duration::from_millis(heartbeat_ms.max(1));
     let beats = thread::spawn(move || {
-        loop {
-            // Sleep in small slices so join() never waits a full interval.
-            let slice = Duration::from_millis(5.min(heartbeat_ms.max(1)));
-            let mut slept = Duration::ZERO;
-            while slept < interval {
-                if beat_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                thread::sleep(slice);
-                slept += slice;
-            }
-            if beat_stop.load(Ordering::SeqCst) {
-                return;
-            }
-            if beat_writer
-                .send(&Request::Heartbeat {
-                    worker: beat_worker.clone(),
-                    cell,
-                })
-                .is_err()
-            {
+        while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+            let beat = Request::Heartbeat {
+                worker: beat_worker.clone(),
+                cell,
+            };
+            if beat_writer.send(&beat).is_err() {
                 // Broker gone: the main loop will hit the same error.
                 return;
             }
         }
     });
     let result = body();
-    stop.store(true, Ordering::SeqCst);
+    drop(done);
     let _ = beats.join();
     result
 }
@@ -246,6 +233,39 @@ mod tests {
     use super::*;
     use std::io::BufRead;
     use std::net::TcpListener;
+
+    #[test]
+    fn heartbeats_keep_their_cadence_and_stop_when_the_body_returns() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let writer = FrameWriter {
+            stream: Arc::new(Mutex::new(client)),
+        };
+        let answer = run_with_heartbeats(&writer, "w", 3, 20, || {
+            thread::sleep(Duration::from_millis(110));
+            7
+        });
+        assert_eq!(answer, 7);
+        // Anything the heartbeat thread still sent would land after this frame.
+        writer.send(&Request::Bye { worker: "w".into() }).unwrap();
+        thread::sleep(Duration::from_millis(60));
+        drop(writer);
+
+        let mut reader = BufReader::new(server);
+        let mut frames = Vec::new();
+        while let Some(line) = read_frame(&mut reader, MAX_FRAME_BYTES).unwrap() {
+            frames.push(Request::parse(&line).unwrap());
+        }
+        let beat = Request::Heartbeat {
+            worker: "w".into(),
+            cell: 3,
+        };
+        let (last, beats) = frames.split_last().unwrap();
+        assert_eq!(last, &Request::Bye { worker: "w".into() });
+        assert!(beats.iter().all(|f| f == &beat), "{frames:?}");
+        assert!((4..=6).contains(&beats.len()), "{} heartbeats", beats.len());
+    }
 
     #[test]
     fn malformed_broker_frame_is_a_protocol_error() {

@@ -1,7 +1,9 @@
 //! Property tests for the fleet's untrusted byte streams, mirroring the trace
 //! decoders' fuzz tests:
 //!
-//! * `read_frame` over arbitrary bytes under a small cap returns exactly the
+//! * `read_frame` (the capped line reader both ends share with the text trace
+//!   decoder, in `grass_trace::codec`) over arbitrary bytes under a small cap
+//!   returns exactly the
 //!   newline-split frames a model predicts, never one longer than the cap, and
 //!   fails with `InvalidData` on the first frame past the cap or not UTF-8.
 //! * `Request::parse` and `Response::parse` never panic on arbitrary text.
@@ -12,8 +14,8 @@
 
 use std::io::{self, BufReader};
 
-use grass_fleet::protocol::read_frame;
 use grass_fleet::{Request, Response};
+use grass_trace::codec::read_frame;
 use proptest::prelude::*;
 
 /// Bytes a frame stream is drawn from: frame text, structural characters,

@@ -883,7 +883,7 @@ mod tests {
         }
 
         fn choose(&mut self, view: &JobView) -> Option<Action> {
-            GsPolicy.choose(&view.clone())
+            GsPolicy::default().choose(&view.clone())
         }
     }
 

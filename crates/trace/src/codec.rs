@@ -21,7 +21,9 @@
 //! that names the offending line.
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+
+use crate::binary::MAX_FRAME_LEN;
 
 /// Magic word opening every trace file (both formats share it: the text header
 /// follows it with a space, the binary header with a NUL byte).
@@ -307,6 +309,67 @@ impl LineBuilder {
     }
 }
 
+/// Longest line a text trace reader accepts and a text trace writer emits, in
+/// bytes, newline excluded: the binary frame cap, [`MAX_FRAME_LEN`], so no
+/// format's decoder buffers more for one record.
+pub const MAX_LINE_LEN: usize = MAX_FRAME_LEN as usize;
+
+/// Read one newline-terminated line, without its newline. `Ok(None)` means
+/// the stream ended before a line began; a final line without a newline is
+/// still returned.
+///
+/// A line longer than `cap` bytes, or one that is not UTF-8, fails with
+/// [`io::ErrorKind::InvalidData`]. At most `cap + 1` bytes of a line are ever
+/// buffered, so a peer or file that never sends a newline cannot grow the
+/// reader's memory without bound. Text traces read every line this way, and
+/// both ends of the fleet protocol read every frame through here.
+pub fn read_frame(reader: &mut impl BufRead, cap: usize) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    if !read_capped(reader, cap, &mut line)? {
+        return Ok(None);
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+/// [`read_frame`] into `line` (cleared first), as bytes: `Ok(false)` at the end
+/// of the stream, and no UTF-8 check.
+fn read_capped(reader: &mut impl BufRead, cap: usize, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    // One byte past the cap tells an over-long line from one that fits exactly.
+    let limit = u64::try_from(cap).unwrap_or(u64::MAX).saturating_add(1);
+    if reader.by_ref().take(limit).read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    }
+    if line.len() > cap {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("line exceeds {cap} bytes"),
+        ));
+    }
+    Ok(true)
+}
+
+/// Write `line` and its newline, refusing a line over `cap` bytes as the binary
+/// writer refuses an over-long frame: no reader would accept it.
+pub(crate) fn write_line(w: &mut dyn Write, line: &str, cap: usize) -> Result<(), TraceError> {
+    if line.len() > cap {
+        return Err(parse_err(
+            0,
+            format!(
+                "record line of {} bytes is over the {cap}-byte cap",
+                line.len()
+            ),
+        ));
+    }
+    writeln!(w, "{line}")?;
+    Ok(())
+}
+
 /// Low-level writer: emits the header line, then record lines.
 pub struct TraceWriter<W: Write> {
     w: W,
@@ -319,16 +382,16 @@ impl<W: Write> TraceWriter<W> {
         Ok(TraceWriter { w })
     }
 
-    /// Write one record line.
+    /// Write one record line; a line over [`MAX_LINE_LEN`] bytes is refused.
     pub fn record(&mut self, line: &str) -> Result<(), TraceError> {
-        writeln!(self.w, "{line}")?;
-        Ok(())
+        write_line(&mut self.w, line, MAX_LINE_LEN)
     }
 
-    /// Write a `#`-prefixed comment line (ignored by readers).
+    /// Write a `#`-prefixed comment line (ignored by readers); a line over
+    /// [`MAX_LINE_LEN`] bytes is refused.
     pub fn comment(&mut self, text: &str) -> Result<(), TraceError> {
         for part in text.lines() {
-            writeln!(self.w, "# {part}")?;
+            write_line(&mut self.w, &format!("# {part}"), MAX_LINE_LEN)?;
         }
         Ok(())
     }
@@ -341,21 +404,35 @@ impl<W: Write> TraceWriter<W> {
 }
 
 /// Low-level reader: validates the header, then yields records line by line.
+/// Every line is read as [`read_frame`] reads it, capped at [`MAX_LINE_LEN`] bytes,
+/// into one buffer the reader keeps.
 pub struct TraceReader<R: BufRead> {
     r: R,
     /// Stream kind declared by the header.
     kind: StreamKind,
     line_no: usize,
-    buf: String,
+    line_cap: usize,
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> TraceReader<R> {
     /// Open a trace stream, validating magic and version and that the stream kind is
     /// `expected` (pass `None` to accept either kind, e.g. for `trace stats`).
-    pub fn new(mut r: R, expected: Option<StreamKind>) -> Result<Self, TraceError> {
-        let mut header = String::new();
-        r.read_line(&mut header)?;
-        let header = header.trim_end_matches(['\n', '\r']);
+    pub fn new(r: R, expected: Option<StreamKind>) -> Result<Self, TraceError> {
+        Self::with_line_cap(r, expected, MAX_LINE_LEN)
+    }
+
+    /// [`TraceReader::new`] with lines capped at `line_cap` bytes.
+    fn with_line_cap(
+        mut r: R,
+        expected: Option<StreamKind>,
+        line_cap: usize,
+    ) -> Result<Self, TraceError> {
+        let mut buf = Vec::new();
+        read_line(&mut r, line_cap, 1, &mut buf)?;
+        let header = std::str::from_utf8(&buf)
+            .map_err(|e| parse_err(1, e.to_string()))?
+            .trim_end_matches('\r');
         let mut words = header.split(' ');
         if words.next() != Some(MAGIC) {
             return Err(TraceError::BadMagic);
@@ -386,7 +463,8 @@ impl<R: BufRead> TraceReader<R> {
             r,
             kind,
             line_no: 1,
-            buf: String::new(),
+            line_cap,
+            buf,
         })
     }
 
@@ -398,12 +476,13 @@ impl<R: BufRead> TraceReader<R> {
     /// Read the next record, skipping blank and comment lines. `Ok(None)` at EOF.
     pub fn next_record(&mut self) -> Result<Option<Record>, TraceError> {
         loop {
-            self.buf.clear();
-            if self.r.read_line(&mut self.buf)? == 0 {
+            if !read_line(&mut self.r, self.line_cap, self.line_no + 1, &mut self.buf)? {
                 return Ok(None);
             }
             self.line_no += 1;
-            let line = self.buf.trim_end_matches(['\n', '\r']);
+            let line = std::str::from_utf8(&self.buf)
+                .map_err(|e| parse_err(self.line_no, e.to_string()))?
+                .trim_end_matches('\r');
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
@@ -429,6 +508,20 @@ impl<R: BufRead> TraceReader<R> {
             }));
         }
     }
+}
+
+/// One line of a text trace into `buf`, as [`read_frame`] reads it; an
+/// over-long line fails as a [`TraceError::Parse`] naming `line_no`.
+fn read_line(
+    r: &mut impl BufRead,
+    cap: usize,
+    line_no: usize,
+    buf: &mut Vec<u8>,
+) -> Result<bool, TraceError> {
+    read_capped(r, cap, buf).map_err(|e| match e.kind() {
+        io::ErrorKind::InvalidData => parse_err(line_no, e.to_string()),
+        _ => TraceError::Io(e),
+    })
 }
 
 #[cfg(test)]
@@ -545,6 +638,89 @@ mod tests {
         assert!(rec.u64("x").is_err());
         assert!(rec.f64("x").is_err());
         assert!(rec.bool("x").is_err());
+    }
+
+    #[test]
+    fn read_frame_splits_lines_and_enforces_the_cap() {
+        // Exactly the cap, a final frame without a newline, then the end.
+        let mut reader = io::BufReader::with_capacity(3, &b"12345678\nabc"[..]);
+        assert_eq!(read_frame(&mut reader, 8).unwrap().unwrap(), "12345678");
+        assert_eq!(read_frame(&mut reader, 8).unwrap().unwrap(), "abc");
+        assert_eq!(read_frame(&mut reader, 8).unwrap(), None);
+
+        // Cap + 1 bytes fail, with or without a newline after them.
+        for input in [&b"123456789"[..], &b"123456789\nok\n"[..]] {
+            let err = read_frame(&mut io::BufReader::new(input), 8).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        // A stream that never sends a newline is cut off at the cap.
+        let mut endless = io::BufReader::new(io::repeat(b'x'));
+        let err = read_frame(&mut endless, 1 << 16).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let err = read_frame(&mut &b"caf\xe9\n"[..], 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A workload header plus `records` and a final newline.
+    fn text_trace(records: &[&str]) -> Vec<u8> {
+        let mut bytes = b"grass-trace 1 workload\n".to_vec();
+        for r in records {
+            bytes.extend_from_slice(r.as_bytes());
+            bytes.push(b'\n');
+        }
+        bytes
+    }
+
+    #[test]
+    fn reader_refuses_a_line_over_the_cap_naming_it() {
+        // The header is 22 bytes: a 22-byte cap admits it and `a x=1`, not the 24-byte line 3.
+        let bytes = text_trace(&["a x=1", "b y=12345678901234567890"]);
+        let mut r = TraceReader::with_line_cap(&bytes[..], None, 22).unwrap();
+        assert_eq!(r.next_record().unwrap().unwrap().tag, "a");
+        let err = r.next_record().unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 3, .. }), "{err}");
+        assert!(err.to_string().contains("22"), "{err}");
+
+        // The header line itself, and an endless line that never ends.
+        let err = TraceReader::with_line_cap(&bytes[..], None, 21)
+            .err()
+            .unwrap();
+        assert!(matches!(err, TraceError::Parse { line: 1, .. }), "{err}");
+        let endless = b"grass-trace 1 workload\n".chain(io::repeat(b'x'));
+        let mut r = TraceReader::with_line_cap(io::BufReader::new(endless), None, 1 << 12).unwrap();
+        let err = r.next_record().unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
+
+        // A comment line counts too, and a line that is not UTF-8 names its line.
+        let bytes = text_trace(&["# a comment longer than the cap", "a x=1"]);
+        let mut r = TraceReader::with_line_cap(&bytes[..], None, 22).unwrap();
+        assert!(matches!(
+            r.next_record(),
+            Err(TraceError::Parse { line: 2, .. })
+        ));
+        let mut bytes = text_trace(&["a x=1"]);
+        bytes.extend_from_slice(b"b x=caf\xe9\n");
+        let mut r = TraceReader::new(&bytes[..], None).unwrap();
+        assert_eq!(r.next_record().unwrap().unwrap().line, 2);
+        assert!(matches!(
+            r.next_record(),
+            Err(TraceError::Parse { line: 3, .. })
+        ));
+        // Under the real cap the same records read back, `\r\n` endings included.
+        let bytes = b"grass-trace 1 workload\r\na x=1\r\n";
+        let mut r = TraceReader::new(&bytes[..], None).unwrap();
+        assert_eq!(r.next_record().unwrap().unwrap().raw("x").unwrap(), "1");
+        assert!(r.next_record().unwrap().is_none());
+    }
+
+    #[test]
+    fn writer_refuses_a_line_over_the_cap() {
+        let mut out = Vec::new();
+        write_line(&mut out, "a x=1234", 8).unwrap();
+        let err = write_line(&mut out, "a x=12345", 8).unwrap_err();
+        assert!(err.to_string().contains("9 bytes"), "{err}");
+        assert_eq!(out, b"a x=1234\n", "nothing of the refused line is written");
     }
 
     #[test]

@@ -14,7 +14,8 @@ use grass_core::{ActionKind, Bound, JobId, JobSpec, StageSpec, TaskId, TaskSpec}
 use grass_sim::{SimTraceEvent, SlotId};
 
 use crate::codec::{
-    LineBuilder, Record, StreamKind, TraceError, TraceReader, FORMAT_VERSION, MAGIC,
+    write_line, LineBuilder, Record, StreamKind, TraceError, TraceReader, FORMAT_VERSION, MAGIC,
+    MAX_LINE_LEN,
 };
 use crate::execution::ExecutionMeta;
 use crate::format::{TraceCodec, TraceFormat};
@@ -49,13 +50,11 @@ impl TraceCodec for TextCodec {
         num_jobs: usize,
     ) -> Result<(), TraceError> {
         self.header(w, StreamKind::Workload)?;
-        writeln!(w, "{}", encode_workload_meta(meta, num_jobs))?;
-        Ok(())
+        write_line(w, &encode_workload_meta(meta, num_jobs), MAX_LINE_LEN)
     }
 
     fn encode_job(&mut self, w: &mut dyn Write, job: &JobSpec) -> Result<(), TraceError> {
-        writeln!(w, "{}", encode_job(job))?;
-        Ok(())
+        write_line(w, &encode_job(job), MAX_LINE_LEN)
     }
 
     fn begin_execution(
@@ -64,13 +63,11 @@ impl TraceCodec for TextCodec {
         meta: &ExecutionMeta,
     ) -> Result<(), TraceError> {
         self.header(w, StreamKind::Execution)?;
-        writeln!(w, "{}", encode_execution_meta(meta))?;
-        Ok(())
+        write_line(w, &encode_execution_meta(meta), MAX_LINE_LEN)
     }
 
     fn encode_event(&mut self, w: &mut dyn Write, event: &SimTraceEvent) -> Result<(), TraceError> {
-        writeln!(w, "{}", encode_event(event))?;
-        Ok(())
+        write_line(w, &encode_event(event), MAX_LINE_LEN)
     }
 
     fn finish(&mut self, _w: &mut dyn Write) -> Result<(), TraceError> {

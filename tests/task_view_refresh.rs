@@ -12,10 +12,16 @@
 //! `1e-6` (or `work × mean slowdown` under oracle estimates), evaluated from the
 //! runtime's own state.
 //!
+//! Error-bound cases also keep one `GsPolicy` and one `RasPolicy` across all
+//! the steps, as the simulator keeps one policy per job. After every step each
+//! one's decision on the resident view must equal `speculation::choose`, which
+//! keeps no needed-set memo, on the same view.
+//!
 //! `PROPTEST_CASES` sets the case count (CI runs 500 in release).
 
 use std::cell::Cell;
 
+use grass::core::speculation::choose;
 use grass::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -56,6 +62,46 @@ fn row_bits(row: &TaskView) -> (u32, u8, bool, u32, [u64; 8]) {
     )
 }
 
+/// The view the simulator hands a policy: the job's resident rows at `now`.
+fn resident_view<'a>(rt: &'a JobRuntime, now: Time, estimator: &EstimatorConfig) -> JobView<'a> {
+    JobView {
+        job: rt.spec.id,
+        now,
+        arrival: rt.spec.arrival,
+        bound: rt.spec.bound,
+        input_deadline: rt.input_deadline,
+        total_input_tasks: rt.spec.input_tasks(),
+        completed_input_tasks: rt.completed_input(),
+        total_tasks: rt.spec.total_tasks(),
+        completed_tasks: rt.completed_total(),
+        tasks: rt.task_views(),
+        tnew_estimate: rt.tnew_estimate(estimator, MEAN_SLOWDOWN),
+        wave_width: 1,
+        cluster_utilization: 0.0,
+        estimation_accuracy: rt.accuracy.accuracy(),
+        decline_hold: Cell::new(false),
+    }
+}
+
+/// Each kept policy's decision on the resident view equals the memo-free `choose`.
+fn assert_kept_policies_match_choose(
+    policies: &mut [(SpeculationMode, Box<dyn SpeculationPolicy>)],
+    rt: &JobRuntime,
+    now: Time,
+    estimator: &EstimatorConfig,
+    step: usize,
+) {
+    let view = resident_view(rt, now, estimator);
+    for (mode, policy) in policies.iter_mut() {
+        assert_eq!(
+            policy.choose(&view),
+            choose(&view, *mode),
+            "step {step} at t={now}: {mode:?} on {:?}",
+            view.tasks
+        );
+    }
+}
+
 fn assert_resident_rows_match_a_full_build(
     rt: &JobRuntime,
     now: Time,
@@ -79,23 +125,7 @@ fn assert_resident_rows_match_a_full_build(
         );
     }
 
-    let view = JobView {
-        job: rt.spec.id,
-        now,
-        arrival: rt.spec.arrival,
-        bound: rt.spec.bound,
-        input_deadline: rt.input_deadline,
-        total_input_tasks: rt.spec.input_tasks(),
-        completed_input_tasks: rt.completed_input(),
-        total_tasks: rt.spec.total_tasks(),
-        completed_tasks: rt.completed_total(),
-        tasks: resident,
-        tnew_estimate: rt.tnew_estimate(estimator, MEAN_SLOWDOWN),
-        wave_width: 1,
-        cluster_utilization: 0.0,
-        estimation_accuracy: rt.accuracy.accuracy(),
-        decline_hold: Cell::new(false),
-    };
+    let view = resident_view(rt, now, estimator);
     let per_work = rt.duration_per_work_estimate(MEAN_SLOWDOWN);
     for row in resident {
         let task = &rt.tasks[row.id.index()];
@@ -148,6 +178,15 @@ proptest! {
         let mut now = 0.0;
         rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
         assert_resident_rows_match_a_full_build(&rt, now, &estimator, 0);
+        let mut policies: Vec<(SpeculationMode, Box<dyn SpeculationPolicy>)> = if error_bound {
+            vec![
+                (SpeculationMode::Gs, Box::<GsPolicy>::default()),
+                (SpeculationMode::Ras, Box::<RasPolicy>::default()),
+            ]
+        } else {
+            Vec::new()
+        };
+        assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, 0);
 
         let slot = SlotId { machine: 0, slot: 0 };
         let mut next_copy: CopyId = 0;
@@ -208,6 +247,7 @@ proptest! {
             }
             rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
             assert_resident_rows_match_a_full_build(&rt, now, &estimator, step + 1);
+            assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, step + 1);
         }
     }
 }
