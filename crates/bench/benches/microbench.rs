@@ -75,7 +75,12 @@ fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
 /// Each iteration asks a fresh policy, so GS, RAS and GRASS always select the
 /// needed set. Under the error bound, `GS_warm`, `RAS_warm` and `GRASS_warm`
 /// keep one policy across iterations, as the simulator keeps one per job: after
-/// the first call its needed-set memo settles the set in one pass.
+/// the first call its needed-set memo settles the set in one pass. The view does
+/// not change between their calls, so every call is the first decision of its
+/// instant. `GS_same_instant` and `RAS_same_instant` apply each answer to the
+/// rows before the next call at the same `now`, as the simulator does when one
+/// instant frees many slots, and start over from the original rows and a fresh
+/// policy when the policy declines.
 fn policy_decision_latency(c: &mut Criterion) {
     let groups = [
         ("policy_choose_500_tasks", Bound::Deadline(100.0)),
@@ -112,6 +117,28 @@ fn policy_decision_latency(c: &mut Criterion) {
                 let mut policy = factory.create(&spec);
                 group.bench_function(format!("{name}_warm"), |b| {
                     b.iter(|| criterion::black_box(policy.choose(&view_of(&tasks, bound))))
+                });
+            }
+            for (name, factory) in &factories[..2] {
+                let mut policy = factory.create(&spec);
+                let mut rows = tasks.clone();
+                group.bench_function(format!("{name}_same_instant"), |b| {
+                    b.iter(|| {
+                        let action = policy.choose(&view_of(&rows, bound));
+                        match action.and_then(|a| rows.get_mut(a.task.index())) {
+                            // One more copy, whose best copy's `trem` is derived
+                            // from the task id.
+                            Some(row) => {
+                                row.running_copies += 1;
+                                row.trem = 1.0 + f64::from(row.id.0 % 9);
+                            }
+                            None => {
+                                rows.clone_from(&tasks);
+                                policy = factory.create(&spec);
+                            }
+                        }
+                        criterion::black_box(action)
+                    })
                 });
             }
         }
@@ -350,6 +377,25 @@ fn simulator_throughput(c: &mut Criterion) {
         group.bench_function(format!("48_deadline_jobs_{name}"), |b| {
             b.iter(|| {
                 let result = run_simulation(&sweep_cell, deadline_jobs.clone(), factory);
+                criterion::black_box(result.total_copies)
+            })
+        });
+    }
+    // An arrival burst in isolation: one error-bound job of 2,000 tasks arrives
+    // at an idle cluster of 2,000 slots, so its policy decides about 2,000 times
+    // at one instant before the first copy finishes.
+    let work: Vec<f64> = (0..2000)
+        .map(|i| 1.0 + f64::from(i * 37 % 101) / 25.0)
+        .collect();
+    let burst = vec![JobSpec::single_stage(1, 0.0, Bound::Error(0.05), work)];
+    let idle_cluster = SimConfig {
+        cluster: ClusterConfig::small(1000, 2),
+        ..SimConfig::default()
+    };
+    for (name, factory) in factories {
+        group.bench_function(format!("error_burst_2000_tasks_{name}"), |b| {
+            b.iter(|| {
+                let result = run_simulation(&idle_cluster, burst.clone(), factory);
                 criterion::black_box(result.total_copies)
             })
         });

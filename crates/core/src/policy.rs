@@ -68,7 +68,7 @@ pub trait SpeculationPolicy: Send {
     /// (the slot is then offered to other jobs).
     ///
     /// The simulator relies on a two-part contract to avoid re-asking jobs whose
-    /// answer cannot have changed:
+    /// answer cannot have changed, and promises a third:
     ///
     /// 1. Within one dispatch pass (one `now`, one fair share) a job that declined is
     ///    not asked again, even after other jobs launched copies and utilisation rose.
@@ -76,11 +76,18 @@ pub trait SpeculationPolicy: Send {
     /// 2. A `None` returned after [`JobView::hold_decline`] stands until the job's own
     ///    state changes: the job is not asked again until one of its copies finishes.
     ///    Policies that cannot promise this simply never call it.
+    /// 3. Between two calls with the same `now`, the same completed counts and the
+    ///    same number of rows, the caller changes the job's rows only by applying the
+    ///    previous answer (one more copy of the task it named), if it applies anything.
+    ///    Both simulator engines behave this way: within one instant only launches
+    ///    change a job, and only the launches its policy asked for.
     ///
     /// An instance is asked only about the job it was created for, so it may keep
     /// state that speeds up its next decision on that job: GS, RAS and GRASS remember
-    /// where the job's error-bound needed set ended last time. Such a memo must stay
-    /// a hint the decision re-checks: it may make a decision cheaper, never different.
+    /// where the job's error-bound needed set ended last time, and, by the third
+    /// clause, answer repeat decisions within one instant from the runner-up
+    /// candidates their last pass kept. Such a memo must stay a hint the decision
+    /// re-checks: it may make a decision cheaper, never different.
     fn choose(&mut self, view: &JobView) -> Option<Action>;
 
     /// Called when one of the job's tasks completes (its first copy finishes).

@@ -15,11 +15,14 @@
 //!    unscheduled tasks ("at default, both algorithms schedule the task with the
 //!    lowest `tnew` / highest `trem`").
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use serde::{Deserialize, Serialize};
 
-use crate::job::{Bound, JobSpec, JobView};
+use crate::job::{Bound, JobSpec, JobView, TnewEstimate};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::task::{TaskId, TaskView};
+use crate::task::{JobId, TaskId, TaskView};
 
 /// Which of the two building-block algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -143,18 +146,17 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
 /// fraction). Only the needed *set* matters, and the picks below depend only on it,
 /// not on the order its rows are offered in.
 fn choose_error(view: &JobView, mode: SpeculationMode, memo: &mut NeededSetMemo) -> Option<Action> {
-    let still_needed = view.input_tasks_still_needed().unwrap_or(usize::MAX);
-    let mut picks = ErrorPicks::default();
-    if still_needed > 0 && !memo.offer_checked(view, mode, still_needed, &mut picks) {
-        picks = ErrorPicks::default();
-        memo.offer_selected(view, mode, still_needed, &mut picks);
-    }
-    for (index, t) in view.tasks.iter().enumerate() {
-        if t.eligible && !t.stage.is_input() {
-            picks.offer(mode, walk_key(true, 0.0, index), t, view.tnew(t));
-        }
-    }
-    picks.action(mode)
+    let stamp = Stamp::of(view, mode);
+    let repeat = memo.stamp == Some(stamp);
+    let keep = match repeat.then(|| memo.serve_repeat(view, mode)).flatten() {
+        Some(true) => return memo.answer(stamp, mode),
+        // A list ran dry: a pass inside an instant keeps twice what the previous
+        // one kept, so a run of decisions at one instant costs O(log run) passes.
+        Some(false) => (memo.picks.fresh.keep * 2).min(view.tasks.len().max(FIRST_KEEP)),
+        None => FIRST_KEEP,
+    };
+    memo.pass(view, mode, keep);
+    memo.answer(stamp, mode)
 }
 
 /// Whether Pseudocode 2 ranks `t` by effective duration: an eligible input task.
@@ -192,95 +194,280 @@ fn input_key(view: &JobView, index: usize, t: &TaskView) -> (u128, f64) {
     (walk_key(false, t.effective_duration(tnew), index), tnew)
 }
 
-/// Where one job's error-bound needed set ended at its previous decision: the task
-/// whose walk position was the `still_needed`-th smallest, i.e. the needed set's
-/// last row.
+/// How many candidates of each kind the first pass at an instant keeps.
+const FIRST_KEEP: usize = 2;
+
+/// One job's error-bound memo: where its needed set ended, and the candidates its
+/// last decision ranked.
 ///
-/// Between two decisions of a job that boundary rarely moves, so the next decision
-/// re-keys that task at its own `now` and per-work estimate and counts, in one pass,
-/// the rows at or below it. If they number exactly `still_needed` they are the needed
-/// set, because walk keys are distinct. Otherwise the decision selects the set and
-/// stores its new boundary. The memo is a hint that every decision re-checks: one that
-/// is missing, stale or from another job costs one selection and never changes an
-/// answer.
+/// **The needed set's boundary.** The task whose walk position was the
+/// `still_needed`-th smallest at the last pass, i.e. the needed set's last row.
+/// Between two passes that boundary rarely moves, so a pass re-keys that task at its
+/// own `now` and per-work estimate and counts, in one walk, the rows at or below it.
+/// If they number exactly `still_needed` they are the needed set, because walk keys
+/// are distinct. Otherwise the pass selects the set and stores its new boundary.
+///
+/// **Repeat decisions within one instant.** A pass keeps the best few candidates of
+/// each kind ([`RunnerUps`]), and the memo stamps them with the instant ([`Stamp`])
+/// and the answer they gave. The simulator decides again every time a slot frees, so
+/// an arrival or a finish that frees many slots asks the same job many times at one
+/// instant, each time with one more copy of the task it last named. A repeat decision
+/// at the stamped instant checks that the previous answer's row holds the same task
+/// with exactly one more copy, pops that answer, re-derives the one row and offers it
+/// again, then reads the two fronts. This is exact:
+///
+/// * within one instant (same `now`, estimate, completed counts and row count) the
+///   only row that changed is the one the answer acted on (the third clause of the
+///   [`SpeculationPolicy::choose`] contract), and every other row, and so its walk key
+///   and the value it ranks by, depends only on `now`, the estimate and its own copies;
+/// * an answer never raises its row's effective duration. It only acts on a row whose
+///   effective duration is its `tnew`: a fresh row; a running row with `tnew < trem`
+///   (GS); or a running row with a positive saving, which implies `trem > tnew`
+///   because `trem ≥ 0` (RAS). Afterwards the effective duration is `min(trem', tnew) ≤ tnew`, even when
+///   the new best copy's `trem'` is above the old `trem`. So the row keeps its place
+///   in the needed set, and the set does not change;
+/// * so re-offering that one row keeps both lists exact: each holds the best of its
+///   kind, and every candidate outside it ranks below its worst entry. A list that
+///   runs empty while candidates remain outside it cannot name its front, and the
+///   decision makes a pass.
+///
+/// A pass forced by a list that ran dry keeps twice as many candidates as the
+/// previous one; any other pass keeps [`FIRST_KEEP`] again and frees grown lists. A
+/// decline drops the lists. The memo only saves work: a missing, stale or foreign
+/// boundary costs one selection, a failed stamp or row check costs one pass, and
+/// neither changes an answer.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NeededSetMemo {
     boundary: Option<TaskId>,
+    /// The instant of the last answer, `None` after a decline.
+    stamp: Option<Stamp>,
+    /// The last answer, still the front of its list.
+    answer: Option<Pick>,
+    picks: ErrorPicks,
 }
 
 impl NeededSetMemo {
-    /// Offer the needed set to `picks` if the stored boundary still delimits it, and
-    /// report whether it did. On `false`, `picks` holds a partial offer to discard.
-    fn offer_checked(
-        &self,
-        view: &JobView,
-        mode: SpeculationMode,
-        still_needed: usize,
-        picks: &mut ErrorPicks,
-    ) -> bool {
-        // Rows are in ascending task id, so the boundary task is a binary search away.
-        let Some(at) = self
-            .boundary
-            .and_then(|id| view.tasks.binary_search_by_key(&id, |t| t.id).ok())
-        else {
-            return false;
+    /// Answer a repeat decision at the stamped instant from the kept lists: `None`
+    /// when the view does not show the previous answer applied, otherwise whether
+    /// the lists could answer. Either way a pass decides when they could not.
+    fn serve_repeat(&mut self, view: &JobView, mode: SpeculationMode) -> Option<bool> {
+        let answer = self.answer?;
+        let index = key_index(answer.key);
+        let row = view
+            .tasks
+            .get(index)
+            .filter(|t| t.id == answer.id && t.running_copies == answer.copies + 1)?;
+        let served = if answer.copies == 0 {
+            self.picks.fresh.kept.pop()
+        } else {
+            self.picks.speculative.kept.pop()
         };
-        let Some(boundary) = view.tasks.get(at).filter(|t| needed_candidate(t)) else {
-            return false;
+        debug_assert_eq!(served.map(|p| p.key), Some(answer.key));
+        let tnew = view.tnew(row);
+        let key = if row.stage.is_input() {
+            walk_key(false, row.effective_duration(tnew), index)
+        } else {
+            answer.key
         };
-        let (threshold, _) = input_key(view, at, boundary);
-        let (mut candidates, mut at_or_below) = (0, 0);
-        for (index, t) in view.tasks.iter().enumerate() {
-            if !needed_candidate(t) {
-                continue;
-            }
-            candidates += 1;
-            let (key, tnew) = input_key(view, index, t);
-            if key <= threshold {
-                at_or_below += 1;
-                picks.offer(mode, key, t, tnew);
-            }
+        debug_assert!(
+            key <= answer.key,
+            "applying an answer raised its row's effective duration: {row:?}"
+        );
+        if let Some((list, pick)) = self.picks.candidate(mode, key, row, tnew) {
+            list.reoffer(pick);
         }
-        at_or_below == still_needed.min(candidates)
+        Some(self.picks.readable())
     }
 
-    /// Select the needed set, offer it to `picks` and store its boundary.
-    fn offer_selected(
-        &mut self,
-        view: &JobView,
-        mode: SpeculationMode,
-        still_needed: usize,
-        picks: &mut ErrorPicks,
-    ) {
-        let mut keys: Vec<u128> = view
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| needed_candidate(t))
-            .map(|(index, t)| input_key(view, index, t).0)
-            .collect();
-        let needed = still_needed.min(keys.len());
-        let Some(last) = needed.checked_sub(1) else {
-            return;
+    /// Rank every candidate afresh, keeping at least `keep` of each kind.
+    fn pass(&mut self, view: &JobView, mode: SpeculationMode, keep: usize) {
+        let still_needed = view.input_tasks_still_needed().unwrap_or(usize::MAX);
+        self.picks.start(keep);
+        if !self
+            .picks
+            .offer_checked(view, mode, still_needed, self.boundary)
+        {
+            self.picks.start(keep);
+            self.boundary = self.picks.offer_selected(view, mode, still_needed);
+        }
+        self.picks.fresh.finish();
+        self.picks.speculative.finish();
+    }
+
+    /// The decision the lists name, stamped with `stamp`; a decline drops the lists.
+    fn answer(&mut self, stamp: Stamp, mode: SpeculationMode) -> Option<Action> {
+        let Some(pick) = self.picks.best(mode) else {
+            self.stamp = None;
+            self.answer = None;
+            self.picks.start(FIRST_KEEP);
+            return None;
         };
-        let boundary = *keys.select_nth_unstable(last).1;
-        keys.truncate(needed);
-        let row = |key: u128| view.tasks.get(key_index(key));
-        self.boundary = row(boundary).map(|t| t.id);
-        for key in keys {
-            if let Some(t) = row(key) {
-                picks.offer(mode, key, t, view.tnew(t));
-            }
+        self.stamp = Some(stamp);
+        self.answer = Some(pick);
+        Some(if pick.copies == 0 {
+            Action::launch(pick.id)
+        } else {
+            Action::speculate(pick.id)
+        })
+    }
+}
+
+/// What every row's walk key and ranking value depend on besides the row itself,
+/// and the mode that ranks them (GRASS shares one memo across RAS and GS).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    job: JobId,
+    now: u64,
+    /// The per-work estimate's bits, `None` for oracle estimates.
+    estimate: Option<u64>,
+    completed_tasks: usize,
+    completed_input_tasks: usize,
+    rows: usize,
+    mode: SpeculationMode,
+}
+
+impl Stamp {
+    fn of(view: &JobView, mode: SpeculationMode) -> Self {
+        Stamp {
+            job: view.job,
+            now: view.now.to_bits(),
+            estimate: match view.tnew_estimate {
+                TnewEstimate::PerWork(per_work) => Some(per_work.to_bits()),
+                TnewEstimate::Oracle => None,
+            },
+            completed_tasks: view.completed_tasks,
+            completed_input_tasks: view.completed_input_tasks,
+            rows: view.tasks.len(),
+            mode,
         }
     }
 }
 
-/// The best candidate so far, the value it was ranked by and its walk key.
-#[derive(Clone, Copy)]
+/// A candidate: the value it ranks by, its walk key, its task and that task's
+/// running copies when it was offered.
+#[derive(Debug, Clone, Copy)]
 struct Pick {
     value: f64,
     key: u128,
     id: TaskId,
+    copies: u32,
+}
+
+/// The order `max_by` over the walk picks by: the largest value and, among equal
+/// values, the candidate latest in the walk. Walk keys are distinct, so two picks
+/// of different rows never compare equal.
+impl Ord for Pick {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value
+            .total_cmp(&other.value)
+            .then(self.key.cmp(&other.key))
+    }
+}
+
+impl PartialOrd for Pick {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pick {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Pick {}
+
+/// The best candidates of one kind: a pass ranks them, repeat decisions serve them.
+///
+/// While a pass offers candidates, `ranking` is a min-heap of the best `keep` so far,
+/// and once it is full `runner_up` holds its root: the candidate a newcomer must
+/// beat. So most offers cost one comparison. The pass's end sorts the heap into
+/// `kept`, the best last, and repeat decisions pop from there and re-offer into it.
+/// `complete` says that no candidate was dropped, so `kept` holds every candidate.
+/// Otherwise every candidate outside `kept` ranks below its first (worst) entry, and
+/// a re-offer that ranks below that entry stays outside too.
+#[derive(Debug, Default, Clone)]
+struct RunnerUps {
+    runner_up: Option<Pick>,
+    ranking: BinaryHeap<Reverse<Pick>>,
+    kept: Vec<Pick>,
+    complete: bool,
+    /// How many candidates the pass keeps.
+    keep: usize,
+}
+
+impl RunnerUps {
+    /// Start a pass that keeps the best `keep` candidates, freeing lists that a
+    /// longer run at an earlier instant grew.
+    fn start(&mut self, keep: usize) {
+        if self.kept.capacity().max(self.ranking.capacity()) > 2 * keep {
+            *self = RunnerUps::default();
+        }
+        self.runner_up = None;
+        self.ranking.clear();
+        self.kept.clear();
+        self.complete = true;
+        self.keep = keep;
+    }
+
+    /// Offer a candidate to the pass.
+    #[inline]
+    fn offer(&mut self, pick: Pick) {
+        if self.runner_up.is_some_and(|runner_up| pick < runner_up) {
+            self.complete = false;
+        } else {
+            self.rank(pick);
+        }
+    }
+
+    /// Put `pick`, which outranks the runner-up if there is one, into the heap.
+    /// Out of line, so that the one comparison in [`RunnerUps::offer`] is all a
+    /// pass's walk inlines.
+    #[inline(never)]
+    fn rank(&mut self, pick: Pick) {
+        if self.runner_up.is_some() {
+            self.complete = false;
+            if let Some(mut runner_up) = self.ranking.peek_mut() {
+                *runner_up = Reverse(pick);
+            }
+        } else {
+            self.ranking.push(Reverse(pick));
+        }
+        if self.ranking.len() >= self.keep {
+            self.runner_up = self.ranking.peek().map(|root| root.0);
+        }
+    }
+
+    /// End the pass: sort what it kept into `kept`, the best last.
+    fn finish(&mut self) {
+        self.kept
+            .extend(self.ranking.drain().map(|Reverse(pick)| pick));
+        self.kept.sort_unstable();
+    }
+
+    /// Offer a candidate to `kept` after the pass, keeping it exact.
+    fn reoffer(&mut self, pick: Pick) {
+        if !self.complete && self.kept.first().is_none_or(|worst| pick < *worst) {
+            return;
+        }
+        let at = self.kept.partition_point(|kept| *kept < pick);
+        self.kept.insert(at, pick);
+    }
+
+    /// The best candidate of this kind, if `kept` knows it.
+    fn front(&self) -> Option<&Pick> {
+        self.kept.last()
+    }
+
+    /// Whether [`RunnerUps::front`] is the best candidate of this kind: some are
+    /// kept, or none was dropped.
+    fn readable(&self) -> bool {
+        !self.kept.is_empty() || self.complete
+    }
 }
 
 /// Pseudocode 2's pruning and selection over the candidates offered, in any order.
@@ -290,56 +477,155 @@ struct Pick {
 /// remaining time: the task that most threatens the makespan, whether by launching
 /// it (fresh) or by racing a copy against its straggling original. RAS speculates
 /// only when that saves resources.
-#[derive(Default)]
+#[derive(Debug, Default, Clone)]
 struct ErrorPicks {
-    fresh: Option<Pick>,
-    speculative: Option<Pick>,
+    /// Fresh candidates, ranked by `tnew`.
+    fresh: RunnerUps,
+    /// Admissible speculative candidates, ranked by `trem` (GS) or saving (RAS).
+    speculative: RunnerUps,
 }
 
 impl ErrorPicks {
-    /// Offer the candidate `t` at walk position `key`, with its `tnew`.
-    fn offer(&mut self, mode: SpeculationMode, key: u128, t: &TaskView, tnew: f64) {
-        if !t.is_running() {
-            keep_last_max(&mut self.fresh, tnew, key, t.id);
-        } else if t.running_copies < MAX_COPIES_PER_TASK {
-            match mode {
-                SpeculationMode::Gs => {
-                    if t.new_copy_beats_running(tnew) {
-                        keep_last_max(&mut self.speculative, t.trem, key, t.id);
-                    }
+    /// Drop every candidate and keep at least `keep` of each kind from now on.
+    fn start(&mut self, keep: usize) {
+        self.fresh.start(keep);
+        self.speculative.start(keep);
+    }
+
+    /// Offer the eligible non-input rows, and the needed set if `boundary` still
+    /// delimits it, and report whether it did. On `false` the picks hold a partial
+    /// offer to discard.
+    fn offer_checked(
+        &mut self,
+        view: &JobView,
+        mode: SpeculationMode,
+        still_needed: usize,
+        boundary: Option<TaskId>,
+    ) -> bool {
+        // With no input task still needed, no input row is offered.
+        let threshold = if still_needed == 0 {
+            None
+        } else {
+            // Rows are in ascending task id, so the boundary task is a binary search
+            // away.
+            let Some(at) =
+                boundary.and_then(|id| view.tasks.binary_search_by_key(&id, |t| t.id).ok())
+            else {
+                return false;
+            };
+            let Some(row) = view.tasks.get(at).filter(|t| needed_candidate(t)) else {
+                return false;
+            };
+            Some(input_key(view, at, row).0)
+        };
+        let (offer_inputs, threshold) = (threshold.is_some(), threshold.unwrap_or(0));
+        let (mut candidates, mut at_or_below) = (0, 0);
+        for (index, t) in view.tasks.iter().enumerate() {
+            if !t.eligible {
+                continue;
+            }
+            let tnew = view.tnew(t);
+            let key = if t.stage.is_input() {
+                candidates += 1;
+                let key = walk_key(false, t.effective_duration(tnew), index);
+                if !offer_inputs || key > threshold {
+                    continue;
                 }
-                SpeculationMode::Ras => {
-                    if let Some(saving) = t.speculation_saving(tnew).filter(|s| *s > 0.0) {
-                        keep_last_max(&mut self.speculative, saving, key, t.id);
-                    }
-                }
+                at_or_below += 1;
+                key
+            } else {
+                walk_key(true, 0.0, index)
+            };
+            self.offer(mode, key, t, tnew);
+        }
+        at_or_below == still_needed.min(candidates)
+    }
+
+    /// Offer the eligible non-input rows and the needed set, selected afresh, and
+    /// return the needed set's boundary task.
+    fn offer_selected(
+        &mut self,
+        view: &JobView,
+        mode: SpeculationMode,
+        still_needed: usize,
+    ) -> Option<TaskId> {
+        let mut keys: Vec<u128> = Vec::new();
+        for (index, t) in view.tasks.iter().enumerate() {
+            if !t.eligible {
+                continue;
+            }
+            if t.stage.is_input() {
+                keys.push(input_key(view, index, t).0);
+            } else {
+                self.offer(mode, walk_key(true, 0.0, index), t, view.tnew(t));
             }
         }
+        let needed = still_needed.min(keys.len());
+        let last = needed.checked_sub(1)?;
+        let boundary = *keys.select_nth_unstable(last).1;
+        keys.truncate(needed);
+        let row = |key: u128| view.tasks.get(key_index(key));
+        for key in keys {
+            if let Some(t) = row(key) {
+                self.offer(mode, key, t, view.tnew(t));
+            }
+        }
+        row(boundary).map(|t| t.id)
+    }
+
+    /// Pseudocode 2's pruning of the candidate `t` at walk position `key`, with its
+    /// `tnew`: the list it joins and the pick it joins with, or `None` if it is
+    /// pruned. A pass offers every candidate through here, and a repeat decision its
+    /// one changed row.
+    #[inline]
+    fn candidate(
+        &mut self,
+        mode: SpeculationMode,
+        key: u128,
+        t: &TaskView,
+        tnew: f64,
+    ) -> Option<(&mut RunnerUps, Pick)> {
+        let pick = |value| Pick {
+            value,
+            key,
+            id: t.id,
+            copies: t.running_copies,
+        };
+        if !t.is_running() {
+            return Some((&mut self.fresh, pick(tnew)));
+        }
+        if t.running_copies >= MAX_COPIES_PER_TASK {
+            return None;
+        }
+        let value = match mode {
+            SpeculationMode::Gs => t.new_copy_beats_running(tnew).then_some(t.trem),
+            SpeculationMode::Ras => t.speculation_saving(tnew).filter(|s| *s > 0.0),
+        }?;
+        Some((&mut self.speculative, pick(value)))
+    }
+
+    /// Offer the candidate `t` to a pass.
+    #[inline]
+    fn offer(&mut self, mode: SpeculationMode, key: u128, t: &TaskView, tnew: f64) {
+        if let Some((list, pick)) = self.candidate(mode, key, t, tnew) {
+            list.offer(pick);
+        }
+    }
+
+    /// Whether both fronts are the best of their kind.
+    fn readable(&self) -> bool {
+        self.fresh.readable() && self.speculative.readable()
     }
 
     /// GS races a copy only when its original's `trem` exceeds the longest fresh
     /// task's `tnew`; RAS speculates whenever that saves resources.
-    fn action(self, mode: SpeculationMode) -> Option<Action> {
-        let prefer_copy = match (mode, &self.fresh, &self.speculative) {
+    fn best(&self, mode: SpeculationMode) -> Option<Pick> {
+        let (fresh, speculative) = (self.fresh.front(), self.speculative.front());
+        let prefer_copy = match (mode, fresh, speculative) {
             (SpeculationMode::Gs, Some(f), Some(s)) => s.value > f.value,
             (_, _, s) => s.is_some(),
         };
-        if prefer_copy {
-            self.speculative.map(|s| Action::speculate(s.id))
-        } else {
-            self.fresh.map(|f| Action::launch(f.id))
-        }
-    }
-}
-
-/// Keep what `max_by` over the walk would return: the largest `value` and, among
-/// equal values, the candidate latest in the walk (`max_by` keeps the last maximum).
-fn keep_last_max(best: &mut Option<Pick>, value: f64, key: u128, id: TaskId) {
-    let wins = best
-        .as_ref()
-        .is_none_or(|b| value.total_cmp(&b.value).then(key.cmp(&b.key)).is_gt());
-    if wins {
-        *best = Some(Pick { value, key, id });
+        if prefer_copy { speculative } else { fresh }.copied()
     }
 }
 
@@ -729,11 +1015,12 @@ mod tests {
         }
     }
 
-    /// Whether `memo` alone settles the needed set of `view`, and the action then.
+    /// Whether `memo`'s boundary alone settles the needed set of `view`.
     fn memo_check(memo: &NeededSetMemo, view: &JobView, mode: SpeculationMode) -> bool {
         let mut picks = ErrorPicks::default();
+        picks.start(FIRST_KEEP);
         let still_needed = view.input_tasks_still_needed().unwrap();
-        memo.offer_checked(view, mode, still_needed, &mut picks)
+        picks.offer_checked(view, mode, still_needed, memo.boundary)
     }
 
     #[test]
@@ -771,6 +1058,7 @@ mod tests {
             // A boundary task that is gone, or a foreign one, falls back to selection.
             let foreign = NeededSetMemo {
                 boundary: Some(TaskId(99)),
+                ..NeededSetMemo::default()
             };
             assert!(!memo_check(&foreign, &view, mode));
             let mut foreign = foreign;
@@ -780,6 +1068,39 @@ mod tests {
             );
             assert_eq!(foreign.boundary, Some(TaskId(3)));
         }
+    }
+
+    #[test]
+    fn repeat_decisions_at_one_instant_are_served_from_the_kept_lists() {
+        // Eight fresh rows of works 1..=8, all needed. RAS launches them longest
+        // first, and each launched copy's `trem` is too short to be worth racing.
+        let mut rows: Vec<TaskView> = (1..=8)
+            .map(|w| task(w, false, 0.0, f64::from(w), 0))
+            .collect();
+        let mut memo = NeededSetMemo::default();
+        for (decision, work) in (1..=8).rev().enumerate() {
+            let view = error_view(&rows, 0.0, 10, 2);
+            let action = choose_memoised(&view, SpeculationMode::Ras, &mut memo);
+            assert_eq!(action, choose(&view, SpeculationMode::Ras));
+            assert_eq!(
+                action,
+                Some(Action::launch(TaskId(work))),
+                "decision {decision}"
+            );
+            let row = rows.iter_mut().find(|t| t.id == TaskId(work)).unwrap();
+            (row.running_copies, row.trem) = (1, 0.5);
+        }
+        // Passes kept 2, then 4 once those ran dry, then 8: three passes for
+        // eight decisions.
+        assert_eq!(memo.picks.fresh.keep, 8);
+        // With every row running, RAS declines, and the decline drops the lists.
+        let view = error_view(&rows, 0.0, 10, 2);
+        assert_eq!(
+            choose_memoised(&view, SpeculationMode::Ras, &mut memo),
+            None
+        );
+        assert!(memo.stamp.is_none() && memo.answer.is_none());
+        assert_eq!(memo.picks.fresh.keep, FIRST_KEEP);
     }
 
     #[test]

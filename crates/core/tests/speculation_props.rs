@@ -15,6 +15,10 @@
 //!   every step. Between steps copies launch, tasks complete (their row goes,
 //!   and the per-work estimate moves), stages unlock and `trem` shrinks, so the
 //!   policies' needed-set memo is sometimes still right and sometimes stale.
+//! * One `GsPolicy` and one `RasPolicy`, each applying its own answers to its
+//!   rows at one `now`, decide exactly what the sorted walk decides at every
+//!   step, so runs of repeat decisions within one instant outgrow the runner-up
+//!   lists the policies keep and force their refill passes.
 //! * The held-decline contract (`JobView::hold_decline`): when GS or RAS
 //!   declines, the decline stands at every later time while the job's own
 //!   tasks, copies and completed counts are unchanged.
@@ -353,6 +357,101 @@ proptest! {
                 completed += 1;
             }
             now += 1.0;
+        }
+    }
+}
+
+/// Apply `answer` to the rows as a caller applies it: one more copy of the task
+/// it names, whose best copy's `trem` becomes `trem`. For a speculative copy that
+/// may rise, since a new best copy may carry a larger estimate bias.
+fn apply_answer(rows: &mut [TaskView], answer: Action, trem: f64) {
+    if let Some(row) = rows.iter_mut().find(|t| t.id == answer.task) {
+        assert_eq!(
+            row.is_running(),
+            answer.is_speculative(),
+            "{answer:?} on {row:?}"
+        );
+        row.running_copies += 1;
+        row.trem = trem;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// About nine steps in ten apply the policy's own answer at the same `now`; the
+    /// rest apply nothing or a copy of another task instead, complete a running
+    /// task at the same `now` (which may unlock the later stages), or let time
+    /// pass, once with every running copy about to finish, so that declines follow.
+    #[test]
+    fn same_instant_decisions_match_the_sorted_walk(
+        raw in prop::collection::vec((0usize..4, 0usize..6, 0u32..=MAX_COPIES_PER_TASK, 0u8..8, 0u8..8), 1..60),
+        eps in 0usize..4,
+        extra_input in 0usize..8,
+        steps in prop::collection::vec((0u8..40, any::<usize>(), 0usize..6), 1..120),
+    ) {
+        let initial: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let total_input = initial.iter().filter(|t| t.stage.is_input()).count() + extra_input;
+        let epsilon = pick(&EPSILON, eps);
+        for mode in MODES {
+            let mut policy: Box<dyn SpeculationPolicy> = match mode {
+                SpeculationMode::Gs => Box::<GsPolicy>::default(),
+                SpeculationMode::Ras => Box::<RasPolicy>::default(),
+            };
+            let mut rows = initial.clone();
+            let (mut per_work, mut completed, mut now) = (1.0, 0, 5.0);
+            for (step, &(kind, pick_at, value)) in steps.iter().enumerate() {
+                let view = JobView {
+                    tnew_estimate: TnewEstimate::PerWork(per_work),
+                    ..error_view(&rows, epsilon, total_input, completed, now)
+                };
+                let answer = policy.choose(&view);
+                prop_assert_eq!(
+                    answer,
+                    sorted_choose_error(&view, mode),
+                    "{:?} at step {} on {:?} (per work {})", mode, step, rows, per_work
+                );
+                match (kind, answer) {
+                    (0..=35, Some(action)) => apply_answer(&mut rows, action, pick(&TREM, value)),
+                    // The answer is not applied: nothing changes, or one copy of
+                    // another eligible task launches instead, as a caller that
+                    // makes one arbitrary change per step would.
+                    (36, _) => {
+                        let others: Vec<Action> = rows
+                            .iter()
+                            .filter(|t| t.eligible && t.running_copies < MAX_COPIES_PER_TASK)
+                            .map(|t| if t.is_running() { Action::speculate(t.id) } else { Action::launch(t.id) })
+                            .filter(|other| Some(other.task) != answer.map(|a| a.task))
+                            .collect();
+                        if let Some(&other) = others.get(pick_at % (2 * others.len()).max(1)) {
+                            apply_answer(&mut rows, other, pick(&TREM, value));
+                        }
+                    }
+                    (37, _) => {
+                        let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
+                        if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+                            per_work = pick(&PER_WORK, value);
+                            if rows.remove(i).stage.is_input() {
+                                completed += 1;
+                            }
+                            if pick_at % 2 == 0 {
+                                rows.iter_mut().for_each(|t| t.eligible = true);
+                            }
+                        }
+                    }
+                    (38, _) => {
+                        now += 1.0;
+                        rows.iter_mut().filter(|t| t.is_running()).for_each(|t| t.trem = 0.0);
+                    }
+                    _ => {
+                        now += 1.0;
+                        let elapsed = pick(&[0.5, 1.0, 2.0], value);
+                        for t in rows.iter_mut().filter(|t| t.is_running()) {
+                            t.trem = (t.trem - elapsed).max(0.0);
+                        }
+                    }
+                }
+            }
         }
     }
 }

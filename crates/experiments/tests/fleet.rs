@@ -126,7 +126,7 @@ fn hung_worker_loses_its_lease_and_the_digest_survives() {
     // Wait for the broker to expire the silent lease before any healthy
     // worker shows up, so the test pins expiry (not crash release).
     let deadline = Instant::now() + Duration::from_secs(30);
-    while handle.snapshot().stats.expired_leases == 0 {
+    while handle.snapshot().unwrap().stats.expired_leases == 0 {
         assert!(Instant::now() < deadline, "lease never expired");
         thread::sleep(Duration::from_millis(10));
     }
@@ -180,6 +180,7 @@ fn sigkilled_worker_is_rescheduled_and_the_digest_survives() {
     let deadline = Instant::now() + Duration::from_secs(30);
     while !handle
         .snapshot()
+        .unwrap()
         .leases
         .iter()
         .any(|(_, worker)| worker == "victim")

@@ -14,7 +14,7 @@ use grass_trace::codec::read_frame;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -49,6 +49,14 @@ struct Shared {
 }
 
 impl Shared {
+    /// The grid state, or [`FleetError::Panicked`] if a thread panicked while
+    /// holding it.
+    fn state(&self) -> Result<MutexGuard<'_, GridState>, FleetError> {
+        self.state
+            .lock()
+            .map_err(|_| FleetError::Panicked("the broker's grid-state lock is poisoned".into()))
+    }
+
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
@@ -132,14 +140,14 @@ impl BrokerHandle {
     }
 
     /// Point-in-time view of the grid.
-    pub fn snapshot(&self) -> FleetSnapshot {
-        let state = self.shared.state.lock().unwrap();
-        FleetSnapshot {
+    pub fn snapshot(&self) -> Result<FleetSnapshot, FleetError> {
+        let state = self.shared.state()?;
+        Ok(FleetSnapshot {
             statuses: state.statuses(),
             stats: state.stats(),
             leases: state.active_leases(),
             done: self.done(),
-        }
+        })
     }
 
     /// Block until every cell is terminal, stop accepting workers, then return
@@ -151,7 +159,9 @@ impl BrokerHandle {
     /// [`crate::run_worker`] fails with [`FleetError::Io`] (connection refused),
     /// not `finished`.
     ///
-    /// Returns [`FleetError::Exhausted`] when any cell ran out of retries.
+    /// Returns [`FleetError::Exhausted`] when any cell ran out of retries, and
+    /// [`FleetError::Panicked`] when a broker thread panicked holding the grid
+    /// state (the accept loop then stops and marks the run done).
     pub fn wait(mut self) -> Result<FleetOutcome, FleetError> {
         let poll = Duration::from_millis(self.shared.config.poll_ms.max(1));
         while !self.done() {
@@ -162,7 +172,7 @@ impl BrokerHandle {
             handle.thread().unpark();
             let _ = handle.join();
         }
-        let state = self.shared.state.lock().unwrap();
+        let state = self.shared.state()?;
         match state.results() {
             Ok(results) => Ok(FleetOutcome {
                 results,
@@ -184,11 +194,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let poll = Duration::from_millis(shared.config.poll_ms.max(1));
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
-        // Drive lease expiry from the accept loop: the broker's one ticker.
-        {
-            let mut state = shared.state.lock().unwrap();
-            state.expire_leases(shared.now_ms());
-            shared.refresh_done(&state);
+        // Drive lease expiry from the accept loop: the broker's one ticker. A
+        // poisoned state ends the run: `wait` then reports it.
+        match shared.state() {
+            Ok(mut state) => {
+                state.expire_leases(shared.now_ms());
+                shared.refresh_done(&state);
+            }
+            Err(_) => {
+                shared.done.store(true, Ordering::SeqCst);
+                return;
+            }
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -213,8 +229,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         // I/O errors fall through to the crash-release path below.
     }
     if !clean_exit {
-        if let Some(worker) = worker_id {
-            let mut state = shared.state.lock().unwrap();
+        if let (Some(worker), Ok(mut state)) = (worker_id, shared.state()) {
             state.release_worker(&worker, shared.now_ms());
             shared.refresh_done(&state);
         }
@@ -256,7 +271,7 @@ fn serve_connection(
         let is_bye = matches!(request, Request::Bye { .. });
         // Compute the response under the lock, write it outside the lock.
         let response = {
-            let mut state = shared.state.lock().unwrap();
+            let mut state = shared.state().map_err(io::Error::other)?;
             let response = apply_request(&mut state, shared, &request);
             shared.refresh_done(&state);
             response
@@ -290,6 +305,7 @@ fn apply_request(state: &mut GridState, shared: &Shared, request: &Request) -> O
                 attempt,
                 lease,
                 heartbeat_ms: shared.config.heartbeat_ms,
+                // grass: allow(panicky-lib, "the grid has one cell per spec (serve_broker_on asserts it), and claim grants only its own cells")
                 spec: shared.specs[cell].clone(),
             },
             Claim::Wait { ms } => Response::Wait { ms },

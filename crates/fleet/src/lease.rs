@@ -73,8 +73,8 @@ impl LeaseTable {
     pub fn release_worker(&mut self, worker: &str) -> Vec<Lease> {
         let mut released = Vec::new();
         let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].worker == worker {
+        while let Some(lease) = self.active.get(i) {
+            if lease.worker == worker {
                 released.push(self.active.swap_remove(i));
             } else {
                 i += 1;

@@ -67,6 +67,9 @@ pub enum FleetError {
     Exhausted(Vec<usize>),
     /// Every worker process exited while cells were still outstanding.
     WorkersExited(usize),
+    /// A broker or worker thread panicked: the message names the lock it
+    /// poisoned or the thread that died.
+    Panicked(String),
 }
 
 impl fmt::Display for FleetError {
@@ -80,6 +83,7 @@ impl fmt::Display for FleetError {
             FleetError::WorkersExited(n) => {
                 write!(f, "all {n} worker processes exited with cells outstanding")
             }
+            FleetError::Panicked(what) => write!(f, "fleet thread panicked: {what}"),
         }
     }
 }

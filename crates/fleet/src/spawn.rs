@@ -53,11 +53,11 @@ pub fn run_fleet(
     // Watch for the all-workers-dead-with-work-left condition.
     while !handle.done() {
         let mut alive = 0;
-        for (i, slot) in children.iter_mut().enumerate() {
+        for (slot, code) in children.iter_mut().zip(exit_codes.iter_mut()) {
             if let Some(child) = slot {
                 match child.try_wait() {
                     Ok(Some(status)) => {
-                        exit_codes[i] = status.code();
+                        *code = status.code();
                         *slot = None;
                     }
                     Ok(None) => alive += 1,
@@ -76,12 +76,12 @@ pub fn run_fleet(
     // Workers exit on their own after `finished`; give them a grace window,
     // then reap forcibly so the harness never leaks processes.
     let deadline = Instant::now() + Duration::from_secs(10);
-    for (i, slot) in children.iter_mut().enumerate() {
+    for (slot, code) in children.iter_mut().zip(exit_codes.iter_mut()) {
         if let Some(child) = slot {
             loop {
                 match child.try_wait() {
                     Ok(Some(status)) => {
-                        exit_codes[i] = status.code();
+                        *code = status.code();
                         break;
                     }
                     Ok(None) if Instant::now() < deadline => thread::sleep(poll),

@@ -122,11 +122,14 @@ impl GridState {
         }
     }
 
-    /// Pre-complete `cell` with a cached result (never dispatched).
+    /// Pre-complete `cell` with a cached result (never dispatched). A cell
+    /// outside the grid is ignored.
     ///
     /// Only valid before any claim touches the cell.
     pub fn preload(&mut self, cell: usize, result: String) {
-        let c = &mut self.cells[cell];
+        let Some(c) = self.cells.get_mut(cell) else {
+            return;
+        };
         assert_eq!(
             c.status,
             CellStatus::Pending,
@@ -143,13 +146,12 @@ impl GridState {
             return Claim::Finished;
         }
         let mut next_ready: Option<u64> = None;
-        for i in 0..self.cells.len() {
-            if self.cells[i].status != CellStatus::Pending {
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if cell.status != CellStatus::Pending {
                 continue;
             }
-            if self.cells[i].not_before_ms <= now_ms {
+            if cell.not_before_ms <= now_ms {
                 let lease = self.leases.grant(worker, i, now_ms);
-                let cell = &mut self.cells[i];
                 cell.status = CellStatus::Leased;
                 cell.attempts += 1;
                 self.stats.dispatched += 1;
@@ -159,7 +161,7 @@ impl GridState {
                     lease,
                 };
             }
-            let wait = self.cells[i].not_before_ms - now_ms;
+            let wait = cell.not_before_ms - now_ms;
             next_ready = Some(next_ready.map_or(wait, |w| w.min(wait)));
         }
         // Either every pending cell is backoff-gated (wait until the nearest
@@ -185,14 +187,13 @@ impl GridState {
         lease: u64,
         payload: String,
     ) -> Completion {
-        if cell >= self.cells.len() {
+        let Some(c) = self.cells.get_mut(cell) else {
             self.stats.stale_completes += 1;
             return Completion::Stale;
-        }
+        };
         match self.leases.holder(cell) {
             Some(l) if l.worker == worker && l.id == lease => {
                 self.leases.release_cell(cell);
-                let c = &mut self.cells[cell];
                 debug_assert_eq!(c.status, CellStatus::Leased);
                 c.status = CellStatus::Completed;
                 c.result = Some(payload);
@@ -250,7 +251,9 @@ impl GridState {
     /// exhausted when its dispatch budget (`1 + max_retries`) is spent.
     fn requeue(&mut self, cell: usize, now_ms: u64) {
         let max_dispatches = 1 + self.config.max_retries;
-        let c = &mut self.cells[cell];
+        let Some(c) = self.cells.get_mut(cell) else {
+            return;
+        };
         debug_assert_eq!(c.status, CellStatus::Leased);
         if c.attempts >= max_dispatches {
             c.status = CellStatus::Exhausted;
@@ -284,19 +287,21 @@ impl GridState {
             .collect()
     }
 
-    /// Grid-order result payloads, or the exhausted cells if any cell failed
-    /// for good. Call only after [`GridState::all_done`].
+    /// Grid-order result payloads, or the cells without one: after
+    /// [`GridState::all_done`], exactly the cells that ran out of retries.
     pub fn results(&self) -> Result<Vec<String>, Vec<usize>> {
         debug_assert!(self.all_done());
-        let exhausted = self.exhausted_cells();
-        if !exhausted.is_empty() {
-            return Err(exhausted);
-        }
-        Ok(self
+        let missing: Vec<usize> = self
             .cells
             .iter()
-            .map(|c| c.result.clone().expect("completed cell has a result"))
-            .collect())
+            .enumerate()
+            .filter(|(_, c)| c.result.is_none())
+            .map(|(i, _)| i)
+            .collect();
+        if !missing.is_empty() {
+            return Err(missing);
+        }
+        Ok(self.cells.iter().filter_map(|c| c.result.clone()).collect())
     }
 
     pub fn statuses(&self) -> Vec<CellStatus> {

@@ -61,11 +61,15 @@ struct FrameWriter {
 }
 
 impl FrameWriter {
-    fn send(&self, request: &Request) -> std::io::Result<()> {
+    /// Write one frame; [`FleetError::Panicked`] if a thread panicked holding
+    /// the stream.
+    fn send(&self, request: &Request) -> Result<(), FleetError> {
         let mut line = request.encode();
         line.push('\n');
-        let mut stream = self.stream.lock().unwrap();
-        stream.write_all(line.as_bytes())
+        let mut stream = self.stream.lock().map_err(|_| {
+            FleetError::Panicked("the worker's frame-writer lock is poisoned".into())
+        })?;
+        Ok(stream.write_all(line.as_bytes())?)
     }
 }
 
@@ -119,7 +123,7 @@ pub fn run_worker(
             } => {
                 let result = run_with_heartbeats(&writer, &worker, cell, heartbeat_ms, || {
                     runner.run(cell, &spec)
-                });
+                })?;
                 match result {
                     Ok(payload) => {
                         writer.send(&Request::Complete {
@@ -184,33 +188,37 @@ pub fn run_worker(
 /// closes, so it stops at once instead of at the end of a sleep. It is joined
 /// before reporting, so a `complete` frame is never followed by a heartbeat
 /// for the same (released) lease.
+///
+/// A heartbeat that could not be sent, or a heartbeat thread that panicked,
+/// fails the call after `body` returns: the lease may already be lost.
 fn run_with_heartbeats<T>(
     writer: &FrameWriter,
     worker: &str,
     cell: usize,
     heartbeat_ms: u64,
     body: impl FnOnce() -> T,
-) -> T {
+) -> Result<T, FleetError> {
     let (done, stop) = mpsc::channel::<()>();
     let beat_writer = writer.clone();
     let beat_worker = worker.to_string();
     let interval = Duration::from_millis(heartbeat_ms.max(1));
-    let beats = thread::spawn(move || {
-        while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
-            let beat = Request::Heartbeat {
-                worker: beat_worker.clone(),
-                cell,
-            };
-            if beat_writer.send(&beat).is_err() {
-                // Broker gone: the main loop will hit the same error.
-                return;
+    let beats = thread::Builder::new()
+        .name("grass-fleet-heartbeat".into())
+        .spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(interval) {
+                beat_writer.send(&Request::Heartbeat {
+                    worker: beat_worker.clone(),
+                    cell,
+                })?;
             }
-        }
-    });
+            Ok(())
+        })?;
     let result = body();
     drop(done);
-    let _ = beats.join();
-    result
+    match beats.join() {
+        Ok(beats) => beats.map(|()| result),
+        Err(_) => Err(FleetError::Panicked("the heartbeat thread".into())),
+    }
 }
 
 fn recv(reader: &mut BufReader<TcpStream>) -> Result<Response, FleetError> {
@@ -246,7 +254,7 @@ mod tests {
             thread::sleep(Duration::from_millis(110));
             7
         });
-        assert_eq!(answer, 7);
+        assert_eq!(answer.unwrap(), 7);
         // Anything the heartbeat thread still sent would land after this frame.
         writer.send(&Request::Bye { worker: "w".into() }).unwrap();
         thread::sleep(Duration::from_millis(60));
@@ -265,6 +273,31 @@ mod tests {
         assert_eq!(last, &Request::Bye { worker: "w".into() });
         assert!(beats.iter().all(|f| f == &beat), "{frames:?}");
         assert!((4..=6).contains(&beats.len()), "{} heartbeats", beats.len());
+    }
+
+    #[test]
+    fn a_poisoned_frame_writer_fails_sends_and_heartbeats_instead_of_panicking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_server, _) = listener.accept().unwrap();
+        let writer = FrameWriter {
+            stream: Arc::new(Mutex::new(client)),
+        };
+        let holder = writer.clone();
+        let poisoner = thread::spawn(move || {
+            let _stream = holder.stream.lock().unwrap();
+            panic!("a thread dies holding the frame writer");
+        });
+        assert!(poisoner.join().is_err());
+
+        let sent = writer.send(&Request::Bye { worker: "w".into() });
+        assert!(matches!(sent, Err(FleetError::Panicked(_))), "{sent:?}");
+        // The first heartbeat falls due while the body runs, and fails.
+        let beaten = run_with_heartbeats(&writer, "w", 3, 5, || {
+            thread::sleep(Duration::from_millis(40));
+            7
+        });
+        assert!(matches!(beaten, Err(FleetError::Panicked(_))), "{beaten:?}");
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! Error-bound cases also keep one `GsPolicy` and one `RasPolicy` across all
 //! the steps, as the simulator keeps one policy per job. After every step each
 //! one's decision on the resident view must equal `speculation::choose`, which
-//! keeps no needed-set memo, on the same view.
+//! keeps no memo, on the same view. One step kind applies a kept policy's own
+//! last answer through `JobRuntime::launch_copy` at the same `now`, as the
+//! simulator does when one instant frees several slots, so the policies answer
+//! repeat decisions from the runner-up candidates they kept; the other launches
+//! change some other row, which those answers must notice.
 //!
 //! `PROPTEST_CASES` sets the case count (CI runs 500 in release).
 
@@ -84,22 +88,27 @@ fn resident_view<'a>(rt: &'a JobRuntime, now: Time, estimator: &EstimatorConfig)
 }
 
 /// Each kept policy's decision on the resident view equals the memo-free `choose`.
+/// Returns the decisions, in policy order.
 fn assert_kept_policies_match_choose(
     policies: &mut [(SpeculationMode, Box<dyn SpeculationPolicy>)],
     rt: &JobRuntime,
     now: Time,
     estimator: &EstimatorConfig,
     step: usize,
-) {
+) -> Vec<Option<Action>> {
     let view = resident_view(rt, now, estimator);
+    let mut decisions = Vec::new();
     for (mode, policy) in policies.iter_mut() {
+        let decision = policy.choose(&view);
         assert_eq!(
-            policy.choose(&view),
+            decision,
             choose(&view, *mode),
             "step {step} at t={now}: {mode:?} on {:?}",
             view.tasks
         );
+        decisions.push(decision);
     }
+    decisions
 }
 
 fn assert_resident_rows_match_a_full_build(
@@ -158,7 +167,7 @@ proptest! {
         (error_bound, epsilon) in (any::<bool>(), 0.0f64..0.6),
         noisy in any::<bool>(),
         seed in any::<u64>(),
-        ops in prop::collection::vec((0u8..6, any::<u32>(), 0.0f64..1.0), 1..160),
+        ops in prop::collection::vec((0u8..8, any::<u32>(), 0.0f64..1.0), 1..160),
     ) {
         // Work 0.0 appears too: it skips the per-work estimate's update.
         let stage_work: Vec<Vec<f64>> = stage_sizes
@@ -186,7 +195,7 @@ proptest! {
         } else {
             Vec::new()
         };
-        assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, 0);
+        let mut decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, 0);
 
         let slot = SlotId { machine: 0, slot: 0 };
         let mut next_copy: CopyId = 0;
@@ -243,11 +252,20 @@ proptest! {
                 }
                 // Time moves, possibly past running copies' end times, so that
                 // several copies of one task clamp to zero remaining time.
-                _ => now += 8.0 * amount,
+                4 | 5 => now += 8.0 * amount,
+                // A copy of the task a kept policy last named, at the same `now`.
+                _ => {
+                    if let Some(Some(action)) = decisions.get(pick as usize % decisions.len().max(1)) {
+                        let duration = 0.1 + 10.0 * amount;
+                        rt.launch_copy(action.task, next_copy, slot, now, duration, &estimator, &mut rng);
+                        launched.push((action.task, next_copy));
+                        next_copy += 1;
+                    }
+                }
             }
             rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
             assert_resident_rows_match_a_full_build(&rt, now, &estimator, step + 1);
-            assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, step + 1);
+            decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, step + 1);
         }
     }
 }
