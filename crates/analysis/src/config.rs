@@ -127,6 +127,7 @@ struct Parser {
 
 impl Parser {
     fn run(mut self, text: &str) -> Result<AnalysisConfig, String> {
+        // grass: allow(unbounded-read, "`str::lines` over the config text already in memory")
         for (index, raw) in text.lines().enumerate() {
             let lineno = (index as u32) + 1;
             let line = strip_comment(raw).trim().to_string();

@@ -23,9 +23,9 @@
 //!   comment targets its own line; an own-line comment targets the next code
 //!   line. Malformed or unused directives are findings themselves
 //!   (`malformed-suppression`, `unused-suppression`) and cannot be suppressed.
-//! * [`lints`] — the catalog. Six passes: `nan-unsafe-cmp`,
+//! * [`lints`] — the catalog. Seven passes: `nan-unsafe-cmp`,
 //!   `unordered-iter-on-digest-path`, `wall-clock-in-core`, `unseeded-rng`,
-//!   `panicky-lib`, `nested-lock`.
+//!   `panicky-lib`, `nested-lock`, `unbounded-read`.
 //! * [`engine`] / [`workspace`] — per-file orchestration ([`lint_source`]) and
 //!   the directory walk + config discovery ([`Workspace`], [`run_lints`]).
 //! * [`report`] — text and versioned-JSON renderers (`grass-analysis/1`).

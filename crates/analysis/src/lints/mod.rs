@@ -1,7 +1,7 @@
 //! The lint catalog and the shared lint-author toolkit.
 //!
 //! Every lint has a stable id (used in suppression directives, `analysis.toml`
-//! and the JSON report), a one-line summary and a default severity. The six
+//! and the JSON report), a one-line summary and a default severity. The seven
 //! code lints are token-pattern passes over the [`crate::lexer`] output; two
 //! meta lints (`malformed-suppression`, `unused-suppression`) keep the
 //! suppression system itself honest and are produced by the engine.
@@ -13,6 +13,7 @@ mod cmp;
 mod collections;
 mod locks;
 mod panicky;
+mod reads;
 mod rng;
 mod time;
 
@@ -44,6 +45,8 @@ pub const UNSEEDED_RNG: &str = "unseeded-rng";
 pub const PANICKY_LIB: &str = "panicky-lib";
 /// Lint id of the nested lock-guard lint.
 pub const NESTED_LOCK: &str = "nested-lock";
+/// Lint id of the uncapped-read lint.
+pub const UNBOUNDED_READ: &str = "unbounded-read";
 /// Lint id for unparseable or reasonless suppression directives.
 pub const MALFORMED_SUPPRESSION: &str = "malformed-suppression";
 /// Lint id for suppression directives that matched no finding.
@@ -82,6 +85,11 @@ pub const CATALOG: &[LintInfo] = &[
         default_severity: Severity::Error,
     },
     LintInfo {
+        id: UNBOUNDED_READ,
+        summary: "read_line/read_to_end/read_to_string/lines() with no length cap in library code",
+        default_severity: Severity::Error,
+    },
+    LintInfo {
         id: MALFORMED_SUPPRESSION,
         summary: "suppression directive that does not parse or lacks a reason",
         default_severity: Severity::Error,
@@ -103,7 +111,7 @@ pub fn lint_info(id: &str) -> Option<&'static LintInfo> {
     CATALOG.iter().find(|info| info.id == id)
 }
 
-/// Run the six code lints over one file, honouring severity overrides.
+/// Run the seven code lints over one file, honouring severity overrides.
 pub(crate) fn run_catalog(ctx: &FileCtx<'_>, config: &AnalysisConfig) -> Vec<Finding> {
     type Pass = fn(&FileCtx<'_>, Severity, &mut Vec<Finding>);
     const PASSES: &[(&str, Pass)] = &[
@@ -113,6 +121,7 @@ pub(crate) fn run_catalog(ctx: &FileCtx<'_>, config: &AnalysisConfig) -> Vec<Fin
         (UNSEEDED_RNG, rng::check),
         (PANICKY_LIB, panicky::check),
         (NESTED_LOCK, locks::check),
+        (UNBOUNDED_READ, reads::check),
     ];
     let mut out = Vec::new();
     for (id, pass) in PASSES {

@@ -16,7 +16,7 @@ use grass_analysis::{run_lints, AnalysisConfig, Workspace};
 /// repo-root `analysis.toml`, scoped to fixture file names.
 const CORPUS_CONFIG: &str = r#"
 digest = ["unordered.rs", "clean.rs"]
-library = ["panicky.rs", "clean.rs"]
+library = ["panicky.rs", "unbounded_read.rs", "clean.rs"]
 
 [[allow]]
 lint = "wall-clock-in-core"
@@ -106,6 +106,7 @@ fn corpus_exercises_every_lint() {
         "unseeded-rng",
         "panicky-lib",
         "nested-lock",
+        "unbounded-read",
         "malformed-suppression",
         "unused-suppression",
     ] {

@@ -18,27 +18,31 @@ use grass_policies::{LateFactory, MantriFactory};
 use grass_sim::{run_simulation, ClusterConfig, SimConfig};
 use grass_workload::{generate, BoundSpec, Framework, TraceProfile, WorkloadConfig};
 
+/// The `now` of every [`view_of`] view.
+const NOW: f64 = 10.0;
+
 /// Build a job view with `n` tasks, half of them running, for decision benchmarks.
 /// A row's `tnew` is its work: [`view_of`] reads it through a unit per-work estimate.
+/// A running row's copy started 5 s before [`NOW`] and has `4 + i % 7` seconds left.
 fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
     let tasks: Vec<TaskView> = (0..n)
         .map(|i| {
             let running = i % 2 == 0;
+            let (start, duration) = if running {
+                (NOW - 5.0, 5.0 + 4.0 + (i % 7) as f64)
+            } else {
+                (0.0, 0.0)
+            };
             TaskView {
                 id: TaskId(i),
                 stage: StageId::INPUT,
                 eligible: true,
                 running_copies: u32::from(running),
-                elapsed: if running { 5.0 } else { 0.0 },
-                progress: if running { 0.5 } else { 0.0 },
-                progress_rate: if running { 0.05 } else { 0.0 },
-                trem: if running {
-                    4.0 + (i % 7) as f64
-                } else {
-                    f64::INFINITY
-                },
+                copy_start: start,
+                copy_duration: duration,
+                rem_bias: 1.0,
+                oldest_start: start,
                 tnew_bias: 1.0,
-                true_remaining: 4.0 + (i % 7) as f64,
                 true_new_hint: 2.0 + (i % 5) as f64,
                 work: 2.0 + (i % 5) as f64,
             }
@@ -51,7 +55,7 @@ fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
 fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
     JobView {
         job: JobId(1),
-        now: 10.0,
+        now: NOW,
         arrival: 0.0,
         bound,
         input_deadline: None,
@@ -126,11 +130,15 @@ fn policy_decision_latency(c: &mut Criterion) {
                     b.iter(|| {
                         let action = policy.choose(&view_of(&rows, bound));
                         match action.and_then(|a| rows.get_mut(a.task.index())) {
-                            // One more copy, whose best copy's `trem` is derived
-                            // from the task id.
+                            // One more copy, launched now, which becomes the best
+                            // copy with a `trem` derived from the task id.
                             Some(row) => {
+                                if row.running_copies == 0 {
+                                    row.oldest_start = NOW;
+                                }
                                 row.running_copies += 1;
-                                row.trem = 1.0 + f64::from(row.id.0 % 9);
+                                (row.copy_start, row.copy_duration) =
+                                    (NOW, 1.0 + f64::from(row.id.0 % 9));
                             }
                             None => {
                                 rows.clone_from(&tasks);

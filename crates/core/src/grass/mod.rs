@@ -319,12 +319,11 @@ mod tests {
             stage: StageId::INPUT,
             eligible: true,
             running_copies: 0,
-            elapsed: 0.0,
-            progress: 0.0,
-            progress_rate: 0.0,
-            trem: f64::INFINITY,
+            copy_start: 0.0,
+            copy_duration: 0.0,
+            rem_bias: 1.0,
+            oldest_start: 0.0,
             tnew_bias: 1.0,
-            true_remaining: tnew,
             true_new_hint: tnew,
             work: tnew,
         }
@@ -384,7 +383,7 @@ mod tests {
         let tasks: Vec<TaskView> = (0..10)
             .map(|i| TaskView {
                 running_copies: 1,
-                trem: 1.0,
+                copy_duration: 1.0,
                 ..unscheduled(i, 4.0)
             })
             .collect();

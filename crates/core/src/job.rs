@@ -275,8 +275,9 @@ pub struct JobView<'a> {
     /// Completed tasks (all stages).
     pub completed_tasks: usize,
     /// Views of every *unfinished* task of the job (running or not, eligible or not),
-    /// in ascending task id. A row holds no job-wide state: read a task's `tnew`
-    /// through [`JobView::tnew`].
+    /// in ascending task id. A row holds neither job-wide state nor anything that
+    /// depends on `now`: read a task's `tnew`, `trem` and progress through this view's
+    /// methods ([`JobView::tnew`], [`JobView::trem`], [`JobView::progress`], …).
     pub tasks: &'a [TaskView],
     /// The job-wide input of every row's [`JobView::tnew`].
     pub tnew_estimate: TnewEstimate,
@@ -303,11 +304,12 @@ impl<'a> JobView<'a> {
     /// policy whether or not it calls this.
     ///
     /// Set it only for a decision that reads nothing but the job's own state, the
-    /// bound and `now`. GS and RAS qualify: while the job is unchanged, `trem`,
-    /// [`TaskView::speculation_saving`] and [`JobView::remaining_deadline`] only
-    /// shrink as `now` grows, and eligibility and [`JobView::tnew`] stay fixed (the
-    /// per-work estimate in [`TnewEstimate::PerWork`] moves only when one of the
-    /// job's tasks completes), so no pruned task comes back. A decision that reads
+    /// bound and `now`. GS and RAS qualify: while the job is unchanged,
+    /// [`JobView::trem`], [`TaskView::speculation_saving`] and
+    /// [`JobView::remaining_deadline`] only shrink as `now` grows, and eligibility
+    /// and [`JobView::tnew`] stay fixed (the per-work estimate in
+    /// [`TnewEstimate::PerWork`] moves only when one of the job's tasks completes),
+    /// so no pruned task comes back. A decision that reads
     /// utilisation, fair share or shared learned state must not hold: GRASS before
     /// its mode is final, or LATE, whose speculation budget scales with the wave
     /// width.
@@ -323,6 +325,62 @@ impl<'a> JobView<'a> {
         match self.tnew_estimate {
             TnewEstimate::PerWork(per_work) => (task.work * per_work * task.tnew_bias).max(1e-6),
             TnewEstimate::Oracle => task.true_new_hint,
+        }
+    }
+
+    /// Ground-truth remaining duration of `task`'s best running copy at `now`:
+    /// `(copy_start + copy_duration) − now`, in that order, clamped at zero;
+    /// `f64::INFINITY` if the task is not running. Oracle baselines only.
+    #[inline]
+    pub fn true_remaining(&self, task: &TaskView) -> Time {
+        if !task.is_running() {
+            return f64::INFINITY;
+        }
+        (task.copy_start + task.copy_duration - self.now).max(0.0)
+    }
+
+    /// Estimated remaining duration of `task`'s best running copy at `now`: its
+    /// [`JobView::true_remaining`] times the copy's `rem_bias`, clamped at zero;
+    /// `f64::INFINITY` if the task is not running. Under oracle estimates every copy's
+    /// bias is `1.0`, so this is the ground truth bit for bit. Every reader of `trem`
+    /// goes through here.
+    #[inline]
+    pub fn trem(&self, task: &TaskView) -> Time {
+        (self.true_remaining(task) * task.rem_bias).max(0.0)
+    }
+
+    /// Time `task`'s *oldest* running copy has been executing at `now`, clamped at
+    /// zero; zero if the task is not running.
+    #[inline]
+    pub fn elapsed(&self, task: &TaskView) -> Time {
+        if !task.is_running() {
+            return 0.0;
+        }
+        (self.now - task.oldest_start).max(0.0)
+    }
+
+    /// Progress fraction in `[0, 1]` of `task`'s best running copy at `now`: `1.0` if
+    /// its duration is not positive; zero if the task is not running.
+    #[inline]
+    pub fn progress(&self, task: &TaskView) -> f64 {
+        if !task.is_running() {
+            return 0.0;
+        }
+        if task.copy_duration <= 0.0 {
+            return 1.0;
+        }
+        ((self.now - task.copy_start).max(0.0) / task.copy_duration).min(1.0)
+    }
+
+    /// Progress per second (used by LATE-style baselines): [`JobView::progress`] over
+    /// [`JobView::elapsed`], or zero while no time has elapsed.
+    #[inline]
+    pub fn progress_rate(&self, task: &TaskView) -> f64 {
+        let elapsed = self.elapsed(task);
+        if elapsed > 0.0 {
+            self.progress(task) / elapsed
+        } else {
+            0.0
         }
     }
 
@@ -416,15 +474,48 @@ mod tests {
             stage: StageId::INPUT,
             eligible: true,
             running_copies: 0,
-            elapsed: 0.0,
-            progress: 0.0,
-            progress_rate: 0.0,
-            trem: f64::INFINITY,
+            copy_start: 0.0,
+            copy_duration: 0.0,
+            rem_bias: 1.0,
+            oldest_start: 0.0,
             tnew_bias,
-            true_remaining: f64::INFINITY,
             true_new_hint,
             work,
         }
+    }
+
+    #[test]
+    fn derived_fields_follow_the_best_and_the_oldest_copy() {
+        // Two copies: the oldest started at 1, the best at 3 and ends at 3 + 4 = 7.
+        let running = TaskView {
+            running_copies: 2,
+            copy_start: 3.0,
+            copy_duration: 4.0,
+            rem_bias: 1.5,
+            oldest_start: 1.0,
+            ..row(2.0, 1.0, 2.0)
+        };
+        let fresh = row(2.0, 1.0, 2.0);
+        let tasks = [running.clone(), fresh.clone()];
+        let mut v = view_with(Bound::Error(0.1), &tasks);
+        v.now = 5.0;
+        assert_eq!(v.true_remaining(&running), 2.0);
+        assert_eq!(v.trem(&running), 3.0);
+        assert_eq!(v.elapsed(&running), 4.0);
+        assert_eq!(v.progress(&running), 0.5);
+        assert_eq!(v.progress_rate(&running), 0.125);
+        // Past the best copy's end every remaining time clamps at zero and its
+        // progress at one.
+        v.now = 9.0;
+        assert_eq!(v.true_remaining(&running), 0.0);
+        assert_eq!(v.trem(&running), 0.0);
+        assert_eq!(v.progress(&running), 1.0);
+        // A row with no copy: nothing remains to run, nothing has elapsed.
+        assert_eq!(v.true_remaining(&fresh), f64::INFINITY);
+        assert_eq!(v.trem(&fresh), f64::INFINITY);
+        assert_eq!(v.elapsed(&fresh), 0.0);
+        assert_eq!(v.progress(&fresh), 0.0);
+        assert_eq!(v.progress_rate(&fresh), 0.0);
     }
 
     #[test]

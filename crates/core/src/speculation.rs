@@ -104,16 +104,17 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
         if t.running_copies >= MAX_COPIES_PER_TASK {
             continue;
         }
+        let trem = view.trem(t);
         match mode {
             SpeculationMode::Gs => {
-                if t.new_copy_beats_running(tnew)
+                if t.new_copy_beats_running(trem, tnew)
                     && speculative.is_none_or(|(best, _)| tnew.total_cmp(&best).is_lt())
                 {
                     speculative = Some((tnew, t));
                 }
             }
             SpeculationMode::Ras => {
-                if let Some(saving) = t.speculation_saving(tnew).filter(|s| *s > 0.0) {
+                if let Some(saving) = t.speculation_saving(trem, tnew).filter(|s| *s > 0.0) {
                     if speculative.is_none_or(|(best, _)| saving.total_cmp(&best).is_ge()) {
                         speculative = Some((saving, t));
                     }
@@ -188,10 +189,10 @@ fn key_index(key: u128) -> usize {
     (key & ((1 << 63) - 1)) as usize
 }
 
-/// An eligible input row's walk key and `tnew`.
-fn input_key(view: &JobView, index: usize, t: &TaskView) -> (u128, f64) {
-    let tnew = view.tnew(t);
-    (walk_key(false, t.effective_duration(tnew), index), tnew)
+/// An eligible input row's walk key.
+fn input_key(view: &JobView, index: usize, t: &TaskView) -> u128 {
+    let (tnew, trem) = (view.tnew(t), view.trem(t));
+    walk_key(false, t.effective_duration(trem, tnew), index)
 }
 
 /// How many candidates of each kind the first pass at an instant keeps.
@@ -263,9 +264,9 @@ impl NeededSetMemo {
             self.picks.speculative.kept.pop()
         };
         debug_assert_eq!(served.map(|p| p.key), Some(answer.key));
-        let tnew = view.tnew(row);
+        let (tnew, trem) = (view.tnew(row), view.trem(row));
         let key = if row.stage.is_input() {
-            walk_key(false, row.effective_duration(tnew), index)
+            walk_key(false, row.effective_duration(trem, tnew), index)
         } else {
             answer.key
         };
@@ -273,7 +274,7 @@ impl NeededSetMemo {
             key <= answer.key,
             "applying an answer raised its row's effective duration: {row:?}"
         );
-        if let Some((list, pick)) = self.picks.candidate(mode, key, row, tnew) {
+        if let Some((list, pick)) = self.picks.candidate(mode, key, row, tnew, trem) {
             list.reoffer(pick);
         }
         Some(self.picks.readable())
@@ -516,7 +517,7 @@ impl ErrorPicks {
             let Some(row) = view.tasks.get(at).filter(|t| needed_candidate(t)) else {
                 return false;
             };
-            Some(input_key(view, at, row).0)
+            Some(input_key(view, at, row))
         };
         let (offer_inputs, threshold) = (threshold.is_some(), threshold.unwrap_or(0));
         let (mut candidates, mut at_or_below) = (0, 0);
@@ -524,10 +525,10 @@ impl ErrorPicks {
             if !t.eligible {
                 continue;
             }
-            let tnew = view.tnew(t);
+            let (tnew, trem) = (view.tnew(t), view.trem(t));
             let key = if t.stage.is_input() {
                 candidates += 1;
-                let key = walk_key(false, t.effective_duration(tnew), index);
+                let key = walk_key(false, t.effective_duration(trem, tnew), index);
                 if !offer_inputs || key > threshold {
                     continue;
                 }
@@ -536,7 +537,7 @@ impl ErrorPicks {
             } else {
                 walk_key(true, 0.0, index)
             };
-            self.offer(mode, key, t, tnew);
+            self.offer(mode, key, t, tnew, trem);
         }
         at_or_below == still_needed.min(candidates)
     }
@@ -555,9 +556,10 @@ impl ErrorPicks {
                 continue;
             }
             if t.stage.is_input() {
-                keys.push(input_key(view, index, t).0);
+                keys.push(input_key(view, index, t));
             } else {
-                self.offer(mode, walk_key(true, 0.0, index), t, view.tnew(t));
+                let (tnew, trem) = (view.tnew(t), view.trem(t));
+                self.offer(mode, walk_key(true, 0.0, index), t, tnew, trem);
             }
         }
         let needed = still_needed.min(keys.len());
@@ -567,16 +569,16 @@ impl ErrorPicks {
         let row = |key: u128| view.tasks.get(key_index(key));
         for key in keys {
             if let Some(t) = row(key) {
-                self.offer(mode, key, t, view.tnew(t));
+                self.offer(mode, key, t, view.tnew(t), view.trem(t));
             }
         }
         row(boundary).map(|t| t.id)
     }
 
     /// Pseudocode 2's pruning of the candidate `t` at walk position `key`, with its
-    /// `tnew`: the list it joins and the pick it joins with, or `None` if it is
-    /// pruned. A pass offers every candidate through here, and a repeat decision its
-    /// one changed row.
+    /// `tnew` and `trem`: the list it joins and the pick it joins with, or `None` if
+    /// it is pruned. A pass offers every candidate through here, and a repeat decision
+    /// its one changed row.
     #[inline]
     fn candidate(
         &mut self,
@@ -584,6 +586,7 @@ impl ErrorPicks {
         key: u128,
         t: &TaskView,
         tnew: f64,
+        trem: f64,
     ) -> Option<(&mut RunnerUps, Pick)> {
         let pick = |value| Pick {
             value,
@@ -598,16 +601,16 @@ impl ErrorPicks {
             return None;
         }
         let value = match mode {
-            SpeculationMode::Gs => t.new_copy_beats_running(tnew).then_some(t.trem),
-            SpeculationMode::Ras => t.speculation_saving(tnew).filter(|s| *s > 0.0),
+            SpeculationMode::Gs => t.new_copy_beats_running(trem, tnew).then_some(trem),
+            SpeculationMode::Ras => t.speculation_saving(trem, tnew).filter(|s| *s > 0.0),
         }?;
         Some((&mut self.speculative, pick(value)))
     }
 
     /// Offer the candidate `t` to a pass.
     #[inline]
-    fn offer(&mut self, mode: SpeculationMode, key: u128, t: &TaskView, tnew: f64) {
-        if let Some((list, pick)) = self.candidate(mode, key, t, tnew) {
+    fn offer(&mut self, mode: SpeculationMode, key: u128, t: &TaskView, tnew: f64, trem: f64) {
+        if let Some((list, pick)) = self.candidate(mode, key, t, tnew, trem) {
             list.offer(pick);
         }
     }
@@ -731,21 +734,41 @@ mod tests {
     use crate::policy::ActionKind;
     use crate::task::{JobId, StageId, TaskId};
 
-    fn task(id: u32, running: bool, trem: f64, tnew: f64, copies: u32) -> TaskView {
+    /// A row with no running copy whose `tnew` is `tnew`: its work, read through the
+    /// test views' unit per-work estimate.
+    fn fresh(id: u32, tnew: f64) -> TaskView {
         TaskView {
             id: TaskId(id),
             stage: StageId::INPUT,
             eligible: true,
-            running_copies: if running { copies } else { 0 },
-            elapsed: if running { 1.0 } else { 0.0 },
-            progress: if running { 0.5 } else { 0.0 },
-            progress_rate: 0.1,
-            trem: if running { trem } else { f64::INFINITY },
+            running_copies: 0,
+            copy_start: 0.0,
+            copy_duration: 0.0,
+            rem_bias: 1.0,
+            oldest_start: 0.0,
             tnew_bias: 1.0,
-            true_remaining: trem,
             true_new_hint: tnew,
             work: tnew,
         }
+    }
+
+    /// A row with `copies` running copies whose best one, launched at `now` with a
+    /// unit estimate bias, has `trem` left at `now`.
+    fn running(id: u32, now: f64, trem: f64, tnew: f64, copies: u32) -> TaskView {
+        let rows = [TaskView {
+            running_copies: copies,
+            copy_start: now,
+            copy_duration: trem,
+            oldest_start: now,
+            ..fresh(id, tnew)
+        }];
+        let view = JobView {
+            now,
+            ..error_view(&rows, 0.0, 1, 0)
+        };
+        assert_eq!(view.trem(&rows[0]).to_bits(), trem.to_bits());
+        let [row] = rows;
+        row
     }
 
     fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobView<'a> {
@@ -797,9 +820,9 @@ mod tests {
     /// T1 is running with trem = 5, tnew = 2; T3..T9 are unscheduled with
     /// tnew = 2, 3, 3, 4, 4, 5, 5.
     fn figure1_tasks() -> Vec<TaskView> {
-        let mut tasks = vec![task(1, true, 5.0, 2.0, 1)];
+        let mut tasks = vec![running(1, 2.0, 5.0, 2.0, 1)];
         for (i, &w) in [2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0].iter().enumerate() {
-            tasks.push(task(3 + i as u32, false, 0.0, w, 0));
+            tasks.push(fresh(3 + i as u32, w));
         }
         tasks
     }
@@ -827,12 +850,12 @@ mod tests {
     #[test]
     fn deadline_pruning_drops_tasks_that_cannot_finish() {
         // Remaining deadline of 1s: only a task with tnew <= 1 survives.
-        let tasks = vec![task(1, false, 0.0, 3.0, 0), task(2, false, 0.0, 0.8, 0)];
+        let tasks = vec![fresh(1, 3.0), fresh(2, 0.8)];
         let view = deadline_view(&tasks, 5.0, 6.0);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         assert_eq!(a.task, TaskId(2));
         // With nothing fitting, no action at all.
-        let tasks = vec![task(1, false, 0.0, 3.0, 0)];
+        let tasks = vec![fresh(1, 3.0)];
         let view = deadline_view(&tasks, 5.0, 6.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         assert!(choose(&view, SpeculationMode::Ras).is_none());
@@ -840,7 +863,7 @@ mod tests {
 
     #[test]
     fn past_deadline_yields_no_action() {
-        let tasks = vec![task(1, false, 0.0, 0.5, 0)];
+        let tasks = vec![fresh(1, 0.5)];
         let view = deadline_view(&tasks, 10.0, 6.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
     }
@@ -848,11 +871,11 @@ mod tests {
     #[test]
     fn gs_requires_new_copy_to_beat_running_copy() {
         // Running task with trem = 2, tnew = 3: a new copy is slower, GS must not copy.
-        let tasks = vec![task(1, true, 2.0, 3.0, 1)];
+        let tasks = vec![running(1, 0.0, 2.0, 3.0, 1)];
         let view = deadline_view(&tasks, 0.0, 10.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         // trem = 4, tnew = 3: now GS speculates.
-        let tasks = vec![task(1, true, 4.0, 3.0, 1)];
+        let tasks = vec![running(1, 0.0, 4.0, 3.0, 1)];
         let view = deadline_view(&tasks, 0.0, 10.0);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         assert_eq!(a.kind, ActionKind::Speculate);
@@ -861,11 +884,11 @@ mod tests {
     #[test]
     fn ras_requires_positive_resource_saving() {
         // trem = 4, tnew = 3: GS would speculate but saving = 4 − 6 = −2 < 0.
-        let tasks = vec![task(1, true, 4.0, 3.0, 1)];
+        let tasks = vec![running(1, 0.0, 4.0, 3.0, 1)];
         let view = deadline_view(&tasks, 0.0, 10.0);
         assert!(choose(&view, SpeculationMode::Ras).is_none());
         // trem = 7, tnew = 3: saving = 1 > 0.
-        let tasks = vec![task(1, true, 7.0, 3.0, 1)];
+        let tasks = vec![running(1, 0.0, 7.0, 3.0, 1)];
         let view = deadline_view(&tasks, 0.0, 10.0);
         let a = choose(&view, SpeculationMode::Ras).unwrap();
         assert_eq!(a.kind, ActionKind::Speculate);
@@ -873,7 +896,7 @@ mod tests {
 
     #[test]
     fn copy_cap_is_enforced() {
-        let tasks = vec![task(1, true, 100.0, 1.0, MAX_COPIES_PER_TASK)];
+        let tasks = vec![running(1, 0.0, 100.0, 1.0, MAX_COPIES_PER_TASK)];
         let view = deadline_view(&tasks, 0.0, 1000.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         assert!(choose(&view, SpeculationMode::Ras).is_none());
@@ -882,11 +905,7 @@ mod tests {
     /// Figure 2 of the paper: six tasks, three slots, at t = 5 T1/T2/T4 are done,
     /// T3 is running with trem = 6, tnew = 3; T5, T6 are unscheduled with tnew 2 and 3.
     fn figure2_tasks() -> Vec<TaskView> {
-        vec![
-            task(3, true, 6.0, 3.0, 1),
-            task(5, false, 0.0, 2.0, 0),
-            task(6, false, 0.0, 3.0, 0),
-        ]
+        vec![running(3, 5.0, 6.0, 3.0, 1), fresh(5, 2.0), fresh(6, 3.0)]
     }
 
     #[test]
@@ -917,11 +936,7 @@ mod tests {
     fn error_bound_ignores_tasks_beyond_needed_set() {
         // 10 input tasks, ε = 0.5 => 5 needed, 4 done => only the single earliest
         // unfinished task is a candidate.
-        let tasks = vec![
-            task(1, false, 0.0, 9.0, 0),
-            task(2, false, 0.0, 1.0, 0),
-            task(3, false, 0.0, 5.0, 0),
-        ];
+        let tasks = vec![fresh(1, 9.0), fresh(2, 1.0), fresh(3, 5.0)];
         let view = error_view(&tasks, 0.5, 10, 4);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         // Only the earliest (T2, effective duration 1.0) is in the needed set, so it
@@ -931,11 +946,7 @@ mod tests {
 
     #[test]
     fn exact_jobs_schedule_longest_first() {
-        let tasks = vec![
-            task(1, false, 0.0, 2.0, 0),
-            task(2, false, 0.0, 8.0, 0),
-            task(3, false, 0.0, 5.0, 0),
-        ];
+        let tasks = vec![fresh(1, 2.0), fresh(2, 8.0), fresh(3, 5.0)];
         let view = error_view(&tasks, 0.0, 10, 7);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         assert_eq!(a.task, TaskId(2));
@@ -987,11 +998,11 @@ mod tests {
         // Rows as views present them: an infinite `trem` on fresh rows, equal
         // durations, and oracle hints of zero work, `+0.0` and `-0.0`.
         let mut rows = vec![
-            task(0, false, 0.0, 2.0, 0),
-            task(1, true, f64::INFINITY, 2.0, 1),
-            task(2, true, 2.0, 3.0, 1),
-            task(3, false, 0.0, 0.0, 0),
-            task(4, false, 0.0, 0.0, 0),
+            fresh(0, 2.0),
+            running(1, 5.0, f64::INFINITY, 2.0, 1),
+            running(2, 5.0, 2.0, 3.0, 1),
+            fresh(3, 0.0),
+            fresh(4, 0.0),
         ];
         rows[3].true_new_hint = 0.0;
         rows[4].true_new_hint = -0.0;
@@ -1001,12 +1012,12 @@ mod tests {
             let walk: Vec<(bool, f64, usize)> = rows
                 .iter()
                 .enumerate()
-                .map(|(i, t)| (false, t.effective_duration(view.tnew(t)), i))
+                .map(|(i, t)| (false, t.effective_duration(view.trem(t), view.tnew(t)), i))
                 .collect();
             for (i, a) in rows.iter().enumerate() {
                 for (j, b) in rows.iter().enumerate() {
                     assert_eq!(
-                        input_key(&view, i, a).0.cmp(&input_key(&view, j, b).0),
+                        input_key(&view, i, a).cmp(&input_key(&view, j, b)),
                         tuple_cmp(walk[i], walk[j]),
                         "{estimate:?}: row {i} against row {j}"
                     );
@@ -1027,9 +1038,7 @@ mod tests {
     fn the_memo_settles_decisions_while_the_boundary_holds() {
         // Works 1..=6 under a unit estimate; 10 input tasks, ε = 0.2, 5 done: the
         // three shortest rows are needed, so the row of work 3 is the boundary.
-        let rows: Vec<TaskView> = (1..=6)
-            .map(|w| task(w, false, 0.0, f64::from(w), 0))
-            .collect();
+        let rows: Vec<TaskView> = (1..=6).map(|w| fresh(w, f64::from(w))).collect();
         let view = error_view(&rows, 0.2, 10, 5);
         for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
             let mut memo = NeededSetMemo::default();
@@ -1074,9 +1083,7 @@ mod tests {
     fn repeat_decisions_at_one_instant_are_served_from_the_kept_lists() {
         // Eight fresh rows of works 1..=8, all needed. RAS launches them longest
         // first, and each launched copy's `trem` is too short to be worth racing.
-        let mut rows: Vec<TaskView> = (1..=8)
-            .map(|w| task(w, false, 0.0, f64::from(w), 0))
-            .collect();
+        let mut rows: Vec<TaskView> = (1..=8).map(|w| fresh(w, f64::from(w))).collect();
         let mut memo = NeededSetMemo::default();
         for (decision, work) in (1..=8).rev().enumerate() {
             let view = error_view(&rows, 0.0, 10, 2);
@@ -1088,7 +1095,7 @@ mod tests {
                 "decision {decision}"
             );
             let row = rows.iter_mut().find(|t| t.id == TaskId(work)).unwrap();
-            (row.running_copies, row.trem) = (1, 0.5);
+            *row = running(work, 5.0, 0.5, f64::from(work), 1);
         }
         // Passes kept 2, then 4 once those ran dry, then 8: three passes for
         // eight decisions.
@@ -1116,7 +1123,7 @@ mod tests {
     #[test]
     fn factories_create_working_policies() {
         let job = JobSpec::single_stage(1, 0.0, Bound::Deadline(10.0), vec![1.0, 2.0]);
-        let tasks = vec![task(0, false, 0.0, 1.0, 0), task(1, false, 0.0, 2.0, 0)];
+        let tasks = vec![fresh(0, 1.0), fresh(1, 2.0)];
         let view = deadline_view(&tasks, 0.0, 10.0);
         let mut gs = GsFactory.create(&job);
         assert_eq!(gs.choose(&view).unwrap().task, TaskId(0));

@@ -86,14 +86,24 @@ impl TaskSpec {
 /// Snapshot of one unfinished task handed to a [`crate::SpeculationPolicy`] when it has
 /// to pick what to run on a freed slot.
 ///
-/// `trem` and `tnew` are the *estimates* the scheduler would have in a real deployment
-/// (progress-report extrapolation and completed-task sampling, degraded to the
-/// configured estimation accuracy). `trem` is a field. `tnew` is read through
-/// [`JobView::tnew`](crate::JobView::tnew): it scales with the job-wide per-work
-/// estimate, so a row holds only its own part of it, `work` and `tnew_bias`, and a
-/// task completion that moves the estimate rewrites no row. `true_remaining` /
-/// `true_new_hint` carry the simulator's ground truth so that oracle baselines can be
-/// expressed; honest policies must not read them.
+/// A row is a pure function of its task and that task's running copies, so it never
+/// depends on `now`. It keeps the *best* running copy's start, duration and estimate
+/// bias and the *oldest* running copy's start, which change only when a copy launches,
+/// and [`JobView`](crate::JobView) derives every field that moves with time on read, at
+/// the view's `now`: [`trem`](crate::JobView::trem),
+/// [`true_remaining`](crate::JobView::true_remaining),
+/// [`elapsed`](crate::JobView::elapsed), [`progress`](crate::JobView::progress) and
+/// [`progress_rate`](crate::JobView::progress_rate). `tnew` is read the same way
+/// ([`JobView::tnew`](crate::JobView::tnew)): it scales with the job-wide per-work
+/// estimate, so a row holds only its own part of it, `work` and `tnew_bias`. So
+/// passing time and a completion that moves the estimate rewrite no row.
+///
+/// The best copy is the one that ends first by ground truth (the earliest `start +
+/// duration`), the first launched among equal ends. `trem` and `tnew` are the
+/// *estimates* the scheduler would have in a real deployment (progress-report
+/// extrapolation and completed-task sampling, degraded to the configured estimation
+/// accuracy). `true_remaining` and `true_new_hint` carry the simulator's ground truth so
+/// that oracle baselines can be expressed; honest policies must not read them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskView {
     /// Task identifier within the job.
@@ -105,23 +115,19 @@ pub struct TaskView {
     pub eligible: bool,
     /// Number of copies of this task currently running (`c` in the paper's notation).
     pub running_copies: u32,
-    /// Time the *oldest running copy* has been executing, in seconds. Zero if the task
-    /// is not running.
-    pub elapsed: Time,
-    /// Progress fraction in `[0, 1]` of the most advanced running copy. Zero if the
-    /// task is not running.
-    pub progress: f64,
-    /// Progress per second of the most advanced running copy (used by LATE-style
-    /// baselines). Zero if the task is not running.
-    pub progress_rate: f64,
-    /// Estimated remaining duration of the best (soonest-finishing) running copy.
-    /// `f64::INFINITY` if the task is not running.
-    pub trem: Time,
+    /// Launch time of the best running copy. Zero if the task is not running.
+    pub copy_start: Time,
+    /// Ground-truth runtime of the best running copy. Zero if the task is not running.
+    pub copy_duration: Time,
+    /// Multiplicative estimation bias of the best running copy's remaining-time
+    /// estimate, drawn once per copy (`1.0` under oracle estimates, and if the task is
+    /// not running); [`JobView::trem`](crate::JobView::trem) applies it.
+    pub rem_bias: f64,
+    /// Launch time of the oldest running copy. Zero if the task is not running.
+    pub oldest_start: Time,
     /// Multiplicative estimation bias of this task's fresh-copy estimate, drawn once
     /// per task; [`JobView::tnew`](crate::JobView::tnew) applies it.
     pub tnew_bias: f64,
-    /// Ground-truth remaining duration of the best running copy (oracle only).
-    pub true_remaining: Time,
     /// Ground-truth duration a new copy would take on a typical slot (oracle only).
     pub true_new_hint: Time,
     /// Normalised work of the task (from [`TaskSpec::work`]).
@@ -136,30 +142,33 @@ impl TaskView {
 
     /// Effective duration of the task as defined in Pseudocode 2 of the paper:
     /// `min(trem, tnew)` — the soonest this task could possibly contribute to the
-    /// result, over both its running copies and a hypothetical new copy. `tnew` is
-    /// this task's [`JobView::tnew`](crate::JobView::tnew).
-    pub fn effective_duration(&self, tnew: Time) -> Time {
-        self.trem.min(tnew)
+    /// result, over both its running copies and a hypothetical new copy. `trem` and
+    /// `tnew` are this task's [`JobView::trem`](crate::JobView::trem) and
+    /// [`JobView::tnew`](crate::JobView::tnew).
+    pub fn effective_duration(&self, trem: Time, tnew: Time) -> Time {
+        trem.min(tnew)
     }
 
     /// Resource saving of launching one more speculative copy, as defined for RAS:
     /// `c * trem − (c + 1) * tnew`. Positive iff speculating saves both time and
     /// resources. Returns `None` for tasks that are not running (launching the first
-    /// copy is not speculation). `tnew` is this task's
+    /// copy is not speculation). `trem` and `tnew` are this task's
+    /// [`JobView::trem`](crate::JobView::trem) and
     /// [`JobView::tnew`](crate::JobView::tnew).
-    pub fn speculation_saving(&self, tnew: Time) -> Option<f64> {
+    pub fn speculation_saving(&self, trem: Time, tnew: Time) -> Option<f64> {
         if !self.is_running() {
             return None;
         }
         let c = f64::from(self.running_copies);
-        Some(c * self.trem - (c + 1.0) * tnew)
+        Some(c * trem - (c + 1.0) * tnew)
     }
 
     /// Whether a new copy is expected to beat the best running copy (`tnew < trem`),
-    /// the GS speculation criterion. `tnew` is this task's
+    /// the GS speculation criterion. `trem` and `tnew` are this task's
+    /// [`JobView::trem`](crate::JobView::trem) and
     /// [`JobView::tnew`](crate::JobView::tnew).
-    pub fn new_copy_beats_running(&self, tnew: Time) -> bool {
-        self.is_running() && tnew < self.trem
+    pub fn new_copy_beats_running(&self, trem: Time, tnew: Time) -> bool {
+        self.is_running() && tnew < trem
     }
 }
 
@@ -167,21 +176,26 @@ impl TaskView {
 mod tests {
     use super::*;
 
-    fn running_task(trem: f64, copies: u32) -> TaskView {
+    fn running_task(copies: u32) -> TaskView {
         TaskView {
             id: TaskId(0),
             stage: StageId::INPUT,
             eligible: true,
             running_copies: copies,
-            elapsed: 1.0,
-            progress: 0.5,
-            progress_rate: 0.1,
-            trem,
+            copy_start: 0.0,
+            copy_duration: 1.0,
+            rem_bias: 1.0,
+            oldest_start: 0.0,
             tnew_bias: 1.0,
-            true_remaining: trem,
             true_new_hint: 1.0,
             work: 1.0,
         }
+    }
+
+    #[test]
+    fn a_row_is_72_bytes() {
+        // Every field is fixed at a launch; adding one back is a visible decision.
+        assert_eq!(std::mem::size_of::<TaskView>(), 72);
     }
 
     #[test]
@@ -201,32 +215,32 @@ mod tests {
 
     #[test]
     fn effective_duration_is_min_of_trem_and_tnew() {
-        assert_eq!(running_task(5.0, 1).effective_duration(4.0), 4.0);
-        assert_eq!(running_task(3.0, 1).effective_duration(4.0), 3.0);
+        assert_eq!(running_task(1).effective_duration(5.0, 4.0), 4.0);
+        assert_eq!(running_task(1).effective_duration(3.0, 4.0), 3.0);
     }
 
     #[test]
     fn speculation_saving_matches_paper_formula() {
         // Figure 1 (right): T1 has trem = 5, tnew = 2 with one running copy.
         // saving = 1*5 - 2*2 = 1 > 0, so RAS speculates.
-        assert_eq!(running_task(5.0, 1).speculation_saving(2.0), Some(1.0));
+        assert_eq!(running_task(1).speculation_saving(5.0, 2.0), Some(1.0));
         // Two copies already running: saving = 2*5 - 3*2 = 4.
-        assert_eq!(running_task(5.0, 2).speculation_saving(2.0), Some(4.0));
+        assert_eq!(running_task(2).speculation_saving(5.0, 2.0), Some(4.0));
         // Not running => no speculation saving defined.
-        assert_eq!(running_task(5.0, 0).speculation_saving(2.0), None);
+        assert_eq!(running_task(0).speculation_saving(5.0, 2.0), None);
     }
 
     #[test]
     fn saving_negative_when_new_copy_too_slow() {
         // trem = 3, tnew = 2: a new copy helps time-wise (GS would copy) but
         // saving = 3 - 4 = -1 < 0, so RAS refuses.
-        let t = running_task(3.0, 1);
-        assert!(t.new_copy_beats_running(2.0));
-        assert!(t.speculation_saving(2.0).unwrap() < 0.0);
+        let t = running_task(1);
+        assert!(t.new_copy_beats_running(3.0, 2.0));
+        assert!(t.speculation_saving(3.0, 2.0).unwrap() < 0.0);
     }
 
     #[test]
     fn gs_criterion_requires_running_copy() {
-        assert!(!running_task(3.0, 0).new_copy_beats_running(2.0));
+        assert!(!running_task(0).new_copy_beats_running(3.0, 2.0));
     }
 }

@@ -15,6 +15,9 @@
 //!   every step. Between steps copies launch, tasks complete (their row goes,
 //!   and the per-work estimate moves), stages unlock and `trem` shrinks, so the
 //!   policies' needed-set memo is sometimes still right and sometimes stale.
+//!   Rows hold no `trem`: a running row keeps its best copy's start, duration and
+//!   estimate bias, and the view derives `trem` at its `now` (`JobView::trem`), so
+//!   time passes by moving the view's `now`.
 //! * One `GsPolicy` and one `RasPolicy`, each applying its own answers to its
 //!   rows at one `now`, decide exactly what the sorted walk decides at every
 //!   step, so runs of repeat decisions within one instant outgrow the runner-up
@@ -42,7 +45,8 @@ const EPSILON: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
 /// tasks, then prune and pick with `max_by` (which keeps the last maximum).
 fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let tnew = |t: &TaskView| view.tnew(t);
-    let effective = |t: &TaskView| t.effective_duration(tnew(t));
+    let trem = |t: &TaskView| view.trem(t);
+    let effective = |t: &TaskView| t.effective_duration(trem(t), tnew(t));
     let mut input_tasks: Vec<&TaskView> = view
         .eligible_tasks()
         .filter(|t| t.stage.is_input())
@@ -65,8 +69,10 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
                 continue;
             }
             let admissible = match mode {
-                SpeculationMode::Gs => t.new_copy_beats_running(tnew(t)),
-                SpeculationMode::Ras => t.speculation_saving(tnew(t)).is_some_and(|s| s > 0.0),
+                SpeculationMode::Gs => t.new_copy_beats_running(trem(t), tnew(t)),
+                SpeculationMode::Ras => t
+                    .speculation_saving(trem(t), tnew(t))
+                    .is_some_and(|s| s > 0.0),
             };
             if admissible {
                 speculative.push(t);
@@ -76,16 +82,19 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
         }
     }
 
-    let saving = |t: &TaskView| t.speculation_saving(tnew(t)).unwrap_or(f64::NEG_INFINITY);
+    let saving = |t: &TaskView| {
+        t.speculation_saving(trem(t), tnew(t))
+            .unwrap_or(f64::NEG_INFINITY)
+    };
     match mode {
         SpeculationMode::Gs => {
             let best_fresh = fresh.into_iter().max_by(|a, b| tnew(a).total_cmp(&tnew(b)));
             let best_spec = speculative
                 .into_iter()
-                .max_by(|a, b| a.trem.total_cmp(&b.trem));
+                .max_by(|a, b| trem(a).total_cmp(&trem(b)));
             match (best_fresh, best_spec) {
                 (Some(f), Some(s)) => {
-                    if s.trem > tnew(f) {
+                    if trem(s) > tnew(f) {
                         Some(Action::speculate(s.id))
                     } else {
                         Some(Action::launch(f.id))
@@ -120,6 +129,7 @@ fn two_vec_choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Acti
         return None;
     }
     let tnew = |t: &TaskView| view.tnew(t);
+    let trem = |t: &TaskView| view.trem(t);
     let mut fresh: Vec<&TaskView> = Vec::new();
     let mut speculative: Vec<&TaskView> = Vec::new();
     for t in view.eligible_tasks() {
@@ -131,8 +141,10 @@ fn two_vec_choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Acti
                 continue;
             }
             let admissible = match mode {
-                SpeculationMode::Gs => t.new_copy_beats_running(tnew(t)),
-                SpeculationMode::Ras => t.speculation_saving(tnew(t)).is_some_and(|s| s > 0.0),
+                SpeculationMode::Gs => t.new_copy_beats_running(trem(t), tnew(t)),
+                SpeculationMode::Ras => t
+                    .speculation_saving(trem(t), tnew(t))
+                    .is_some_and(|s| s > 0.0),
             };
             if admissible {
                 speculative.push(t);
@@ -162,7 +174,10 @@ fn two_vec_choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Acti
             }
         }
         SpeculationMode::Ras => {
-            let saving = |t: &TaskView| t.speculation_saving(tnew(t)).unwrap_or(f64::NEG_INFINITY);
+            let saving = |t: &TaskView| {
+                t.speculation_saving(trem(t), tnew(t))
+                    .unwrap_or(f64::NEG_INFINITY)
+            };
             if let Some(s) = speculative
                 .into_iter()
                 .max_by(|a, b| saving(a).total_cmp(&saving(b)))
@@ -178,34 +193,50 @@ fn pick<T: Copy>(values: &[T], i: usize) -> T {
     values[i % values.len()]
 }
 
-/// One task view from quantised draws: `(tnew, trem, copies, eligible, stage)`.
-/// `tnew` is the row's work, read through a unit per-work estimate and bias.
+/// The instant the quantised views start at.
+const T0: Time = 5.0;
+
+/// Make `row` a running row whose best copy, launched at `now` with a unit estimate
+/// bias, has `trem` left at `now`: it starts at `now` and runs `trem` seconds. That is
+/// exact whenever `now + trem` is, as it is for every quantised draw.
+fn launch_at(row: &mut TaskView, now: Time, trem: f64) {
+    (row.copy_start, row.copy_duration, row.rem_bias) = (now, trem, 1.0);
+    if row.running_copies == 0 {
+        row.oldest_start = now;
+    }
+    row.running_copies += 1;
+    let rows = std::slice::from_ref(row);
+    let view = error_view(rows, 0.0, 1, 0, now);
+    assert_eq!(view.trem(row).to_bits(), trem.to_bits(), "{row:?} at {now}");
+}
+
+/// One task view at [`T0`] from quantised draws: `(tnew, trem, copies, eligible,
+/// stage)`. `tnew` is the row's work, read through a unit per-work estimate.
 fn quantised_task(
     id: usize,
     (tnew, trem, copies, eligible, stage): (usize, usize, u32, u8, u8),
 ) -> TaskView {
-    let running = copies > 0;
     let tnew = pick(&TNEW, tnew);
-    TaskView {
+    let mut row = TaskView {
         id: TaskId(id as u32),
         // Mostly input tasks; a quarter belong to stages 1 and 2.
         stage: StageId(stage.saturating_sub(5)),
         // One task in eight waits for its stage to unlock.
         eligible: eligible != 0,
-        running_copies: copies,
-        elapsed: if running { 1.0 } else { 0.0 },
-        progress: if running { 0.5 } else { 0.0 },
-        progress_rate: if running { 0.5 } else { 0.0 },
-        trem: if running {
-            pick(&TREM, trem)
-        } else {
-            f64::INFINITY
-        },
+        running_copies: 0,
+        copy_start: 0.0,
+        copy_duration: 0.0,
+        rem_bias: 1.0,
+        oldest_start: 0.0,
         tnew_bias: 1.0,
-        true_remaining: 0.0,
         true_new_hint: tnew,
         work: tnew,
+    };
+    if copies > 0 {
+        launch_at(&mut row, T0, pick(&TREM, trem));
+        row.running_copies = copies;
     }
+    row
 }
 
 fn error_view(
@@ -247,7 +278,7 @@ proptest! {
         let tasks: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
         let input_in_view = tasks.iter().filter(|t| t.stage.is_input()).count();
         // `still_needed` spans 0 through more than the eligible input tasks.
-        let view = error_view(&tasks, pick(&EPSILON, eps), input_in_view + completed + extra_input, completed, 5.0);
+        let view = error_view(&tasks, pick(&EPSILON, eps), input_in_view + completed + extra_input, completed, T0);
         for mode in MODES {
             prop_assert_eq!(choose(&view, mode), sorted_choose_error(&view, mode));
         }
@@ -267,7 +298,7 @@ proptest! {
         let view = JobView {
             bound: Bound::Deadline(deadline),
             input_deadline: dag.then_some(deadline - 0.5),
-            ..error_view(&tasks, 0.0, tasks.len() + 2, 2, 5.0)
+            ..error_view(&tasks, 0.0, tasks.len() + 2, 2, T0)
         };
         for mode in MODES {
             prop_assert_eq!(choose(&view, mode), two_vec_choose_deadline(&view, mode));
@@ -282,11 +313,20 @@ const PER_WORK: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
 /// One step of a job's life between two decisions: `(kind, pick, value)`.
 type Step = (u8, usize, usize);
 
-/// Apply one step to the job's rows: launch a first copy, race another copy,
-/// complete a task (its row goes, and the per-work estimate moves), unlock the
-/// waiting rows, or let time pass so every running `trem` shrinks. Returns
-/// whether an input task completed.
-fn apply_step(rows: &mut Vec<TaskView>, per_work: &mut f64, (kind, pick_at, value): Step) -> bool {
+/// How far `now` moves at every step of a job's life, so that no two decisions share
+/// an instant. A power of two, so that every start, end and `trem` stays exact.
+const TICK: Time = 1.0 / 64.0;
+
+/// Apply one step at `now` to the job's rows: launch a first copy, race another
+/// copy (the best copy becomes whichever ends first), complete a task (its row goes,
+/// and the per-work estimate moves), unlock the waiting rows, or let time pass so
+/// every running `trem` shrinks. Returns whether an input task completed.
+fn apply_step(
+    rows: &mut Vec<TaskView>,
+    per_work: &mut f64,
+    now: &mut Time,
+    (kind, pick_at, value): Step,
+) -> bool {
     let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
     match kind {
         0 => {
@@ -294,15 +334,20 @@ fn apply_step(rows: &mut Vec<TaskView>, per_work: &mut f64, (kind, pick_at, valu
                 .filter(|&i| rows[i].eligible && !rows[i].is_running())
                 .collect();
             if let Some(&i) = idle.get(pick_at % idle.len().max(1)) {
-                rows[i].running_copies = 1;
-                rows[i].trem = pick(&TREM, value);
+                launch_at(&mut rows[i], *now, pick(&TREM, value));
             }
         }
         1 => {
             if let Some(&i) = running.get(pick_at % running.len().max(1)) {
                 let row = &mut rows[i];
-                row.running_copies = (row.running_copies + 1).min(MAX_COPIES_PER_TASK);
-                row.trem = row.trem.min(pick(&TREM, value));
+                let trem = pick(&TREM, value);
+                if row.running_copies < MAX_COPIES_PER_TASK {
+                    if *now + trem < row.copy_start + row.copy_duration {
+                        launch_at(row, *now, trem);
+                    } else {
+                        row.running_copies += 1;
+                    }
+                }
             }
         }
         2 => {
@@ -312,12 +357,7 @@ fn apply_step(rows: &mut Vec<TaskView>, per_work: &mut f64, (kind, pick_at, valu
             }
         }
         3 => rows.iter_mut().for_each(|t| t.eligible = true),
-        _ => {
-            let elapsed = pick(&[0.5, 1.0, 2.0], value);
-            for t in rows.iter_mut().filter(|t| t.is_running()) {
-                t.trem = (t.trem - elapsed).max(0.0);
-            }
-        }
+        _ => *now += pick(&[0.5, 1.0, 2.0], value),
     }
     false
 }
@@ -335,7 +375,7 @@ proptest! {
         let mut rows: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
         let total_input = rows.iter().filter(|t| t.stage.is_input()).count() + extra_input;
         let epsilon = pick(&EPSILON, eps);
-        let (mut per_work, mut completed, mut now) = (1.0, 0, 5.0);
+        let (mut per_work, mut completed, mut now) = (1.0, 0, T0);
         let mut gs = GsPolicy::default();
         let mut ras = RasPolicy::default();
         for (step, &op) in steps.iter().enumerate() {
@@ -353,26 +393,25 @@ proptest! {
                     "{:?} at step {} on {:?} (per work {})", mode, step, rows, per_work
                 );
             }
-            if apply_step(&mut rows, &mut per_work, op) {
+            if apply_step(&mut rows, &mut per_work, &mut now, op) {
                 completed += 1;
             }
-            now += 1.0;
+            now += TICK;
         }
     }
 }
 
-/// Apply `answer` to the rows as a caller applies it: one more copy of the task
-/// it names, whose best copy's `trem` becomes `trem`. For a speculative copy that
-/// may rise, since a new best copy may carry a larger estimate bias.
-fn apply_answer(rows: &mut [TaskView], answer: Action, trem: f64) {
+/// Apply `answer` to the rows at `now` as a caller applies it: one more copy of the
+/// task it names, whose best copy's `trem` becomes `trem`. For a speculative copy
+/// that may rise, since a new best copy may carry a larger estimate bias.
+fn apply_answer(rows: &mut [TaskView], answer: Action, now: Time, trem: f64) {
     if let Some(row) = rows.iter_mut().find(|t| t.id == answer.task) {
         assert_eq!(
             row.is_running(),
             answer.is_speculative(),
             "{answer:?} on {row:?}"
         );
-        row.running_copies += 1;
-        row.trem = trem;
+        launch_at(row, now, trem);
     }
 }
 
@@ -399,7 +438,7 @@ proptest! {
                 SpeculationMode::Ras => Box::<RasPolicy>::default(),
             };
             let mut rows = initial.clone();
-            let (mut per_work, mut completed, mut now) = (1.0, 0, 5.0);
+            let (mut per_work, mut completed, mut now) = (1.0, 0, T0);
             for (step, &(kind, pick_at, value)) in steps.iter().enumerate() {
                 let view = JobView {
                     tnew_estimate: TnewEstimate::PerWork(per_work),
@@ -412,7 +451,7 @@ proptest! {
                     "{:?} at step {} on {:?} (per work {})", mode, step, rows, per_work
                 );
                 match (kind, answer) {
-                    (0..=35, Some(action)) => apply_answer(&mut rows, action, pick(&TREM, value)),
+                    (0..=35, Some(action)) => apply_answer(&mut rows, action, now, pick(&TREM, value)),
                     // The answer is not applied: nothing changes, or one copy of
                     // another eligible task launches instead, as a caller that
                     // makes one arbitrary change per step would.
@@ -424,7 +463,7 @@ proptest! {
                             .filter(|other| Some(other.task) != answer.map(|a| a.task))
                             .collect();
                         if let Some(&other) = others.get(pick_at % (2 * others.len()).max(1)) {
-                            apply_answer(&mut rows, other, pick(&TREM, value));
+                            apply_answer(&mut rows, other, now, pick(&TREM, value));
                         }
                     }
                     (37, _) => {
@@ -439,17 +478,15 @@ proptest! {
                             }
                         }
                     }
+                    // Past every running copy's end: each `trem` reads zero.
                     (38, _) => {
-                        now += 1.0;
-                        rows.iter_mut().filter(|t| t.is_running()).for_each(|t| t.trem = 0.0);
+                        now = rows
+                            .iter()
+                            .filter(|t| t.is_running())
+                            .map(|t| t.copy_start + t.copy_duration)
+                            .fold(now + 1.0, f64::max);
                     }
-                    _ => {
-                        now += 1.0;
-                        let elapsed = pick(&[0.5, 1.0, 2.0], value);
-                        for t in rows.iter_mut().filter(|t| t.is_running()) {
-                            t.trem = (t.trem - elapsed).max(0.0);
-                        }
-                    }
+                    _ => now += pick(&[0.5, 1.0, 2.0], value),
                 }
             }
         }
@@ -529,11 +566,11 @@ fn model_tasks(raw: &[TaskDraw]) -> Vec<ModelTask> {
         .collect()
 }
 
-/// The task views at `now`, built the way the simulator builds them: `trem` is the
-/// best copy's true remaining time (clamped at zero) times that copy's bias, and
-/// `tnew`, the work read through a unit per-work estimate, does not depend on `now`.
-fn views_at(tasks: &[ModelTask], now: Time) -> Vec<TaskView> {
-    let remaining = |c: &RunningCopy| (c.start + c.duration - now).max(0.0);
+/// The job's task views, built the way the simulator builds them: a running row
+/// keeps its best copy's start, duration and bias, the best copy being the one that
+/// ends first (the first launched among equal ends). No row depends on `now`; a view
+/// derives `trem` at its own `now`.
+fn model_rows(tasks: &[ModelTask]) -> Vec<TaskView> {
     tasks
         .iter()
         .enumerate()
@@ -541,21 +578,26 @@ fn views_at(tasks: &[ModelTask], now: Time) -> Vec<TaskView> {
             let best = t
                 .copies
                 .iter()
-                .min_by(|a, b| remaining(a).total_cmp(&remaining(b)));
-            let (trem, true_rem) = best.map_or((f64::INFINITY, f64::INFINITY), |c| {
-                ((remaining(c) * c.rem_bias).max(0.0), remaining(c))
-            });
+                .min_by(|a, b| (a.start + a.duration).total_cmp(&(b.start + b.duration)));
+            let oldest_start = t
+                .copies
+                .iter()
+                .map(|c| c.start)
+                .fold(f64::INFINITY, f64::min);
+            let (copy_start, copy_duration, rem_bias, oldest_start) = best
+                .map_or((0.0, 0.0, 1.0, 0.0), |c| {
+                    (c.start, c.duration, c.rem_bias, oldest_start)
+                });
             TaskView {
                 id: TaskId(i as u32),
                 stage: StageId(t.stage),
                 eligible: t.eligible,
                 running_copies: t.copies.len() as u32,
-                elapsed: 0.0,
-                progress: 0.0,
-                progress_rate: 0.0,
-                trem,
+                copy_start,
+                copy_duration,
+                rem_bias,
+                oldest_start,
                 tnew_bias: 1.0,
-                true_remaining: true_rem,
                 true_new_hint: t.tnew,
                 work: t.tnew,
             }
@@ -604,9 +646,9 @@ fn check_declines_hold(tasks: &[ModelTask], shape: Shape, later: &[Time]) -> Res
         ("GS", Box::<GsPolicy>::default()),
         ("RAS", Box::<RasPolicy>::default()),
     ];
+    let rows = model_rows(tasks);
     for (name, mut policy) in policies {
-        let views = views_at(tasks, T1);
-        let first = job_view(shape, &views, T1);
+        let first = job_view(shape, &rows, T1);
         if policy.choose(&first).is_some() {
             continue;
         }
@@ -614,8 +656,7 @@ fn check_declines_hold(tasks: &[ModelTask], shape: Shape, later: &[Time]) -> Res
             return Err(format!("{name} declined at {T1} without holding"));
         }
         for &now in later {
-            let views = views_at(tasks, now);
-            if let Some(action) = policy.choose(&job_view(shape, &views, now)) {
+            if let Some(action) = policy.choose(&job_view(shape, &rows, now)) {
                 return Err(format!(
                     "{name} declined at {T1} but chose {action:?} at {now} with the job unchanged"
                 ));

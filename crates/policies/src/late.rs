@@ -71,8 +71,8 @@ impl LatePolicy {
         let mut rates: Vec<f64> = view
             .tasks
             .iter()
-            .filter(|t| t.is_running() && t.progress >= self.config.min_progress)
-            .map(|t| t.progress_rate)
+            .filter(|t| t.is_running() && view.progress(t) >= self.config.min_progress)
+            .map(|t| view.progress_rate(t))
             .collect();
         if rates.is_empty() {
             return None;
@@ -89,10 +89,12 @@ impl LatePolicy {
             .filter(|t| {
                 t.eligible
                     && t.running_copies == 1
-                    && t.progress >= self.config.min_progress
-                    && t.progress_rate <= cutoff
+                    && view.progress(t) >= self.config.min_progress
+                    && view.progress_rate(t) <= cutoff
             })
-            .max_by(|a, b| a.trem.total_cmp(&b.trem))
+            .map(|t| (view.trem(t), t))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, t)| t)
     }
 }
 
@@ -210,9 +212,13 @@ mod tests {
 
     #[test]
     fn ignores_tasks_without_enough_progress() {
-        let mut barely_started = running_task(0, 100.0, 3.0, 1);
-        barely_started.progress = 0.0;
-        barely_started.progress_rate = 0.0;
+        // Launched at the view's `now`: no progress yet.
+        let barely_started = TaskView {
+            copy_start: 0.0,
+            copy_duration: 100.0,
+            oldest_start: 0.0,
+            ..running_task(0, 100.0, 3.0, 1)
+        };
         let tasks = vec![barely_started];
         let view = error_view(&tasks, 0.1, 10, 9);
         assert!(LatePolicy::default().choose(&view).is_none());

@@ -56,10 +56,12 @@ impl MantriPolicy {
                 t.eligible
                     && t.is_running()
                     && t.running_copies < self.config.max_copies
-                    && t.progress >= self.config.min_progress
-                    && t.trem > self.config.restart_threshold * view.tnew(t)
+                    && view.progress(t) >= self.config.min_progress
             })
-            .max_by(|a, b| a.trem.total_cmp(&b.trem))
+            .map(|t| (view.trem(t), t))
+            .filter(|&(trem, t)| trem > self.config.restart_threshold * view.tnew(t))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, t)| t)
     }
 }
 
@@ -157,8 +159,13 @@ mod tests {
 
     #[test]
     fn ignores_copies_without_progress() {
-        let mut fresh = running_task(0, 50.0, 3.0, 1);
-        fresh.progress = 0.01;
+        // Half a second into a 50.5 s copy: under 1% progress.
+        let fresh = TaskView {
+            copy_start: -0.5,
+            copy_duration: 50.5,
+            oldest_start: -0.5,
+            ..running_task(0, 50.0, 3.0, 1)
+        };
         let tasks = vec![fresh];
         let view = deadline_view(&tasks, 0.0, 100.0);
         assert!(MantriPolicy::default().choose(&view).is_none());

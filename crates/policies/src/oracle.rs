@@ -25,11 +25,13 @@ use grass_core::{
 pub struct OraclePolicy;
 
 impl OraclePolicy {
-    /// Rewrite a task view so its remaining-time estimate carries ground truth.
+    /// Rewrite a task view so its remaining-time estimate carries ground truth: with a
+    /// unit bias, [`JobView::trem`] is [`JobView::true_remaining`] bit for bit.
     fn with_truth(task: &TaskView) -> TaskView {
-        let mut t = task.clone();
-        t.trem = t.true_remaining;
-        t
+        TaskView {
+            rem_bias: 1.0,
+            ..task.clone()
+        }
     }
 }
 
@@ -81,17 +83,37 @@ mod tests {
 
     #[test]
     fn oracle_uses_ground_truth_not_estimates() {
-        // The estimate says the running task has only 1s left (no point speculating),
-        // but the truth is 50s; with one unscheduled task and wave width 4 the oracle
-        // is in its greedy regime and speculates.
-        let mut straggler = running_task(0, 1.0, 3.0, 1);
-        straggler.true_remaining = 50.0;
-        straggler.true_new_hint = 3.0;
+        // The truth is 50s left, but the copy's bias makes the estimate 1s (no point
+        // speculating); with no unscheduled task and wave width 4 the oracle is in its
+        // greedy regime and speculates.
+        let straggler = TaskView {
+            rem_bias: 0.02,
+            ..running_task(0, 50.0, 3.0, 1)
+        };
         let tasks = vec![straggler];
         let view = error_view(&tasks, 0.0, 10, 9);
+        assert!(view.trem(&tasks[0]) < 1.01);
+        assert_eq!(choose(&view, SpeculationMode::Gs), None);
         let a = OraclePolicy.choose(&view).unwrap();
         assert_eq!(a.task, TaskId(0));
         assert_eq!(a.kind, ActionKind::Speculate);
+    }
+
+    #[test]
+    fn truth_rows_read_the_ground_truth_remaining_time() {
+        for bias in [0.5, 1.0, 1.7] {
+            let row = TaskView {
+                rem_bias: bias,
+                ..running_task(0, 6.5, 3.0, 2)
+            };
+            let tasks = [OraclePolicy::with_truth(&row), row];
+            let view = error_view(&tasks, 0.0, 10, 9);
+            assert_eq!(view.trem(&tasks[0]).to_bits(), 6.5f64.to_bits());
+            assert_eq!(
+                view.trem(&tasks[0]).to_bits(),
+                view.true_remaining(&tasks[1]).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -12,37 +12,37 @@ pub fn unscheduled_task(id: u32, tnew: f64) -> TaskView {
         stage: StageId::INPUT,
         eligible: true,
         running_copies: 0,
-        elapsed: 0.0,
-        progress: 0.0,
-        progress_rate: 0.0,
-        trem: f64::INFINITY,
+        copy_start: 0.0,
+        copy_duration: 0.0,
+        rem_bias: 1.0,
+        oldest_start: 0.0,
         tnew_bias: 1.0,
-        true_remaining: f64::INFINITY,
         true_new_hint: tnew,
         work: tnew,
     }
 }
 
-/// A running input-stage task with the given estimates. The copy is modelled as being
-/// halfway done, so slower tasks (larger `trem`) show proportionally lower progress
-/// rates — the signal LATE keys on.
+/// A running input-stage task whose best copy, with a unit estimate bias, has `trem`
+/// left at time 0, the `now` of [`error_view`] and of every [`deadline_view`] the
+/// tests build. The copy is modelled as having run `max(trem, 1)` seconds already, so
+/// slower tasks (larger `trem`) show proportionally lower progress rates — the signal
+/// LATE keys on.
 pub fn running_task(id: u32, trem: f64, tnew: f64, copies: u32) -> TaskView {
     let elapsed = trem.max(1.0);
-    let progress = elapsed / (elapsed + trem);
-    TaskView {
-        id: TaskId(id),
-        stage: StageId::INPUT,
-        eligible: true,
+    let row = TaskView {
         running_copies: copies,
-        elapsed,
-        progress,
-        progress_rate: progress / elapsed,
-        trem,
-        tnew_bias: 1.0,
-        true_remaining: trem,
-        true_new_hint: tnew,
-        work: tnew,
-    }
+        copy_start: -elapsed,
+        copy_duration: elapsed + trem,
+        oldest_start: -elapsed,
+        ..unscheduled_task(id, tnew)
+    };
+    let derived = error_view(std::slice::from_ref(&row), 0.0, 1, 0).trem(&row);
+    assert_eq!(
+        derived.to_bits(),
+        trem.to_bits(),
+        "trem {trem} derives as {derived}"
+    );
+    row
 }
 
 /// A deadline-bound job view over the given tasks.
@@ -75,7 +75,7 @@ pub fn error_view<'a>(
 ) -> JobView<'a> {
     JobView {
         job: JobId(1),
-        now: 5.0,
+        now: 0.0,
         arrival: 0.0,
         bound: Bound::Error(epsilon),
         input_deadline: None,

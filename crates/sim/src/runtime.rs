@@ -31,22 +31,9 @@ pub struct CopyRuntime {
 }
 
 impl CopyRuntime {
-    /// Ground-truth remaining runtime at `now`.
-    pub fn true_remaining(&self, now: Time) -> Time {
-        (self.start + self.duration - now).max(0.0)
-    }
-
     /// Elapsed runtime at `now`.
     pub fn elapsed(&self, now: Time) -> Time {
         (now - self.start).max(0.0)
-    }
-
-    /// Progress fraction at `now`.
-    pub fn progress(&self, now: Time) -> f64 {
-        if self.duration <= 0.0 {
-            return 1.0;
-        }
-        (self.elapsed(now) / self.duration).min(1.0)
     }
 }
 
@@ -79,40 +66,59 @@ impl TaskRuntime {
         }
     }
 
-    /// The running copy expected to finish first, by ground truth.
-    pub fn best_copy(&self, now: Time) -> Option<&CopyRuntime> {
+    /// The running copy that finishes first by ground truth: the earliest `start +
+    /// duration`, and the first launched among equal ends. It depends on nothing but
+    /// the copies, so a task's view row changes only when a copy launches.
+    ///
+    /// Ranking by remaining time at some `now`, `(start + duration − now).max(0)`,
+    /// picks the same copy, with two exceptions: two live copies whose ends differ by
+    /// an ulp or so yet whose remaining times round to one value (a tie that then goes
+    /// to the first launched), and several copies that have already ended and so all
+    /// clamp to zero. The simulator never shows the second, since a copy's finish
+    /// event fires at its end; there the two rankings still agree on `trem`,
+    /// `true_remaining` and `elapsed`.
+    pub fn best_copy(&self) -> Option<&CopyRuntime> {
         self.copies
             .iter()
-            .min_by(|a, b| a.true_remaining(now).total_cmp(&b.true_remaining(now)))
+            .min_by(|a, b| (a.start + a.duration).total_cmp(&(b.start + b.duration)))
     }
 
-    /// Derive `row`'s copy fields (running copies and every field that depends
-    /// on `now`) from this task's running copies.
-    fn derive_copy_fields(&self, row: &mut TaskView, now: Time, estimator: &EstimatorConfig) {
+    /// This task's view row: its static fields, and copy fields taken from its
+    /// running copies ([`TaskRuntime::set_copy_fields`]).
+    fn view_row(&self, id: TaskId, eligible: bool, cluster_mean_slowdown: f64) -> TaskView {
+        let mut row = TaskView {
+            id,
+            stage: self.spec.stage,
+            eligible,
+            running_copies: 0,
+            copy_start: 0.0,
+            copy_duration: 0.0,
+            rem_bias: 1.0,
+            oldest_start: 0.0,
+            tnew_bias: self.tnew_bias,
+            true_new_hint: self.spec.work * cluster_mean_slowdown,
+            work: self.spec.work,
+        };
+        self.set_copy_fields(&mut row);
+        row
+    }
+
+    /// Set `row`'s copy fields from this task's running copies: their count, the
+    /// [best copy](TaskRuntime::best_copy)'s start, duration and estimate bias, and
+    /// the oldest copy's start. A task with no copy keeps the zeros and unit bias
+    /// [`TaskRuntime::view_row`] starts from; a row never loses its copies, since
+    /// the task's completion removes the row.
+    fn set_copy_fields(&self, row: &mut TaskView) {
         row.running_copies = self.copies.len() as u32;
-        let Some(best) = self.best_copy(now) else {
-            (row.elapsed, row.progress, row.progress_rate) = (0.0, 0.0, 0.0);
-            (row.trem, row.true_remaining) = (f64::INFINITY, f64::INFINITY);
-            return;
-        };
-        let oldest_start = self
-            .copies
-            .iter()
-            .map(|c| c.start)
-            .fold(f64::INFINITY, f64::min);
-        row.elapsed = (now - oldest_start).max(0.0);
-        row.true_remaining = best.true_remaining(now);
-        row.trem = if estimator.oracle {
-            row.true_remaining
-        } else {
-            (row.true_remaining * best.rem_bias).max(0.0)
-        };
-        row.progress = best.progress(now);
-        row.progress_rate = if row.elapsed > 0.0 {
-            row.progress / row.elapsed
-        } else {
-            0.0
-        };
+        if let Some(best) = self.best_copy() {
+            (row.copy_start, row.copy_duration, row.rem_bias) =
+                (best.start, best.duration, best.rem_bias);
+            row.oldest_start = self
+                .copies
+                .iter()
+                .map(|c| c.start)
+                .fold(f64::INFINITY, f64::min);
+        }
     }
 }
 
@@ -180,7 +186,9 @@ pub struct JobRuntime {
     pub util_stat: TimeWeighted,
     /// Time-weighted measured estimation accuracy.
     pub acc_stat: TimeWeighted,
-    /// Whether the job has finished (deadline fired or error bound met).
+    /// Whether the job has finished (deadline fired or error bound met). The frozen
+    /// [`crate::reference`] engine keeps finished jobs and sets this; the event core
+    /// drops a job's runtime as soon as it finishes instead.
     pub done: bool,
     /// Number of tasks not yet finished (kept in lockstep with
     /// `tasks[i].finished` so [`has_unfinished_work`](Self::has_unfinished_work)
@@ -192,14 +200,12 @@ pub struct JobRuntime {
     /// engine.
     pub stats_cursor: usize,
     /// Resident [`TaskView`] table: one row per unfinished task, in ascending
-    /// task id. Launches and completions keep its rows current; the running
-    /// rows' time fields are as of the last
-    /// [`refresh_task_views`](Self::refresh_task_views). Empty until the first
-    /// refresh and again once the job is finalised.
+    /// task id. Built once, at the job's arrival
+    /// ([`init_task_views`](Self::init_task_views)); from then on only
+    /// [`launch_copy`](Self::launch_copy) and
+    /// [`complete_copy`](Self::complete_copy) touch it, since no row depends on
+    /// `now`. Empty until built and again once the job is finalised.
     pub(crate) task_views: Vec<TaskView>,
-    /// `now` the running rows' copy fields were derived at; `None` while the
-    /// table is unbuilt.
-    views_at: Option<Time>,
 }
 
 impl JobRuntime {
@@ -246,7 +252,6 @@ impl JobRuntime {
             unfinished,
             stats_cursor: 0,
             task_views: Vec::new(),
-            views_at: None,
         }
     }
 
@@ -326,51 +331,36 @@ impl JobRuntime {
         }
     }
 
-    /// The resident task views, their running rows' time fields as of the last
-    /// [`refresh_task_views`](Self::refresh_task_views).
+    /// The resident task views. They equal, bit for bit, what
+    /// [`build_task_views`](Self::build_task_views) returns: a launch re-derives its
+    /// task's row ([`launch_copy`](Self::launch_copy)), and a task completion removes
+    /// its task's row and, when it meets its stage's requirement, marks the next
+    /// stage's rows eligible ([`complete_copy`](Self::complete_copy)). A row holds
+    /// neither job-wide state nor anything that depends on `now`: views derive
+    /// `tnew` from the job's per-work estimate and every time-dependent field at
+    /// their own `now` ([`grass_core::JobView::trem`] and its siblings).
     pub fn task_views(&self) -> &[TaskView] {
         &self.task_views
     }
 
-    /// Bring the resident task views up to date at `now`. Afterwards they equal,
-    /// bit for bit, what [`build_task_views`](Self::build_task_views) returns at
-    /// `now`, provided `now` never runs backwards.
-    ///
-    /// The first refresh builds the table. A row holds nothing job-wide (`tnew`
-    /// is derived on read from the job's per-work estimate), so after that only
-    /// the rows an event changed are touched:
-    ///
-    /// * a launch re-derives its task's row ([`launch_copy`](Self::launch_copy));
-    /// * a task completion removes its task's row, and when it meets its
-    ///   stage's requirement marks the next stage's rows eligible
-    ///   ([`complete_copy`](Self::complete_copy));
-    /// * when `now` moved, the rows with a running copy re-derive their copy
-    ///   fields here (a row without one does not depend on `now`).
-    pub fn refresh_task_views(
-        &mut self,
-        now: Time,
-        estimator: &EstimatorConfig,
-        cluster_mean_slowdown: f64,
-    ) {
-        match self.views_at {
-            None => {
-                let mut rows = std::mem::take(&mut self.task_views);
-                self.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut rows);
-                self.task_views = rows;
-            }
-            Some(at) if at.to_bits() != now.to_bits() => {
-                for row in self
-                    .task_views
-                    .iter_mut()
-                    .filter(|row| row.running_copies > 0)
-                {
-                    // grass: allow(panicky-lib, "rows are built from this runtime's own tasks")
-                    self.tasks[row.id.index()].derive_copy_fields(row, now, estimator);
-                }
-            }
-            Some(_) => {}
-        }
-        self.views_at = Some(now);
+    /// Build the resident task views. The simulator calls this once, at the job's
+    /// arrival; [`task_views`](Self::task_views) says what keeps them current.
+    pub fn init_task_views(&mut self, cluster_mean_slowdown: f64) {
+        let mut rows = Vec::with_capacity(self.unfinished);
+        rows.extend(self.rows(cluster_mean_slowdown));
+        self.task_views = rows;
+    }
+
+    /// One row per unfinished task, in ascending task id.
+    fn rows(&self, cluster_mean_slowdown: f64) -> impl Iterator<Item = TaskView> + '_ {
+        self.tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, task)| !task.finished)
+            .map(move |(idx, task)| {
+                let eligible = self.stage_eligible(task.spec.stage.value() as usize);
+                task.view_row(TaskId(idx as u32), eligible, cluster_mean_slowdown)
+            })
     }
 
     /// Build the [`TaskView`]s for every unfinished task.
@@ -386,39 +376,20 @@ impl JobRuntime {
     }
 
     /// Build the [`TaskView`]s for every unfinished task into a caller-provided
-    /// buffer, clearing it first. This full build serves a job's first
-    /// [`refresh_task_views`](Self::refresh_task_views) and the frozen
-    /// [`crate::reference`] engine; it derives each row with the same helpers
-    /// the refresh uses.
+    /// buffer, clearing it first. The frozen [`crate::reference`] engine builds every
+    /// view it hands out through here. No row depends on `now` or on `estimator`
+    /// (under oracle estimates [`launch_copy`](Self::launch_copy) already gives every
+    /// copy a unit `rem_bias`); the two parameters stay so that the frozen engine's
+    /// calls need no edit.
     pub fn build_task_views_into(
         &self,
-        now: Time,
-        estimator: &EstimatorConfig,
+        _now: Time,
+        _estimator: &EstimatorConfig,
         cluster_mean_slowdown: f64,
         views: &mut Vec<TaskView>,
     ) {
         views.clear();
-        for (idx, task) in self.tasks.iter().enumerate() {
-            if task.finished {
-                continue;
-            }
-            let mut row = TaskView {
-                id: TaskId(idx as u32),
-                stage: task.spec.stage,
-                eligible: self.stage_eligible(task.spec.stage.value() as usize),
-                running_copies: 0,
-                elapsed: 0.0,
-                progress: 0.0,
-                progress_rate: 0.0,
-                trem: f64::INFINITY,
-                tnew_bias: task.tnew_bias,
-                true_remaining: f64::INFINITY,
-                true_new_hint: task.spec.work * cluster_mean_slowdown,
-                work: task.spec.work,
-            };
-            task.derive_copy_fields(&mut row, now, estimator);
-            views.push(row);
-        }
+        views.extend(self.rows(cluster_mean_slowdown));
     }
 
     /// Record the launch of a copy of `task` on `slot`.
@@ -458,7 +429,7 @@ impl JobRuntime {
         // Keep the resident row current (an unbuilt table is empty).
         if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
             // grass: allow(panicky-lib, "pos was just returned by binary_search over task_views")
-            t.derive_copy_fields(&mut self.task_views[pos], now, estimator);
+            t.set_copy_fields(&mut self.task_views[pos]);
         }
     }
 
@@ -545,10 +516,9 @@ impl JobRuntime {
     /// Kill every running copy of every task (used when a job hits its deadline or is
     /// finalised early). Returns the identity of every killed copy
     /// (task, copy id, freed slot). The job is done, so its resident task views
-    /// are freed; a later refresh would build them afresh.
+    /// are freed.
     pub fn kill_all_copies(&mut self, now: Time) -> Vec<(TaskId, CopyId, SlotId)> {
         self.task_views = Vec::new();
-        self.views_at = None;
         let mut freed = Vec::new();
         for (idx, t) in self.tasks.iter_mut().enumerate() {
             for c in t.copies.drain(..) {
@@ -598,6 +568,7 @@ mod tests {
     use grass_core::{Action, JobView, SpeculationPolicy, StageId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
 
     struct Noop;
     impl SpeculationPolicy for Noop {
@@ -626,6 +597,53 @@ mod tests {
             machine: 0,
             slot: n,
         }
+    }
+
+    /// A view of `rows` at `now`, through which a test reads the derived fields.
+    fn view_at<'a>(rt: &JobRuntime, rows: &'a [TaskView], now: Time) -> JobView<'a> {
+        JobView {
+            job: rt.spec.id,
+            now,
+            arrival: rt.spec.arrival,
+            bound: rt.spec.bound,
+            input_deadline: rt.input_deadline,
+            total_input_tasks: rt.spec.input_tasks(),
+            completed_input_tasks: rt.completed_input(),
+            total_tasks: rt.spec.total_tasks(),
+            completed_tasks: rt.completed_total(),
+            tasks: rows,
+            tnew_estimate: TnewEstimate::Oracle,
+            wave_width: 1,
+            cluster_utilization: 0.0,
+            estimation_accuracy: 1.0,
+            decline_hold: Cell::new(false),
+        }
+    }
+
+    fn copy(id: CopyId, start: Time, duration: Time) -> CopyRuntime {
+        CopyRuntime {
+            id,
+            slot: slot(0),
+            start,
+            duration,
+            speculative: id > 0,
+            rem_bias: 1.0,
+        }
+    }
+
+    #[test]
+    fn best_copy_ends_first_and_the_first_launched_breaks_ties() {
+        let mut task = TaskRuntime::new(TaskSpec::input(1.0), 1.0);
+        assert!(task.best_copy().is_none());
+        // The original ends at 10; a speculative copy launched at 2 ends at 6.
+        task.copies = vec![copy(0, 0.0, 10.0), copy(1, 2.0, 4.0)];
+        assert_eq!(task.best_copy().map(|c| c.id), Some(1));
+        // A third copy ending at 6 as well does not displace the earlier one.
+        task.copies.push(copy(2, 3.0, 3.0));
+        assert_eq!(task.best_copy().map(|c| c.id), Some(1));
+        // Equal ends with the original: the original, launched first, wins.
+        task.copies = vec![copy(0, 0.0, 6.0), copy(1, 2.0, 4.0)];
+        assert_eq!(task.best_copy().map(|c| c.id), Some(0));
     }
 
     #[test]
@@ -686,15 +704,16 @@ mod tests {
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 4.0, &est, &mut rng);
         let views = rt.build_task_views(1.0, &est, 1.0);
         assert_eq!(views.len(), 2);
+        let view = view_at(&rt, &views, 1.0);
         let running = views.iter().find(|v| v.id == TaskId(0)).unwrap();
         assert_eq!(running.running_copies, 1);
-        assert!((running.true_remaining - 3.0).abs() < 1e-12);
-        assert!((running.trem - 3.0).abs() < 1e-12);
-        assert!((running.elapsed - 1.0).abs() < 1e-12);
-        assert!((running.progress - 0.25).abs() < 1e-12);
+        assert!((view.true_remaining(running) - 3.0).abs() < 1e-12);
+        assert!((view.trem(running) - 3.0).abs() < 1e-12);
+        assert!((view.elapsed(running) - 1.0).abs() < 1e-12);
+        assert!((view.progress(running) - 0.25).abs() < 1e-12);
         let idle = views.iter().find(|v| v.id == TaskId(1)).unwrap();
         assert_eq!(idle.running_copies, 0);
-        assert!(idle.trem.is_infinite());
+        assert!(view.trem(idle).is_infinite());
         // Oracle estimates: views read `tnew` as the ground-truth hint.
         assert_eq!(rt.tnew_estimate(&est, 1.0), TnewEstimate::Oracle);
         assert!((idle.true_new_hint - 4.0).abs() < 1e-12);
@@ -825,6 +844,7 @@ mod tests {
         let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, 0.0, &mut rng);
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 5.0, &est, &mut rng);
         let views = rt.build_task_views(1.0, &est, 1.0);
+        let view = view_at(&rt, &views, 1.0);
         // Before any completion the per-work estimate is the mean slowdown, 1.0
         // here, so `tnew` = work × bias deviates from the hint iff the bias is not 1.
         assert_eq!(rt.tnew_estimate(&est, 1.0), TnewEstimate::PerWork(1.0));
@@ -832,8 +852,8 @@ mod tests {
         for v in &views {
             assert!(v.tnew_bias > 0.0);
             if v.is_running() {
-                assert!(v.trem >= 0.0);
-                if (v.trem - v.true_remaining).abs() > 1e-9 {
+                assert!(view.trem(v) >= 0.0);
+                if (view.trem(v) - view.true_remaining(v)).abs() > 1e-9 {
                     any_differs = true;
                 }
             }

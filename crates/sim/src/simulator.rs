@@ -174,17 +174,22 @@ pub fn run_simulation_traced(
 ///   hash lookups or full-population walks per event.
 ///
 /// Each live job also keeps its `TaskView` rows resident
-/// ([`JobRuntime::refresh_task_views`]) instead of rebuilding every row per
+/// ([`JobRuntime::task_views`]) instead of rebuilding every row per
 /// consultation and per completion hook. `on_job_start`, `on_task_complete` and
-/// `choose()` all read that table: built once at arrival, refreshed in place
-/// (a launch re-derives its row, a completion removes its own row and, when it
-/// meets its stage's requirement, marks the next stage's rows eligible, and a
-/// new `now` re-derives the running rows), and freed when the job is
-/// finalised. Every refresh yields the rows [`JobRuntime::build_task_views`]
-/// would build at that instant, bit for bit. Rows hold no job-wide state: each
-/// view carries the job's [`TnewEstimate`], and policies derive `tnew` from it
-/// on read ([`JobView::tnew`]), so the per-work estimate a completion moves
-/// rewrites no row.
+/// `choose()` all read that table: built once at arrival
+/// ([`JobRuntime::init_task_views`]) and kept current by the job's own events
+/// alone (a launch re-derives its row; a completion removes its own row and,
+/// when it meets its stage's requirement, marks the next stage's rows
+/// eligible), so it always equals what [`JobRuntime::build_task_views`] would
+/// build, bit for bit. A row holds no job-wide state and nothing that depends
+/// on `now`: each view carries the job's [`TnewEstimate`] and its `now`, and
+/// policies derive `tnew` and `trem` on read ([`JobView::tnew`],
+/// [`JobView::trem`]). So neither passing time nor the per-work estimate a
+/// completion moves rewrites a row.
+///
+/// A finished job leaves `running` as soon as its outcome is recorded, so its
+/// runtime, its task views and its policy are freed; every lookup treats a
+/// missing job as finished.
 struct Simulator<'a> {
     config: SimConfig,
     factory: &'a dyn PolicyFactory,
@@ -299,7 +304,6 @@ impl<'a> Simulator<'a> {
             .active_order
             .iter()
             .filter_map(|id| self.running.get(id))
-            .filter(|j| !j.done)
             .map(|j| j.stats_cursor)
             .min()
             .unwrap_or(end);
@@ -333,7 +337,7 @@ impl<'a> Simulator<'a> {
             .active_order
             .iter()
             .copied()
-            .filter(|id| self.running.get(id).is_some_and(|j| !j.done))
+            .filter(|id| self.running.contains_key(id))
             .collect();
         for id in leftover {
             self.finalize_job(id);
@@ -392,9 +396,9 @@ impl<'a> Simulator<'a> {
             );
         }
 
-        // Let the policy observe the job's initial state: the first build of
-        // its resident task views.
-        runtime.refresh_task_views(self.now, &self.config.estimator, self.mean_slowdown);
+        // Let the policy observe the job's initial state: the one build of its
+        // resident task views.
+        runtime.init_task_views(self.mean_slowdown);
         let view = Self::job_view(
             &runtime,
             &runtime.task_views,
@@ -446,9 +450,6 @@ impl<'a> Simulator<'a> {
         let Some(job) = self.running.get_mut(&job_id) else {
             return;
         };
-        if job.done {
-            return;
-        }
         self.stats.job_touches += 1;
         // Fold pending settle entries in before mutating the job's local state
         // (the entries must see the pre-completion allocation and accuracy).
@@ -487,7 +488,6 @@ impl<'a> Simulator<'a> {
         job.update_stats(self.now, util);
 
         if effect.task_completed {
-            job.refresh_task_views(self.now, &self.config.estimator, self.mean_slowdown);
             let estimate = job.tnew_estimate(&self.config.estimator, self.mean_slowdown);
             let view = Self::job_view(job, &job.task_views, self.now, fair, util, estimate);
             job.policy.on_task_complete(&view, task);
@@ -503,21 +503,17 @@ impl<'a> Simulator<'a> {
     }
 
     fn handle_deadline(&mut self, id: JobId) {
-        let done = self.running.get(&id).map(|j| j.done).unwrap_or(true);
-        if !done {
-            self.finalize_job(id);
-        }
+        self.finalize_job(id);
         self.dispatch();
     }
 
+    /// Finish a running job: kill its copies, record its outcome and free its
+    /// runtime. A job that already finished is no longer in `running`.
     fn finalize_job(&mut self, id: JobId) {
         let util = self.utilization();
         let Some(job) = self.running.get_mut(&id) else {
             return;
         };
-        if job.done {
-            return;
-        }
         self.stats.job_touches += 1;
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
         self.candidates.remove(&(job.allocated_slots, id.0));
@@ -534,7 +530,6 @@ impl<'a> Simulator<'a> {
         self.free_slots
             .extend(freed.iter().map(|&(_, _, slot)| slot));
         job.update_stats(self.now, util);
-        job.done = true;
         self.active_count -= 1;
         let outcome = job.outcome(self.now);
         self.sink.record(&SimTraceEvent::JobFinish {
@@ -545,6 +540,7 @@ impl<'a> Simulator<'a> {
         });
         job.policy.on_job_complete(&outcome);
         self.outcomes.push(outcome);
+        self.running.remove(&id);
         self.util_stat.update(self.now, self.utilization());
     }
 
@@ -618,7 +614,6 @@ impl<'a> Simulator<'a> {
         // A launch mutates `allocated_slots`; pending settle entries must be
         // folded in against the pre-launch value first.
         Self::catch_up_job(&self.timeline, self.timeline_base, job);
-        job.refresh_task_views(self.now, &estimator, self.mean_slowdown);
         if job.task_views.is_empty() {
             return;
         }
@@ -714,6 +709,8 @@ mod tests {
     use super::*;
     use grass_core::policy::FnFactory;
     use grass_core::{Action, BoxedPolicy, GsFactory, GsPolicy, RasFactory, SpeculationPolicy};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::{Arc, Mutex};
 
     fn exact_job(id: u64, arrival: f64, tasks: usize, work: f64) -> JobSpec {
         JobSpec::single_stage(id, arrival, Bound::EXACT, vec![work; tasks])
@@ -906,6 +903,55 @@ mod tests {
             held.stats,
             unheld.stats
         );
+    }
+
+    /// GS whose drops are counted, so a test can see when the simulator frees a
+    /// job's policy.
+    struct CountedGs {
+        inner: GsPolicy,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for CountedGs {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, AtomicOrdering::SeqCst);
+        }
+    }
+
+    impl SpeculationPolicy for CountedGs {
+        fn name(&self) -> &str {
+            "GS"
+        }
+
+        fn choose(&mut self, view: &JobView) -> Option<Action> {
+            self.inner.choose(view)
+        }
+    }
+
+    #[test]
+    fn a_finished_job_frees_its_runtime_and_policy() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        // The drop count each `create` saw.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let factory = FnFactory::new("GS", {
+            let (drops, seen) = (Arc::clone(&drops), Arc::clone(&seen));
+            move |_: &JobSpec| {
+                seen.lock()
+                    .unwrap()
+                    .push(drops.load(AtomicOrdering::SeqCst));
+                Box::new(CountedGs {
+                    inner: GsPolicy::default(),
+                    drops: Arc::clone(&drops),
+                }) as BoxedPolicy
+            }
+        });
+        // Job 2 arrives long after job 1 has finished.
+        let jobs = vec![exact_job(1, 0.0, 4, 1.0), exact_job(2, 1000.0, 4, 1.0)];
+        let result = run_simulation(&small_config(13), jobs, &factory);
+        assert_eq!(result.outcomes.len(), 2);
+        assert!(result.outcomes[0].finish < 1000.0);
+        assert_eq!(*seen.lock().unwrap(), vec![0, 1]);
+        assert_eq!(drops.load(AtomicOrdering::SeqCst), 2);
     }
 
     #[test]

@@ -390,6 +390,7 @@ impl<W: Write> TraceWriter<W> {
     /// Write a `#`-prefixed comment line (ignored by readers); a line over
     /// [`MAX_LINE_LEN`] bytes is refused.
     pub fn comment(&mut self, text: &str) -> Result<(), TraceError> {
+        // grass: allow(unbounded-read, "`str::lines` over a caller's string already in memory")
         for part in text.lines() {
             write_line(&mut self.w, &format!("# {part}"), MAX_LINE_LEN)?;
         }

@@ -44,19 +44,19 @@ struct Scale {
 
 /// The full heavy profile: 10k machines (20k slots), 10k jobs (~2M tasks).
 ///
-/// Pins carry headroom over the measured run (EXPERIMENTS.md: 91–104 s wall,
-/// 619 MiB peak, 2.58 touches/event, touches ~3900× below the scan product)
+/// Pins carry headroom over the measured run (EXPERIMENTS.md: 13.2 s wall,
+/// 61 MiB peak, 2.58 touches/event, touches ~3900× below the scan product)
 /// so they trip on structural regressions — an engine sliding back toward
 /// scan-per-event, re-asking declined jobs (197 touches/event and 3200 s
-/// before held declines), or runtime state ballooning — not on CI machine
-/// jitter.
+/// before held declines), finished jobs' runtimes kept alive (613 MiB), or
+/// runtime state ballooning — not on CI machine jitter.
 const HEAVY: Scale = Scale {
     label: "heavy",
     machines: 10_000,
     slots: 2,
     jobs: 10_000,
-    max_wall: Some(600.0),
-    max_peak_rss: Some(3 * 1024 * 1024 * 1024),
+    max_wall: Some(120.0),
+    max_peak_rss: Some(256 * 1024 * 1024),
     scan_margin: 20,
     max_touches_per_event: 10.0,
 };

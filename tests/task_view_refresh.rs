@@ -1,16 +1,28 @@
-//! The simulator keeps each job's `TaskView` rows resident and refreshes them
-//! in place (`JobRuntime::refresh_task_views`) instead of rebuilding every row
-//! per consultation. This property pins the refresh against a full build: one
+//! The simulator keeps each job's `TaskView` rows resident: it builds them
+//! once, at the job's arrival (`JobRuntime::init_task_views`), and from then on
+//! only the job's own launches and completions touch them, since no row depends
+//! on `now`. This property pins that table against a full build: one
 //! `JobRuntime` is driven through random launches, speculative races, stale
 //! finishes, time advances and the stage unlocks its completions cause, and
-//! after every step the resident rows must equal `build_task_views` at the
-//! same `now`, every `f64` compared by its bits.
+//! after every step the resident rows must equal `build_task_views`, every
+//! `f64` compared by its bits.
 //!
-//! Rows hold no `tnew`: views derive it on read (`JobView::tnew`) from the
-//! job's per-work estimate. So every step also checks each resident row's
-//! `JobView::tnew`, by bits, against `(work × per_work) × tnew_bias` floored at
-//! `1e-6` (or `work × mean slowdown` under oracle estimates), evaluated from the
-//! runtime's own state.
+//! Rows hold neither `tnew` nor anything that moves with time: views derive
+//! them on read. So every step also checks, by bits, each resident row's
+//!
+//! * `JobView::tnew` against `(work × per_work) × tnew_bias` floored at `1e-6`
+//!   (or `work × mean slowdown` under oracle estimates), evaluated from the
+//!   runtime's own state;
+//! * `JobView::{elapsed, progress, progress_rate, trem, true_remaining}` against
+//!   the values rows stored before they were derived on read
+//!   (`stored_copy_fields`, a copy of that code, which took as the best copy the
+//!   first one with the least remaining time at `now`). All five must match
+//!   while every copy of the task ends at or after `now`, which covers every
+//!   state the simulator presents, since a copy's finish event fires at its
+//!   end. Once a step moves time past the ends of several copies, those
+//!   copies all clamp to zero remaining time and the two rules may name
+//!   different best copies; `trem`, `true_remaining` and `elapsed` must still
+//!   match.
 //!
 //! Error-bound cases also keep one `GsPolicy` and one `RasPolicy` across all
 //! the steps, as the simulator keeps one policy per job. After every step each
@@ -47,23 +59,59 @@ impl SpeculationPolicy for Idle {
 }
 
 /// Every field of a row, with each `f64` as its bit pattern.
-fn row_bits(row: &TaskView) -> (u32, u8, bool, u32, [u64; 8]) {
+fn row_bits(row: &TaskView) -> (u32, u8, bool, u32, [u64; 7]) {
     (
         row.id.0,
         row.stage.0,
         row.eligible,
         row.running_copies,
         [
-            row.elapsed.to_bits(),
-            row.progress.to_bits(),
-            row.progress_rate.to_bits(),
-            row.trem.to_bits(),
+            row.copy_start.to_bits(),
+            row.copy_duration.to_bits(),
+            row.rem_bias.to_bits(),
+            row.oldest_start.to_bits(),
             row.tnew_bias.to_bits(),
-            row.true_remaining.to_bits(),
             row.true_new_hint.to_bits(),
             row.work.to_bits(),
         ],
     )
+}
+
+/// `elapsed`, `progress`, `progress_rate`, `trem` and `true_remaining` of `task` at
+/// `now` as rows stored them before views derived them on read: the best copy is
+/// the first with the least remaining time at `now`.
+fn stored_copy_fields(task: &TaskRuntime, now: Time, estimator: &EstimatorConfig) -> [f64; 5] {
+    let remaining = |c: &CopyRuntime| (c.start + c.duration - now).max(0.0);
+    let Some(best) = task
+        .copies
+        .iter()
+        .min_by(|a, b| remaining(a).total_cmp(&remaining(b)))
+    else {
+        return [0.0, 0.0, 0.0, f64::INFINITY, f64::INFINITY];
+    };
+    let oldest_start = task
+        .copies
+        .iter()
+        .map(|c| c.start)
+        .fold(f64::INFINITY, f64::min);
+    let elapsed = (now - oldest_start).max(0.0);
+    let true_remaining = remaining(best);
+    let trem = if estimator.oracle {
+        true_remaining
+    } else {
+        (true_remaining * best.rem_bias).max(0.0)
+    };
+    let progress = if best.duration <= 0.0 {
+        1.0
+    } else {
+        ((now - best.start).max(0.0) / best.duration).min(1.0)
+    };
+    let progress_rate = if elapsed > 0.0 {
+        progress / elapsed
+    } else {
+        0.0
+    };
+    [elapsed, progress, progress_rate, trem, true_remaining]
 }
 
 /// The view the simulator hands a policy: the job's resident rows at `now`.
@@ -148,6 +196,26 @@ fn assert_resident_rows_match_a_full_build(
             want.to_bits(),
             "step {step} at t={now}: tnew of {row:?}"
         );
+
+        let derived = [
+            view.elapsed(row),
+            view.progress(row),
+            view.progress_rate(row),
+            view.trem(row),
+            view.true_remaining(row),
+        ];
+        let stored = stored_copy_fields(task, now, estimator);
+        let live = task.copies.iter().all(|c| c.start + c.duration >= now);
+        // Past the ends of several copies only elapsed, trem and true_remaining
+        // are pinned (see the module docs).
+        let pinned: &[usize] = if live { &[0, 1, 2, 3, 4] } else { &[0, 3, 4] };
+        for &i in pinned {
+            assert_eq!(
+                derived[i].to_bits(),
+                stored[i].to_bits(),
+                "step {step} at t={now}: field {i} of {row:?}: derived {derived:?}, stored {stored:?}"
+            );
+        }
     }
 }
 
@@ -185,7 +253,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rt = JobRuntime::new(spec, Box::new(Idle), &estimator, 0.0, &mut rng);
         let mut now = 0.0;
-        rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
+        rt.init_task_views(MEAN_SLOWDOWN);
         assert_resident_rows_match_a_full_build(&rt, now, &estimator, 0);
         let mut policies: Vec<(SpeculationMode, Box<dyn SpeculationPolicy>)> = if error_bound {
             vec![
@@ -263,7 +331,6 @@ proptest! {
                     }
                 }
             }
-            rt.refresh_task_views(now, &estimator, MEAN_SLOWDOWN);
             assert_resident_rows_match_a_full_build(&rt, now, &estimator, step + 1);
             decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, step + 1);
         }
