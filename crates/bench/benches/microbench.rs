@@ -10,8 +10,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use grass_core::grass::reference::ReferenceSampleStore;
 use grass_core::grass::{BoundKind, QueryContext, Sample};
 use grass_core::{
-    Bound, FactorSet, GrassConfig, GrassFactory, GsFactory, JobId, JobSpec, JobView, PolicyFactory,
-    RasFactory, SampleStore, SizeBucket, SpeculationMode, StageId, TaskId, TaskView, TnewEstimate,
+    Bound, DeadlineIndex, FactorSet, GrassConfig, GrassFactory, GsFactory, JobId, JobSpec, JobView,
+    PolicyFactory, RasFactory, SampleStore, SizeBucket, SpeculationMode, StageId, TaskId, TaskView,
+    TnewEstimate,
 };
 use grass_model::tail_index;
 use grass_policies::{LateFactory, MantriFactory};
@@ -65,6 +66,7 @@ fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
         completed_tasks: 10,
         tasks,
         tnew_estimate: TnewEstimate::PerWork(1.0),
+        deadline_index: None,
         wave_width: 20,
         cluster_utilization: 0.8,
         estimation_accuracy: 0.75,
@@ -74,7 +76,9 @@ fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
 
 /// `choose()` over the same 500 tasks under a deadline bound (GS/RAS run
 /// Pseudocode 1) and under a 10% error bound (Pseudocode 2: 449 of the 500 are
-/// still needed, so the needed-set selection does real work).
+/// still needed, so the needed-set selection does real work). The deadline views
+/// carry the `DeadlineIndex` the simulator would keep for them, built outside the
+/// timed loop.
 ///
 /// Each iteration asks a fresh policy, so GS, RAS and GRASS always select the
 /// needed set. Under the error bound, `GS_warm`, `RAS_warm` and `GRASS_warm`
@@ -97,6 +101,9 @@ fn policy_decision_latency(c: &mut Criterion) {
             .warm_up_time(Duration::from_millis(500))
             .measurement_time(Duration::from_secs(2));
         let (tasks, spec) = synthetic_view(500, bound);
+        let index = bound
+            .is_deadline()
+            .then(|| DeadlineIndex::build(&tasks, TnewEstimate::PerWork(1.0)));
         let factories: Vec<(&str, Box<dyn PolicyFactory>)> = vec![
             ("GS", Box::new(GsFactory)),
             ("RAS", Box::new(RasFactory)),
@@ -109,7 +116,10 @@ fn policy_decision_latency(c: &mut Criterion) {
                 b.iter_batched(
                     || factory.create(&spec),
                     |mut policy| {
-                        let view = view_of(&tasks, bound);
+                        let view = JobView {
+                            deadline_index: index.as_ref(),
+                            ..view_of(&tasks, bound)
+                        };
                         criterion::black_box(policy.choose(&view))
                     },
                     BatchSize::SmallInput,
@@ -367,7 +377,8 @@ fn simulator_throughput(c: &mut Criterion) {
     });
     // One cell of the recorded-trace sweep (perfbench `sweep-fleet`): 48
     // deadline-bound jobs of generator seed 7 on the grid's smallest cluster,
-    // where deadline-bound dispatch dominates.
+    // where deadline-bound dispatch dominates. LATE reads no deadline index but
+    // runs its upkeep.
     let workload = WorkloadConfig::new(TraceProfile::facebook(Framework::Spark))
         .with_jobs(48)
         .with_bound(BoundSpec::paper_deadlines());
@@ -380,7 +391,9 @@ fn simulator_throughput(c: &mut Criterion) {
         },
         ..SimConfig::default()
     };
-    let factories: [(&str, &dyn PolicyFactory); 2] = [("gs", &GsFactory), ("ras", &RasFactory)];
+    let late = LateFactory::default();
+    let factories: [(&str, &dyn PolicyFactory); 3] =
+        [("gs", &GsFactory), ("ras", &RasFactory), ("late", &late)];
     for (name, factory) in factories {
         group.bench_function(format!("48_deadline_jobs_{name}"), |b| {
             b.iter(|| {
@@ -400,7 +413,7 @@ fn simulator_throughput(c: &mut Criterion) {
         cluster: ClusterConfig::small(1000, 2),
         ..SimConfig::default()
     };
-    for (name, factory) in factories {
+    for &(name, factory) in &factories[..2] {
         group.bench_function(format!("error_burst_2000_tasks_{name}"), |b| {
             b.iter(|| {
                 let result = run_simulation(&idle_cluster, burst.clone(), factory);

@@ -342,6 +342,7 @@ mod tests {
             completed_tasks: 0,
             tasks,
             tnew_estimate: TnewEstimate::PerWork(1.0),
+            deadline_index: None,
             wave_width: 2,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,

@@ -437,6 +437,7 @@ mod tests {
             completed_tasks: completed,
             tasks,
             tnew_estimate: TnewEstimate::PerWork(1.0),
+            deadline_index: None,
             wave_width,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,

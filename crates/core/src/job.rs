@@ -249,6 +249,177 @@ pub enum TnewEstimate {
     Oracle,
 }
 
+impl TnewEstimate {
+    /// The key a [`DeadlineIndex`] orders `task` by, if it is fresh: `work ×
+    /// tnew_bias` under a per-work estimate, the hint under oracle estimates.
+    pub(crate) fn tnew_key(self, task: &TaskView) -> f64 {
+        match self {
+            TnewEstimate::PerWork(_) => task.work * task.tnew_bias,
+            TnewEstimate::Oracle => task.true_new_hint,
+        }
+    }
+
+    /// A lower bound on [`JobView::tnew`] of every row whose
+    /// [`tnew_key`](TnewEstimate::tnew_key) is `key`, non-decreasing in `key`.
+    ///
+    /// Under a per-work estimate `p` it is `fl(key × p) × (1 − 1e-9)`: `tnew` rounds
+    /// `(work × p) × tnew_bias` where this rounds `(work × tnew_bias) × p`, so the two
+    /// products differ by at most four rounding errors, `fl(fl(w·p)·b) ≥ fl(fl(w·b)·p)
+    /// × (1 − 4u)`, far inside the `1e-9` margin; the `1e-6` floor only raises `tnew`,
+    /// and a product past `f64::MAX` bounds from `f64::MAX`. Under oracle estimates the
+    /// key is `tnew` itself.
+    pub(crate) fn tnew_floor(self, key: f64) -> f64 {
+        match self {
+            TnewEstimate::PerWork(per_work) => (key * per_work).min(f64::MAX) * (1.0 - 1e-9),
+            TnewEstimate::Oracle => key,
+        }
+    }
+}
+
+/// A deadline-bound job's rows as Pseudocode 1 reads them: its eligible fresh rows in
+/// `tnew`-key order and the positions of its running rows, so a decision reads the
+/// front of the one and all of the other instead of every row. A row's key is the
+/// part of [`JobView::tnew`] that depends on the row alone: `work × tnew_bias` under
+/// a per-work estimate, the hint itself under oracle estimates. It depends on
+/// neither `now` nor the per-work estimate, so no completion reorders the rows.
+///
+/// It is built for one estimate kind, per-work or oracle
+/// ([`DeadlineIndex::is_for`]), from the rows of a [`JobView`], and for those rows:
+///
+/// * the fresh order holds the task id of every eligible row with no running copy,
+///   sorted by (key, task id). It may also hold *stale* entries, tasks that launched
+///   or finished after they joined it; [`DeadlineIndex::fresh_rows`] skips them, and
+///   a launch of the front row drops it and the stale entries behind it, so the
+///   front is live;
+/// * the running list holds the position in the rows of every row with a running
+///   copy, ascending, which is view order.
+///
+/// A row's key never changes and a running row never becomes fresh again, so only a
+/// first launch, a row's removal and a stage's unlock move the index; its owner
+/// reports each through [`launched`](DeadlineIndex::launched),
+/// [`removed`](DeadlineIndex::removed) and [`unlocked`](DeadlineIndex::unlocked).
+#[derive(Debug, Clone)]
+pub struct DeadlineIndex {
+    /// The estimate the keys were built under; only its kind matters.
+    kind: TnewEstimate,
+    /// Task ids by (key, task id); the entries before `start` are stale.
+    fresh: Vec<u32>,
+    start: usize,
+    /// Row positions, ascending.
+    running: Vec<u32>,
+}
+
+impl DeadlineIndex {
+    /// The index of `rows`, keyed for `estimate`'s kind.
+    pub fn build(rows: &[TaskView], estimate: TnewEstimate) -> Self {
+        let mut index = DeadlineIndex {
+            kind: estimate,
+            fresh: Vec::new(),
+            start: 0,
+            running: rows
+                .iter()
+                .zip(0..)
+                .filter(|(t, _)| t.is_running())
+                .map(|(_, at)| at)
+                .collect(),
+        };
+        index.unlocked(rows);
+        index
+    }
+
+    /// Whether the keys were built for `estimate`'s kind, so that a view under
+    /// `estimate` may read this index.
+    pub fn is_for(&self, estimate: TnewEstimate) -> bool {
+        std::mem::discriminant(&self.kind) == std::mem::discriminant(&estimate)
+    }
+
+    /// The eligible rows of `rows` with no running copy, by (key, task id).
+    pub fn fresh_rows<'r>(&'r self, rows: &'r [TaskView]) -> impl Iterator<Item = &'r TaskView> {
+        let ids = self.fresh.get(self.start..).unwrap_or_default();
+        ids.iter().filter_map(|&id| {
+            let at = rows.binary_search_by_key(&id, |t| t.id.0).ok()?;
+            rows.get(at).filter(|t| !t.is_running())
+        })
+    }
+
+    /// The rows of `rows` with a running copy, in view order.
+    pub fn running_rows<'r>(&'r self, rows: &'r [TaskView]) -> impl Iterator<Item = &'r TaskView> {
+        self.running.iter().filter_map(|&at| rows.get(at as usize))
+    }
+
+    /// Record a copy launched of the row at position `at` of `rows`: a first copy
+    /// moves the row from the fresh order to the running list.
+    pub fn launched(&mut self, rows: &[TaskView], at: usize) {
+        let Some(row) = rows.get(at).filter(|t| t.running_copies == 1) else {
+            return;
+        };
+        let was_front = self.fresh.get(self.start) == Some(&row.id.0);
+        let at = at as u32;
+        let i = self.running.partition_point(|&p| p < at);
+        self.running.insert(i, at);
+        // Every other launch leaves a live front live; this one moves the front
+        // past itself and the stale entries behind it.
+        if was_front {
+            self.start += 1;
+            while let Some(&id) = self.fresh.get(self.start) {
+                let live = rows
+                    .binary_search_by_key(&id, |t| t.id.0)
+                    .is_ok_and(|row| rows.get(row).is_some_and(|t| !t.is_running()));
+                if live {
+                    break;
+                }
+                self.start += 1;
+            }
+        }
+    }
+
+    /// Record the removal of the row at position `at`, a completed task's: its
+    /// position leaves the running list and every later position moves down by one.
+    pub fn removed(&mut self, at: usize) {
+        let at = at as u32;
+        let i = self.running.partition_point(|&p| p < at);
+        if self.running.get(i) == Some(&at) {
+            self.running.remove(i);
+        }
+        for p in self.running.get_mut(i..).unwrap_or_default() {
+            *p -= 1;
+        }
+    }
+
+    /// Rebuild the fresh order from `rows` after a stage's rows became eligible.
+    pub fn unlocked(&mut self, rows: &[TaskView]) {
+        // Sort (key, position) pairs, which live only for the sort: positions
+        // ascend with task ids, so they break key ties as the ids would.
+        let mut keyed: Vec<(u64, u32)> = rows
+            .iter()
+            .zip(0..)
+            .filter(|(t, _)| t.eligible && !t.is_running())
+            .map(|(t, at)| (total_order(self.kind.tnew_key(t)), at))
+            .collect();
+        keyed.sort_unstable();
+        self.start = 0;
+        self.fresh.clear();
+        self.fresh.extend(
+            keyed
+                .iter()
+                .filter_map(|&(_, at)| rows.get(at as usize))
+                .map(|t| t.id.0),
+        );
+    }
+}
+
+/// `x`'s place in the [`f64::total_cmp`] order as an unsigned integer: negatives
+/// flip every bit, so larger magnitudes sort lower; positives set the sign bit, so
+/// they sort above them.
+pub(crate) fn total_order(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// Snapshot of a job's state handed to its [`crate::SpeculationPolicy`] whenever a slot
 /// allocated to the job becomes free.
 #[derive(Debug, Clone)]
@@ -281,6 +452,12 @@ pub struct JobView<'a> {
     pub tasks: &'a [TaskView],
     /// The job-wide input of every row's [`JobView::tnew`].
     pub tnew_estimate: TnewEstimate,
+    /// `tasks`' fresh rows in `tnew`-key order and running rows, where the caller
+    /// keeps them: the simulator keeps one per deadline-bound job. GS, RAS and GRASS
+    /// read it for deadline-bound jobs when it [is for](DeadlineIndex::is_for)
+    /// `tnew_estimate`'s kind, and otherwise build one from `tasks`, so `None` (or an
+    /// index of the other kind) costs one sort per decision and changes no decision.
+    pub deadline_index: Option<&'a DeadlineIndex>,
     /// Number of slots currently allocated to this job (its current wave width).
     pub wave_width: usize,
     /// Fraction of the cluster's slots that are currently busy, in `[0, 1]`.
@@ -461,6 +638,7 @@ mod tests {
             completed_tasks: 4,
             tasks,
             tnew_estimate: TnewEstimate::PerWork(1.0),
+            deadline_index: None,
             wave_width: 2,
             cluster_utilization: 0.5,
             estimation_accuracy: 0.75,
@@ -526,6 +704,46 @@ mod tests {
         assert_eq!(v.tnew(&tasks[0]).to_bits(), (2.0f64 * 1.3 * 1.5).to_bits());
         // Zero work is floored, so no fresh copy is estimated to take no time.
         assert_eq!(v.tnew(&tasks[1]), 1e-6);
+    }
+
+    #[test]
+    fn a_deadline_index_follows_launches_removals_and_unlocks() {
+        // Tasks 0–2 of keys 3, 1 and 2, and task 3 of key 0 waiting for its stage.
+        let mut rows: Vec<TaskView> = [3.0, 1.0, 2.0, 0.0]
+            .into_iter()
+            .zip(0..)
+            .map(|(work, id)| TaskView {
+                id: TaskId(id),
+                eligible: id < 3,
+                ..row(work, 1.0, work)
+            })
+            .collect();
+        let mut index = DeadlineIndex::build(&rows, TnewEstimate::PerWork(1.0));
+        assert!(index.is_for(TnewEstimate::PerWork(2.0)) && !index.is_for(TnewEstimate::Oracle));
+        let ids =
+            |rows: &mut dyn Iterator<Item = &TaskView>| rows.map(|t| t.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(&mut index.fresh_rows(&rows)), [1, 2, 0]);
+        assert_eq!(ids(&mut index.running_rows(&rows)), []);
+
+        // Launching the front moves it to the running list.
+        rows[1].running_copies = 1;
+        index.launched(&rows, 1);
+        assert_eq!(ids(&mut index.fresh_rows(&rows)), [2, 0]);
+        assert_eq!(ids(&mut index.running_rows(&rows)), [1]);
+        // A launch behind the front leaves a stale entry, which readers skip.
+        rows[0].running_copies = 1;
+        index.launched(&rows, 0);
+        assert_eq!(ids(&mut index.fresh_rows(&rows)), [2]);
+        assert_eq!(ids(&mut index.running_rows(&rows)), [0, 1]);
+        // Task 0 completes: its row goes and task 1's position moves down.
+        rows.remove(0);
+        index.removed(0);
+        assert_eq!(ids(&mut index.running_rows(&rows)), [1]);
+        // Task 3's stage unlocks, and it joins the fresh order.
+        rows[2].eligible = true;
+        index.unlocked(&rows);
+        assert_eq!(ids(&mut index.fresh_rows(&rows)), [3, 2]);
+        assert_eq!(ids(&mut index.running_rows(&rows)), [1]);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use grass::{
     FactorSet, GrassConfig, GrassFactory, GrassPolicy, QuantileSketch, SampleStore, StoreSnapshot,
     StrawmanConfig, SwitchScanCache,
 };
-pub use job::{Bound, JobSpec, JobView, StageSpec, TnewEstimate};
+pub use job::{Bound, DeadlineIndex, JobSpec, JobView, StageSpec, TnewEstimate};
 pub use outcome::JobOutcome;
 pub use policy::{Action, ActionKind, BoxedPolicy, PolicyFactory, SpeculationPolicy};
 pub use speculation::{GsFactory, GsPolicy, RasFactory, RasPolicy, SpeculationMode};

@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::job::{Bound, JobSpec, JobView, TnewEstimate};
+use crate::job::{total_order, Bound, DeadlineIndex, JobSpec, JobView, TnewEstimate};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
 use crate::task::{JobId, TaskId, TaskView};
 
@@ -76,32 +76,56 @@ pub(crate) fn choose_memoised(
 
 /// Pseudocode 1: deadline-bound jobs.
 ///
-/// Pruning and selection in one pass over the rows, with no allocation. The picks
-/// are the ones `min_by` / `max_by` over the pruned candidates in view order make:
-/// SJF keeps the *first* minimum `tnew`, and RAS keeps the *last* maximum saving.
+/// Pruning and selection read the view's [`DeadlineIndex`] (one built from the rows
+/// when the view carries none for its estimate kind): the front of the fresh order
+/// and every running row, not every row. The picks are the ones `min_by` / `max_by`
+/// over the pruned candidates in view order make: SJF keeps the *first* minimum
+/// `tnew`, and RAS keeps the *last* maximum saving.
+///
+/// * **Fresh pick.** The walk down the fresh order keeps the least (`tnew`, task id)
+///   by [`f64::total_cmp`], which is the first minimum in view order. Key order is
+///   not `tnew` order (two keys an ulp apart can round to `tnew`s in the other
+///   order), so the walk stops only at the first row whose
+///   [`tnew_floor`](TnewEstimate::tnew_floor) exceeds the best `tnew` so far; the
+///   floor never decreases along the order, so no later row can win.
+/// * **Admission** is one test on that pick: a copy launched now must be expected to
+///   finish before the deadline. If the least `tnew` exceeds the remaining deadline,
+///   so does every fresh row's, which is the per-row skip of the pseudocode.
+/// * **Speculative pick.** The running rows in view order, each with the per-row
+///   tests: eligibility, admission, the copy cap, then GS's `tnew < trem` or RAS's
+///   positive saving.
 fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let remaining = view.remaining_deadline().unwrap_or(f64::INFINITY);
     if remaining <= 0.0 {
         return None;
     }
+    let built;
+    let index = match view.deadline_index {
+        Some(index) if index.is_for(view.tnew_estimate) => index,
+        _ => {
+            built = DeadlineIndex::build(view.tasks, view.tnew_estimate);
+            &built
+        }
+    };
 
     // The best fresh task by `tnew`, and the best admissible speculative copy by
     // `tnew` (GS) or by resource saving (RAS), each with the value it ranks by.
+    let estimate = view.tnew_estimate;
     let mut fresh: Option<(f64, &TaskView)> = None;
-    let mut speculative: Option<(f64, &TaskView)> = None;
-    for t in view.eligible_tasks() {
+    for t in index.fresh_rows(view.tasks) {
+        if fresh.is_some_and(|(best, _)| estimate.tnew_floor(estimate.tnew_key(t)) > best) {
+            break;
+        }
         let tnew = view.tnew(t);
-        // A copy launched now must be expected to finish before the deadline.
-        if tnew > remaining {
-            continue;
+        if fresh.is_none_or(|(best, f)| tnew.total_cmp(&best).then(t.id.cmp(&f.id)).is_lt()) {
+            fresh = Some((tnew, t));
         }
-        if !t.is_running() {
-            if fresh.is_none_or(|(best, _)| tnew.total_cmp(&best).is_lt()) {
-                fresh = Some((tnew, t));
-            }
-            continue;
-        }
-        if t.running_copies >= MAX_COPIES_PER_TASK {
+    }
+    let fresh = fresh.filter(|&(tnew, _)| tnew <= remaining);
+    let mut speculative: Option<(f64, &TaskView)> = None;
+    for t in index.running_rows(view.tasks) {
+        let tnew = view.tnew(t);
+        if !t.eligible || tnew > remaining || t.running_copies >= MAX_COPIES_PER_TASK {
             continue;
         }
         let trem = view.trem(t);
@@ -173,15 +197,7 @@ fn needed_candidate(t: &TaskView) -> bool {
 /// index (bits 0–62; a slice holds fewer than 2^63 rows). The index makes every
 /// row's key distinct.
 fn walk_key(non_input: bool, effective: f64, index: usize) -> u128 {
-    let bits = effective.to_bits();
-    // `total_cmp` order as an unsigned integer: negatives flip every bit, so larger
-    // magnitudes sort lower; positives set the sign bit, so they sort above them.
-    let order = if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    };
-    u128::from(non_input) << 127 | u128::from(order) << 63 | index as u128
+    u128::from(non_input) << 127 | u128::from(total_order(effective)) << 63 | index as u128
 }
 
 /// The view index packed into a [`walk_key`].
@@ -784,6 +800,7 @@ mod tests {
             completed_tasks: 2,
             tasks,
             tnew_estimate: TnewEstimate::PerWork(1.0),
+            deadline_index: None,
             wave_width: 2,
             cluster_utilization: 0.8,
             estimation_accuracy: 0.75,
@@ -809,6 +826,7 @@ mod tests {
             completed_tasks: done,
             tasks,
             tnew_estimate: TnewEstimate::PerWork(1.0),
+            deadline_index: None,
             wave_width: 3,
             cluster_utilization: 0.8,
             estimation_accuracy: 0.75,
@@ -900,6 +918,88 @@ mod tests {
         let view = deadline_view(&tasks, 0.0, 1000.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         assert!(choose(&view, SpeculationMode::Ras).is_none());
+    }
+
+    /// A fresh row of the given work and estimate bias.
+    fn fresh_row(id: u32, work: f64, tnew_bias: f64) -> TaskView {
+        TaskView {
+            work,
+            tnew_bias,
+            ..fresh(id, work)
+        }
+    }
+
+    /// GS and RAS launch `want` from `rows` under the per-work estimate `per_work`
+    /// and a deadline every row meets, with an index built from the rows and
+    /// without one.
+    fn assert_deadline_launch(rows: &[TaskView], per_work: f64, want: u32) {
+        let estimate = TnewEstimate::PerWork(per_work);
+        let index = DeadlineIndex::build(rows, estimate);
+        for deadline_index in [None, Some(&index)] {
+            let view = JobView {
+                tnew_estimate: estimate,
+                deadline_index,
+                ..deadline_view(rows, 0.0, 1e6)
+            };
+            for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
+                assert_eq!(
+                    choose(&view, mode),
+                    Some(Action::launch(TaskId(want))),
+                    "{mode:?}, index {}",
+                    deadline_index.is_some()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_fresh_walk_reads_past_a_front_whose_tnew_rounds_higher() {
+        let per_work = 2.8020375238942243;
+        let a = fresh_row(0, 5.261359425877181, 0.9190125527545436);
+        let b = fresh_row(1, 7.661950635819112, 0.6310736765034833);
+        let estimate = TnewEstimate::PerWork(per_work);
+        assert_eq!(estimate.tnew_key(&a), 4.835255356934568);
+        assert_eq!(estimate.tnew_key(&b), 4.835255356934569);
+        let rows = [a, b];
+        let view = JobView {
+            tnew_estimate: estimate,
+            ..deadline_view(&rows, 0.0, 1e6)
+        };
+        assert_eq!(view.tnew(&rows[0]), 13.548566947741223);
+        assert_eq!(view.tnew(&rows[1]), 13.548566947741222);
+        // A is the front of the key order, but B's `tnew` is the least.
+        assert_deadline_launch(&rows, per_work, 1);
+    }
+
+    #[test]
+    fn equal_tnews_from_different_keys_go_to_the_lower_task_id() {
+        let per_work = 1.291125722135432;
+        let d = fresh_row(0, 18.18179848988084, 0.6238019611496456);
+        let c = fresh_row(1, 8.547931863936027, 1.3268521246720382);
+        let estimate = TnewEstimate::PerWork(per_work);
+        assert_eq!(estimate.tnew_key(&c), 11.341841555215332);
+        assert_eq!(estimate.tnew_key(&d), 11.341841555215334);
+        let rows = [d, c];
+        let view = JobView {
+            tnew_estimate: estimate,
+            ..deadline_view(&rows, 0.0, 1e6)
+        };
+        assert_eq!(view.tnew(&rows[0]), 14.643743368323047);
+        assert_eq!(view.tnew(&rows[1]), 14.643743368323047);
+        // C leads the key order; D ties it on `tnew` and comes first in the view.
+        assert_deadline_launch(&rows, per_work, 0);
+    }
+
+    #[test]
+    fn floored_tnews_go_to_the_lowest_task_id() {
+        // Every row but the last reads the 1e-6 floor. The key order starts with
+        // the `-0.0` work of task 4, then tasks 1–3 of zero work, then task 0,
+        // whose tiny work keys above theirs.
+        let mut rows = vec![fresh_row(0, 1e-9, 0.9)];
+        rows.extend((1..4).map(|id| fresh_row(id, 0.0, 0.5 + f64::from(id))));
+        rows.push(fresh_row(4, -0.0, 1.0));
+        rows.push(fresh_row(5, 3.0, 1.0));
+        assert_deadline_launch(&rows, 1.7, 0);
     }
 
     /// Figure 2 of the paper: six tasks, three slots, at t = 5 T1/T2/T4 are done,

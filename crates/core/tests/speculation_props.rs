@@ -3,9 +3,14 @@
 //! * The error-bound selection (`select_nth_unstable_by` plus one pass) picks
 //!   exactly what the sort-based walk of Pseudocode 2 picks, ties included. The
 //!   sorted walk is kept below as a test-only oracle.
-//! * The one-pass deadline pick picks exactly what Pseudocode 1's prune into two
-//!   `Vec`s followed by `min_by` / `max_by` picks, ties included. That two-`Vec`
-//!   version is kept below as a test-only oracle too.
+//! * The deadline pick picks exactly what Pseudocode 1's prune into two `Vec`s
+//!   followed by `min_by` / `max_by` picks, ties included. That two-`Vec` version
+//!   is kept below as a test-only oracle too. It holds for views that carry no
+//!   `DeadlineIndex`, and for views whose index was built from their rows and
+//!   then kept through launches (which leave stale entries in its fresh order),
+//!   completions and stage unlocks, over unquantised works and biases, zero
+//!   works, per-work and oracle estimates, and an index of the other estimate
+//!   kind, which the pick must not read.
 //!
 //!   Estimates are drawn from a few quantised values so that equal `tnew`,
 //!   `trem`, effective durations and savings are common — the simulator's
@@ -30,8 +35,8 @@ use std::cell::Cell;
 
 use grass_core::speculation::{choose, MAX_COPIES_PER_TASK};
 use grass_core::{
-    Action, Bound, GsPolicy, JobId, JobView, RasPolicy, SpeculationMode, SpeculationPolicy,
-    StageId, TaskId, TaskView, Time, TnewEstimate,
+    Action, Bound, DeadlineIndex, GsPolicy, JobId, JobView, RasPolicy, SpeculationMode,
+    SpeculationPolicy, StageId, TaskId, TaskView, Time, TnewEstimate,
 };
 use proptest::prelude::*;
 
@@ -258,6 +263,7 @@ fn error_view(
         completed_tasks: completed,
         tasks,
         tnew_estimate: TnewEstimate::PerWork(1.0),
+        deadline_index: None,
         wave_width: 4,
         cluster_utilization: 0.5,
         estimation_accuracy: 0.75,
@@ -302,6 +308,131 @@ proptest! {
         };
         for mode in MODES {
             prop_assert_eq!(choose(&view, mode), two_vec_choose_deadline(&view, mode));
+        }
+    }
+}
+
+/// Works for the kept-index property: zero, quantised ones that tie, and two
+/// that are not; draws past the end take an unquantised work.
+const WORK: [f64; 6] = [
+    0.0,
+    1.0,
+    2.0,
+    3.0,
+    0.731_058_578_630_004_9,
+    2.645_751_311_064_591,
+];
+/// Estimate biases, likewise.
+const BIAS: [f64; 4] = [1.0, 0.5, 1.25, 0.880_797_077_977_882_3];
+/// The per-work estimates of the kept-index property; `None` is oracle estimates,
+/// and the last draw takes an unquantised estimate.
+const ESTIMATES: [Option<f64>; 4] = [None, Some(1.0), Some(1.5), Some(0.6)];
+
+/// One row of the kept-index property: `((work, bias), copies, eligible, stage,
+/// (trem, jitter))`, where `jitter` makes the unquantised work or bias.
+type IndexDraw = ((usize, usize), u32, u8, u8, (usize, f64));
+
+fn index_row(
+    id: usize,
+    ((work, bias), copies, eligible, stage, (trem, jitter)): IndexDraw,
+) -> TaskView {
+    let work = if work < WORK.len() {
+        WORK[work]
+    } else {
+        jitter * 3.0
+    };
+    let tnew_bias = if bias < BIAS.len() {
+        BIAS[bias]
+    } else {
+        0.5 + jitter / 2.0
+    };
+    let mut row = TaskView {
+        work,
+        tnew_bias,
+        true_new_hint: work * 1.3,
+        ..quantised_task(id, (0, 0, 0, eligible, stage))
+    };
+    if copies > 0 {
+        launch_at(&mut row, T0, pick(&TREM, trem));
+        row.running_copies = copies;
+    }
+    row
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Steps: 0–1 launch a first copy of a row without one (eligible or not), 2
+    /// races another copy, 3 completes a running task, 4 unlocks every row, and 5
+    /// lets time pass. The index hears of each change as its owner would tell it.
+    #[test]
+    fn kept_index_deadline_pick_matches_the_two_vec_walk(
+        raw in prop::collection::vec(((0usize..8, 0usize..5), 0u32..=MAX_COPIES_PER_TASK, 0u8..8, 0u8..8, (0usize..6, 0.0f64..1.0)), 0..24),
+        (estimate, per_work) in (0usize..5, 0.2f64..3.0),
+        other_kind in any::<bool>(),
+        remaining in 0usize..7,
+        steps in prop::collection::vec((0u8..6, any::<usize>(), 0usize..6), 1..24),
+    ) {
+        let mut rows: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| index_row(i, r)).collect();
+        let estimate = match ESTIMATES.get(estimate) {
+            Some(None) => TnewEstimate::Oracle,
+            Some(&Some(p)) => TnewEstimate::PerWork(p),
+            None => TnewEstimate::PerWork(per_work),
+        };
+        // The index is built for the view's estimate kind or, to check that the
+        // pick does not read it, for the other one.
+        let kind = match (estimate, other_kind) {
+            (TnewEstimate::Oracle, true) => TnewEstimate::PerWork(1.0),
+            (TnewEstimate::PerWork(_), true) => TnewEstimate::Oracle,
+            (_, false) => estimate,
+        };
+        let mut index = DeadlineIndex::build(&rows, kind);
+        let deadline = T0 + pick(&[-1.0, 0.0, 1.0, 2.0, 3.9, 6.0, 1e9], remaining);
+        let mut now = T0;
+        for (step, &(kind, pick_at, value)) in steps.iter().enumerate() {
+            let view = JobView {
+                bound: Bound::Deadline(deadline),
+                tnew_estimate: estimate,
+                deadline_index: Some(&index),
+                ..error_view(&rows, 0.0, rows.len() + 2, 2, now)
+            };
+            for mode in MODES {
+                prop_assert_eq!(
+                    choose(&view, mode),
+                    two_vec_choose_deadline(&view, mode),
+                    "{:?} at step {} on {:?} under {:?}", mode, step, rows, estimate
+                );
+            }
+            let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
+            let trem = pick(&TREM, value);
+            match kind {
+                0 | 1 => {
+                    let idle: Vec<usize> = (0..rows.len()).filter(|&i| !rows[i].is_running()).collect();
+                    if let Some(&i) = idle.get(pick_at % idle.len().max(1)) {
+                        launch_at(&mut rows[i], now, trem);
+                        index.launched(&rows, i);
+                    }
+                }
+                2 => {
+                    if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+                        if rows[i].running_copies < MAX_COPIES_PER_TASK {
+                            launch_at(&mut rows[i], now, trem);
+                            index.launched(&rows, i);
+                        }
+                    }
+                }
+                3 => {
+                    if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+                        rows.remove(i);
+                        index.removed(i);
+                    }
+                }
+                4 => {
+                    rows.iter_mut().for_each(|t| t.eligible = true);
+                    index.unlocked(&rows);
+                }
+                _ => now += pick(&[0.5, 1.0, 2.0], value),
+            }
         }
     }
 }

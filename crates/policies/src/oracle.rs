@@ -43,7 +43,10 @@ impl SpeculationPolicy for OraclePolicy {
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         // Substitute ground truth for every estimate (`trem` per row, `tnew` by
         // marking the view's estimates oracle), then run the GS/RAS machinery with
-        // the oracle-exact switch point.
+        // the oracle-exact switch point. The truth rows keep the view's rows'
+        // order, so its deadline index still describes them when it is keyed by
+        // the hints, i.e. when the view is already oracle; a per-work index is of
+        // the other kind, and the decision builds one from the truth rows instead.
         let truth_tasks: Vec<TaskView> = view.tasks.iter().map(Self::with_truth).collect();
         let truth_view = JobView {
             tasks: &truth_tasks,

@@ -59,6 +59,7 @@ pub fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobV
         completed_tasks: 1,
         tasks,
         tnew_estimate: TnewEstimate::PerWork(1.0),
+        deadline_index: None,
         wave_width: 4,
         cluster_utilization: 0.7,
         estimation_accuracy: 0.75,
@@ -85,6 +86,7 @@ pub fn error_view<'a>(
         completed_tasks: completed,
         tasks,
         tnew_estimate: TnewEstimate::PerWork(1.0),
+        deadline_index: None,
         wave_width: 4,
         cluster_utilization: 0.7,
         estimation_accuracy: 0.75,

@@ -203,12 +203,7 @@ impl<'a> ReferenceSimulator<'a> {
         // Let the policy observe the job's initial state.
         {
             let mut views = std::mem::take(&mut self.view_scratch);
-            runtime.build_task_views_into(
-                self.now,
-                &self.config.estimator,
-                self.mean_slowdown,
-                &mut views,
-            );
+            runtime.build_task_views_into(self.mean_slowdown, &mut views);
             let view = Self::job_view(
                 &runtime,
                 &views,
@@ -284,12 +279,7 @@ impl<'a> ReferenceSimulator<'a> {
 
         if effect.task_completed {
             let mut views = std::mem::take(&mut self.view_scratch);
-            job.build_task_views_into(
-                self.now,
-                &self.config.estimator,
-                self.mean_slowdown,
-                &mut views,
-            );
+            job.build_task_views_into(self.mean_slowdown, &mut views);
             let estimate = job.tnew_estimate(&self.config.estimator, self.mean_slowdown);
             let view = Self::job_view(job, &views, self.now, fair, util, estimate);
             job.policy.on_task_complete(&view, task);
@@ -366,6 +356,7 @@ impl<'a> ReferenceSimulator<'a> {
             completed_tasks: job.completed_total(),
             tasks: views,
             tnew_estimate,
+            deadline_index: None,
             wave_width: job
                 .allocated_slots
                 .max(fair_share.min(job.spec.total_tasks())),
@@ -442,7 +433,7 @@ impl<'a> ReferenceSimulator<'a> {
         let Some(job) = self.running.get_mut(&job_id) else {
             return false;
         };
-        job.build_task_views_into(self.now, &estimator, mean_slowdown, views);
+        job.build_task_views_into(mean_slowdown, views);
         if views.is_empty() {
             return false;
         }

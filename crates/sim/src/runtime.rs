@@ -4,8 +4,8 @@
 use rand::Rng;
 
 use grass_core::{
-    degrade_estimate, AccuracyTracker, Bound, BoxedPolicy, EstimatorConfig, JobOutcome, JobSpec,
-    TaskId, TaskSpec, TaskView, Time, TnewEstimate,
+    degrade_estimate, AccuracyTracker, Bound, BoxedPolicy, DeadlineIndex, EstimatorConfig,
+    JobOutcome, JobSpec, TaskId, TaskSpec, TaskView, Time, TnewEstimate,
 };
 
 use crate::event::CopyId;
@@ -206,6 +206,9 @@ pub struct JobRuntime {
     /// [`complete_copy`](Self::complete_copy) touch it, since no row depends on
     /// `now`. Empty until built and again once the job is finalised.
     pub(crate) task_views: Vec<TaskView>,
+    /// A deadline-bound job's [`DeadlineIndex`] of `task_views`, built and kept
+    /// beside them; `None` for error-bound jobs, whose decisions never read one.
+    pub(crate) deadline_index: Option<DeadlineIndex>,
 }
 
 impl JobRuntime {
@@ -252,6 +255,7 @@ impl JobRuntime {
             unfinished,
             stats_cursor: 0,
             task_views: Vec::new(),
+            deadline_index: None,
         }
     }
 
@@ -343,12 +347,26 @@ impl JobRuntime {
         &self.task_views
     }
 
-    /// Build the resident task views. The simulator calls this once, at the job's
+    /// The resident [`DeadlineIndex`] of [`task_views`](Self::task_views), kept
+    /// for deadline-bound jobs only and for the estimate kind of
+    /// [`tnew_estimate`](Self::tnew_estimate): a first launch moves its row from the
+    /// fresh order to the running list, a completion removes its row's position,
+    /// and a stage's unlock re-sorts the fresh order with the stage's rows.
+    pub fn deadline_index(&self) -> Option<&DeadlineIndex> {
+        self.deadline_index.as_ref()
+    }
+
+    /// Build the resident task views, and a deadline-bound job's index of them for
+    /// `estimator`'s estimate kind. The simulator calls this once, at the job's
     /// arrival; [`task_views`](Self::task_views) says what keeps them current.
-    pub fn init_task_views(&mut self, cluster_mean_slowdown: f64) {
+    pub fn init_task_views(&mut self, estimator: &EstimatorConfig, cluster_mean_slowdown: f64) {
         let mut rows = Vec::with_capacity(self.unfinished);
         rows.extend(self.rows(cluster_mean_slowdown));
         self.task_views = rows;
+        if self.spec.bound.is_deadline() {
+            let estimate = self.tnew_estimate(estimator, cluster_mean_slowdown);
+            self.deadline_index = Some(DeadlineIndex::build(&self.task_views, estimate));
+        }
     }
 
     /// One row per unfinished task, in ascending task id.
@@ -364,30 +382,18 @@ impl JobRuntime {
     }
 
     /// Build the [`TaskView`]s for every unfinished task.
-    pub fn build_task_views(
-        &self,
-        now: Time,
-        estimator: &EstimatorConfig,
-        cluster_mean_slowdown: f64,
-    ) -> Vec<TaskView> {
+    pub fn build_task_views(&self, cluster_mean_slowdown: f64) -> Vec<TaskView> {
         let mut views = Vec::with_capacity(self.tasks.len());
-        self.build_task_views_into(now, estimator, cluster_mean_slowdown, &mut views);
+        self.build_task_views_into(cluster_mean_slowdown, &mut views);
         views
     }
 
     /// Build the [`TaskView`]s for every unfinished task into a caller-provided
     /// buffer, clearing it first. The frozen [`crate::reference`] engine builds every
-    /// view it hands out through here. No row depends on `now` or on `estimator`
-    /// (under oracle estimates [`launch_copy`](Self::launch_copy) already gives every
-    /// copy a unit `rem_bias`); the two parameters stay so that the frozen engine's
-    /// calls need no edit.
-    pub fn build_task_views_into(
-        &self,
-        _now: Time,
-        _estimator: &EstimatorConfig,
-        cluster_mean_slowdown: f64,
-        views: &mut Vec<TaskView>,
-    ) {
+    /// view it hands out through here. No row depends on `now` or on the estimator:
+    /// under oracle estimates [`launch_copy`](Self::launch_copy) already gives every
+    /// copy a unit `rem_bias`.
+    pub fn build_task_views_into(&self, cluster_mean_slowdown: f64, views: &mut Vec<TaskView>) {
         views.clear();
         views.extend(self.rows(cluster_mean_slowdown));
     }
@@ -426,10 +432,13 @@ impl JobRuntime {
             self.speculative_copies += 1;
         }
         self.allocated_slots += 1;
-        // Keep the resident row current (an unbuilt table is empty).
+        // Keep the resident row and index current (an unbuilt table is empty).
         if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
             // grass: allow(panicky-lib, "pos was just returned by binary_search over task_views")
             t.set_copy_fields(&mut self.task_views[pos]);
+            if let Some(index) = &mut self.deadline_index {
+                index.launched(&self.task_views, pos);
+            }
         }
     }
 
@@ -502,6 +511,9 @@ impl JobRuntime {
         // unlocks the next stage.
         if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
             self.task_views.remove(pos);
+            if let Some(index) = &mut self.deadline_index {
+                index.removed(pos);
+            }
         }
         // grass: allow(panicky-lib, "stage comes from this task's spec; completed_per_stage is sized from spec.stages")
         if self.completed_per_stage[stage] == self.stage_needed(stage) {
@@ -510,15 +522,19 @@ impl JobRuntime {
                     row.eligible = true;
                 }
             }
+            if let Some(index) = &mut self.deadline_index {
+                index.unlocked(&self.task_views);
+            }
         }
     }
 
     /// Kill every running copy of every task (used when a job hits its deadline or is
     /// finalised early). Returns the identity of every killed copy
     /// (task, copy id, freed slot). The job is done, so its resident task views
-    /// are freed.
+    /// and their index are freed.
     pub fn kill_all_copies(&mut self, now: Time) -> Vec<(TaskId, CopyId, SlotId)> {
         self.task_views = Vec::new();
+        self.deadline_index = None;
         let mut freed = Vec::new();
         for (idx, t) in self.tasks.iter_mut().enumerate() {
             for c in t.copies.drain(..) {
@@ -613,6 +629,7 @@ mod tests {
             completed_tasks: rt.completed_total(),
             tasks: rows,
             tnew_estimate: TnewEstimate::Oracle,
+            deadline_index: None,
             wave_width: 1,
             cluster_utilization: 0.0,
             estimation_accuracy: 1.0,
@@ -702,7 +719,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let est = EstimatorConfig::oracle();
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 4.0, &est, &mut rng);
-        let views = rt.build_task_views(1.0, &est, 1.0);
+        let views = rt.build_task_views(1.0);
         assert_eq!(views.len(), 2);
         let view = view_at(&rt, &views, 1.0);
         let running = views.iter().find(|v| v.id == TaskId(0)).unwrap();
@@ -726,7 +743,7 @@ mod tests {
         let est = EstimatorConfig::oracle();
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 6.0, &est, &mut rng);
         rt.complete_copy(TaskId(0), 1, 6.0);
-        let views = rt.build_task_views(6.0, &est, 1.0);
+        let views = rt.build_task_views(1.0);
         assert_eq!(views.len(), 1);
         // Observed duration/work = 3.0, so the non-oracle tnew estimate for the other
         // task (work 2.0) would be ~6.0; the oracle hint stays work × slowdown.
@@ -800,7 +817,7 @@ mod tests {
         rt.complete_copy(TaskId(0), 1, 1.0);
         assert!(rt.stage_eligible(1));
         assert!(!rt.bound_satisfied());
-        let views = rt.build_task_views(1.0, &est, 1.0);
+        let views = rt.build_task_views(1.0);
         let downstream = views.iter().find(|v| v.stage == StageId(1)).unwrap();
         assert!(downstream.eligible);
     }
@@ -843,7 +860,7 @@ mod tests {
         let est = EstimatorConfig::with_accuracy(0.6);
         let mut rt = JobRuntime::new(spec, Box::new(Noop), &est, 0.0, &mut rng);
         rt.launch_copy(TaskId(0), 1, slot(0), 0.0, 5.0, &est, &mut rng);
-        let views = rt.build_task_views(1.0, &est, 1.0);
+        let views = rt.build_task_views(1.0);
         let view = view_at(&rt, &views, 1.0);
         // Before any completion the per-work estimate is the mean slowdown, 1.0
         // here, so `tnew` = work × bias deviates from the hint iff the bias is not 1.

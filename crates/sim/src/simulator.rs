@@ -22,8 +22,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use grass_core::{
-    ActionKind, Bound, EstimatorConfig, JobId, JobOutcome, JobSpec, JobView, PolicyFactory, Time,
-    TnewEstimate,
+    ActionKind, Bound, DeadlineIndex, EstimatorConfig, JobId, JobOutcome, JobSpec, JobView,
+    PolicyFactory, Time, TnewEstimate,
 };
 
 use crate::cluster::ClusterConfig;
@@ -204,6 +204,8 @@ struct Simulator<'a> {
     pending: HashMap<JobId, JobSpec>,
     // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; dispatch order comes from the BTreeSet index below")
     running: HashMap<JobId, JobRuntime>,
+    /// Jobs in arrival order: every live job, and the finished ones since the
+    /// last timeline compaction, which drops them.
     active_order: Vec<JobId>,
     /// Dispatch index: `(allocated_slots, job id)` for every job that is not
     /// done, still has unfinished work and is not holding a decline. Kept in
@@ -300,10 +302,13 @@ impl<'a> Simulator<'a> {
         if end < self.next_compact_check {
             return;
         }
+        // Finished jobs are freed at once, so only live ones keep their place.
+        let running = &self.running;
+        self.active_order.retain(|id| running.contains_key(id));
         let min_cursor = self
             .active_order
             .iter()
-            .filter_map(|id| self.running.get(id))
+            .filter_map(|id| running.get(id))
             .map(|j| j.stats_cursor)
             .min()
             .unwrap_or(end);
@@ -398,10 +403,11 @@ impl<'a> Simulator<'a> {
 
         // Let the policy observe the job's initial state: the one build of its
         // resident task views.
-        runtime.init_task_views(self.mean_slowdown);
+        runtime.init_task_views(&self.config.estimator, self.mean_slowdown);
         let view = Self::job_view(
             &runtime,
             &runtime.task_views,
+            runtime.deadline_index.as_ref(),
             self.now,
             self.fair_share(),
             self.utilization(),
@@ -489,7 +495,15 @@ impl<'a> Simulator<'a> {
 
         if effect.task_completed {
             let estimate = job.tnew_estimate(&self.config.estimator, self.mean_slowdown);
-            let view = Self::job_view(job, &job.task_views, self.now, fair, util, estimate);
+            let view = Self::job_view(
+                job,
+                &job.task_views,
+                job.deadline_index.as_ref(),
+                self.now,
+                fair,
+                util,
+                estimate,
+            );
             job.policy.on_task_complete(&view, task);
         }
 
@@ -544,9 +558,11 @@ impl<'a> Simulator<'a> {
         self.util_stat.update(self.now, self.utilization());
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn job_view<'v>(
         job: &JobRuntime,
         views: &'v [grass_core::TaskView],
+        deadline_index: Option<&'v DeadlineIndex>,
         now: Time,
         fair_share: usize,
         utilization: f64,
@@ -564,6 +580,7 @@ impl<'a> Simulator<'a> {
             completed_tasks: job.completed_total(),
             tasks: views,
             tnew_estimate,
+            deadline_index,
             wave_width: job
                 .allocated_slots
                 .max(fair_share.min(job.spec.total_tasks())),
@@ -621,6 +638,7 @@ impl<'a> Simulator<'a> {
         let view = Self::job_view(
             job,
             &job.task_views,
+            job.deadline_index.as_ref(),
             self.now,
             fair_share,
             utilization,

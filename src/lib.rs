@@ -73,10 +73,10 @@ pub mod prelude {
         Summary, Suppression, SuppressionError, Token, TokenKind, Workspace, CATALOG,
     };
     pub use grass_core::{
-        degrade_estimate, AccuracyTracker, Action, ActionKind, Bound, BoxedPolicy, EstimatorConfig,
-        FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy, JobId, JobOutcome,
-        JobSizeBin, JobSpec, JobView, PolicyFactory, QuantileSketch, RasFactory, RasPolicy,
-        SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
+        degrade_estimate, AccuracyTracker, Action, ActionKind, Bound, BoxedPolicy, DeadlineIndex,
+        EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy,
+        JobId, JobOutcome, JobSizeBin, JobSpec, JobView, PolicyFactory, QuantileSketch, RasFactory,
+        RasPolicy, SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
         StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskSpec, TaskView, Time,
         TnewEstimate,
     };

@@ -24,14 +24,20 @@
 //!   different best copies; `trem`, `true_remaining` and `elapsed` must still
 //!   match.
 //!
-//! Error-bound cases also keep one `GsPolicy` and one `RasPolicy` across all
-//! the steps, as the simulator keeps one policy per job. After every step each
-//! one's decision on the resident view must equal `speculation::choose`, which
-//! keeps no memo, on the same view. One step kind applies a kept policy's own
-//! last answer through `JobRuntime::launch_copy` at the same `now`, as the
-//! simulator does when one instant frees several slots, so the policies answer
-//! repeat decisions from the runner-up candidates they kept; the other launches
-//! change some other row, which those answers must notice.
+//! A deadline-bound job also keeps a `DeadlineIndex` of its rows beside them
+//! (`JobRuntime::deadline_index`; error-bound jobs keep none). After every step
+//! it must equal one built from the resident rows: the same running rows in the
+//! same order, and the same live fresh rows in the same order.
+//!
+//! Every case also keeps one `GsPolicy` and one `RasPolicy` across all the
+//! steps, as the simulator keeps one policy per job. After every step each
+//! one's decision on the resident view, which carries the kept index, must
+//! equal `speculation::choose`, which keeps no memo, on the same rows with no
+//! index. One step kind applies a kept policy's own last answer through
+//! `JobRuntime::launch_copy` at the same `now`, as the simulator does when one
+//! instant frees several slots, so the policies answer repeat decisions from the
+//! runner-up candidates they kept; the other launches change some other row,
+//! which those answers must notice.
 //!
 //! `PROPTEST_CASES` sets the case count (CI runs 500 in release).
 
@@ -128,6 +134,7 @@ fn resident_view<'a>(rt: &'a JobRuntime, now: Time, estimator: &EstimatorConfig)
         completed_tasks: rt.completed_total(),
         tasks: rt.task_views(),
         tnew_estimate: rt.tnew_estimate(estimator, MEAN_SLOWDOWN),
+        deadline_index: rt.deadline_index(),
         wave_width: 1,
         cluster_utilization: 0.0,
         estimation_accuracy: rt.accuracy.accuracy(),
@@ -135,8 +142,8 @@ fn resident_view<'a>(rt: &'a JobRuntime, now: Time, estimator: &EstimatorConfig)
     }
 }
 
-/// Each kept policy's decision on the resident view equals the memo-free `choose`.
-/// Returns the decisions, in policy order.
+/// Each kept policy's decision on the resident view equals the memo-free `choose`
+/// on the same rows with no index. Returns the decisions, in policy order.
 fn assert_kept_policies_match_choose(
     policies: &mut [(SpeculationMode, Box<dyn SpeculationPolicy>)],
     rt: &JobRuntime,
@@ -145,12 +152,16 @@ fn assert_kept_policies_match_choose(
     step: usize,
 ) -> Vec<Option<Action>> {
     let view = resident_view(rt, now, estimator);
+    let unindexed = JobView {
+        deadline_index: None,
+        ..view.clone()
+    };
     let mut decisions = Vec::new();
     for (mode, policy) in policies.iter_mut() {
         let decision = policy.choose(&view);
         assert_eq!(
             decision,
-            choose(&view, *mode),
+            choose(&unindexed, *mode),
             "step {step} at t={now}: {mode:?} on {:?}",
             view.tasks
         );
@@ -165,7 +176,7 @@ fn assert_resident_rows_match_a_full_build(
     estimator: &EstimatorConfig,
     step: usize,
 ) {
-    let built = rt.build_task_views(now, estimator, MEAN_SLOWDOWN);
+    let built = rt.build_task_views(MEAN_SLOWDOWN);
     let resident = rt.task_views();
     assert_eq!(
         resident.len(),
@@ -180,6 +191,30 @@ fn assert_resident_rows_match_a_full_build(
             row_bits(want),
             "step {step} at t={now}: resident {have:?} != built {want:?}"
         );
+    }
+
+    let estimate = rt.tnew_estimate(estimator, MEAN_SLOWDOWN);
+    match rt.deadline_index() {
+        None => assert!(rt.spec.bound.is_error(), "step {step}: no index kept"),
+        Some(kept) => {
+            assert!(
+                kept.is_for(estimate),
+                "step {step}: index of the wrong kind"
+            );
+            let fresh = DeadlineIndex::build(resident, estimate);
+            let ids =
+                |rows: &mut dyn Iterator<Item = &TaskView>| rows.map(|t| t.id).collect::<Vec<_>>();
+            assert_eq!(
+                ids(&mut kept.running_rows(resident)),
+                ids(&mut fresh.running_rows(resident)),
+                "step {step} at t={now}: running rows"
+            );
+            assert_eq!(
+                ids(&mut kept.fresh_rows(resident)),
+                ids(&mut fresh.fresh_rows(resident)),
+                "step {step} at t={now}: fresh order"
+            );
+        }
     }
 
     let view = resident_view(rt, now, estimator);
@@ -253,16 +288,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rt = JobRuntime::new(spec, Box::new(Idle), &estimator, 0.0, &mut rng);
         let mut now = 0.0;
-        rt.init_task_views(MEAN_SLOWDOWN);
+        rt.init_task_views(&estimator, MEAN_SLOWDOWN);
         assert_resident_rows_match_a_full_build(&rt, now, &estimator, 0);
-        let mut policies: Vec<(SpeculationMode, Box<dyn SpeculationPolicy>)> = if error_bound {
-            vec![
-                (SpeculationMode::Gs, Box::<GsPolicy>::default()),
-                (SpeculationMode::Ras, Box::<RasPolicy>::default()),
-            ]
-        } else {
-            Vec::new()
-        };
+        let mut policies: Vec<(SpeculationMode, Box<dyn SpeculationPolicy>)> = vec![
+            (SpeculationMode::Gs, Box::<GsPolicy>::default()),
+            (SpeculationMode::Ras, Box::<RasPolicy>::default()),
+        ];
         let mut decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, 0);
 
         let slot = SlotId { machine: 0, slot: 0 };
