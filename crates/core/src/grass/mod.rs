@@ -14,8 +14,8 @@ mod switching;
 pub use samples::{BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreSnapshot};
 pub use sketch::QuantileSketch;
 pub use switching::{
-    learned_decision, learned_decision_cached, strawman_decision, strawman_decision_cached,
-    LearnedParams, StrawmanConfig, SwitchDecision, SwitchScanCache, SwitchStrategy,
+    learned_decision_cached, strawman_decision_cached, LearnedParams, StrawmanConfig,
+    SwitchDecision, SwitchScanCache, SwitchStrategy,
 };
 
 use std::sync::Arc;

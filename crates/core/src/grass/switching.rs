@@ -160,15 +160,8 @@ impl SwitchScanCache {
     }
 }
 
-/// Evaluate the strawman rule: switch once at most `cfg.waves` waves of work remain.
-///
-/// Stateless convenience wrapper over [`strawman_decision_cached`]; policies that
-/// evaluate repeatedly should hold a [`SwitchScanCache`] and use the cached variant.
-pub fn strawman_decision(view: &JobView, cfg: &StrawmanConfig) -> SwitchDecision {
-    strawman_decision_cached(view, cfg, &mut SwitchScanCache::new())
-}
-
-/// Evaluate the strawman rule using a per-job [`SwitchScanCache`].
+/// Evaluate the strawman rule, switch once at most `cfg.waves` waves of work
+/// remain, using a per-job [`SwitchScanCache`].
 pub fn strawman_decision_cached(
     view: &JobView,
     cfg: &StrawmanConfig,
@@ -204,21 +197,10 @@ pub fn strawman_decision_cached(
     }
 }
 
-/// Evaluate the learned rule against the sample store. Falls back to the strawman rule
-/// when the store does not yet hold enough samples for a prediction (a freshly started
-/// cluster has nothing to learn from).
-///
-/// Stateless convenience wrapper over [`learned_decision_cached`].
-pub fn learned_decision(
-    view: &JobView,
-    store: &SampleStore,
-    params: &LearnedParams,
-) -> SwitchDecision {
-    learned_decision_cached(view, store, params, &mut SwitchScanCache::new())
-}
-
-/// Evaluate the learned rule using a per-job [`SwitchScanCache`] for the strawman
-/// fallback's task-list scan.
+/// Evaluate the learned rule against the sample store, using a per-job
+/// [`SwitchScanCache`] for the strawman fallback's task-list scan. Falls back to
+/// the strawman rule when the store does not yet hold enough samples for a
+/// prediction (a freshly started cluster has nothing to learn from).
 pub fn learned_decision_cached(
     view: &JobView,
     store: &SampleStore,
@@ -396,6 +378,21 @@ fn query_context(view: &JobView, kind: BoundKind, bound_value: f64) -> QueryCont
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The strawman rule with default settings and a fresh cache.
+    fn strawman(v: &JobView) -> SwitchDecision {
+        strawman_decision_cached(v, &StrawmanConfig::default(), &mut SwitchScanCache::new())
+    }
+
+    /// The learned rule with default parameters and a fresh cache.
+    fn learned(v: &JobView, store: &SampleStore) -> SwitchDecision {
+        learned_decision_cached(
+            v,
+            store,
+            &LearnedParams::default(),
+            &mut SwitchScanCache::new(),
+        )
+    }
     use crate::bins::SizeBucket;
     use crate::grass::samples::Sample;
     use crate::job::TnewEstimate;
@@ -479,16 +476,10 @@ mod tests {
         let tasks: Vec<TaskView> = (0..6).map(|i| unscheduled(i, 4.0)).collect();
         // Remaining deadline 20s, median task 4s, two waves = 8s => stay.
         let v = view(&tasks, Bound::Deadline(20.0), 0.0, 2, 0, 20);
-        assert_eq!(
-            strawman_decision(&v, &StrawmanConfig::default()),
-            SwitchDecision::Stay
-        );
+        assert_eq!(strawman(&v), SwitchDecision::Stay);
         // Remaining 6s <= 8s => switch.
         let v = view(&tasks, Bound::Deadline(20.0), 14.0, 2, 0, 20);
-        assert_eq!(
-            strawman_decision(&v, &StrawmanConfig::default()),
-            SwitchDecision::SwitchNow
-        );
+        assert_eq!(strawman(&v), SwitchDecision::SwitchNow);
     }
 
     #[test]
@@ -497,26 +488,17 @@ mod tests {
         // 100 input tasks, ε = 0.2 => 80 needed; 50 done => 30 still needed.
         let v = view(&tasks, Bound::Error(0.2), 10.0, 5, 50, 100);
         // Two waves of 5 slots = 10 < 30 => stay.
-        assert_eq!(
-            strawman_decision(&v, &StrawmanConfig::default()),
-            SwitchDecision::Stay
-        );
+        assert_eq!(strawman(&v), SwitchDecision::Stay);
         // 72 done => 8 still needed <= 10 => switch.
         let v = view(&tasks, Bound::Error(0.2), 10.0, 5, 72, 100);
-        assert_eq!(
-            strawman_decision(&v, &StrawmanConfig::default()),
-            SwitchDecision::SwitchNow
-        );
+        assert_eq!(strawman(&v), SwitchDecision::SwitchNow);
     }
 
     #[test]
     fn strawman_stays_when_no_duration_information() {
         let tasks: Vec<TaskView> = vec![];
         let v = view(&tasks, Bound::Deadline(20.0), 0.0, 2, 0, 20);
-        assert_eq!(
-            strawman_decision(&v, &StrawmanConfig::default()),
-            SwitchDecision::Stay
-        );
+        assert_eq!(strawman(&v), SwitchDecision::Stay);
     }
 
     #[test]
@@ -525,11 +507,11 @@ mod tests {
         let v = view(&tasks, Bound::Deadline(40.0), 0.0, 2, 0, 20);
         // GS completes 3 tasks/s, RAS 1 task/s everywhere => best to switch now.
         let store = store_with_rates(3.0, 1.0, BoundKind::Deadline);
-        let d = learned_decision(&v, &store, &LearnedParams::default());
+        let d = learned(&v, &store);
         assert_eq!(d, SwitchDecision::SwitchNow);
         // RAS dominates => stay.
         let store = store_with_rates(1.0, 3.0, BoundKind::Deadline);
-        let d = learned_decision(&v, &store, &LearnedParams::default());
+        let d = learned(&v, &store);
         assert_eq!(d, SwitchDecision::Stay);
     }
 
@@ -538,15 +520,9 @@ mod tests {
         let tasks: Vec<TaskView> = (0..40).map(|i| unscheduled(i, 4.0)).collect();
         let v = view(&tasks, Bound::Error(0.1), 0.0, 4, 10, 100);
         let store = store_with_rates(3.0, 1.0, BoundKind::Error);
-        assert_eq!(
-            learned_decision(&v, &store, &LearnedParams::default()),
-            SwitchDecision::SwitchNow
-        );
+        assert_eq!(learned(&v, &store), SwitchDecision::SwitchNow);
         let store = store_with_rates(1.0, 3.0, BoundKind::Error);
-        assert_eq!(
-            learned_decision(&v, &store, &LearnedParams::default()),
-            SwitchDecision::Stay
-        );
+        assert_eq!(learned(&v, &store), SwitchDecision::Stay);
     }
 
     #[test]
@@ -557,7 +533,7 @@ mod tests {
         let v = view(&tasks, Bound::Deadline(30.0), 0.0, 2, 0, 120);
         let mut cache = SwitchScanCache::new();
         let cached = strawman_decision_cached(&v, &StrawmanConfig::default(), &mut cache);
-        let uncached = strawman_decision(&v, &StrawmanConfig::default());
+        let uncached = strawman(&v);
         assert_eq!(cached, uncached);
         // Second evaluation with unchanged progress hits the memo.
         assert!(cache.memo.is_some());
@@ -623,7 +599,7 @@ mod tests {
         let check = |store: &SampleStore, cache: &mut SwitchScanCache| {
             for v in [&dl_view, &err_view] {
                 let with_memo = learned_decision_cached(v, store, &params, cache);
-                let fresh = learned_decision(v, store, &params);
+                let fresh = learned_decision_cached(v, store, &params, &mut SwitchScanCache::new());
                 assert_eq!(with_memo, fresh, "memoised decision diverged");
             }
             assert_eq!(
@@ -707,15 +683,9 @@ mod tests {
         let tasks: Vec<TaskView> = (0..6).map(|i| unscheduled(i, 4.0)).collect();
         // Far from the deadline: strawman says stay.
         let v = view(&tasks, Bound::Deadline(100.0), 0.0, 2, 0, 20);
-        assert_eq!(
-            learned_decision(&v, &store, &LearnedParams::default()),
-            SwitchDecision::Stay
-        );
+        assert_eq!(learned(&v, &store), SwitchDecision::Stay);
         // Close to the deadline: strawman says switch.
         let v = view(&tasks, Bound::Deadline(100.0), 95.0, 2, 0, 20);
-        assert_eq!(
-            learned_decision(&v, &store, &LearnedParams::default()),
-            SwitchDecision::SwitchNow
-        );
+        assert_eq!(learned(&v, &store), SwitchDecision::SwitchNow);
     }
 }

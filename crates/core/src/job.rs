@@ -517,13 +517,17 @@ impl<'a> JobView<'a> {
     }
 
     /// Estimated remaining duration of `task`'s best running copy at `now`: its
-    /// [`JobView::true_remaining`] times the copy's `rem_bias`, clamped at zero;
-    /// `f64::INFINITY` if the task is not running. Under oracle estimates every copy's
-    /// bias is `1.0`, so this is the ground truth bit for bit. Every reader of `trem`
-    /// goes through here.
+    /// [`JobView::true_remaining`] times the copy's `rem_bias`, clamped at zero, or
+    /// the ground truth itself under [`TnewEstimate::Oracle`] (where the simulator
+    /// gives every copy a unit bias anyway, so the two agree bit for bit);
+    /// `f64::INFINITY` if the task is not running. Every reader of `trem` goes
+    /// through here.
     #[inline]
     pub fn trem(&self, task: &TaskView) -> Time {
-        (self.true_remaining(task) * task.rem_bias).max(0.0)
+        match self.tnew_estimate {
+            TnewEstimate::PerWork(_) => (self.true_remaining(task) * task.rem_bias).max(0.0),
+            TnewEstimate::Oracle => self.true_remaining(task),
+        }
     }
 
     /// Time `task`'s *oldest* running copy has been executing at `now`, clamped at
@@ -608,16 +612,6 @@ impl<'a> JobView<'a> {
             .iter()
             .filter(|t| t.eligible && !t.is_running())
             .count()
-    }
-
-    /// Rough estimate of the number of waves of work remaining: unfinished eligible
-    /// tasks divided by the current wave width.
-    pub fn remaining_waves(&self) -> f64 {
-        let unfinished = self.tasks.iter().filter(|t| t.eligible).count();
-        if self.wave_width == 0 {
-            return f64::INFINITY;
-        }
-        unfinished as f64 / self.wave_width as f64
     }
 }
 

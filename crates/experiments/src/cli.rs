@@ -60,17 +60,18 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    pub(crate) fn get_u64(&self, name: &str, default: u64) -> Result<u64, String> {
+    /// Value of flag `name` parsed by `T`'s own `FromStr`, so a number out of
+    /// `T`'s range is an error naming the flag; `default` when it is absent.
+    pub(crate) fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
         match self.get(name) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("flag --{name} expects an integer, got '{v}'")),
+                .map_err(|e| format!("flag --{name} got '{v}': {e}")),
         }
-    }
-
-    pub(crate) fn get_usize(&self, name: &str, default: usize) -> Result<usize, String> {
-        Ok(self.get_u64(name, default as u64)? as usize)
     }
 }
 

@@ -3,8 +3,9 @@
 //! tables the paper's figures report.
 //!
 //! Every experiment entry point consumes a [`JobSource`] rather than sampling a
-//! workload itself: a [`GeneratedWorkload`] re-rolls a synthetic workload per seed
-//! (the historical behaviour, byte-identical), while a `RecordedWorkload` — typically
+//! workload itself: a [`grass_workload::GeneratedWorkload`] re-rolls a synthetic
+//! workload per seed (the historical behaviour, byte-identical), while a
+//! `RecordedWorkload` — typically
 //! decoded from a `grass-trace` workload trace — replays one fixed job list, enabling
 //! controlled comparisons of the *same* jobs across policies and cluster sizes (the
 //! paper's §6.1 methodology; see [`crate::sweep`]).
@@ -12,13 +13,13 @@
 use std::sync::Arc;
 
 use grass_core::{
-    EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GsFactory, JobSpec, PolicyFactory,
-    RasFactory, SampleStore, SpeculationMode,
+    EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GsFactory, PolicyFactory, RasFactory,
+    SampleStore, SpeculationMode,
 };
 use grass_metrics::{improvement_by_size_bin, overall_improvement, Metric, OutcomeSet};
 use grass_policies::{LateFactory, MantriFactory, NoSpecFactory, OracleFactory};
 use grass_sim::{run_simulation, ClusterConfig, SimConfig};
-use grass_workload::{GeneratedWorkload, JobSource, WorkloadConfig};
+use grass_workload::{JobSource, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// Global knobs of an experiment run.
@@ -325,16 +326,10 @@ pub fn sample_task_durations(
         .collect()
 }
 
-/// Convenience: the whole set of job specs an experiment would feed the simulator
-/// (exposed for tests and for the quickstart example).
-pub fn workload_jobs(workload: &WorkloadConfig, seed: u64) -> Vec<JobSpec> {
-    GeneratedWorkload::new(*workload).jobs(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grass_workload::{BoundSpec, Framework, TraceProfile};
+    use grass_workload::{BoundSpec, Framework, GeneratedWorkload, TraceProfile};
 
     fn tiny_workload(bound: BoundSpec) -> WorkloadConfig {
         WorkloadConfig::new(TraceProfile::facebook(Framework::Spark))

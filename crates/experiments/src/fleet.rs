@@ -2,7 +2,8 @@
 //! `repro fleet` CLI verbs.
 //!
 //! `grass-fleet` moves opaque cell specs and result payloads; this module
-//! defines both encodings for sweep work:
+//! defines both encodings for sweep work, as `tag key=value` lines written by
+//! [`LineBuilder`] and split by [`Fields`] (the text trace's line codec):
 //!
 //! * a **cell spec** names one `(trace, machines, policy, seed, slots)` cell
 //!   of a sweep grid, so a worker can stream the shared on-disk trace via
@@ -23,26 +24,26 @@ use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use grass_core::{Bound, JobId, JobOutcome, SampleStore, SpeculationMode, StoreSnapshot};
+use grass_core::{JobId, JobOutcome, SampleStore, SpeculationMode, StoreSnapshot};
 use grass_fleet::broker::serve_broker_on;
 use grass_fleet::{
     run_fleet, run_worker, CellRunner, DigestCache, FleetConfig, FleetOutcome, SYNC_SEPARATOR,
 };
 use grass_metrics::OutcomeSet;
 use grass_sim::ClusterConfig;
-use grass_trace::codec::{escape, unescape};
+use grass_trace::codec::{Fields, LineBuilder};
+use grass_trace::text::{bound_text, parse_bound};
 use grass_trace::{open_workload_source, open_workload_source_mmap, WorkloadMeta};
-use grass_workload::{JobSource, StreamedWorkload};
+use grass_workload::StreamedWorkload;
 
 use crate::cli::{write_stdout, Flags};
 use crate::common::ExpConfig;
 use crate::sweep::{
-    assemble_sweep_result, merge_seed_sets, parse_policy, run_sweep_cell, sweep_config_from_flags,
+    assemble_sweep_result, on_pool, parse_policy, run_sweep_cell, sweep_config_from_flags,
     SweepConfig, SweepResult,
 };
 use crate::trace_cli::resolve_workload_path;
@@ -111,24 +112,23 @@ pub fn cell_key(
         machines: 0,
         ..base.cluster
     };
-    Ok(format!(
-        "grass-fleet cell v1 trace={} machines={} policy={} seed={} slots={} warmup={} estimator={} cluster={}",
-        trace_id,
-        machines,
-        policy_wire_name(policy)?,
-        seed,
-        base.cluster.slots_per_machine,
-        base.warmup_fraction,
-        escape(&format!("{:?}", base.estimator)),
-        escape(&format!("{cluster_profile:?}")),
-    ))
+    Ok(LineBuilder::new("grass-fleet cell v1")
+        .text("trace", trace_id)
+        .num("machines", machines)
+        .text("policy", policy_wire_name(policy)?)
+        .num("seed", seed)
+        .num("slots", base.cluster.slots_per_machine)
+        .num("warmup", base.warmup_fraction)
+        .text("estimator", &format!("{:?}", base.estimator))
+        .text("cluster", &format!("{cluster_profile:?}"))
+        .build())
 }
 
 // ---------------------------------------------------------------------------
 // Cell spec codec (broker -> worker)
 // ---------------------------------------------------------------------------
 
-/// One cell of a fleet grid: the seed-level unit a worker runs.
+/// One cell of a sweep grid: the seed-level unit a worker runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetCellSpec {
     pub machines: usize,
@@ -136,165 +136,88 @@ pub struct FleetCellSpec {
     pub seed: u64,
 }
 
-fn encode_cell_spec(trace: &Path, cell: &FleetCellSpec, slots: usize) -> Result<String, String> {
-    Ok(format!(
-        "machines={} policy={} seed={} slots={} trace={}",
-        cell.machines,
-        policy_wire_name(&cell.policy)?,
-        cell.seed,
-        slots,
-        escape(&trace.display().to_string()),
-    ))
-}
-
-struct ParsedCellSpec {
-    machines: usize,
-    policy: PolicyKind,
-    seed: u64,
+/// The wire spec of `cell` over the trace at `trace` with `slots` slots per
+/// machine: a tagless line of `key=value` fields.
+pub fn encode_cell_spec(
+    trace: &Path,
+    cell: &FleetCellSpec,
     slots: usize,
-    trace: PathBuf,
+) -> Result<String, String> {
+    Ok(LineBuilder::new("")
+        .num("machines", cell.machines)
+        .text("policy", policy_wire_name(&cell.policy)?)
+        .num("seed", cell.seed)
+        .num("slots", slots)
+        .text("trace", &trace.display().to_string())
+        .build())
 }
 
-fn parse_cell_spec(spec: &str) -> Result<ParsedCellSpec, String> {
-    let fields = FieldMap::parse(spec)?;
-    Ok(ParsedCellSpec {
-        machines: fields.number("machines")? as usize,
+/// Invert [`encode_cell_spec`]: the trace path, the cell and the slot count.
+pub fn decode_cell_spec(spec: &str) -> Result<(PathBuf, FleetCellSpec, usize), String> {
+    let fields = Fields::untagged("spec", spec)?;
+    let cell = FleetCellSpec {
+        machines: fields.num("machines")?,
         policy: parse_policy(&fields.text("policy")?)?,
-        seed: fields.number("seed")?,
-        slots: fields.number("slots")? as usize,
-        trace: PathBuf::from(fields.text("trace")?),
-    })
-}
-
-/// `key=value` fields of one line (specs and payload lines share the format).
-struct FieldMap<'a> {
-    fields: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> FieldMap<'a> {
-    fn parse(line: &'a str) -> Result<FieldMap<'a>, String> {
-        let mut fields = Vec::new();
-        for part in line.split_whitespace() {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("field `{part}` is not key=value"))?;
-            fields.push((key, value));
-        }
-        Ok(FieldMap { fields })
-    }
-
-    fn raw(&self, key: &str) -> Result<&'a str, String> {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("missing field `{key}`"))
-    }
-
-    fn text(&self, key: &str) -> Result<String, String> {
-        unescape(self.raw(key)?).map_err(|e| format!("field `{key}`: {e}"))
-    }
-
-    fn number(&self, key: &str) -> Result<u64, String> {
-        let raw = self.raw(key)?;
-        raw.parse::<u64>()
-            .map_err(|e| format!("field `{key}`={raw}: {e}"))
-    }
-
-    fn float(&self, key: &str) -> Result<f64, String> {
-        let raw = self.raw(key)?;
-        raw.parse::<f64>()
-            .map_err(|e| format!("field `{key}`={raw}: {e}"))
-    }
+        seed: fields.num("seed")?,
+    };
+    Ok((
+        PathBuf::from(fields.text("trace")?),
+        cell,
+        fields.num("slots")?,
+    ))
 }
 
 // ---------------------------------------------------------------------------
 // Result payload codec (worker -> broker, and the digest cache value)
 // ---------------------------------------------------------------------------
 
-/// Encode one cell's outcomes at full precision. Floats use Rust's
-/// shortest-round-trip `Display`, so decode is bit-exact for every finite
+/// Opening words of every cell payload's first line.
+const PAYLOAD_HEADER: &str = "cellresult v1";
+
+/// Encode one cell's outcomes at full precision: a header line, then one
+/// `outcome` line per job, each newline-terminated. Floats use Rust's
+/// shortest-round-trip `Display`, so decode is bit-exact for every non-NaN
 /// value and the merged digest cannot drift from the in-process one.
 pub fn encode_cell_outcomes(set: &OutcomeSet) -> String {
-    let mut out = format!("cellresult v1 outcomes={}\n", set.len());
+    let mut out = LineBuilder::new(PAYLOAD_HEADER)
+        .num("outcomes", set.len())
+        .build();
+    out.push('\n');
     for o in set.all() {
-        let bound = match o.bound {
-            Bound::Deadline(d) => format!("deadline:{d}"),
-            Bound::Error(e) => format!("error:{e}"),
-        };
-        out.push_str(&format!(
-            "outcome job={} policy={} bound={} input_tasks={} total_tasks={} dag_length={} \
-             arrival={} finish={} completed_input_tasks={} completed_tasks={} \
-             speculative_copies={} killed_copies={} slot_seconds={} avg_wave_width={} \
-             avg_cluster_utilization={} avg_estimation_accuracy={}\n",
-            o.job.0,
-            escape(&o.policy),
-            bound,
-            o.input_tasks,
-            o.total_tasks,
-            o.dag_length,
-            o.arrival,
-            o.finish,
-            o.completed_input_tasks,
-            o.completed_tasks,
-            o.speculative_copies,
-            o.killed_copies,
-            o.slot_seconds,
-            o.avg_wave_width,
-            o.avg_cluster_utilization,
-            o.avg_estimation_accuracy,
-        ));
+        let line = LineBuilder::new("outcome")
+            .num("job", o.job.0)
+            .text("policy", &o.policy)
+            .num("bound", bound_text(o.bound))
+            .num("input_tasks", o.input_tasks)
+            .num("total_tasks", o.total_tasks)
+            .num("dag_length", o.dag_length)
+            .num("arrival", o.arrival)
+            .num("finish", o.finish)
+            .num("completed_input_tasks", o.completed_input_tasks)
+            .num("completed_tasks", o.completed_tasks)
+            .num("speculative_copies", o.speculative_copies)
+            .num("killed_copies", o.killed_copies)
+            .num("slot_seconds", o.slot_seconds)
+            .num("avg_wave_width", o.avg_wave_width)
+            .num("avg_cluster_utilization", o.avg_cluster_utilization)
+            .num("avg_estimation_accuracy", o.avg_estimation_accuracy);
+        out.push_str(&line.build());
+        out.push('\n');
     }
     out
 }
 
-/// Decode a payload produced by [`encode_cell_outcomes`].
+/// Decode a payload produced by [`encode_cell_outcomes`]. Any other text,
+/// blank lines included, is an error.
 pub fn decode_cell_outcomes(payload: &str) -> Result<OutcomeSet, String> {
     let mut lines = payload.lines();
     let header = lines.next().ok_or("empty cell payload")?;
-    let expected = header
-        .strip_prefix("cellresult v1 outcomes=")
-        .ok_or_else(|| format!("bad cell payload header `{header}`"))?
-        .parse::<usize>()
-        .map_err(|e| format!("bad outcome count: {e}"))?;
-    let mut outcomes = Vec::with_capacity(expected);
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line = line
-            .strip_prefix("outcome ")
-            .ok_or_else(|| format!("bad outcome line `{line}`"))?;
-        let fields = FieldMap::parse(line)?;
-        let bound_raw = fields.raw("bound")?;
-        let bound = match bound_raw.split_once(':') {
-            Some(("deadline", v)) => {
-                Bound::Deadline(v.parse::<f64>().map_err(|e| format!("bad deadline: {e}"))?)
-            }
-            Some(("error", v)) => {
-                Bound::Error(v.parse::<f64>().map_err(|e| format!("bad error: {e}"))?)
-            }
-            _ => return Err(format!("bad bound `{bound_raw}`")),
-        };
-        outcomes.push(JobOutcome {
-            job: JobId(fields.number("job")?),
-            policy: fields.text("policy")?,
-            bound,
-            input_tasks: fields.number("input_tasks")? as usize,
-            total_tasks: fields.number("total_tasks")? as usize,
-            dag_length: fields.number("dag_length")? as usize,
-            arrival: fields.float("arrival")?,
-            finish: fields.float("finish")?,
-            completed_input_tasks: fields.number("completed_input_tasks")? as usize,
-            completed_tasks: fields.number("completed_tasks")? as usize,
-            speculative_copies: fields.number("speculative_copies")? as usize,
-            killed_copies: fields.number("killed_copies")? as usize,
-            slot_seconds: fields.float("slot_seconds")?,
-            avg_wave_width: fields.float("avg_wave_width")?,
-            avg_cluster_utilization: fields.float("avg_cluster_utilization")?,
-            avg_estimation_accuracy: fields.float("avg_estimation_accuracy")?,
-        });
-    }
+    let counts = header
+        .strip_prefix(PAYLOAD_HEADER)
+        .and_then(|rest| rest.strip_prefix(' '))
+        .ok_or_else(|| format!("bad cell payload header `{header}`"))?;
+    let expected: usize = Fields::untagged("cellresult", counts)?.num("outcomes")?;
+    let outcomes: Vec<JobOutcome> = lines.map(decode_outcome).collect::<Result<_, _>>()?;
     if outcomes.len() != expected {
         return Err(format!(
             "cell payload declared {expected} outcomes, carried {}",
@@ -302,6 +225,31 @@ pub fn decode_cell_outcomes(payload: &str) -> Result<OutcomeSet, String> {
         ));
     }
     Ok(OutcomeSet::new(outcomes))
+}
+
+fn decode_outcome(line: &str) -> Result<JobOutcome, String> {
+    let o = Fields::parse(line)?;
+    if o.tag != "outcome" {
+        return Err(format!("expected an `outcome` line, found `{}`", o.tag));
+    }
+    Ok(JobOutcome {
+        job: JobId(o.num("job")?),
+        policy: o.text("policy")?,
+        bound: parse_bound(o.raw("bound")?)?,
+        input_tasks: o.num("input_tasks")?,
+        total_tasks: o.num("total_tasks")?,
+        dag_length: o.num("dag_length")?,
+        arrival: o.num("arrival")?,
+        finish: o.num("finish")?,
+        completed_input_tasks: o.num("completed_input_tasks")?,
+        completed_tasks: o.num("completed_tasks")?,
+        speculative_copies: o.num("speculative_copies")?,
+        killed_copies: o.num("killed_copies")?,
+        slot_seconds: o.num("slot_seconds")?,
+        avg_wave_width: o.num("avg_wave_width")?,
+        avg_cluster_utilization: o.num("avg_cluster_utilization")?,
+        avg_estimation_accuracy: o.num("avg_estimation_accuracy")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -362,16 +310,9 @@ impl FleetPlan {
             );
         }
 
-        let mut cells = Vec::new();
-        for (machines, policy) in config.units() {
-            policy_wire_name(&policy)?;
-            for &seed in &config.base.seeds {
-                cells.push(FleetCellSpec {
-                    machines,
-                    policy: policy.clone(),
-                    seed,
-                });
-            }
+        let cells = config.cells();
+        for cell in &cells {
+            policy_wire_name(&cell.policy)?;
         }
         Ok(FleetPlan {
             trace_path,
@@ -472,24 +413,40 @@ impl FleetPlan {
                 self.cells.len()
             ));
         }
-        let decoded: Vec<OutcomeSet> = payloads
+        let sets = payloads
             .iter()
             .enumerate()
             .map(|(i, p)| {
                 decode_cell_outcomes(p).map_err(|e| format!("cell {i} payload invalid: {e}"))
             })
             .collect::<Result<_, String>>()?;
-        let seeds = self.config.base.seeds.len().max(1);
-        let sets: Vec<OutcomeSet> = decoded
-            .chunks(seeds)
-            .map(|chunk| merge_seed_sets(chunk.to_vec()))
-            .collect();
         Ok(assemble_sweep_result(
             &self.source,
             &self.config,
             sets,
             elapsed,
         ))
+    }
+
+    /// `repro sweep --resume`: serve cells from `cache` where their keys hit,
+    /// run the misses in-process on the sweep's thread pool, persist them, and
+    /// merge. Returns the result, whose digest equals [`crate::run_sweep`]'s for
+    /// the same grid, and the number of cells that ran.
+    pub(crate) fn resume(&self, cache: &DigestCache) -> Result<(SweepResult, usize), String> {
+        // grass: allow(wall-clock-in-core, "elapsed is operator-facing metadata; digests and comparisons never read it")
+        let started = Instant::now();
+        let cached = self.lookup_cached(cache)?;
+        let payloads = on_pool(self.config.threads, self.cells.len(), |i| {
+            let cell = &self.cells[i];
+            cached[i].clone().unwrap_or_else(|| {
+                let base = &self.config.base;
+                let set =
+                    run_sweep_cell(&self.source, base, cell.machines, &cell.policy, cell.seed);
+                encode_cell_outcomes(&set)
+            })
+        });
+        let ran = self.write_back(cache, &cached, &payloads)?;
+        Ok((self.merge(&payloads, started.elapsed())?, ran))
     }
 }
 
@@ -584,21 +541,21 @@ impl Default for SweepCellRunner {
 
 impl CellRunner for SweepCellRunner {
     fn run(&self, _cell: usize, spec: &str) -> Result<String, String> {
-        let parsed = parse_cell_spec(spec)?;
+        let (trace, cell, slots) = decode_cell_spec(spec)?;
         if self.stall_ms > 0 {
             thread::sleep(Duration::from_millis(self.stall_ms));
         }
-        let source = self.source_for(&parsed.trace)?;
+        let source = self.source_for(&trace)?;
         // The profile FleetPlan::new validated: ExpConfig::full() over an
         // ec2_scaled cluster with the spec's slot count.
         let base = ExpConfig {
             cluster: ClusterConfig {
-                slots_per_machine: parsed.slots,
+                slots_per_machine: slots,
                 ..ClusterConfig::ec2_scaled()
             },
             ..ExpConfig::full()
         };
-        let set = run_sweep_cell(&source, &base, parsed.machines, &parsed.policy, parsed.seed);
+        let set = run_sweep_cell(&source, &base, cell.machines, &cell.policy, cell.seed);
         // Feed the learned store from jobs that ran a pure mode throughout:
         // GS/RAS cells entirely, plus the ξ-perturbed sample jobs inside GRASS
         // cells (both report the algorithm they actually ran as their policy).
@@ -629,137 +586,19 @@ impl CellRunner for SweepCellRunner {
 }
 
 // ---------------------------------------------------------------------------
-// Cache-aware in-process sweep (`repro sweep --resume`)
-// ---------------------------------------------------------------------------
-
-/// What a cache-aware sweep did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResumeStats {
-    pub cells: usize,
-    pub cached: usize,
-    pub ran: usize,
-}
-
-/// Run `config` over `source` in-process, serving cells from `cache` where
-/// the input hash matches and persisting every cell that had to run. The
-/// result is byte-identical to [`crate::run_sweep`] of the same grid.
-pub fn run_sweep_with_cache(
-    source: &(dyn JobSource + Sync),
-    config: &SweepConfig,
-    cache: &DigestCache,
-    trace_id: &str,
-) -> Result<(SweepResult, ResumeStats), String> {
-    // grass: allow(wall-clock-in-core, "elapsed is operator-facing metadata; digests and comparisons never read it")
-    let started = Instant::now();
-    let units = config.units();
-    let seeds = config.base.seeds.clone();
-    let mut cells = Vec::new();
-    for (machines, policy) in &units {
-        for &seed in &seeds {
-            cells.push((*machines, policy.clone(), seed));
-        }
-    }
-    let keys: Vec<String> = cells
-        .iter()
-        .map(|(m, p, s)| cell_key(trace_id, *m, p, *s, &config.base))
-        .collect::<Result<_, String>>()?;
-
-    let mut sets: Vec<Option<OutcomeSet>> = keys
-        .iter()
-        .map(|key| {
-            cache
-                .get(key)
-                .and_then(|payload| decode_cell_outcomes(&payload).ok())
-        })
-        .collect();
-    let cached = sets.iter().flatten().count();
-    let misses: Vec<usize> = (0..cells.len()).filter(|&i| sets[i].is_none()).collect();
-
-    // Run the misses on the sweep's thread pool (claim-counter indexing, so
-    // the fill order — and therefore the digest — is scheduling-independent).
-    let workers = config.threads.max(1).min(misses.len().max(1));
-    let ran: Vec<(usize, OutcomeSet)> = if workers <= 1 {
-        misses
-            .iter()
-            .map(|&i| {
-                let (m, p, s) = &cells[i];
-                (i, run_sweep_cell(source, &config.base, *m, p, *s))
-            })
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, OutcomeSet)>> =
-            Mutex::new(Vec::with_capacity(misses.len()));
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    if slot >= misses.len() {
-                        break;
-                    }
-                    let i = misses[slot];
-                    let (m, p, s) = &cells[i];
-                    let set = run_sweep_cell(source, &config.base, *m, p, *s);
-                    collected.lock().unwrap().push((i, set));
-                });
-            }
-        });
-        collected.into_inner().unwrap()
-    };
-    for (i, set) in ran {
-        cache
-            .put(&keys[i], &encode_cell_outcomes(&set))
-            .map_err(|e| format!("cannot write cache entry: {e}"))?;
-        sets[i] = Some(set);
-    }
-
-    let per_unit: Vec<OutcomeSet> = sets
-        .into_iter()
-        .map(|s| s.expect("every cell resolved"))
-        .collect::<Vec<_>>()
-        .chunks(seeds.len().max(1))
-        .map(|chunk| merge_seed_sets(chunk.to_vec()))
-        .collect();
-    let stats = ResumeStats {
-        cells: cells.len(),
-        cached,
-        ran: misses.len(),
-    };
-    Ok((
-        assemble_sweep_result(source, config, per_unit, started.elapsed()),
-        stats,
-    ))
-}
-
-// ---------------------------------------------------------------------------
 // CLI: repro fleet serve | work | run
 // ---------------------------------------------------------------------------
 
 const GRID_FLAGS: &[&str] = &["machines", "slots", "policies", "baseline", "seeds"];
-const TIMING_FLAGS: &[&str] = &[
-    "heartbeat-ms",
-    "lease-timeout-ms",
-    "backoff-base-ms",
-    "backoff-jitter-ms",
-    "max-retries",
-    "backoff-seed",
-    "poll-ms",
-];
 
-fn fleet_config_from_flags(flags: &Flags) -> Result<FleetConfig, String> {
-    let mut cfg = if flags.has("test-profile") {
+/// Lease, heartbeat and backoff timings: `--test-profile` picks the
+/// test-scale ones, and production timings are the default.
+fn fleet_config_from_flags(flags: &Flags) -> FleetConfig {
+    if flags.has("test-profile") {
         FleetConfig::test_profile()
     } else {
         FleetConfig::production()
-    };
-    cfg.heartbeat_ms = flags.get_u64("heartbeat-ms", cfg.heartbeat_ms)?;
-    cfg.lease_timeout_ms = flags.get_u64("lease-timeout-ms", cfg.lease_timeout_ms)?;
-    cfg.backoff_base_ms = flags.get_u64("backoff-base-ms", cfg.backoff_base_ms)?;
-    cfg.backoff_jitter_ms = flags.get_u64("backoff-jitter-ms", cfg.backoff_jitter_ms)?;
-    cfg.max_retries = flags.get_u64("max-retries", cfg.max_retries as u64)? as u32;
-    cfg.backoff_seed = flags.get_u64("backoff-seed", cfg.backoff_seed)?;
-    cfg.poll_ms = flags.get_u64("poll-ms", cfg.poll_ms)?;
-    Ok(cfg)
+    }
 }
 
 /// Entry point for `repro fleet <serve|work|run> ...`.
@@ -782,20 +621,19 @@ pub fn run_fleet_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_serve_command(args: &[String]) -> Result<(), String> {
-    let valued = [GRID_FLAGS, TIMING_FLAGS, &["cache", "port"]].concat();
+    let valued = [GRID_FLAGS, &["cache", "port"]].concat();
     let flags = Flags::parse(args, &["quick", "test-profile", "mmap"], &valued)?;
     let [path] = flags.positional.as_slice() else {
         return Err("fleet serve expects exactly one workload trace path".to_string());
     };
+    let port = flags.num("port", 0)?;
     let plan = FleetPlan::open(Path::new(path), flags.has("mmap"), |meta, source| {
         sweep_config_from_flags(&flags, meta, source)
     })?;
-    let fleet_config = fleet_config_from_flags(&flags)?;
-    let port = flags.get_u64("port", 0)? as u16;
     let cache = open_cache(&flags)?;
     run_plan(
         plan,
-        fleet_config,
+        fleet_config_from_flags(&flags),
         cache.as_ref(),
         |handle_addr| {
             eprintln!(
@@ -809,17 +647,17 @@ fn fleet_serve_command(args: &[String]) -> Result<(), String> {
 }
 
 fn fleet_run_command(args: &[String]) -> Result<(), String> {
-    let valued = [GRID_FLAGS, TIMING_FLAGS, &["cache", "workers", "stall-ms"]].concat();
+    let valued = [GRID_FLAGS, &["cache", "workers", "stall-ms"]].concat();
     let flags = Flags::parse(args, &["quick", "test-profile", "mmap"], &valued)?;
     let [path] = flags.positional.as_slice() else {
         return Err("fleet run expects exactly one workload trace path".to_string());
     };
-    let fleet_config = fleet_config_from_flags(&flags)?;
-    let workers = flags.get_usize("workers", 2)?;
+    let fleet_config = fleet_config_from_flags(&flags);
+    let workers = flags.num("workers", 2)?;
     if workers == 0 {
         return Err("fleet run needs --workers >= 1".to_string());
     }
-    let stall_ms = flags.get_u64("stall-ms", 0)?;
+    let stall_ms: u64 = flags.num("stall-ms", 0)?;
     let mmap = flags.has("mmap");
     let plan = FleetPlan::open(Path::new(path), mmap, |meta, source| {
         sweep_config_from_flags(&flags, meta, source)
@@ -877,7 +715,7 @@ fn fleet_work_command(args: &[String]) -> Result<(), String> {
     };
     let default_id = format!("worker-{}", std::process::id());
     let id = flags.get("id").unwrap_or(default_id.as_str());
-    let stall_ms = flags.get_u64("stall-ms", 0)?;
+    let stall_ms = flags.num("stall-ms", 0)?;
     let runner = SweepCellRunner::with_stall(stall_ms).with_mmap(flags.has("mmap"));
     eprintln!("fleet worker {id} connecting to {addr}");
     let report = run_worker(addr, id, &runner).map_err(|e| e.to_string())?;
@@ -965,6 +803,7 @@ fn finish_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grass_core::Bound;
     use grass_trace::record_workload;
     use grass_workload::{BoundSpec, Framework, TraceProfile, WorkloadConfig};
     use std::fs;
@@ -1065,6 +904,16 @@ mod tests {
             decode_cell_outcomes("cellresult v1 outcomes=1\noutcome job=1\n").is_err(),
             "missing fields must not decode"
         );
+        // A hostile count reserves nothing: it only fails the count check.
+        let huge = format!("cellresult v1 outcomes={}\n", usize::MAX);
+        assert!(decode_cell_outcomes(&huge)
+            .unwrap_err()
+            .contains("declared"));
+        // Words are separated by exactly one space, and blank lines are refused.
+        let payload = encode_cell_outcomes(&OutcomeSet::new(Vec::new()));
+        assert!(decode_cell_outcomes(&payload).unwrap().is_empty());
+        assert!(decode_cell_outcomes("cellresult v1  outcomes=0\n").is_err());
+        assert!(decode_cell_outcomes("cellresult v1 outcomes=0\n\n").is_err());
     }
 
     #[test]
@@ -1075,12 +924,12 @@ mod tests {
             seed: 23,
         };
         let line = encode_cell_spec(Path::new("/tmp/some dir/workload.trace"), &spec, 4).unwrap();
-        let parsed = parse_cell_spec(&line).unwrap();
+        let (trace, parsed, slots) = decode_cell_spec(&line).unwrap();
         assert_eq!(parsed.machines, 50);
         assert_eq!(parsed.policy, PolicyKind::grass());
         assert_eq!(parsed.seed, 23);
-        assert_eq!(parsed.slots, 4);
-        assert_eq!(parsed.trace, PathBuf::from("/tmp/some dir/workload.trace"));
+        assert_eq!(slots, 4);
+        assert_eq!(trace, PathBuf::from("/tmp/some dir/workload.trace"));
 
         for policy in [
             PolicyKind::Late,
@@ -1128,30 +977,38 @@ mod tests {
     fn resume_cache_reruns_nothing_and_reproduces_the_digest() {
         let dir = temp_dir("resume");
         let trace_path = record_trace(&dir);
-        let (meta, source) = open_workload_source(&trace_path).unwrap();
-        let config = tiny_config(&meta, &source);
-        let expected = crate::run_sweep(&source, &config);
+        let plan = |threads| {
+            FleetPlan::open(&trace_path, false, |meta, source| {
+                let mut config = tiny_config(meta, source);
+                config.threads = threads;
+                Ok(config)
+            })
+            .unwrap()
+        };
+        let serial = plan(1);
+        let cells = serial.cells.len();
+        let expected = crate::run_sweep(&serial.source, &serial.config);
 
         let cache = DigestCache::open(dir.join("cache")).unwrap();
-        let trace_id = trace_identity(&trace_path).unwrap();
-        let (first, first_stats) =
-            run_sweep_with_cache(&source, &config, &cache, &trace_id).unwrap();
+        let (first, ran) = serial.resume(&cache).unwrap();
         assert_eq!(first.digest(), expected.digest());
-        assert_eq!(first_stats.cached, 0);
-        assert_eq!(first_stats.ran, first_stats.cells);
-
-        let (second, second_stats) =
-            run_sweep_with_cache(&source, &config, &cache, &trace_id).unwrap();
+        assert_eq!(ran, cells);
+        let (second, ran) = serial.resume(&cache).unwrap();
         assert_eq!(second.digest(), expected.digest());
-        assert_eq!(second_stats.cached, second_stats.cells);
-        assert_eq!(second_stats.ran, 0);
+        assert_eq!(ran, 0);
+
+        // One lost entry re-runs just that cell.
+        let entry = fs::read_dir(cache.dir()).unwrap().next().unwrap().unwrap();
+        fs::remove_file(entry.path()).unwrap();
+        let (third, ran) = serial.resume(&cache).unwrap();
+        assert_eq!(third.digest(), expected.digest());
+        assert_eq!(ran, 1);
 
         // A threaded resume fills the same digest.
-        let mut threaded = config.clone();
-        threaded.threads = 3;
         let fresh_cache = DigestCache::open(dir.join("cache2")).unwrap();
-        let (third, _) = run_sweep_with_cache(&source, &threaded, &fresh_cache, &trace_id).unwrap();
-        assert_eq!(third.digest(), expected.digest());
+        let (fourth, ran) = plan(3).resume(&fresh_cache).unwrap();
+        assert_eq!(fourth.digest(), expected.digest());
+        assert_eq!(ran, cells);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1182,5 +1039,9 @@ mod tests {
         assert!(err.contains("--workers >= 1"), "{err}");
         let err = run_fleet_command(&["serve".into()]).unwrap_err();
         assert!(err.contains("exactly one"), "{err}");
+        // A port past u16 is refused, not truncated to another port.
+        let err = run_fleet_command(&["serve".into(), "x".into(), "--port".into(), "70000".into()])
+            .unwrap_err();
+        assert!(err.contains("--port"), "{err}");
     }
 }

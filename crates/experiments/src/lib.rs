@@ -26,12 +26,9 @@ pub mod trace_cli;
 pub use cli::run_experiments_command;
 pub use common::{
     compare, compare_outcomes, metric_for, metric_for_source, run_once, run_policy,
-    sample_task_durations, workload_jobs, Comparison, ExpConfig, PolicyKind,
+    sample_task_durations, Comparison, ExpConfig, PolicyKind,
 };
-pub use fleet::{
-    run_fleet_command, run_sweep_with_cache, trace_identity, FleetCellSpec, FleetPlan, ResumeStats,
-    SweepCellRunner,
-};
+pub use fleet::{run_fleet_command, trace_identity, FleetCellSpec, FleetPlan, SweepCellRunner};
 pub use lint_cli::run_lint_command;
 pub use sweep::{
     assemble_sweep_result, merge_seed_sets, parse_policy, run_sweep, run_sweep_cell,

@@ -7,10 +7,11 @@
 //! across a grid of cluster sizes and policies, and every cell is compared against a
 //! baseline policy *at the same cluster size*.
 //!
-//! Cells are independent simulations, so the runner executes them on a scoped
-//! `std::thread` pool sized by [`SweepConfig::threads`]; results are assembled in
-//! grid order afterwards, which makes the output — including the machine-readable
-//! [`SweepResult::digest`] — bit-identical regardless of thread count or scheduling.
+//! Cells (one policy at one cluster size under one seed) are independent
+//! simulations, so the runner executes them on a scoped `std::thread` pool sized by
+//! [`SweepConfig::threads`]; results are assembled in grid order afterwards, which
+//! makes the output — including the machine-readable [`SweepResult::digest`] —
+//! bit-identical regardless of thread count or scheduling.
 //!
 //! The `repro sweep` subcommand (see [`run_sweep_command`]) wires this to recorded
 //! traces on disk; `diff` of two digests is the determinism check CI runs.
@@ -27,6 +28,7 @@ use grass_workload::JobSource;
 
 use crate::cli::{write_stdout, Flags};
 use crate::common::{compare_outcomes, metric_for_source, run_once, Comparison, ExpConfig};
+use crate::fleet::{FleetCellSpec, FleetPlan};
 use crate::trace_cli::resolve_workload_path;
 use crate::PolicyKind;
 
@@ -107,11 +109,6 @@ impl SweepConfig {
 
     /// Every (machines, policy) unit the runner must simulate: the cross product of
     /// the distinct cluster sizes with the distinct policies.
-    ///
-    /// This ordering is the shared contract between the in-process runner, the
-    /// cache-aware resume path and the fleet broker: any executor that produces
-    /// one [`OutcomeSet`] per unit in this order can hand them to
-    /// [`assemble_sweep_result`] and obtain a byte-identical digest.
     pub fn units(&self) -> Vec<(usize, PolicyKind)> {
         let machines = self.distinct_machines();
         let policies = self.distinct_policies();
@@ -122,6 +119,27 @@ impl SweepConfig {
             }
         }
         units
+    }
+
+    /// Every seed-level cell: each of [`SweepConfig::units`] under each of
+    /// `base.seeds`, the seed innermost.
+    ///
+    /// This ordering is the shared contract between the in-process runner, the
+    /// cache-aware resume path and the fleet broker: any executor that produces
+    /// one [`OutcomeSet`] per cell in this order can hand them to
+    /// [`assemble_sweep_result`] and obtain a byte-identical digest.
+    pub fn cells(&self) -> Vec<FleetCellSpec> {
+        let mut cells = Vec::new();
+        for (machines, policy) in self.units() {
+            for &seed in &self.base.seeds {
+                cells.push(FleetCellSpec {
+                    machines,
+                    policy: policy.clone(),
+                    seed,
+                });
+            }
+        }
+        cells
     }
 }
 
@@ -303,24 +321,38 @@ pub fn merge_seed_sets(sets: impl IntoIterator<Item = OutcomeSet>) -> OutcomeSet
 /// [`SweepConfig::threads`] scoped worker threads; the assembled result is identical
 /// to a serial run.
 pub fn run_sweep(source: &(dyn JobSource + Sync), config: &SweepConfig) -> SweepResult {
-    let units = config.units();
     // grass: allow(wall-clock-in-core, "elapsed is operator-facing metadata; digests and comparisons never read it")
     let started = Instant::now();
-    let sets = run_units(source, config, &units);
+    let cells = config.cells();
+    let sets = on_pool(config.threads, cells.len(), |i| {
+        let cell = &cells[i];
+        run_sweep_cell(source, &config.base, cell.machines, &cell.policy, cell.seed)
+    });
     assemble_sweep_result(source, config, sets, started.elapsed())
 }
 
-/// Assemble a [`SweepResult`] from one pooled [`OutcomeSet`] per
-/// [`SweepConfig::units`] entry (in that order), however the sets were
-/// produced — in-process threads, the digest cache, or a worker fleet.
+/// Assemble a [`SweepResult`] from one [`OutcomeSet`] per [`SweepConfig::cells`]
+/// entry (in that order), however the sets were produced — in-process threads,
+/// the digest cache, or a worker fleet. Each unit pools its seeds' sets in seed
+/// order, exactly as [`crate::run_policy`] does when it runs the seeds itself.
 pub fn assemble_sweep_result(
     source: &dyn JobSource,
     config: &SweepConfig,
-    sets: Vec<OutcomeSet>,
+    cell_sets: Vec<OutcomeSet>,
     elapsed: Duration,
 ) -> SweepResult {
     let units = config.units();
-    assert_eq!(sets.len(), units.len(), "one outcome set per grid unit");
+    let seeds = config.base.seeds.len();
+    assert_eq!(
+        cell_sets.len(),
+        units.len() * seeds,
+        "one outcome set per cell"
+    );
+    let mut cell_sets = cell_sets.into_iter();
+    let sets: Vec<OutcomeSet> = units
+        .iter()
+        .map(|_| merge_seed_sets(cell_sets.by_ref().take(seeds)))
+        .collect();
     let metric = metric_for_source(source);
     let lookup = |m: usize, p: &PolicyKind| -> &OutcomeSet {
         let idx = units
@@ -360,50 +392,39 @@ pub fn assemble_sweep_result(
     }
 }
 
-/// Simulate every unit, in grid order. With more than one thread, workers claim
-/// units from a shared counter; the result vector is indexed, not push-ordered, so
-/// scheduling cannot reorder it.
-fn run_units(
-    source: &(dyn JobSource + Sync),
-    config: &SweepConfig,
-    units: &[(usize, PolicyKind)],
-) -> Vec<OutcomeSet> {
-    let run_unit = |(machines, policy): &(usize, PolicyKind)| -> OutcomeSet {
-        merge_seed_sets(
-            config
-                .base
-                .seeds
-                .iter()
-                .map(|&seed| run_sweep_cell(source, &config.base, *machines, policy, seed)),
-        )
-    };
-
-    let workers = config.threads.max(1).min(units.len().max(1));
-    if workers <= 1 {
-        return units.iter().map(run_unit).collect();
+/// `run(i)` for every `i` in `0..n`, on up to `threads` scoped worker threads
+/// that claim indices from a shared counter. Results come back in index order,
+/// so scheduling cannot reorder them.
+pub(crate) fn on_pool<R: Send>(
+    threads: usize,
+    n: usize,
+    run: impl Fn(usize) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, n.max(1));
+    if workers == 1 {
+        return (0..n).map(run).collect();
     }
-
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, OutcomeSet)>> = Mutex::new(Vec::with_capacity(units.len()));
+    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
+                if i >= n {
                     break;
                 }
-                let set = run_unit(&units[i]);
+                let result = run(i);
                 collected
                     .lock()
                     .expect("sweep worker poisoned the results lock")
-                    .push((i, set));
+                    .push((i, result));
             });
         }
     });
     let mut indexed = collected.into_inner().expect("workers have exited");
     indexed.sort_by_key(|(i, _)| *i);
-    debug_assert_eq!(indexed.len(), units.len());
-    indexed.into_iter().map(|(_, set)| set).collect()
+    debug_assert_eq!(indexed.len(), n);
+    indexed.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Parse a `--policies`/`--baseline` policy name into a [`PolicyKind`].
@@ -478,18 +499,15 @@ pub fn run_sweep_command(args: &[String]) -> Result<(), String> {
         config.threads.max(1),
     );
     let result = match flags.get("resume") {
-        Some(cache_dir) => {
-            // Satellite of the fleet subsystem: reuse its per-cell digest cache
-            // so an interrupted or repeated sweep only re-runs missing cells.
-            let cache = grass_fleet::DigestCache::open(cache_dir)
-                .map_err(|e| format!("cannot open cache {cache_dir}: {e}"))?;
-            let trace_id = crate::fleet::trace_identity(&path)?;
-            let (result, resumed) =
-                crate::fleet::run_sweep_with_cache(&source, &config, &cache, &trace_id)?;
-            eprintln!(
-                "resume cells={} cached={} ran={}",
-                resumed.cells, resumed.cached, resumed.ran
-            );
+        // Serve cells from the fleet's per-cell digest cache, so an interrupted
+        // or repeated sweep only re-runs missing cells.
+        Some(dir) => {
+            let cache = grass_fleet::DigestCache::open(dir)
+                .map_err(|e| format!("cannot open cache {dir}: {e}"))?;
+            let plan = FleetPlan::new(&path, meta, source, config)?;
+            let (result, ran) = plan.resume(&cache)?;
+            let cells = plan.cells.len();
+            eprintln!("resume cells={cells} cached={} ran={ran}", cells - ran);
             result
         }
         None => run_sweep(&source, &config),
@@ -524,8 +542,8 @@ pub(crate) fn sweep_config_from_flags(
     source: &grass_workload::StreamedWorkload,
 ) -> Result<SweepConfig, String> {
     let quick = flags.has("quick");
-    let slots = flags.get_usize("slots", meta.slots_per_machine)?;
-    let threads = flags.get_usize("threads", 1)?;
+    let slots = flags.num("slots", meta.slots_per_machine)?;
+    let threads = flags.num("threads", 1)?;
     let seeds = match flags.get("seeds") {
         Some(raw) => parse_list(raw, "seed", |s| s.parse::<u64>())?,
         None => vec![meta.sim_seed],

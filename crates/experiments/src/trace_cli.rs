@@ -162,11 +162,11 @@ fn record(args: &[String]) -> Result<(), String> {
         ));
     }
     let out_dir = PathBuf::from(flags.get("out").unwrap_or("trace-out"));
-    let jobs = flags.get_usize("jobs", 24)?;
-    let gen_seed = flags.get_u64("gen-seed", 7)?;
-    let sim_seed = flags.get_u64("sim-seed", 11)?;
-    let machines = flags.get_usize("machines", 20)?;
-    let slots = flags.get_usize("slots", 4)?;
+    let jobs = flags.num("jobs", 24)?;
+    let gen_seed = flags.num("gen-seed", 7)?;
+    let sim_seed = flags.num("sim-seed", 11)?;
+    let machines = flags.num("machines", 20)?;
+    let slots = flags.num("slots", 4)?;
     let policy = flags.get("policy").unwrap_or("grass").to_string();
     let format = parse_format(flags.get("format"))?;
 
@@ -224,11 +224,11 @@ fn gen(args: &[String]) -> Result<(), String> {
         ));
     }
     let out = PathBuf::from(flags.get("out").unwrap_or("workload.trace"));
-    let jobs = flags.get_usize("jobs", 24)?;
-    let seed = flags.get_u64("seed", 7)?;
-    let sim_seed = flags.get_u64("sim-seed", 11)?;
-    let machines = flags.get_usize("machines", 20)?;
-    let slots = flags.get_usize("slots", 4)?;
+    let jobs = flags.num("jobs", 24)?;
+    let seed = flags.num("seed", 7)?;
+    let sim_seed = flags.num("sim-seed", 11)?;
+    let machines = flags.num("machines", 20)?;
+    let slots = flags.num("slots", 4)?;
     let policy = flags.get("policy").unwrap_or("grass").to_string();
     let format = parse_format(flags.get("format"))?;
     let workload = workload_from_flags(&flags, jobs)?;

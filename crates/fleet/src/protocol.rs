@@ -1,9 +1,10 @@
 //! The line-oriented wire protocol between workers and the broker.
 //!
-//! One frame per line, `tag key=value ...`, every free-form value
-//! percent-escaped with [`grass_trace::codec::escape`] (the same escaping the
-//! trace formats use), so frames survive spaces, `=`, newlines and non-ASCII in
-//! worker ids, cell specs and payloads.
+//! One frame per line, `tag key=value ...`, written by
+//! [`grass_trace::codec::LineBuilder`] and split by
+//! [`grass_trace::codec::Fields`], the line codec text traces use: one space
+//! between words, and every free-form value percent-escaped, so frames survive
+//! spaces, `=`, newlines and non-ASCII in worker ids, cell specs and payloads.
 //!
 //! ```text
 //! -> hello worker=w1
@@ -23,7 +24,7 @@
 //! <- ok
 //! ```
 
-use grass_trace::codec::{escape, unescape};
+use grass_trace::codec::{Fields, LineBuilder};
 
 /// Protocol version carried in `welcome`; workers refuse a mismatch.
 /// Version history: 1 = initial broker/worker protocol; 2 = added the
@@ -106,71 +107,67 @@ impl Request {
     /// Encode as a single line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            Request::Hello { worker } => format!("hello worker={}", escape(worker)),
-            Request::Claim { worker } => format!("claim worker={}", escape(worker)),
-            Request::Heartbeat { worker, cell } => {
-                format!("heartbeat worker={} cell={cell}", escape(worker))
-            }
+            Request::Hello { worker } => LineBuilder::new("hello").text("worker", worker),
+            Request::Claim { worker } => LineBuilder::new("claim").text("worker", worker),
+            Request::Heartbeat { worker, cell } => LineBuilder::new("heartbeat")
+                .text("worker", worker)
+                .num("cell", cell),
             Request::Complete {
                 worker,
                 cell,
                 lease,
                 payload,
-            } => format!(
-                "complete worker={} cell={cell} lease={lease} payload={}",
-                escape(worker),
-                escape(payload)
-            ),
+            } => LineBuilder::new("complete")
+                .text("worker", worker)
+                .num("cell", cell)
+                .num("lease", lease)
+                .text("payload", payload),
             Request::Fail {
                 worker,
                 cell,
                 lease,
                 error,
-            } => format!(
-                "fail worker={} cell={cell} lease={lease} error={}",
-                escape(worker),
-                escape(error)
-            ),
-            Request::Sync { worker, payload } => {
-                format!("sync worker={} payload={}", escape(worker), escape(payload))
-            }
-            Request::Bye { worker } => format!("bye worker={}", escape(worker)),
+            } => LineBuilder::new("fail")
+                .text("worker", worker)
+                .num("cell", cell)
+                .num("lease", lease)
+                .text("error", error),
+            Request::Sync { worker, payload } => LineBuilder::new("sync")
+                .text("worker", worker)
+                .text("payload", payload),
+            Request::Bye { worker } => LineBuilder::new("bye").text("worker", worker),
         }
+        .build()
     }
 
     /// Parse one line. `Err` carries a human-readable reason.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let frame = Frame::parse(line)?;
+        let frame = Fields::parse(line)?;
+        let worker = || frame.text("worker");
         match frame.tag {
-            "hello" => Ok(Request::Hello {
-                worker: frame.text("worker")?,
-            }),
-            "claim" => Ok(Request::Claim {
-                worker: frame.text("worker")?,
-            }),
+            "hello" => Ok(Request::Hello { worker: worker()? }),
+            "claim" => Ok(Request::Claim { worker: worker()? }),
             "heartbeat" => Ok(Request::Heartbeat {
-                worker: frame.text("worker")?,
-                cell: frame.number("cell")?,
+                worker: worker()?,
+                cell: frame.num("cell")?,
             }),
             "complete" => Ok(Request::Complete {
-                worker: frame.text("worker")?,
-                cell: frame.number("cell")?,
-                lease: frame.number("lease")?,
+                worker: worker()?,
+                cell: frame.num("cell")?,
+                lease: frame.num("lease")?,
                 payload: frame.text("payload")?,
             }),
             "fail" => Ok(Request::Fail {
-                worker: frame.text("worker")?,
-                cell: frame.number("cell")?,
-                lease: frame.number("lease")?,
+                worker: worker()?,
+                cell: frame.num("cell")?,
+                lease: frame.num("lease")?,
                 error: frame.text("error")?,
             }),
             "sync" => Ok(Request::Sync {
-                worker: frame.text("worker")?,
+                worker: worker()?,
                 payload: frame.text("payload")?,
             }),
-            "bye" => Ok(Request::Bye {
-                worker: frame.text("worker")?,
-            }),
+            "bye" => Ok(Request::Bye { worker: worker()? }),
             other => Err(format!("unknown request tag `{other}`")),
         }
     }
@@ -193,45 +190,48 @@ impl Response {
     /// Encode as a single line (no trailing newline).
     pub fn encode(&self) -> String {
         match self {
-            Response::Welcome { version, cells } => {
-                format!("welcome version={version} cells={cells}")
-            }
+            Response::Welcome { version, cells } => LineBuilder::new("welcome")
+                .num("version", version)
+                .num("cells", cells),
             Response::Grant {
                 cell,
                 attempt,
                 lease,
                 heartbeat_ms,
                 spec,
-            } => format!(
-                "grant cell={cell} attempt={attempt} lease={lease} heartbeat_ms={heartbeat_ms} spec={}",
-                escape(spec)
-            ),
-            Response::Wait { ms } => format!("wait ms={ms}"),
-            Response::State { payload } => format!("state payload={}", escape(payload)),
-            Response::Finished => "finished".to_string(),
-            Response::Ok => "ok".to_string(),
-            Response::Stale => "stale".to_string(),
-            Response::Error { message } => format!("error message={}", escape(message)),
+            } => LineBuilder::new("grant")
+                .num("cell", cell)
+                .num("attempt", attempt)
+                .num("lease", lease)
+                .num("heartbeat_ms", heartbeat_ms)
+                .text("spec", spec),
+            Response::Wait { ms } => LineBuilder::new("wait").num("ms", ms),
+            Response::State { payload } => LineBuilder::new("state").text("payload", payload),
+            Response::Finished => LineBuilder::new("finished"),
+            Response::Ok => LineBuilder::new("ok"),
+            Response::Stale => LineBuilder::new("stale"),
+            Response::Error { message } => LineBuilder::new("error").text("message", message),
         }
+        .build()
     }
 
     /// Parse one line. `Err` carries a human-readable reason.
     pub fn parse(line: &str) -> Result<Response, String> {
-        let frame = Frame::parse(line)?;
+        let frame = Fields::parse(line)?;
         match frame.tag {
             "welcome" => Ok(Response::Welcome {
-                version: frame.number("version")?,
-                cells: frame.number("cells")?,
+                version: frame.num("version")?,
+                cells: frame.num("cells")?,
             }),
             "grant" => Ok(Response::Grant {
-                cell: frame.number("cell")?,
-                attempt: frame.number("attempt")?,
-                lease: frame.number("lease")?,
-                heartbeat_ms: frame.number("heartbeat_ms")?,
+                cell: frame.num("cell")?,
+                attempt: frame.num("attempt")?,
+                lease: frame.num("lease")?,
+                heartbeat_ms: frame.num("heartbeat_ms")?,
                 spec: frame.text("spec")?,
             }),
             "wait" => Ok(Response::Wait {
-                ms: frame.number("ms")?,
+                ms: frame.num("ms")?,
             }),
             "state" => Ok(Response::State {
                 payload: frame.text("payload")?,
@@ -244,49 +244,6 @@ impl Response {
             }),
             other => Err(format!("unknown response tag `{other}`")),
         }
-    }
-}
-
-/// A parsed `tag key=value ...` line.
-struct Frame<'a> {
-    tag: &'a str,
-    fields: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Frame<'a> {
-    fn parse(line: &'a str) -> Result<Frame<'a>, String> {
-        let mut parts = line.split_whitespace();
-        let tag = parts.next().ok_or_else(|| "empty frame".to_string())?;
-        let mut fields = Vec::new();
-        for part in parts {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("field `{part}` is not key=value"))?;
-            fields.push((key, value));
-        }
-        Ok(Frame { tag, fields })
-    }
-
-    fn raw(&self, key: &str) -> Result<&'a str, String> {
-        self.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("`{}` frame missing field `{key}`", self.tag))
-    }
-
-    fn text(&self, key: &str) -> Result<String, String> {
-        unescape(self.raw(key)?).map_err(|e| format!("field `{key}`: {e}"))
-    }
-
-    /// A decimal field converted to the frame's field type. A value out of that
-    /// type's range is an error naming the field, never a truncation.
-    fn number<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
-        let raw = self.raw(key)?;
-        let wide = raw
-            .parse::<u64>()
-            .map_err(|e| format!("field `{key}`={raw}: {e}"))?;
-        T::try_from(wide).map_err(|_| format!("field `{key}`={raw}: out of range"))
     }
 }
 

@@ -4,7 +4,7 @@
 //!
 //! * [`LatePolicy`] — LATE (OSDI '08), the baseline deployed in the Facebook cluster,
 //! * [`MantriPolicy`] — Mantri (OSDI '10), the baseline deployed in the Bing cluster,
-//! * [`NoSpecPolicy`], [`SjfPolicy`], [`LjfPolicy`] — non-speculating anchors,
+//! * [`NoSpecPolicy`] — the non-speculating FIFO anchor,
 //! * [`OraclePolicy`] — the "optimal scheduler with advance knowledge" comparison
 //!   point used in §2.3 and Figure 8.
 //!
@@ -20,5 +20,5 @@ mod test_util;
 
 pub use late::{LateConfig, LateFactory, LatePolicy};
 pub use mantri::{MantriConfig, MantriFactory, MantriPolicy};
-pub use naive::{LjfFactory, LjfPolicy, NoSpecFactory, NoSpecPolicy, SjfFactory, SjfPolicy};
+pub use naive::{NoSpecFactory, NoSpecPolicy};
 pub use oracle::{OracleFactory, OraclePolicy};

@@ -17,23 +17,12 @@
 
 use grass_core::speculation::{choose, SpeculationMode};
 use grass_core::{
-    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView, TnewEstimate,
+    Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TnewEstimate,
 };
 
 /// Per-job oracle policy.
 #[derive(Debug, Default, Clone)]
 pub struct OraclePolicy;
-
-impl OraclePolicy {
-    /// Rewrite a task view so its remaining-time estimate carries ground truth: with a
-    /// unit bias, [`JobView::trem`] is [`JobView::true_remaining`] bit for bit.
-    fn with_truth(task: &TaskView) -> TaskView {
-        TaskView {
-            rem_bias: 1.0,
-            ..task.clone()
-        }
-    }
-}
 
 impl SpeculationPolicy for OraclePolicy {
     fn name(&self) -> &str {
@@ -41,15 +30,14 @@ impl SpeculationPolicy for OraclePolicy {
     }
 
     fn choose(&mut self, view: &JobView) -> Option<Action> {
-        // Substitute ground truth for every estimate (`trem` per row, `tnew` by
-        // marking the view's estimates oracle), then run the GS/RAS machinery with
-        // the oracle-exact switch point. The truth rows keep the view's rows'
-        // order, so its deadline index still describes them when it is keyed by
-        // the hints, i.e. when the view is already oracle; a per-work index is of
-        // the other kind, and the decision builds one from the truth rows instead.
-        let truth_tasks: Vec<TaskView> = view.tasks.iter().map(Self::with_truth).collect();
+        // Substitute ground truth for every estimate by marking the view's
+        // estimates oracle, under which `JobView::trem` reads the true remaining
+        // time and `JobView::tnew` the hint, then run the GS/RAS machinery with
+        // the oracle-exact switch point. The rows are the view's own, so its
+        // deadline index still describes them when it is keyed by the hints,
+        // i.e. when the view is already oracle; a per-work index is of the other
+        // kind, and the decision builds one from the rows instead.
         let truth_view = JobView {
-            tasks: &truth_tasks,
             tnew_estimate: TnewEstimate::Oracle,
             estimation_accuracy: 1.0,
             ..view.clone()
@@ -82,7 +70,7 @@ impl PolicyFactory for OracleFactory {
 mod tests {
     use super::*;
     use crate::test_util::{deadline_view, error_view, running_task, unscheduled_task};
-    use grass_core::{ActionKind, TaskId};
+    use grass_core::{ActionKind, TaskId, TaskView};
 
     #[test]
     fn oracle_uses_ground_truth_not_estimates() {
@@ -105,16 +93,19 @@ mod tests {
     #[test]
     fn truth_rows_read_the_ground_truth_remaining_time() {
         for bias in [0.5, 1.0, 1.7] {
-            let row = TaskView {
+            let tasks = [TaskView {
                 rem_bias: bias,
                 ..running_task(0, 6.5, 3.0, 2)
-            };
-            let tasks = [OraclePolicy::with_truth(&row), row];
+            }];
             let view = error_view(&tasks, 0.0, 10, 9);
-            assert_eq!(view.trem(&tasks[0]).to_bits(), 6.5f64.to_bits());
+            let truth = JobView {
+                tnew_estimate: TnewEstimate::Oracle,
+                ..view.clone()
+            };
+            assert_eq!(truth.trem(&tasks[0]).to_bits(), 6.5f64.to_bits());
             assert_eq!(
-                view.trem(&tasks[0]).to_bits(),
-                view.true_remaining(&tasks[1]).to_bits()
+                truth.trem(&tasks[0]).to_bits(),
+                view.true_remaining(&tasks[0]).to_bits()
             );
         }
     }

@@ -57,12 +57,6 @@ impl SimConfig {
             max_time: None,
         }
     }
-
-    /// Same configuration with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for SimConfig {

@@ -1,4 +1,6 @@
-//! The low-level line codec shared by both trace streams.
+//! The low-level line codec shared by both trace streams and by the fleet's
+//! frames, sweep cell specs and cell result payloads: [`LineBuilder`] writes a
+//! `tag key=value` line and [`Fields`] splits one.
 //!
 //! A trace file is plain UTF-8 text, one record per line (JSONL-style framing with a
 //! simpler `key=value` record body so no general-purpose parser is needed — the
@@ -197,88 +199,97 @@ pub fn unescape(s: &str) -> Result<String, String> {
     String::from_utf8(out).map_err(|_| format!("escape decodes to invalid UTF-8 in '{s}'"))
 }
 
-/// One decoded record: a tag plus its `key=value` fields (values still escaped).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// 1-based line number the record came from (0 for synthesised records).
-    pub line: usize,
-    /// Record tag (the first word of the line).
-    pub tag: String,
-    /// Field key/value pairs in line order, values in escaped wire form.
-    pub fields: Vec<(String, String)>,
+/// One `tag key=value ...` line, borrowed from its text: the tag and the fields
+/// in line order, values still escaped. Text trace records, fleet frames, sweep
+/// cell specs and cell payload lines all parse through here.
+///
+/// The grammar is strict: words are separated by exactly one space, with none
+/// leading or trailing, and every word after the tag is `key=value` (the value
+/// runs to the end of the word and may itself contain `=`). Getter errors name
+/// the tag and the field in backticks.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    /// The line's first word, or the label a tagless line was parsed under.
+    pub tag: &'a str,
+    fields: Vec<(&'a str, &'a str)>,
 }
 
-impl Record {
+impl<'a> Fields<'a> {
+    /// Split `line` into its tag and fields. A line of one word is a tag with no
+    /// fields.
+    pub fn parse(line: &'a str) -> Result<Self, String> {
+        match line.split_once(' ') {
+            Some((tag, rest)) => Self::untagged(tag, rest),
+            None => Ok(Fields {
+                tag: line,
+                fields: Vec::new(),
+            }),
+        }
+    }
+
+    /// Split a line of fields that carries no tag, such as a sweep cell spec;
+    /// `label` stands in for the tag in errors.
+    pub fn untagged(label: &'a str, line: &'a str) -> Result<Self, String> {
+        let fields = line
+            .split(' ')
+            .map(|word| {
+                word.split_once('=').ok_or_else(|| match word {
+                    "" => format!("`{label}` line has an empty word (one space between words)"),
+                    _ => format!("`{label}` word `{word}` is not key=value"),
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Fields { tag: label, fields })
+    }
+
     /// Raw (still escaped) value of `key`.
-    pub fn raw(&self, key: &str) -> Result<&str, TraceError> {
+    pub fn raw(&self, key: &str) -> Result<&'a str, String> {
         self.fields
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| {
-                parse_err(
-                    self.line,
-                    format!("record '{}' is missing field '{key}'", self.tag),
-                )
-            })
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+            .ok_or_else(|| format!("`{}` line is missing field `{key}`", self.tag))
     }
 
     /// Unescaped text value of `key`.
-    pub fn text(&self, key: &str) -> Result<String, TraceError> {
-        unescape(self.raw(key)?).map_err(|m| parse_err(self.line, m))
+    pub fn text(&self, key: &str) -> Result<String, String> {
+        unescape(self.raw(key)?).map_err(|e| format!("`{}` field `{key}`: {e}", self.tag))
     }
 
-    /// `f64` value of `key` (accepts everything `f64::from_str` accepts).
-    pub fn f64(&self, key: &str) -> Result<f64, TraceError> {
+    /// Value of `key` parsed by `T`'s own `FromStr`, so an integer out of `T`'s
+    /// range is an error naming the field, never a truncation.
+    pub fn num<T: std::str::FromStr>(&self, key: &str) -> Result<T, String>
+    where
+        T::Err: fmt::Display,
+    {
         let raw = self.raw(key)?;
         raw.parse()
-            .map_err(|_| parse_err(self.line, format!("field '{key}' is not a number: '{raw}'")))
+            .map_err(|e| format!("`{}` field `{key}`={raw}: {e}", self.tag))
     }
 
-    /// `u64` value of `key`.
-    pub fn u64(&self, key: &str) -> Result<u64, TraceError> {
-        let raw = self.raw(key)?;
-        raw.parse().map_err(|_| {
-            parse_err(
-                self.line,
-                format!("field '{key}' is not an integer: '{raw}'"),
-            )
-        })
-    }
-
-    /// `usize` value of `key`.
-    pub fn usize(&self, key: &str) -> Result<usize, TraceError> {
-        let raw = self.raw(key)?;
-        raw.parse().map_err(|_| {
-            parse_err(
-                self.line,
-                format!("field '{key}' is not an integer: '{raw}'"),
-            )
-        })
-    }
-
-    /// Boolean value of `key` (`0` / `1`).
-    pub fn bool(&self, key: &str) -> Result<bool, TraceError> {
+    /// Boolean value of `key`, written `0` / `1`.
+    pub fn flag(&self, key: &str) -> Result<bool, String> {
         match self.raw(key)? {
             "0" => Ok(false),
             "1" => Ok(true),
-            other => Err(parse_err(
-                self.line,
-                format!("field '{key}' is not a boolean (0/1): '{other}'"),
+            raw => Err(format!(
+                "`{}` field `{key}`={raw} is not a 0/1 flag",
+                self.tag
             )),
         }
     }
 }
 
-/// Builder for one record line. Numeric fields use `Display` (shortest round-trip
-/// for floats); text fields are escaped.
+/// Builder for one line that [`Fields`] parses back: the tag, then one
+/// ` key=value` per field. Numeric fields use `Display` (shortest round-trip for
+/// floats); text fields are escaped. An empty tag starts a tagless line.
 #[derive(Debug)]
 pub struct LineBuilder {
     buf: String,
 }
 
 impl LineBuilder {
-    /// Start a record with the given tag.
+    /// Start a line with the given tag (`""` for none).
     pub fn new(tag: &str) -> Self {
         LineBuilder {
             buf: tag.to_string(),
@@ -288,7 +299,10 @@ impl LineBuilder {
     /// Append a numeric (or otherwise wire-safe `Display`) field.
     pub fn num(mut self, key: &str, value: impl fmt::Display) -> Self {
         use fmt::Write as _;
-        let _ = write!(self.buf, " {key}={value}");
+        if !self.buf.is_empty() {
+            self.buf.push(' ');
+        }
+        let _ = write!(self.buf, "{key}={value}");
         self
     }
 
@@ -303,7 +317,7 @@ impl LineBuilder {
         self.num(key, escaped)
     }
 
-    /// Finish the record (no trailing newline).
+    /// Finish the line (no trailing newline).
     pub fn build(self) -> String {
         self.buf
     }
@@ -355,7 +369,8 @@ fn read_capped(reader: &mut impl BufRead, cap: usize, line: &mut Vec<u8>) -> io:
 }
 
 /// Write `line` and its newline, refusing a line over `cap` bytes as the binary
-/// writer refuses an over-long frame: no reader would accept it.
+/// writer refuses an over-long frame: no reader would accept it. The text codec
+/// writes every record line through here.
 pub(crate) fn write_line(w: &mut dyn Write, line: &str, cap: usize) -> Result<(), TraceError> {
     if line.len() > cap {
         return Err(parse_err(
@@ -368,40 +383,6 @@ pub(crate) fn write_line(w: &mut dyn Write, line: &str, cap: usize) -> Result<()
     }
     writeln!(w, "{line}")?;
     Ok(())
-}
-
-/// Low-level writer: emits the header line, then record lines.
-pub struct TraceWriter<W: Write> {
-    w: W,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Open a trace stream of the given kind on `w`, writing the header line.
-    pub fn new(mut w: W, kind: StreamKind) -> Result<Self, TraceError> {
-        writeln!(w, "{MAGIC} {FORMAT_VERSION} {}", kind.label())?;
-        Ok(TraceWriter { w })
-    }
-
-    /// Write one record line; a line over [`MAX_LINE_LEN`] bytes is refused.
-    pub fn record(&mut self, line: &str) -> Result<(), TraceError> {
-        write_line(&mut self.w, line, MAX_LINE_LEN)
-    }
-
-    /// Write a `#`-prefixed comment line (ignored by readers); a line over
-    /// [`MAX_LINE_LEN`] bytes is refused.
-    pub fn comment(&mut self, text: &str) -> Result<(), TraceError> {
-        // grass: allow(unbounded-read, "`str::lines` over a caller's string already in memory")
-        for part in text.lines() {
-            write_line(&mut self.w, &format!("# {part}"), MAX_LINE_LEN)?;
-        }
-        Ok(())
-    }
-
-    /// Flush and hand back the underlying writer.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        self.w.flush()?;
-        Ok(self.w)
-    }
 }
 
 /// Low-level reader: validates the header, then yields records line by line.
@@ -474,39 +455,30 @@ impl<R: BufRead> TraceReader<R> {
         self.kind
     }
 
-    /// Read the next record, skipping blank and comment lines. `Ok(None)` at EOF.
-    pub fn next_record(&mut self) -> Result<Option<Record>, TraceError> {
+    /// Read the next record, skipping blank and comment lines, and decode it
+    /// with `decode`; `Ok(None)` at EOF. A line that does not split into fields,
+    /// and every error `decode` returns, fails as a [`TraceError::Parse`] naming
+    /// the record's line.
+    pub fn next_record<T>(
+        &mut self,
+        decode: impl FnOnce(&Fields<'_>) -> Result<T, String>,
+    ) -> Result<Option<T>, TraceError> {
         loop {
             if !read_line(&mut self.r, self.line_cap, self.line_no + 1, &mut self.buf)? {
                 return Ok(None);
             }
             self.line_no += 1;
+            let line_no = self.line_no;
             let line = std::str::from_utf8(&self.buf)
-                .map_err(|e| parse_err(self.line_no, e.to_string()))?
+                .map_err(|e| parse_err(line_no, e.to_string()))?
                 .trim_end_matches('\r');
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut words = line.split(' ');
-            let tag = words.next().unwrap_or("");
-            let mut fields = Vec::new();
-            for word in words {
-                if word.is_empty() {
-                    return Err(parse_err(self.line_no, "double space in record"));
-                }
-                let Some((key, value)) = word.split_once('=') else {
-                    return Err(parse_err(
-                        self.line_no,
-                        format!("field '{word}' is not of the form key=value"),
-                    ));
-                };
-                fields.push((key.to_string(), value.to_string()));
-            }
-            return Ok(Some(Record {
-                line: self.line_no,
-                tag: tag.to_string(),
-                fields,
-            }));
+            return Fields::parse(line)
+                .and_then(|fields| decode(&fields))
+                .map(Some)
+                .map_err(|message| parse_err(line_no, message));
         }
     }
 }
@@ -583,26 +555,69 @@ mod tests {
 
     #[test]
     fn writer_reader_round_trip() {
-        let mut w = TraceWriter::new(Vec::new(), StreamKind::Workload).unwrap();
-        w.comment("a comment\nwith two lines").unwrap();
-        w.record(
-            &LineBuilder::new("meta")
-                .num("seed", 42u64)
-                .text("profile", "Facebook Hadoop")
-                .flag("quick", true)
-                .build(),
-        )
-        .unwrap();
-        let bytes = w.finish().unwrap();
+        let mut bytes = b"grass-trace 1 workload\n# a comment\n\n# with two lines\n".to_vec();
+        let meta = LineBuilder::new("meta")
+            .num("seed", 42u64)
+            .text("profile", "Facebook Hadoop")
+            .flag("quick", true);
+        write_line(&mut bytes, &meta.build(), MAX_LINE_LEN).unwrap();
         let mut r = TraceReader::new(&bytes[..], Some(StreamKind::Workload)).unwrap();
         assert_eq!(r.kind(), StreamKind::Workload);
-        let rec = r.next_record().unwrap().unwrap();
-        assert_eq!(rec.tag, "meta");
-        assert_eq!(rec.u64("seed").unwrap(), 42);
-        assert_eq!(rec.text("profile").unwrap(), "Facebook Hadoop");
-        assert!(rec.bool("quick").unwrap());
-        assert!(rec.raw("missing").is_err());
-        assert!(r.next_record().unwrap().is_none());
+        r.next_record(|rec| {
+            assert_eq!(rec.tag, "meta");
+            assert_eq!(rec.num::<u64>("seed").unwrap(), 42);
+            assert_eq!(rec.text("profile").unwrap(), "Facebook Hadoop");
+            assert!(rec.flag("quick").unwrap());
+            assert!(rec.raw("missing").is_err());
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
+        assert!(r.next_record(|_| Ok(())).unwrap().is_none());
+    }
+
+    #[test]
+    fn fields_split_on_single_spaces_only() {
+        let line = Fields::parse("grant cell=3 spec=a=b").unwrap();
+        assert_eq!(line.tag, "grant");
+        assert_eq!(line.num::<u8>("cell").unwrap(), 3);
+        assert_eq!(line.raw("spec").unwrap(), "a=b");
+        assert_eq!(Fields::parse("finished").unwrap().tag, "finished");
+        for bad in ["ok ", " ok", "grant  cell=3", "grant cell=3 "] {
+            assert!(Fields::parse(bad).is_err(), "{bad:?}");
+        }
+        // Only a space separates words: a tab stays inside its word.
+        assert_eq!(Fields::parse("ok\tcell=3").unwrap().tag, "ok\tcell=3");
+        assert!(Fields::parse("grant cell").unwrap_err().contains("`cell`"));
+
+        let spec = Fields::untagged("spec", "machines=50 trace=/a%20b").unwrap();
+        assert_eq!(spec.text("trace").unwrap(), "/a b");
+        assert!(Fields::untagged("spec", "").is_err());
+        assert!(Fields::untagged("spec", "machines=50  seed=1").is_err());
+        let built = LineBuilder::new("")
+            .num("machines", 50)
+            .text("trace", "/a b");
+        assert_eq!(built.build(), "machines=50 trace=/a%20b");
+    }
+
+    #[test]
+    fn getter_errors_name_the_tag_and_the_field() {
+        let line = Fields::parse("welcome version=4294967296 flag=2 name=%zz").unwrap();
+        for err in [
+            line.num::<u32>("version").unwrap_err(),
+            line.flag("flag").unwrap_err(),
+            line.text("name").unwrap_err(),
+            line.raw("cells").unwrap_err(),
+        ] {
+            assert!(err.starts_with("`welcome` "), "{err}");
+        }
+        assert!(line
+            .num::<u32>("version")
+            .unwrap_err()
+            .contains("`version`"));
+        assert_eq!(line.num::<u64>("version").unwrap(), 1 << 32);
+        assert!(line.raw("cells").unwrap_err().contains("`cells`"));
+        assert!(line.num::<f64>("flag").is_ok() && line.num::<f64>("name").is_err());
     }
 
     #[test]
@@ -630,15 +645,25 @@ mod tests {
     fn reader_rejects_malformed_records() {
         let input = b"grass-trace 1 workload\nmeta seed\n";
         let mut r = TraceReader::new(&input[..], None).unwrap();
-        let err = r.next_record().unwrap_err();
+        let err = r.next_record(|_| Ok(())).unwrap_err();
         assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
 
         let input = b"grass-trace 1 workload\nmeta seed=1 x=notanumber\n";
         let mut r = TraceReader::new(&input[..], None).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
-        assert!(rec.u64("x").is_err());
-        assert!(rec.f64("x").is_err());
-        assert!(rec.bool("x").is_err());
+        r.next_record(|rec| {
+            assert!(rec.num::<u64>("x").is_err());
+            assert!(rec.num::<f64>("x").is_err());
+            assert!(rec.flag("x").is_err());
+            Ok(())
+        })
+        .unwrap()
+        .unwrap();
+        // A decoder's own error names the record's line too.
+        let input = b"grass-trace 1 workload\n\n# note\nmeta seed=1\n";
+        let mut r = TraceReader::new(&input[..], None).unwrap();
+        let err = r.next_record(|rec| rec.num::<u64>("x")).unwrap_err();
+        assert!(matches!(err, TraceError::Parse { line: 4, .. }), "{err}");
+        assert!(err.to_string().contains("`meta` line is missing field `x`"));
     }
 
     #[test]
@@ -678,8 +703,9 @@ mod tests {
         // The header is 22 bytes: a 22-byte cap admits it and `a x=1`, not the 24-byte line 3.
         let bytes = text_trace(&["a x=1", "b y=12345678901234567890"]);
         let mut r = TraceReader::with_line_cap(&bytes[..], None, 22).unwrap();
-        assert_eq!(r.next_record().unwrap().unwrap().tag, "a");
-        let err = r.next_record().unwrap_err();
+        let tag = r.next_record(|rec| Ok(rec.tag.to_string())).unwrap();
+        assert_eq!(tag.unwrap(), "a");
+        let err = r.next_record(|_| Ok(())).unwrap_err();
         assert!(matches!(err, TraceError::Parse { line: 3, .. }), "{err}");
         assert!(err.to_string().contains("22"), "{err}");
 
@@ -690,29 +716,33 @@ mod tests {
         assert!(matches!(err, TraceError::Parse { line: 1, .. }), "{err}");
         let endless = b"grass-trace 1 workload\n".chain(io::repeat(b'x'));
         let mut r = TraceReader::with_line_cap(io::BufReader::new(endless), None, 1 << 12).unwrap();
-        let err = r.next_record().unwrap_err();
+        let err = r.next_record(|_| Ok(())).unwrap_err();
         assert!(matches!(err, TraceError::Parse { line: 2, .. }), "{err}");
 
         // A comment line counts too, and a line that is not UTF-8 names its line.
         let bytes = text_trace(&["# a comment longer than the cap", "a x=1"]);
         let mut r = TraceReader::with_line_cap(&bytes[..], None, 22).unwrap();
         assert!(matches!(
-            r.next_record(),
+            r.next_record(|_| Ok(())),
             Err(TraceError::Parse { line: 2, .. })
         ));
         let mut bytes = text_trace(&["a x=1"]);
         bytes.extend_from_slice(b"b x=caf\xe9\n");
         let mut r = TraceReader::new(&bytes[..], None).unwrap();
-        assert_eq!(r.next_record().unwrap().unwrap().line, 2);
         assert!(matches!(
-            r.next_record(),
+            r.next_record(|_| Err::<(), _>("refused".to_string())),
+            Err(TraceError::Parse { line: 2, .. })
+        ));
+        assert!(matches!(
+            r.next_record(|_| Ok(())),
             Err(TraceError::Parse { line: 3, .. })
         ));
         // Under the real cap the same records read back, `\r\n` endings included.
         let bytes = b"grass-trace 1 workload\r\na x=1\r\n";
         let mut r = TraceReader::new(&bytes[..], None).unwrap();
-        assert_eq!(r.next_record().unwrap().unwrap().raw("x").unwrap(), "1");
-        assert!(r.next_record().unwrap().is_none());
+        let x = r.next_record(|rec| Ok(rec.raw("x")?.to_string())).unwrap();
+        assert_eq!(x.unwrap(), "1");
+        assert!(r.next_record(|_| Ok(())).unwrap().is_none());
     }
 
     #[test]

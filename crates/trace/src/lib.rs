@@ -86,8 +86,8 @@ pub mod workload;
 
 pub use binary::BinaryCodec;
 pub use codec::{
-    Record, StreamKind, TraceError, TraceReader, TraceWriter, BINARY_FORMAT_VERSION,
-    COMPRESSED_FORMAT_VERSION, FORMAT_VERSION,
+    Fields, StreamKind, TraceError, TraceReader, BINARY_FORMAT_VERSION, COMPRESSED_FORMAT_VERSION,
+    FORMAT_VERSION,
 };
 pub use execution::{ExecutionMeta, ExecutionTrace};
 pub use format::{codec_for, sniff_bytes, sniff_format, TraceCodec, TraceFormat};

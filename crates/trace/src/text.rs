@@ -4,9 +4,8 @@
 //! This format is **frozen**: its byte output is pinned by the golden fixtures
 //! under `tests/fixtures/`, so any change to record layout or number formatting
 //! must instead go into a new format version. The line-level primitives (header
-//! grammar, escaping, [`LineBuilder`], [`TraceReader`]/[`crate::TraceWriter`])
-//! live in [`crate::codec`]; this module binds the two typed record streams to
-//! them.
+//! grammar, escaping, [`Fields`], [`LineBuilder`], [`TraceReader`]) live in
+//! [`crate::codec`]; this module binds the two typed record streams to them.
 
 use std::io::{BufRead, Write};
 
@@ -14,8 +13,8 @@ use grass_core::{ActionKind, Bound, JobId, JobSpec, StageSpec, TaskId, TaskSpec}
 use grass_sim::{SimTraceEvent, SlotId};
 
 use crate::codec::{
-    write_line, LineBuilder, Record, StreamKind, TraceError, TraceReader, FORMAT_VERSION, MAGIC,
-    MAX_LINE_LEN,
+    escape, unescape, write_line, Fields, LineBuilder, StreamKind, TraceError, TraceReader,
+    FORMAT_VERSION, MAGIC, MAX_LINE_LEN,
 };
 use crate::execution::ExecutionMeta;
 use crate::format::{TraceCodec, TraceFormat};
@@ -79,16 +78,17 @@ impl TraceCodec for TextCodec {
         r: Box<dyn BufRead + 'r>,
     ) -> Result<WorkloadItems<'r>, TraceError> {
         let mut reader = TraceReader::new(r, Some(StreamKind::Workload))?;
-        let meta_rec = read_meta_record(&mut reader, "workload")?;
-        let meta = WorkloadMeta {
-            generator_seed: meta_rec.u64("generator_seed")?,
-            sim_seed: meta_rec.u64("sim_seed")?,
-            policy: meta_rec.text("policy")?,
-            profile: meta_rec.text("profile")?,
-            machines: meta_rec.usize("machines")?,
-            slots_per_machine: meta_rec.usize("slots_per_machine")?,
-        };
-        let declared_jobs = meta_rec.usize("num_jobs")?;
+        let (meta, declared_jobs) = read_meta(&mut reader, "workload", |rec| {
+            let meta = WorkloadMeta {
+                generator_seed: rec.num("generator_seed")?,
+                sim_seed: rec.num("sim_seed")?,
+                policy: rec.text("policy")?,
+                profile: rec.text("profile")?,
+                machines: rec.num("machines")?,
+                slots_per_machine: rec.num("slots_per_machine")?,
+            };
+            Ok((meta, rec.num("num_jobs")?))
+        })?;
         Ok(WorkloadItems::from_parts(
             TraceFormat::Text,
             meta,
@@ -106,8 +106,14 @@ impl TraceCodec for TextCodec {
         r: Box<dyn BufRead + 'r>,
     ) -> Result<ExecutionEvents<'r>, TraceError> {
         let mut reader = TraceReader::new(r, Some(StreamKind::Execution))?;
-        let meta_rec = read_meta_record(&mut reader, "execution")?;
-        let meta = decode_execution_meta(&meta_rec)?;
+        let meta = read_meta(&mut reader, "execution", |rec| {
+            Ok(ExecutionMeta {
+                sim_seed: rec.num("sim_seed")?,
+                policy: rec.text("policy")?,
+                machines: rec.num("machines")?,
+                slots_per_machine: rec.num("slots_per_machine")?,
+            })
+        })?;
         Ok(ExecutionEvents::from_parts(
             TraceFormat::Text,
             meta,
@@ -120,25 +126,23 @@ impl TraceCodec for TextCodec {
     }
 }
 
-/// Read the mandatory first record of a stream and check its `meta` tag.
-fn read_meta_record<R: BufRead>(
+/// Read and decode the mandatory first record of a stream, which must be tagged
+/// `meta`.
+fn read_meta<R: BufRead, T>(
     reader: &mut TraceReader<R>,
     stream: &str,
-) -> Result<Record, TraceError> {
-    let meta_rec = reader.next_record()?.ok_or(TraceError::Parse {
+    decode: impl FnOnce(&Fields<'_>) -> Result<T, String>,
+) -> Result<T, TraceError> {
+    let meta = reader.next_record(|rec| match rec.tag {
+        "meta" => decode(rec),
+        tag => Err(format!(
+            "expected `meta` as the first record, found `{tag}`"
+        )),
+    })?;
+    meta.ok_or_else(|| TraceError::Parse {
         line: 1,
         message: format!("{stream} trace has no meta record"),
-    })?;
-    if meta_rec.tag != "meta" {
-        return Err(TraceError::Parse {
-            line: meta_rec.line,
-            message: format!(
-                "expected 'meta' as the first record, found '{}'",
-                meta_rec.tag
-            ),
-        });
-    }
-    Ok(meta_rec)
+    })
 }
 
 /// Line-at-a-time job puller behind [`WorkloadItems`]: decodes one `job` record
@@ -151,29 +155,24 @@ struct TextWorkloadFrames<R: BufRead> {
 
 impl<R: BufRead> WorkloadFrames for TextWorkloadFrames<R> {
     fn next_job(&mut self) -> Option<Result<JobSpec, TraceError>> {
-        match self.reader.next_record() {
-            Err(e) => Some(Err(e)),
-            Ok(Some(rec)) if rec.tag == "job" => {
+        let next = self.reader.next_record(|rec| match rec.tag {
+            "job" => decode_job(rec),
+            tag => Err(format!("unknown record tag `{tag}` in workload trace")),
+        });
+        match next {
+            Ok(Some(job)) => {
                 self.seen += 1;
-                Some(decode_job(&rec))
+                Some(Ok(job))
             }
-            Ok(Some(rec)) => Some(Err(TraceError::Parse {
-                line: rec.line,
-                message: format!("unknown record tag '{}' in workload trace", rec.tag),
+            Ok(None) if self.seen != self.declared_jobs => Some(Err(TraceError::Parse {
+                line: 0,
+                message: format!(
+                    "meta declares {} jobs but the trace contains {}",
+                    self.declared_jobs, self.seen
+                ),
             })),
-            Ok(None) => {
-                if self.seen != self.declared_jobs {
-                    Some(Err(TraceError::Parse {
-                        line: 0,
-                        message: format!(
-                            "meta declares {} jobs but the trace contains {}",
-                            self.declared_jobs, self.seen
-                        ),
-                    }))
-                } else {
-                    None
-                }
-            }
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }
@@ -185,11 +184,7 @@ struct TextExecutionFrames<R: BufRead> {
 
 impl<R: BufRead> ExecutionFrames for TextExecutionFrames<R> {
     fn next_event(&mut self) -> Option<Result<SimTraceEvent, TraceError>> {
-        match self.reader.next_record() {
-            Err(e) => Some(Err(e)),
-            Ok(Some(rec)) => Some(decode_event(&rec)),
-            Ok(None) => None,
-        }
+        self.reader.next_record(decode_event).transpose()
     }
 }
 
@@ -213,57 +208,37 @@ fn encode_job(job: &JobSpec) -> String {
     let stages: Vec<String> = job
         .stages
         .iter()
-        .map(|s| format!("{}:{}", crate::codec::escape(&s.name), s.task_count))
+        .map(|s| format!("{}:{}", escape(&s.name), s.task_count))
         .collect();
     let tasks: Vec<String> = job
         .tasks
         .iter()
         .map(|t| format!("{}:{}", t.stage.value(), t.work))
         .collect();
-    let bound = match job.bound {
-        Bound::Deadline(d) => format!("deadline:{d}"),
-        Bound::Error(e) => format!("error:{e}"),
-    };
     LineBuilder::new("job")
         .num("id", job.id.value())
         .num("arrival", job.arrival)
-        .num("bound", bound)
+        .num("bound", bound_text(job.bound))
         .num("stages", stages.join("|"))
         .num("tasks", tasks.join(","))
         .build()
 }
 
-fn decode_job(rec: &Record) -> Result<JobSpec, TraceError> {
-    let line = rec.line;
-    let err = |message: String| TraceError::Parse { line, message };
-
-    let bound_raw = rec.raw("bound")?;
-    let bound = match bound_raw.split_once(':') {
-        Some(("deadline", v)) => Bound::Deadline(
-            v.parse()
-                .map_err(|_| err(format!("bad deadline value '{v}'")))?,
-        ),
-        Some(("error", v)) => Bound::Error(
-            v.parse()
-                .map_err(|_| err(format!("bad error value '{v}'")))?,
-        ),
-        _ => return Err(err(format!("bad bound '{bound_raw}'"))),
-    };
-
+fn decode_job(rec: &Fields<'_>) -> Result<JobSpec, String> {
     let mut stages = Vec::new();
     let stages_raw = rec.raw("stages")?;
     if stages_raw.is_empty() {
-        return Err(err("job has no stages".into()));
+        return Err("job has no stages".into());
     }
     for part in stages_raw.split('|') {
         let (name, count) = part
             .split_once(':')
-            .ok_or_else(|| err(format!("bad stage '{part}'")))?;
+            .ok_or_else(|| format!("bad stage `{part}`"))?;
         stages.push(StageSpec {
-            name: crate::codec::unescape(name).map_err(&err)?,
+            name: unescape(name)?,
             task_count: count
                 .parse()
-                .map_err(|_| err(format!("bad stage count '{count}'")))?,
+                .map_err(|_| format!("bad stage count `{count}`"))?,
         });
     }
 
@@ -273,27 +248,46 @@ fn decode_job(rec: &Record) -> Result<JobSpec, TraceError> {
         for part in tasks_raw.split(',') {
             let (stage, work) = part
                 .split_once(':')
-                .ok_or_else(|| err(format!("bad task '{part}'")))?;
+                .ok_or_else(|| format!("bad task `{part}`"))?;
             let stage: u8 = stage
                 .parse()
-                .map_err(|_| err(format!("bad task stage '{stage}'")))?;
+                .map_err(|_| format!("bad task stage `{stage}`"))?;
             let work: f64 = work
                 .parse()
-                .map_err(|_| err(format!("bad task work '{work}'")))?;
+                .map_err(|_| format!("bad task work `{work}`"))?;
             tasks.push(TaskSpec::in_stage(work, stage));
         }
     }
 
     let job = JobSpec {
-        id: JobId(rec.u64("id")?),
-        arrival: rec.f64("arrival")?,
-        bound,
+        id: JobId(rec.num("id")?),
+        arrival: rec.num("arrival")?,
+        bound: parse_bound(rec.raw("bound")?)?,
         stages,
         tasks,
     };
     job.validate()
-        .map_err(|e| err(format!("decoded job is invalid: {e}")))?;
+        .map_err(|e| format!("decoded job is invalid: {e}"))?;
     Ok(job)
+}
+
+/// A job's bound as text `job` records and sweep cell payloads write it:
+/// `deadline:<seconds>` or `error:<fraction>`.
+pub fn bound_text(bound: Bound) -> String {
+    match bound {
+        Bound::Deadline(d) => format!("deadline:{d}"),
+        Bound::Error(e) => format!("error:{e}"),
+    }
+}
+
+/// Invert [`bound_text`].
+pub fn parse_bound(raw: &str) -> Result<Bound, String> {
+    let value = match raw.split_once(':') {
+        Some(("deadline", v)) => v.parse().map(Bound::Deadline),
+        Some(("error", v)) => v.parse().map(Bound::Error),
+        _ => return Err(format!("bad bound `{raw}`")),
+    };
+    value.map_err(|e| format!("bad bound `{raw}`: {e}"))
 }
 
 fn encode_execution_meta(meta: &ExecutionMeta) -> String {
@@ -303,15 +297,6 @@ fn encode_execution_meta(meta: &ExecutionMeta) -> String {
         .num("machines", meta.machines)
         .num("slots_per_machine", meta.slots_per_machine)
         .build()
-}
-
-fn decode_execution_meta(rec: &Record) -> Result<ExecutionMeta, TraceError> {
-    Ok(ExecutionMeta {
-        sim_seed: rec.u64("sim_seed")?,
-        policy: rec.text("policy")?,
-        machines: rec.usize("machines")?,
-        slots_per_machine: rec.usize("slots_per_machine")?,
-    })
 }
 
 /// Encode one simulator event as a record line (tag = the event's kind label).
@@ -377,7 +362,7 @@ fn format_slot(slot: SlotId) -> String {
     format!("{}.{}", slot.machine, slot.slot)
 }
 
-fn parse_slot(rec: &Record, key: &str) -> Result<SlotId, TraceError> {
+fn parse_slot(rec: &Fields<'_>, key: &str) -> Result<SlotId, String> {
     let raw = rec.raw(key)?;
     let parsed = raw.split_once('.').and_then(|(m, s)| {
         Some(SlotId {
@@ -385,36 +370,25 @@ fn parse_slot(rec: &Record, key: &str) -> Result<SlotId, TraceError> {
             slot: s.parse().ok()?,
         })
     });
-    parsed.ok_or(TraceError::Parse {
-        line: rec.line,
-        message: format!("field '{key}' is not a machine.slot pair: '{raw}'"),
-    })
+    parsed.ok_or_else(|| format!("field `{key}` is not a machine.slot pair: `{raw}`"))
 }
 
-fn decode_event(rec: &Record) -> Result<SimTraceEvent, TraceError> {
-    let time = rec.f64("t")?;
-    let job = JobId(rec.u64("job")?);
-    let task = |rec: &Record| -> Result<TaskId, TraceError> {
-        let raw = rec.u64("task")?;
+fn decode_event(rec: &Fields<'_>) -> Result<SimTraceEvent, String> {
+    let time = rec.num("t")?;
+    let job = JobId(rec.num("job")?);
+    let task = |rec: &Fields<'_>| -> Result<TaskId, String> {
+        let raw: u64 = rec.num("task")?;
         u32::try_from(raw)
             .map(TaskId)
-            .map_err(|_| TraceError::Parse {
-                line: rec.line,
-                message: format!("task id {raw} overflows u32"),
-            })
+            .map_err(|_| format!("task id {raw} overflows u32"))
     };
-    match rec.tag.as_str() {
+    match rec.tag {
         "arrive" => Ok(SimTraceEvent::JobArrival { time, job }),
         "decide" => {
             let kind = match rec.raw("kind")? {
                 "launch" => ActionKind::Launch,
                 "speculate" => ActionKind::Speculate,
-                other => {
-                    return Err(TraceError::Parse {
-                        line: rec.line,
-                        message: format!("unknown decision kind '{other}'"),
-                    })
-                }
+                other => return Err(format!("unknown decision kind `{other}`")),
             };
             Ok(SimTraceEvent::Decision {
                 time,
@@ -427,34 +401,31 @@ fn decode_event(rec: &Record) -> Result<SimTraceEvent, TraceError> {
             time,
             job,
             task: task(rec)?,
-            copy: rec.u64("copy")?,
+            copy: rec.num("copy")?,
             slot: parse_slot(rec, "slot")?,
-            duration: rec.f64("dur")?,
-            speculative: rec.bool("spec")?,
+            duration: rec.num("dur")?,
+            speculative: rec.flag("spec")?,
         }),
         "finish" => Ok(SimTraceEvent::CopyFinish {
             time,
             job,
             task: task(rec)?,
-            copy: rec.u64("copy")?,
-            task_completed: rec.bool("done")?,
+            copy: rec.num("copy")?,
+            task_completed: rec.flag("done")?,
         }),
         "kill" => Ok(SimTraceEvent::CopyKill {
             time,
             job,
             task: task(rec)?,
-            copy: rec.u64("copy")?,
+            copy: rec.num("copy")?,
             slot: parse_slot(rec, "slot")?,
         }),
         "jobdone" => Ok(SimTraceEvent::JobFinish {
             time,
             job,
-            completed_input: rec.usize("input")?,
-            completed_total: rec.usize("total")?,
+            completed_input: rec.num("input")?,
+            completed_total: rec.num("total")?,
         }),
-        other => Err(TraceError::Parse {
-            line: rec.line,
-            message: format!("unknown event tag '{other}'"),
-        }),
+        other => Err(format!("unknown event tag `{other}`")),
     }
 }

@@ -84,10 +84,9 @@ pub mod prelude {
         assemble_sweep_result, compare, compare_outcomes, experiment_ids, make_factory,
         merge_seed_sets, metric_for, metric_for_source, outcome_digest, parse_policy,
         run_experiment, run_experiments_command, run_fleet_command, run_lint_command, run_once,
-        run_policy, run_sweep, run_sweep_cell, run_sweep_command, run_sweep_with_cache,
-        run_trace_command, sample_task_durations, trace_identity, workload_jobs, Comparison,
-        ExpConfig, FleetCellSpec, FleetPlan, PolicyKind, ResumeStats, SweepCell, SweepCellRunner,
-        SweepConfig, SweepResult,
+        run_policy, run_sweep, run_sweep_cell, run_sweep_command, run_trace_command,
+        sample_task_durations, trace_identity, Comparison, ExpConfig, FleetCellSpec, FleetPlan,
+        PolicyKind, SweepCell, SweepCellRunner, SweepConfig, SweepResult,
     };
     pub use grass_fleet::{
         fnv1a64, run_fleet, run_worker, serve_broker, BrokerHandle, CellRunner, CellStatus, Claim,
@@ -104,9 +103,8 @@ pub mod prelude {
         ProactiveModel, ReactiveModel,
     };
     pub use grass_policies::{
-        LateConfig, LateFactory, LatePolicy, LjfFactory, LjfPolicy, MantriConfig, MantriFactory,
-        MantriPolicy, NoSpecFactory, NoSpecPolicy, OracleFactory, OraclePolicy, SjfFactory,
-        SjfPolicy,
+        LateConfig, LateFactory, LatePolicy, MantriConfig, MantriFactory, MantriPolicy,
+        NoSpecFactory, NoSpecPolicy, OracleFactory, OraclePolicy,
     };
     pub use grass_sim::{
         run_simulation, run_simulation_traced, ClusterConfig, CompletionEffect, CopyId,
@@ -118,9 +116,9 @@ pub mod prelude {
         codec_for, convert_stream, open_workload_source, open_workload_source_mmap,
         record_workload, replay, replay_config, sniff_bytes, sniff_format, BinaryCodec,
         CompressedCodec, ExecutionEvents, ExecutionMeta, ExecutionTrace, ExecutionTraceSink,
-        Record, StreamKind, TextCodec, TraceCodec, TraceError, TraceFormat, TraceItems,
-        TraceReader, TraceStats, TraceWriter, WorkloadItems, WorkloadMeta, WorkloadTrace,
-        WorkloadTraceSink, BINARY_FORMAT_VERSION, COMPRESSED_FORMAT_VERSION, FORMAT_VERSION,
+        Fields, StreamKind, TextCodec, TraceCodec, TraceError, TraceFormat, TraceItems,
+        TraceReader, TraceStats, WorkloadItems, WorkloadMeta, WorkloadTrace, WorkloadTraceSink,
+        BINARY_FORMAT_VERSION, COMPRESSED_FORMAT_VERSION, FORMAT_VERSION,
     };
     pub use grass_workload::{
         generate, generate_job, ideal_duration, table1_rows, BoundSpec, Framework,
