@@ -1,8 +1,6 @@
 //! Per-file lint pipeline: lex, locate test code, run the catalog, apply
 //! suppressions, and keep the suppression system honest.
 
-use std::collections::BTreeSet;
-
 use crate::config::AnalysisConfig;
 use crate::finding::{sort_findings, Finding, Severity};
 use crate::lexer::{lex, Token, TokenKind};
@@ -214,11 +212,6 @@ fn is_punct(tokens: &[Token], index: usize, c: char) -> bool {
         .get(index)
         .map(|t| t.kind == TokenKind::Punct && t.text.starts_with(c))
         .unwrap_or(false)
-}
-
-/// Lines holding at least one token — used by tests and reports.
-pub fn code_lines(tokens: &[Token]) -> BTreeSet<u32> {
-    tokens.iter().map(|t| t.line).collect()
 }
 
 #[cfg(test)]

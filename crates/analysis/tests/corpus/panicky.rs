@@ -11,7 +11,7 @@ pub fn first(xs: &[u64]) -> u64 {
 }
 
 pub fn must(path: &str) -> String {
-    std::fs::read_to_string(path).expect("readable") //~ panicky-lib
+    std::fs::read_to_string(path).expect("readable") //~ panicky-lib //~ unbounded-read
 }
 
 pub fn never(flag: bool) {

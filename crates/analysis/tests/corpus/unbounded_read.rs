@@ -1,6 +1,7 @@
 //! Fixture: `unbounded-read`. This file is marked `library` by the corpus
 //! configuration; reads with no length cap outside tests are flagged.
 
+use std::fs;
 use std::io::{BufRead, Read};
 
 pub fn hello<R: BufRead>(reader: &mut R) -> String {
@@ -31,7 +32,24 @@ pub fn capped(reader: &mut impl BufRead) -> usize {
 }
 
 pub fn config(path: &str) -> std::io::Result<String> {
-    std::fs::read_to_string(path) // ok: a path call, not a method call
+    std::fs::read_to_string(path) //~ unbounded-read
+}
+
+pub fn blob(path: &str) -> std::io::Result<Vec<u8>> {
+    fs::read(path) //~ unbounded-read
+}
+
+pub fn listing(path: &str) -> std::io::Result<fs::ReadDir> {
+    fs::read_dir(path) // ok: lists a directory, reads no file
+}
+
+pub fn own_source(path: &str) -> std::io::Result<String> {
+    // grass: allow(unbounded-read, "fixture: a file this process wrote itself")
+    fs::read_to_string(path) // suppressed: the allow names the bound
+}
+
+pub fn reread(path: &str) -> Option<String> {
+    read(path) // ok: a free function not under `fs::`
 }
 
 pub fn lines_of(table: &Table) -> usize {
@@ -40,6 +58,10 @@ pub fn lines_of(table: &Table) -> usize {
 
 fn read_line(_reader: &mut impl BufRead, cap: usize) -> usize {
     cap
+}
+
+fn read(_path: &str) -> Option<String> {
+    None
 }
 
 pub struct Table;
@@ -58,5 +80,6 @@ mod tests {
     fn tests_may_read_freely() {
         let mut line = String::new();
         std::io::Cursor::new("a\n").read_line(&mut line).unwrap();
+        let _ = std::fs::read_to_string("Cargo.toml");
     }
 }

@@ -3,11 +3,11 @@
 //! production scheduler would care about — the paper's schedulers make a decision
 //! every time a slot frees, so `choose()` must be cheap.
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use grass_core::grass::reference::ReferenceSampleStore;
 use grass_core::grass::{BoundKind, QueryContext, Sample};
 use grass_core::{
     Bound, DeadlineIndex, FactorSet, GrassConfig, GrassFactory, GsFactory, JobId, JobSpec, JobView,
@@ -15,6 +15,7 @@ use grass_core::{
     TnewEstimate,
 };
 use grass_model::tail_index;
+use grass_oracles::store::ReferenceSampleStore;
 use grass_policies::{LateFactory, MantriFactory};
 use grass_sim::{run_simulation, ClusterConfig, SimConfig};
 use grass_workload::{generate, BoundSpec, Framework, TraceProfile, WorkloadConfig};
@@ -101,9 +102,10 @@ fn policy_decision_latency(c: &mut Criterion) {
             .warm_up_time(Duration::from_millis(500))
             .measurement_time(Duration::from_secs(2));
         let (tasks, spec) = synthetic_view(500, bound);
-        let index = bound
-            .is_deadline()
-            .then(|| DeadlineIndex::build(&tasks, TnewEstimate::PerWork(1.0)));
+        let index = OnceCell::new();
+        if bound.is_deadline() {
+            index.get_or_init(|| DeadlineIndex::build(&tasks, TnewEstimate::PerWork(1.0)));
+        }
         let factories: Vec<(&str, Box<dyn PolicyFactory>)> = vec![
             ("GS", Box::new(GsFactory)),
             ("RAS", Box::new(RasFactory)),
@@ -117,7 +119,7 @@ fn policy_decision_latency(c: &mut Criterion) {
                     || factory.create(&spec),
                     |mut policy| {
                         let view = JobView {
-                            deadline_index: index.as_ref(),
+                            deadline_index: Some(&index),
                             ..view_of(&tasks, bound)
                         };
                         criterion::black_box(policy.choose(&view))
@@ -228,8 +230,8 @@ fn store_query() -> QueryContext {
 }
 
 /// `predict_rate` latency at growing store populations: the frozen
-/// pre-partitioning store (whole-store filtered scan), the exact partitioned
-/// store (single-partition scan) and the sketched store (O(bins) aggregates).
+/// pre-partitioning store (whole-store filtered scan) and the partitioned store
+/// (single-partition scan).
 fn sample_store_prediction(c: &mut Criterion) {
     let mut group = c.benchmark_group("sample_store_predict_rate");
     group
@@ -240,12 +242,10 @@ fn sample_store_prediction(c: &mut Criterion) {
     for n in [1_000usize, 10_000, 50_000] {
         let reference = ReferenceSampleStore::with_capacity(n);
         let exact = SampleStore::with_capacity(n);
-        let sketched = SampleStore::sketched();
         for i in 0..n {
             let sample = synthetic_sample(i);
             reference.record(sample.clone());
-            exact.record(sample.clone());
-            sketched.record(sample);
+            exact.record(sample);
         }
         let label = format!("{}k", n / 1_000);
         group.bench_function(format!("reference/{label}"), |b| {
@@ -261,16 +261,6 @@ fn sample_store_prediction(c: &mut Criterion) {
         group.bench_function(format!("exact/{label}"), |b| {
             b.iter(|| {
                 criterion::black_box(exact.predict_rate(
-                    SpeculationMode::Gs,
-                    &ctx,
-                    FactorSet::all(),
-                    1,
-                ))
-            })
-        });
-        group.bench_function(format!("sketched/{label}"), |b| {
-            b.iter(|| {
-                criterion::black_box(sketched.predict_rate(
                     SpeculationMode::Gs,
                     &ctx,
                     FactorSet::all(),
@@ -325,28 +315,22 @@ fn grass_choose_warmed(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     let (tasks, spec) = synthetic_view(500, Bound::Deadline(100.0));
     for n in [1_000usize, 10_000, 50_000] {
-        let exact = Arc::new(SampleStore::with_capacity(n));
-        let sketched = Arc::new(SampleStore::sketched());
+        let store = Arc::new(SampleStore::with_capacity(n));
         for i in 0..n {
-            let sample = synthetic_sample(i);
-            exact.record(sample.clone());
-            sketched.record(sample);
+            store.record(synthetic_sample(i));
         }
         let label = format!("{}k", n / 1_000);
-        for (layer, store) in [("exact", exact), ("sketched", sketched)] {
-            let factory =
-                GrassFactory::with_store(GrassConfig::paper_default(), Arc::clone(&store), 1);
-            group.bench_function(format!("{layer}/{label}"), |b| {
-                b.iter_batched(
-                    || factory.create(&spec),
-                    |mut policy| {
-                        let view = view_of(&tasks, Bound::Deadline(100.0));
-                        criterion::black_box(policy.choose(&view))
-                    },
-                    BatchSize::SmallInput,
-                )
-            });
-        }
+        let factory = GrassFactory::with_store(GrassConfig::paper_default(), store, 1);
+        group.bench_function(format!("exact/{label}"), |b| {
+            b.iter_batched(
+                || factory.create(&spec),
+                |mut policy| {
+                    let view = view_of(&tasks, Bound::Deadline(100.0));
+                    criterion::black_box(policy.choose(&view))
+                },
+                BatchSize::SmallInput,
+            )
+        });
     }
     group.finish();
 }

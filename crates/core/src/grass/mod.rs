@@ -6,16 +6,16 @@
 //! throughout; those samples are generated by perturbing a small fraction ξ of jobs
 //! (§4.2, empirically ξ = 15%).
 
-pub mod reference;
 mod samples;
 mod sketch;
 mod switching;
 
-pub use samples::{BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreSnapshot};
-pub use sketch::QuantileSketch;
+pub use samples::{
+    BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreCounts, StoreSnapshot,
+};
 pub use switching::{
-    learned_decision_cached, strawman_decision_cached, LearnedParams, StrawmanConfig,
-    SwitchDecision, SwitchScanCache, SwitchStrategy,
+    learned_decision_cached, strawman_decision_cached, StrawmanConfig, SwitchDecision,
+    SwitchScanCache, SwitchStrategy,
 };
 
 use std::sync::Arc;
@@ -42,22 +42,11 @@ pub struct GrassConfig {
     pub strategy: SwitchStrategy,
     /// Factors used for sample matching (Best-1 / Best-2 / all-three ablations).
     pub factors: FactorSet,
-    /// Minimum number of relevant samples per mode before the learned predictor is
-    /// trusted.
-    pub min_samples: usize,
-    /// Number of candidate switch points evaluated over the remaining work.
-    pub candidate_points: usize,
-    /// Minimum simulated time between successive switch evaluations, in seconds
-    /// ("the calculation for the optimal switching point is performed periodically").
-    pub check_interval: Time,
-    /// Use the O(1)-memory sketched sample store instead of the exact one. Off by
-    /// default: the exact store reproduces the historical predictions bit-for-bit,
-    /// while the sketched store answers from binned aggregates (see
-    /// `docs/sample-store.md`) and trades a bounded prediction perturbation for flat
-    /// memory at any job count.
-    #[serde(default)]
-    pub sketched_store: bool,
 }
+
+/// Minimum simulated time between successive switch evaluations, in seconds ("the
+/// calculation for the optimal switching point is performed periodically").
+const CHECK_INTERVAL: Time = 1.0;
 
 impl GrassConfig {
     /// The paper's configuration: learned switching over all three factors, ξ = 15%.
@@ -66,18 +55,6 @@ impl GrassConfig {
             xi: 0.15,
             strategy: SwitchStrategy::Learned,
             factors: FactorSet::all(),
-            min_samples: 3,
-            candidate_points: 10,
-            check_interval: 1.0,
-            sketched_store: false,
-        }
-    }
-
-    /// The paper configuration backed by the sketched (flat-memory) sample store.
-    pub fn sketched() -> Self {
-        GrassConfig {
-            sketched_store: true,
-            ..Self::paper_default()
         }
     }
 
@@ -102,14 +79,6 @@ impl GrassConfig {
         GrassConfig {
             xi: xi.clamp(0.0, 1.0),
             ..Self::paper_default()
-        }
-    }
-
-    fn learned_params(&self) -> LearnedParams {
-        LearnedParams {
-            factors: self.factors,
-            min_samples: self.min_samples,
-            candidate_points: self.candidate_points,
         }
     }
 }
@@ -170,20 +139,19 @@ impl GrassPolicy {
             return;
         }
         if let Some(last) = self.last_check {
-            if view.now - last < self.config.check_interval {
+            if view.now - last < CHECK_INTERVAL {
                 return;
             }
         }
         self.last_check = Some(view.now);
         let decision = match self.config.strategy {
-            SwitchStrategy::Never => SwitchDecision::Stay,
             SwitchStrategy::Strawman(cfg) => {
                 strawman_decision_cached(view, &cfg, &mut self.scan_cache)
             }
             SwitchStrategy::Learned => learned_decision_cached(
                 view,
                 &self.store,
-                &self.config.learned_params(),
+                self.config.factors,
                 &mut self.scan_cache,
             ),
         };
@@ -212,7 +180,7 @@ impl SpeculationPolicy for GrassPolicy {
         self.maybe_switch(view);
         // Before its mode is final, a RAS decline may become a GS launch once the
         // switch rule (which reads utilisation and the shared store) fires.
-        if self.switched || matches!(self.config.strategy, SwitchStrategy::Never) {
+        if self.switched {
             choose_holding(view, self.mode, &mut self.memo)
         } else {
             choose_memoised(view, self.mode, &mut self.memo)
@@ -245,18 +213,12 @@ impl GrassFactory {
     pub fn with_config(config: GrassConfig, seed: u64) -> Self {
         let name = match (config.strategy, config.factors.count()) {
             (SwitchStrategy::Strawman(_), _) => "GRASS-strawman".to_string(),
-            (SwitchStrategy::Never, _) => "GRASS-never".to_string(),
             (SwitchStrategy::Learned, 3) => "GRASS".to_string(),
             (SwitchStrategy::Learned, n) => format!("GRASS-best{n}"),
         };
-        let store = if config.sketched_store {
-            SampleStore::sketched()
-        } else {
-            SampleStore::new()
-        };
         GrassFactory {
             config,
-            store: Arc::new(store),
+            store: Arc::new(SampleStore::new()),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             name,
         }
@@ -389,10 +351,6 @@ mod tests {
             })
             .collect();
         let store = Arc::new(SampleStore::new());
-        let never = GrassConfig {
-            strategy: SwitchStrategy::Never,
-            ..GrassConfig::paper_default()
-        };
         let ras = Some(SpeculationMode::Ras);
         let cases = [
             // Far from the deadline both switch rules stay in RAS: not final.
@@ -400,7 +358,6 @@ mod tests {
             (GrassConfig::strawman(), None, 0.0, false),
             // One second before it the strawman switches to GS for good.
             (GrassConfig::strawman(), None, 99.0, true),
-            (never, None, 0.0, true),
             (GrassConfig::paper_default(), ras, 0.0, true),
         ];
         for (config, forced, now, held) in cases {
@@ -416,46 +373,30 @@ mod tests {
     }
 
     #[test]
-    fn never_strategy_never_switches() {
-        let config = GrassConfig {
-            strategy: SwitchStrategy::Never,
-            ..GrassConfig::paper_default()
-        };
-        let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);
-        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
-        let view = deadline_view(&tasks, 99.0, 100.0);
-        policy.choose(&view);
-        assert_eq!(policy.current_mode(), SpeculationMode::Ras);
-    }
-
-    #[test]
     fn check_interval_rate_limits_evaluation() {
-        let config = GrassConfig {
-            check_interval: 10.0,
-            ..GrassConfig::strawman()
-        };
-        let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);
+        let config = GrassConfig::strawman();
         let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
-        // First call at t=0 (far from bound) records the check time.
-        let view = deadline_view(&tasks, 0.0, 100.0);
-        policy.choose(&view);
-        // At t=94 the switch is warranted, but only 9.4 < 10s after... actually 94s
-        // later, so it re-evaluates and switches.
-        let view = deadline_view(&tasks, 94.0, 100.0);
-        policy.choose(&view);
+        // Checked at t=0 with 10s left (two 4s waves are 8s: stay); at t=2.5, with
+        // 7.5s left and more than the 1s interval gone, it re-evaluates and switches.
+        let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);
+        policy.choose(&deadline_view(&tasks, 0.0, 10.0));
+        assert!(!policy.has_switched());
+        policy.choose(&deadline_view(&tasks, 2.5, 10.0));
         assert!(policy.has_switched());
 
-        // A fresh policy checked at t=0 (12s remain, no switch) then at t=5 (7s remain,
-        // a switch would be warranted) must not re-evaluate because only 5 < 10s passed.
+        // Checked at t=2.5 with 8.5s left (stay), then at t=3.25 with 7.75s left (a
+        // switch would be warranted): only 0.75 < 1s passed, so it must not
+        // re-evaluate; at t=3.5 the interval has elapsed and it switches.
         let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);
-        let view = deadline_view(&tasks, 0.0, 12.0);
-        policy.choose(&view);
-        let near = deadline_view(&tasks, 5.0, 12.0);
-        policy.choose(&near);
+        policy.choose(&deadline_view(&tasks, 2.5, 11.0));
+        assert!(!policy.has_switched());
+        policy.choose(&deadline_view(&tasks, 3.25, 11.0));
         assert!(
             !policy.has_switched(),
             "re-evaluated before the check interval elapsed"
         );
+        policy.choose(&deadline_view(&tasks, 3.5, 11.0));
+        assert!(policy.has_switched());
     }
 
     #[test]

@@ -15,28 +15,23 @@
 //! Which factors participate in the similarity weighting is controlled by a
 //! [`FactorSet`], which is how the Best-1 / Best-2 ablations of §6.3.2 are expressed.
 //!
-//! # Two-layer layout
+//! # Layout
 //!
-//! Internally the store is **partitioned by `(BoundKind, SpeculationMode)`** — the
-//! exact pair every prediction filters on — so `predict_rate` touches only the
-//! relevant partition instead of scanning the whole history. Within a partition,
-//! samples keep their global insertion order (each carries a global sequence number),
-//! so the float summation order of the similarity-weighted mean is *identical* to the
-//! historical whole-vector scan and predictions are bit-for-bit unchanged. Eviction
-//! at the retention cap pops the globally oldest sample (smallest sequence number
-//! across partition fronts), reproducing the historical FIFO exactly — but as an O(1)
+//! The store is **partitioned by `(BoundKind, SpeculationMode)`** — the exact pair
+//! every prediction filters on — so `predict_rate` touches only the relevant
+//! partition instead of scanning the whole history. Within a partition, samples keep
+//! their global insertion order (each carries a global sequence number), so the float
+//! summation order of the similarity-weighted mean is *identical* to the historical
+//! whole-vector scan and predictions are bit-for-bit unchanged. Eviction at the
+//! retention cap pops the globally oldest sample (smallest sequence number across
+//! partition fronts), reproducing the historical FIFO exactly — but as an O(1)
 //! `VecDeque::pop_front` instead of an O(cap) front drain.
 //!
-//! On top of the exact partitions the store always maintains a **sketched layer**:
-//! per-partition binned aggregates keyed by size bucket × coarse bound / utilisation /
-//! accuracy bins, each bin holding `(count, Σw, Σw·rate)`, plus a mergeable
-//! [`QuantileSketch`] of observed rates. A store built with
-//! [`SampleStore::sketched`] answers predictions *from the bins* — O(bins) per query
-//! and O(1) memory per partition regardless of job count — while the default exact
-//! store uses the sketch layer only for snapshots, merging and rate percentiles.
-//! [`SampleStore::snapshot`] / [`SampleStore::merge`] exchange the sketched layer
-//! between stores (e.g. fleet workers), never raw samples; see
-//! `docs/sample-store.md` for the full contract.
+//! Every record also feeds per-partition **aggregates**: bins keyed by size bucket ×
+//! coarse bound / utilisation / accuracy bins, each holding `(count, Σw, Σw·rate)`,
+//! plus a log-spaced histogram of observed rates. No prediction reads them; they are
+//! what [`SampleStore::snapshot`] carries, the payload a fleet worker sends with
+//! each sync exchange. See `docs/sample-store.md`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -46,7 +41,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::bins::SizeBucket;
-use crate::grass::sketch::{floor_log2, pow2, QuantileSketch};
+use crate::grass::sketch::{floor_log2, pow2, RateHistogram};
 use crate::job::Bound;
 use crate::outcome::JobOutcome;
 use crate::speculation::SpeculationMode;
@@ -317,7 +312,7 @@ fn decile_center(bin: u8) -> f64 {
     (f64::from(bin) + 0.5) / 10.0
 }
 
-/// Key of one sketched-layer bin: size bucket × coarse factor bins.
+/// Key of one aggregate bin: size bucket × coarse factor bins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct BinKey {
     size: u8,
@@ -337,7 +332,7 @@ impl BinKey {
     }
 }
 
-/// Aggregates of one sketched-layer bin: `(count, Σw, Σw·rate)` over the samples
+/// Aggregates of one bin: `(count, Σw, Σw·rate)` over the samples
 /// that landed in it, where `w` is each sample's kernel weight against its own bin's
 /// centres (its "self weight").
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -360,35 +355,14 @@ fn self_weight(sample: &Sample, key: BinKey) -> f64 {
     w
 }
 
-/// Kernel weight of a query against a bin's centres, honouring the active factors —
-/// the sketched analogue of the exact per-sample kernel.
-fn query_weight(key: &BinKey, ctx: &QueryContext, factors: FactorSet) -> f64 {
-    let mut q = 1.0 / (1.0 + f64::from(SizeBucket(key.size).distance(&ctx.size_bucket)));
-    if factors.bound {
-        if key.bound == BOUND_BIN_NONE {
-            // Exact kernel: log_ratio is infinite for non-positive bounds => weight 0.
-            return 0.0;
-        }
-        q *= 1.0 / (1.0 + log_ratio(bound_bin_center(key.bound), ctx.bound_value));
-    }
-    if factors.utilization {
-        q *= 1.0 / (1.0 + 5.0 * (decile_center(key.util) - ctx.utilization).abs());
-    }
-    if factors.accuracy {
-        q *= 1.0 / (1.0 + 5.0 * (decile_center(key.acc) - ctx.accuracy).abs());
-    }
-    q
-}
-
-/// One `(BoundKind, SpeculationMode)` partition: the exact FIFO of retained samples
-/// (empty in sketched stores) plus the sketched layer — binned aggregates, a rate
-/// quantile sketch and a lifetime observation count (never decremented; sketches are
-/// eviction-free).
+/// One `(BoundKind, SpeculationMode)` partition: the FIFO of retained samples plus
+/// the aggregates — binned sums, a rate histogram and a lifetime record count, none
+/// of which eviction touches.
 #[derive(Debug, Clone, Default)]
 struct Partition {
     fifo: VecDeque<(u64, Sample)>,
     bins: BTreeMap<BinKey, BinAgg>,
-    rates: QuantileSketch,
+    rates: RateHistogram,
     lifetime: u64,
 }
 
@@ -437,14 +411,6 @@ impl Inner {
     }
 }
 
-/// Whether a store answers predictions from the exact partitions or the sketched
-/// bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StoreLayer {
-    Exact,
-    Sketched,
-}
-
 /// Thread-safe store of GS / RAS performance samples shared by every GRASS job in a
 /// simulation run.
 ///
@@ -457,7 +423,6 @@ enum StoreLayer {
 pub struct SampleStore {
     inner: RwLock<Inner>,
     max_samples: usize,
-    layer: StoreLayer,
     generation: AtomicU64,
 }
 
@@ -473,49 +438,23 @@ impl Default for SampleStore {
 const DEFAULT_MAX_SAMPLES: usize = 50_000;
 
 impl SampleStore {
-    /// Empty exact store with the default retention cap.
+    /// Empty store with the default retention cap.
     pub fn new() -> Self {
-        SampleStore::with_layer(DEFAULT_MAX_SAMPLES, StoreLayer::Exact)
+        SampleStore::with_capacity(DEFAULT_MAX_SAMPLES)
     }
 
-    /// Empty exact store with an explicit retention cap (primarily for tests).
+    /// Empty store with an explicit retention cap (primarily for tests).
     pub fn with_capacity(max_samples: usize) -> Self {
-        SampleStore::with_layer(max_samples.max(1), StoreLayer::Exact)
-    }
-
-    /// Empty *sketched* store: raw samples are not retained at all — predictions are
-    /// answered from the O(1)-memory binned aggregates, and counts report lifetime
-    /// observations (including merged-in ones) rather than retained samples.
-    pub fn sketched() -> Self {
-        SampleStore::with_layer(DEFAULT_MAX_SAMPLES, StoreLayer::Sketched)
-    }
-
-    fn with_layer(max_samples: usize, layer: StoreLayer) -> Self {
         SampleStore {
             inner: RwLock::new(Inner::default()),
-            max_samples,
-            layer,
+            max_samples: max_samples.max(1),
             generation: AtomicU64::new(0),
         }
     }
 
-    /// Whether this store answers predictions from the sketched layer.
-    pub fn is_sketched(&self) -> bool {
-        self.layer == StoreLayer::Sketched
-    }
-
-    /// Number of stored samples: retained samples for exact stores, lifetime
-    /// observations for sketched stores.
+    /// Number of retained samples.
     pub fn len(&self) -> usize {
-        let guard = self.inner.read();
-        match self.layer {
-            StoreLayer::Exact => guard.retained,
-            StoreLayer::Sketched => guard
-                .parts
-                .iter()
-                .map(|p| usize::try_from(p.lifetime).unwrap_or(usize::MAX))
-                .fold(0usize, usize::saturating_add),
-        }
+        self.inner.read().retained
     }
 
     /// Whether the store holds no samples.
@@ -524,7 +463,7 @@ impl SampleStore {
     }
 
     /// Mutation counter: bumped once per [`record`](Self::record) /
-    /// [`clear`](Self::clear) / [`merge`](Self::merge). Two equal generations mean
+    /// [`clear`](Self::clear). Two equal generations mean
     /// the store content (and hence any `StoreCounts` snapshot) is unchanged between
     /// the two reads.
     pub fn generation(&self) -> u64 {
@@ -536,15 +475,13 @@ impl SampleStore {
         let mut guard = self.inner.write();
         let idx = par_idx(sample.mode, sample.kind);
         guard.parts[idx].absorb(&sample);
-        if self.layer == StoreLayer::Exact {
-            while guard.retained >= self.max_samples {
-                guard.evict_oldest();
-            }
-            let seq = guard.next_seq;
-            guard.next_seq += 1;
-            guard.parts[idx].fifo.push_back((seq, sample));
-            guard.retained += 1;
+        while guard.retained >= self.max_samples {
+            guard.evict_oldest();
         }
+        let seq = guard.next_seq;
+        guard.next_seq += 1;
+        guard.parts[idx].fifo.push_back((seq, sample));
+        guard.retained += 1;
         self.generation.fetch_add(1, Ordering::Release);
     }
 
@@ -555,18 +492,14 @@ impl SampleStore {
         }
     }
 
-    fn partition_count(&self, inner: &Inner, mode: SpeculationMode, kind: BoundKind) -> usize {
-        let part = &inner.parts[par_idx(mode, kind)];
-        match self.layer {
-            StoreLayer::Exact => part.fifo.len(),
-            StoreLayer::Sketched => usize::try_from(part.lifetime).unwrap_or(usize::MAX),
-        }
+    fn partition_count(inner: &Inner, mode: SpeculationMode, kind: BoundKind) -> usize {
+        inner.parts[par_idx(mode, kind)].fifo.len()
     }
 
     /// Count samples available for a given mode and bound kind, O(1).
     pub fn count_for(&self, mode: SpeculationMode, kind: BoundKind) -> usize {
         let guard = self.inner.read();
-        self.partition_count(&guard, mode, kind)
+        Self::partition_count(&guard, mode, kind)
     }
 
     /// Count samples available for both modes of one bound kind under a single lock
@@ -576,8 +509,8 @@ impl SampleStore {
     pub fn counts_for_kind(&self, kind: BoundKind) -> (usize, usize) {
         let guard = self.inner.read();
         (
-            self.partition_count(&guard, SpeculationMode::Gs, kind),
-            self.partition_count(&guard, SpeculationMode::Ras, kind),
+            Self::partition_count(&guard, SpeculationMode::Gs, kind),
+            Self::partition_count(&guard, SpeculationMode::Ras, kind),
         )
     }
 
@@ -589,12 +522,12 @@ impl SampleStore {
         StoreCounts {
             generation: self.generation.load(Ordering::Acquire),
             deadline: (
-                self.partition_count(&guard, SpeculationMode::Gs, BoundKind::Deadline),
-                self.partition_count(&guard, SpeculationMode::Ras, BoundKind::Deadline),
+                Self::partition_count(&guard, SpeculationMode::Gs, BoundKind::Deadline),
+                Self::partition_count(&guard, SpeculationMode::Ras, BoundKind::Deadline),
             ),
             error: (
-                self.partition_count(&guard, SpeculationMode::Gs, BoundKind::Error),
-                self.partition_count(&guard, SpeculationMode::Ras, BoundKind::Error),
+                Self::partition_count(&guard, SpeculationMode::Gs, BoundKind::Error),
+                Self::partition_count(&guard, SpeculationMode::Ras, BoundKind::Error),
             ),
         }
     }
@@ -603,11 +536,9 @@ impl SampleStore {
     /// the query context, as a similarity-weighted mean over stored samples. Returns
     /// `None` when fewer than `min_samples` relevant samples exist.
     ///
-    /// Exact stores scan the one relevant partition in insertion order — the same
-    /// samples, kernel and float summation order as the historical whole-store scan,
-    /// so results are bit-identical. Sketched stores answer from the binned
-    /// aggregates in O(bins): the result is a convex combination of the recorded
-    /// rates with bin-centre kernel weights.
+    /// Scans the one relevant partition in insertion order — the same samples,
+    /// kernel and float summation order as the historical whole-store scan, so
+    /// results are bit-identical.
     pub fn predict_rate(
         &self,
         mode: SpeculationMode,
@@ -617,49 +548,29 @@ impl SampleStore {
     ) -> Option<f64> {
         let guard = self.inner.read();
         let part = &guard.parts[par_idx(mode, ctx.kind)];
-        match self.layer {
-            StoreLayer::Exact => {
-                let mut weight_sum = 0.0;
-                let mut weighted_rate = 0.0;
-                let mut count = 0usize;
-                for (_, s) in part.fifo.iter() {
-                    let mut w = 1.0 / (1.0 + f64::from(s.size_bucket.distance(&ctx.size_bucket)));
-                    if factors.bound {
-                        let ratio = log_ratio(s.bound_value, ctx.bound_value);
-                        w *= 1.0 / (1.0 + ratio);
-                    }
-                    if factors.utilization {
-                        w *= 1.0 / (1.0 + 5.0 * (s.utilization - ctx.utilization).abs());
-                    }
-                    if factors.accuracy {
-                        w *= 1.0 / (1.0 + 5.0 * (s.accuracy - ctx.accuracy).abs());
-                    }
-                    weight_sum += w;
-                    weighted_rate += w * s.rate();
-                    count += 1;
-                }
-                if count < min_samples || weight_sum <= 0.0 {
-                    return None;
-                }
-                Some(weighted_rate / weight_sum)
+        let mut weight_sum = 0.0;
+        let mut weighted_rate = 0.0;
+        let mut count = 0usize;
+        for (_, s) in part.fifo.iter() {
+            let mut w = 1.0 / (1.0 + f64::from(s.size_bucket.distance(&ctx.size_bucket)));
+            if factors.bound {
+                let ratio = log_ratio(s.bound_value, ctx.bound_value);
+                w *= 1.0 / (1.0 + ratio);
             }
-            StoreLayer::Sketched => {
-                if usize::try_from(part.lifetime).unwrap_or(usize::MAX) < min_samples {
-                    return None;
-                }
-                let mut weight_sum = 0.0;
-                let mut weighted_rate = 0.0;
-                for (key, agg) in &part.bins {
-                    let q = query_weight(key, ctx, factors);
-                    weight_sum += q * agg.w_sum;
-                    weighted_rate += q * agg.wr_sum;
-                }
-                if weight_sum <= 0.0 {
-                    return None;
-                }
-                Some(weighted_rate / weight_sum)
+            if factors.utilization {
+                w *= 1.0 / (1.0 + 5.0 * (s.utilization - ctx.utilization).abs());
             }
+            if factors.accuracy {
+                w *= 1.0 / (1.0 + 5.0 * (s.accuracy - ctx.accuracy).abs());
+            }
+            weight_sum += w;
+            weighted_rate += w * s.rate();
+            count += 1;
         }
+        if count < min_samples || weight_sum <= 0.0 {
+            return None;
+        }
+        Some(weighted_rate / weight_sum)
     }
 
     /// Predict how many input tasks a job of this context would complete if it ran
@@ -706,7 +617,7 @@ impl SampleStore {
         Some(tasks / rate)
     }
 
-    /// Drop every stored sample (both layers).
+    /// Drop every stored sample and the aggregates.
     pub fn clear(&self) {
         let mut guard = self.inner.write();
         *guard = Inner::default();
@@ -714,7 +625,7 @@ impl SampleStore {
     }
 
     /// Retained samples matching `(mode, kind)` in insertion order — a test /
-    /// diagnostics accessor (always empty for sketched stores, which retain none).
+    /// diagnostics accessor.
     pub fn samples_for(&self, mode: SpeculationMode, kind: BoundKind) -> Vec<Sample> {
         self.inner.read().parts[par_idx(mode, kind)]
             .fifo
@@ -723,24 +634,9 @@ impl SampleStore {
             .collect()
     }
 
-    /// Total number of occupied sketched-layer bins across all partitions — the
-    /// quantity that stays bounded while job count grows without limit.
-    pub fn sketch_bins(&self) -> usize {
-        self.inner.read().parts.iter().map(|p| p.bins.len()).sum()
-    }
-
-    /// Approximate `q`-quantile of the task-completion rates ever observed for
-    /// `(mode, kind)` (within a factor of 2; see [`QuantileSketch`]). Available on
-    /// both layers; `None` if the partition has no observations.
-    pub fn rate_quantile(&self, mode: SpeculationMode, kind: BoundKind, q: f64) -> Option<f64> {
-        self.inner.read().parts[par_idx(mode, kind)]
-            .rates
-            .quantile(q)
-    }
-
-    /// Snapshot of the sketched layer (binned aggregates + rate sketches + lifetime
-    /// counts) for exchange with other stores. Never contains raw samples; its
-    /// encoded form is canonical (deterministic bin order, bit-exact floats).
+    /// Snapshot of the aggregates (binned sums, rate histograms and lifetime counts)
+    /// for a fleet worker's sync exchange. Never contains raw samples; its encoded
+    /// form is canonical (deterministic bin order, bit-exact floats).
     pub fn snapshot(&self) -> StoreSnapshot {
         let guard = self.inner.read();
         let mut snap = StoreSnapshot::default();
@@ -753,26 +649,6 @@ impl SampleStore {
         }
         snap
     }
-
-    /// Fold a peer's snapshot into this store's *sketched layer*. Exact stores keep
-    /// their retained samples (and therefore their exact predictions and pinned
-    /// digests) untouched — the merged state shows up in snapshots, rate quantiles
-    /// and, on sketched stores, in counts and predictions.
-    pub fn merge(&self, snapshot: &StoreSnapshot) {
-        let mut guard = self.inner.write();
-        for (idx, peer) in snapshot.parts.iter().enumerate() {
-            let part = &mut guard.parts[idx];
-            part.lifetime += peer.lifetime;
-            part.rates.merge(&peer.rates);
-            for (key, agg) in &peer.bins {
-                let mine = part.bins.entry(*key).or_default();
-                mine.count += agg.count;
-                mine.w_sum += agg.w_sum;
-                mine.wr_sum += agg.wr_sum;
-            }
-        }
-        self.generation.fetch_add(1, Ordering::Release);
-    }
 }
 
 /// `|log2(a / b)|`, guarded against non-positive inputs.
@@ -783,53 +659,25 @@ fn log_ratio(a: f64, b: f64) -> f64 {
     (a / b).log2().abs()
 }
 
-/// Sketched layer of one partition, as carried by a [`StoreSnapshot`].
+/// Aggregates of one partition, as carried by a [`StoreSnapshot`].
 #[derive(Debug, Clone, Default, PartialEq)]
 struct PartSnapshot {
     lifetime: u64,
-    rates: QuantileSketch,
+    rates: RateHistogram,
     bins: BTreeMap<BinKey, BinAgg>,
 }
 
-/// Portable, mergeable snapshot of a store's sketched layer.
+/// A store's aggregates, as a fleet worker sends them to its broker.
 ///
-/// The wire form (see [`encode`](Self::encode) / [`decode`](Self::decode)) is
-/// line-oriented text with floats carried as hexadecimal IEEE-754 bit patterns, so a
-/// round trip is bit-exact and two equal snapshots always encode to identical bytes.
-/// Merging is exactly commutative; counts and sketches merge exactly associatively,
-/// while the `Σw` / `Σw·rate` float sums are associative only up to rounding (IEEE
-/// addition is commutative but not associative).
+/// The wire form ([`encode`](Self::encode)) is line-oriented text with floats
+/// carried as hexadecimal IEEE-754 bit patterns, so two equal snapshots always
+/// encode to identical bytes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreSnapshot {
     parts: [PartSnapshot; NUM_PARTITIONS],
 }
 
 impl StoreSnapshot {
-    /// Total lifetime observations across every partition.
-    pub fn total_samples(&self) -> u64 {
-        self.parts.iter().map(|p| p.lifetime).sum()
-    }
-
-    /// Whether the snapshot carries no observations.
-    pub fn is_empty(&self) -> bool {
-        self.total_samples() == 0
-    }
-
-    /// Fold another snapshot into this one (same semantics as
-    /// [`SampleStore::merge`]).
-    pub fn merge(&mut self, other: &StoreSnapshot) {
-        for (mine, theirs) in self.parts.iter_mut().zip(other.parts.iter()) {
-            mine.lifetime += theirs.lifetime;
-            mine.rates.merge(&theirs.rates);
-            for (key, agg) in &theirs.bins {
-                let slot = mine.bins.entry(*key).or_default();
-                slot.count += agg.count;
-                slot.w_sum += agg.w_sum;
-                slot.wr_sum += agg.wr_sum;
-            }
-        }
-    }
-
     /// Canonical text encoding. Partitions appear in index order, bins in `BinKey`
     /// order, sketch buckets ascending; empty partitions are omitted.
     pub fn encode(&self) -> String {
@@ -877,110 +725,11 @@ impl StoreSnapshot {
         }
         out
     }
-
-    /// Strict inverse of [`encode`](Self::encode).
-    pub fn decode(text: &str) -> Result<StoreSnapshot, String> {
-        // grass: allow(unbounded-read, "`str::lines` over a snapshot string already in memory")
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("storesnap v1") => {}
-            other => return Err(format!("bad snapshot header: {other:?}")),
-        }
-        let mut snap = StoreSnapshot::default();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            match fields.next() {
-                Some("part") => {
-                    let mut idx: Option<usize> = None;
-                    let mut lifetime: Option<u64> = None;
-                    let mut sketch: Option<&str> = None;
-                    for field in fields {
-                        let (k, v) = field
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad part field '{field}'"))?;
-                        match k {
-                            "idx" => idx = Some(parse_num(v, "part idx")?),
-                            "lifetime" => lifetime = Some(parse_num(v, "part lifetime")?),
-                            "sketch" => sketch = Some(v),
-                            "kind" | "mode" => {} // informational; idx is authoritative
-                            other => return Err(format!("unknown part field '{other}'")),
-                        }
-                    }
-                    let idx = idx.ok_or("part line missing idx")?;
-                    if idx >= NUM_PARTITIONS {
-                        return Err(format!("part idx {idx} out of range"));
-                    }
-                    let part = &mut snap.parts[idx];
-                    part.lifetime = lifetime.ok_or("part line missing lifetime")?;
-                    if let Some(spec) = sketch {
-                        for entry in spec.split(',') {
-                            let (b, c) = entry
-                                .split_once(':')
-                                .ok_or_else(|| format!("bad sketch entry '{entry}'"))?;
-                            let bucket: usize = parse_num(b, "sketch bucket")?;
-                            let count: u64 = parse_num(c, "sketch count")?;
-                            part.rates.add_bucket(bucket, count);
-                        }
-                    }
-                }
-                Some("bin") => {
-                    let mut idx: Option<usize> = None;
-                    let mut key = BinKey {
-                        size: 0,
-                        bound: 0,
-                        util: 0,
-                        acc: 0,
-                    };
-                    let mut agg = BinAgg::default();
-                    for field in fields {
-                        let (k, v) = field
-                            .split_once('=')
-                            .ok_or_else(|| format!("bad bin field '{field}'"))?;
-                        match k {
-                            "part" => idx = Some(parse_num(v, "bin part")?),
-                            "size" => key.size = parse_num(v, "bin size")?,
-                            "bound" => key.bound = parse_num(v, "bin bound")?,
-                            "util" => key.util = parse_num(v, "bin util")?,
-                            "acc" => key.acc = parse_num(v, "bin acc")?,
-                            "count" => agg.count = parse_num(v, "bin count")?,
-                            "w" => agg.w_sum = parse_hex_f64(v, "bin w")?,
-                            "wr" => agg.wr_sum = parse_hex_f64(v, "bin wr")?,
-                            other => return Err(format!("unknown bin field '{other}'")),
-                        }
-                    }
-                    let idx = idx.ok_or("bin line missing part")?;
-                    if idx >= NUM_PARTITIONS {
-                        return Err(format!("bin part {idx} out of range"));
-                    }
-                    snap.parts[idx].bins.insert(key, agg);
-                }
-                Some(other) => return Err(format!("unknown snapshot line '{other}'")),
-                None => {}
-            }
-        }
-        Ok(snap)
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("bad {what} value '{value}'"))
-}
-
-fn parse_hex_f64(value: &str, what: &str) -> Result<f64, String> {
-    u64::from_str_radix(value, 16)
-        .map(f64::from_bits)
-        .map_err(|_| format!("bad {what} value '{value}'"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grass::reference::ReferenceSampleStore;
     use crate::task::JobId;
 
     fn sample(mode: SpeculationMode, kind: BoundKind, bound: f64, perf: f64) -> Sample {
@@ -1123,45 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn eviction_order_and_counts_match_the_frozen_reference() {
-        // Satellite pin: the ring-buffer eviction must walk the same global FIFO as
-        // the historical front-drain, across partitions. Drive both stores through
-        // an irregular mixed-partition overflow sequence and compare retained
-        // samples per partition, in order.
-        let store = SampleStore::with_capacity(5);
-        let oracle = ReferenceSampleStore::with_capacity(5);
-        let mix = [
-            (SpeculationMode::Gs, BoundKind::Deadline),
-            (SpeculationMode::Gs, BoundKind::Deadline),
-            (SpeculationMode::Ras, BoundKind::Error),
-            (SpeculationMode::Gs, BoundKind::Error),
-            (SpeculationMode::Ras, BoundKind::Deadline),
-            (SpeculationMode::Gs, BoundKind::Deadline),
-            (SpeculationMode::Ras, BoundKind::Error),
-        ];
-        for i in 0..23 {
-            let (mode, kind) = mix[(i * i) % mix.len()];
-            let s = sample(mode, kind, 10.0 + i as f64, 20.0 + i as f64);
-            store.record(s.clone());
-            oracle.record(s);
-            for (m, k) in [
-                (SpeculationMode::Gs, BoundKind::Deadline),
-                (SpeculationMode::Ras, BoundKind::Deadline),
-                (SpeculationMode::Gs, BoundKind::Error),
-                (SpeculationMode::Ras, BoundKind::Error),
-            ] {
-                assert_eq!(
-                    store.samples_for(m, k),
-                    oracle.samples_for(m, k),
-                    "partition ({m:?}, {k:?}) diverged after record {i}"
-                );
-                assert_eq!(store.count_for(m, k), oracle.count_for(m, k));
-            }
-            assert_eq!(store.len(), oracle.len());
-        }
-    }
-
-    #[test]
     fn prediction_requires_min_samples() {
         let store = SampleStore::new();
         store.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 20.0));
@@ -1291,143 +1001,49 @@ mod tests {
     }
 
     #[test]
-    fn sketched_store_predicts_within_recorded_rate_range() {
-        let store = SampleStore::sketched();
-        assert!(store.is_sketched());
-        // Rates 1.0 and 4.0 tasks/s in the same partition, different bound bins.
-        store.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 10.0));
-        store.record(sample(
-            SpeculationMode::Gs,
-            BoundKind::Deadline,
-            50.0,
-            200.0,
-        ));
-        let c = ctx(BoundKind::Deadline, 10.0);
-        let rate = store
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        // Convex combination of recorded rates.
-        assert!(
-            (1.0..=4.0).contains(&rate),
-            "{rate} outside recorded rate range"
-        );
-        // min_samples gate uses lifetime counts.
-        assert!(store
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 3)
-            .is_none());
-        assert!(store
-            .predict_rate(SpeculationMode::Ras, &c, FactorSet::all(), 1)
-            .is_none());
-        // No raw samples are retained; counts report lifetime observations.
-        assert!(store
-            .samples_for(SpeculationMode::Gs, BoundKind::Deadline)
-            .is_empty());
-        assert_eq!(store.count_for(SpeculationMode::Gs, BoundKind::Deadline), 2);
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn sketched_identical_samples_reproduce_the_exact_prediction() {
-        // All mass in one bin => the weighted mean collapses to the common rate.
-        let exact = SampleStore::new();
-        let sketched = SampleStore::sketched();
-        for _ in 0..7 {
-            let s = sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 20.0);
-            exact.record(s.clone());
-            sketched.record(s);
-        }
-        let c = ctx(BoundKind::Deadline, 10.0);
-        let re = exact
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        let rs = sketched
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        assert!((re - rs).abs() < 1e-12, "exact {re} vs sketched {rs}");
-        assert_eq!(sketched.sketch_bins(), 1);
-    }
-
-    #[test]
-    fn sketched_memory_is_bounded_by_bins_not_samples() {
-        let store = SampleStore::sketched();
-        for i in 0..10_000u64 {
-            store.record(sample(
-                SpeculationMode::Gs,
-                BoundKind::Deadline,
-                10.0 + (i % 16) as f64,
-                20.0 + (i % 64) as f64,
-            ));
-        }
-        assert_eq!(store.len(), 10_000);
-        // Bins are keyed by coarse factor bins: this workload spans only a handful.
-        assert!(
-            store.sketch_bins() <= 64,
-            "bins should stay coarse, got {}",
-            store.sketch_bins()
-        );
-        assert!(store
-            .rate_quantile(SpeculationMode::Gs, BoundKind::Deadline, 0.5)
-            .is_some());
-    }
-
-    #[test]
     fn snapshot_round_trips_bit_exactly() {
-        let store = SampleStore::new();
-        for i in 0..25 {
-            let (mode, kind) = if i % 3 == 0 {
-                (SpeculationMode::Ras, BoundKind::Error)
-            } else {
-                (SpeculationMode::Gs, BoundKind::Deadline)
-            };
-            store.record(sample(mode, kind, 3.0 + i as f64, 11.0 + i as f64));
-        }
+        let record_all = |store: &SampleStore| {
+            for i in 0..25 {
+                let (mode, kind) = if i % 3 == 0 {
+                    (SpeculationMode::Ras, BoundKind::Error)
+                } else {
+                    (SpeculationMode::Gs, BoundKind::Deadline)
+                };
+                store.record(sample(mode, kind, 3.0 + i as f64, 11.0 + i as f64));
+            }
+        };
+        let store = SampleStore::with_capacity(4);
+        record_all(&store);
         let snap = store.snapshot();
         let encoded = snap.encode();
-        let decoded = StoreSnapshot::decode(&encoded).unwrap();
-        assert_eq!(decoded, snap);
-        assert_eq!(decoded.encode(), encoded);
-        assert_eq!(snap.total_samples(), 25);
+        // Eviction leaves the aggregates alone: every record is counted.
+        assert!(encoded.starts_with("storesnap v1\npart idx=0 kind=deadline mode=gs lifetime=16 "));
+        assert!(encoded.contains("\npart idx=3 kind=error mode=ras lifetime=9 "));
+        // Every bin's sums travel as their bit patterns, in bin order.
+        let hex = |line: &str, field: &str| {
+            let value = line.split(' ').find_map(|f| f.strip_prefix(field)).unwrap();
+            u64::from_str_radix(value, 16).unwrap()
+        };
+        let sent: Vec<(u64, u64)> = encoded
+            .lines()
+            .filter(|l| l.starts_with("bin "))
+            .map(|l| (hex(l, "w="), hex(l, "wr=")))
+            .collect();
+        let held: Vec<(u64, u64)> = snap
+            .parts
+            .iter()
+            .flat_map(|p| p.bins.values())
+            .map(|agg| (agg.w_sum.to_bits(), agg.wr_sum.to_bits()))
+            .collect();
+        assert_eq!(sent, held);
+        assert!(!sent.is_empty());
+        // The same records in the same order encode to the same bytes, whatever
+        // the retention cap.
+        let again = SampleStore::new();
+        record_all(&again);
+        assert_eq!(again.snapshot().encode(), encoded);
 
-        // Empty snapshot is a bare header.
-        let empty = SampleStore::new().snapshot();
-        assert!(empty.is_empty());
-        assert_eq!(empty.encode(), "storesnap v1\n");
-        assert_eq!(StoreSnapshot::decode("storesnap v1\n").unwrap(), empty);
-        assert!(StoreSnapshot::decode("nonsense").is_err());
-    }
-
-    #[test]
-    fn merge_folds_peer_state_into_the_sketched_layer() {
-        let a = SampleStore::sketched();
-        let b = SampleStore::sketched();
-        for _ in 0..3 {
-            a.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 20.0));
-            b.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 30.0));
-        }
-        let g_before = a.generation();
-        a.merge(&b.snapshot());
-        assert!(a.generation() > g_before);
-        assert_eq!(a.count_for(SpeculationMode::Gs, BoundKind::Deadline), 6);
-        let c = ctx(BoundKind::Deadline, 10.0);
-        let rate = a
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        // 3 samples at 2 tasks/s + 3 at 3 tasks/s => strictly between.
-        assert!(rate > 2.0 && rate < 3.0, "merged rate {rate}");
-
-        // Merging into an exact store leaves exact predictions untouched.
-        let exact = SampleStore::new();
-        exact.record(sample(SpeculationMode::Gs, BoundKind::Deadline, 10.0, 20.0));
-        let before = exact
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        exact.merge(&b.snapshot());
-        let after = exact
-            .predict_rate(SpeculationMode::Gs, &c, FactorSet::all(), 1)
-            .unwrap();
-        assert_eq!(before.to_bits(), after.to_bits());
-        assert_eq!(exact.count_for(SpeculationMode::Gs, BoundKind::Deadline), 1);
-        // ...but the merged observations are visible in the snapshot it re-exports.
-        assert_eq!(exact.snapshot().total_samples(), 4);
+        // An empty snapshot is a bare header.
+        assert_eq!(SampleStore::new().snapshot().encode(), "storesnap v1\n");
     }
 }

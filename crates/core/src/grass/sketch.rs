@@ -1,22 +1,17 @@
-//! Mergeable log-spaced quantile sketch for task-completion rates.
+//! Log-spaced histogram of task-completion rates, and the exact base-2 helpers the
+//! sample store's bins share with it.
 //!
-//! The sketched layer of [`crate::grass::SampleStore`] keeps, per partition, a
-//! fixed-size histogram of observed rates on a base-2 logarithmic grid. The sketch
-//! supports three operations — [`insert`](QuantileSketch::insert),
-//! [`merge`](QuantileSketch::merge) and [`quantile`](QuantileSketch::quantile) — and
-//! all of them are exactly deterministic: bucket indices come straight from the IEEE
-//! exponent bits (no libm), counts are integers, and merge is element-wise `u64`
-//! addition, which makes it exactly commutative *and* associative. That is what lets
-//! fleet workers exchange sketches in any order and still agree bit-for-bit.
+//! Every partition of [`crate::grass::SampleStore`] keeps a fixed-size histogram of
+//! observed rates on a base-2 logarithmic grid, which its snapshot carries. Bucket
+//! indices come straight from the IEEE exponent bits (no libm) and counts are
+//! integers, so two stores fed the same rates hold identical histograms on every
+//! platform.
 //!
-//! Resolution: one bucket per power of two over `[2^-32, 2^31]`, i.e. any quantile
-//! estimate is within a factor of 2 of a true order statistic. Rates outside the
+//! Resolution: one bucket per power of two over `[2^-32, 2^31]`. Rates outside the
 //! range clamp to the edge buckets; non-positive rates land in bucket 0.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of log-spaced buckets; covers rate exponents `-32..=31`.
-pub const SKETCH_BUCKETS: usize = 64;
+const SKETCH_BUCKETS: usize = 64;
 
 /// Exponent of the smallest bucket (`2^SKETCH_MIN_EXP` is the left edge of bucket 0).
 const SKETCH_MIN_EXP: i32 = -32;
@@ -41,108 +36,52 @@ pub(crate) fn pow2(e: i32) -> f64 {
     f64::from_bits(((e + 1023) as u64) << 52)
 }
 
-/// Fixed-size, mergeable histogram of rates on a base-2 log grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuantileSketch {
+/// Fixed-size histogram of rates on a base-2 log grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RateHistogram {
     counts: [u64; SKETCH_BUCKETS],
     total: u64,
 }
 
-impl Default for QuantileSketch {
+impl Default for RateHistogram {
     fn default() -> Self {
-        QuantileSketch {
+        RateHistogram {
             counts: [0; SKETCH_BUCKETS],
             total: 0,
         }
     }
 }
 
-impl QuantileSketch {
-    /// Empty sketch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl RateHistogram {
     /// Bucket index for a rate. Non-positive and non-finite-negative rates map to
     /// bucket 0; rates beyond the grid clamp to the edges.
-    pub fn bucket_of(rate: f64) -> usize {
+    fn bucket_of(rate: f64) -> usize {
         if rate <= 0.0 || !rate.is_finite() {
             return 0;
         }
         (floor_log2(rate) - SKETCH_MIN_EXP).clamp(0, SKETCH_BUCKETS as i32 - 1) as usize
     }
 
-    /// Representative rate for a bucket: the geometric midpoint `1.5 · 2^e` of its
-    /// `[2^e, 2^(e+1))` span.
-    pub fn bucket_value(bucket: usize) -> f64 {
-        debug_assert!(bucket < SKETCH_BUCKETS);
-        1.5 * pow2(bucket as i32 + SKETCH_MIN_EXP)
-    }
-
     /// Record one rate observation.
-    pub fn insert(&mut self, rate: f64) {
+    pub(crate) fn insert(&mut self, rate: f64) {
         // grass: allow(panicky-lib, "bucket_of clamps to 0..SKETCH_BUCKETS")
         self.counts[Self::bucket_of(rate)] += 1;
         self.total += 1;
     }
 
-    /// Fold another sketch into this one (element-wise count addition — exactly
-    /// commutative and associative).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-
-    /// Total observations recorded (including merged-in ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Whether no observations have been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Approximate `q`-quantile of the recorded rates (`q` clamped to `[0, 1]`), as
-    /// the representative value of the bucket containing that order statistic.
-    /// Returns `None` on an empty sketch.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the order statistic we want, in 1..=total.
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(Self::bucket_value(bucket));
-            }
-        }
-        // Unreachable while counts sum to total; be safe rather than panic.
-        None
     }
 
     /// Non-empty buckets as `(bucket index, count)` pairs in ascending index order —
     /// the canonical wire form used by the store snapshot codec.
-    pub fn entries(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (i, c))
-    }
-
-    /// Add `count` observations directly into `bucket` (snapshot decode path).
-    pub fn add_bucket(&mut self, bucket: usize, count: u64) {
-        if bucket < SKETCH_BUCKETS {
-            // grass: allow(panicky-lib, "guarded by the bounds check one line up")
-            self.counts[bucket] += count;
-            self.total += count;
-        }
     }
 }
 
@@ -165,78 +104,15 @@ mod tests {
 
     #[test]
     fn bucket_edges_and_clamping() {
-        assert_eq!(QuantileSketch::bucket_of(0.0), 0);
-        assert_eq!(QuantileSketch::bucket_of(-4.0), 0);
-        assert_eq!(QuantileSketch::bucket_of(f64::NAN), 0);
-        assert_eq!(QuantileSketch::bucket_of(f64::INFINITY), 0);
-        assert_eq!(QuantileSketch::bucket_of(1.0), 32);
-        assert_eq!(QuantileSketch::bucket_of(2.0), 33);
-        assert_eq!(QuantileSketch::bucket_of(0.5), 31);
+        assert_eq!(RateHistogram::bucket_of(0.0), 0);
+        assert_eq!(RateHistogram::bucket_of(-4.0), 0);
+        assert_eq!(RateHistogram::bucket_of(f64::NAN), 0);
+        assert_eq!(RateHistogram::bucket_of(f64::INFINITY), 0);
+        assert_eq!(RateHistogram::bucket_of(1.0), 32);
+        assert_eq!(RateHistogram::bucket_of(2.0), 33);
+        assert_eq!(RateHistogram::bucket_of(0.5), 31);
         // Far beyond both edges clamps instead of indexing out of range.
-        assert_eq!(QuantileSketch::bucket_of(1e-200), 0);
-        assert_eq!(QuantileSketch::bucket_of(1e200), SKETCH_BUCKETS - 1);
-    }
-
-    #[test]
-    fn quantiles_walk_the_histogram() {
-        let mut sketch = QuantileSketch::new();
-        assert_eq!(sketch.quantile(0.5), None);
-        for _ in 0..10 {
-            sketch.insert(1.0); // bucket 32
-        }
-        for _ in 0..10 {
-            sketch.insert(4.0); // bucket 34
-        }
-        assert_eq!(sketch.total(), 20);
-        let median = sketch.quantile(0.5).unwrap();
-        assert_eq!(median, QuantileSketch::bucket_value(32));
-        let p95 = sketch.quantile(0.95).unwrap();
-        assert_eq!(p95, QuantileSketch::bucket_value(34));
-        // Bucket value is within 2x of the true rate it represents.
-        assert!((1.0..2.0).contains(&median));
-    }
-
-    #[test]
-    fn merge_is_commutative_and_associative_bitwise() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut c = QuantileSketch::new();
-        for i in 0..50 {
-            a.insert(0.25 * (1 + i % 7) as f64);
-            b.insert(2.0 * (1 + i % 5) as f64);
-            c.insert(0.01 * (1 + i % 3) as f64);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-
-        // Identity.
-        let mut with_empty = a.clone();
-        with_empty.merge(&QuantileSketch::new());
-        assert_eq!(with_empty, a);
-    }
-
-    #[test]
-    fn entries_round_trip_through_add_bucket() {
-        let mut sketch = QuantileSketch::new();
-        for rate in [0.1, 0.1, 3.0, 700.0] {
-            sketch.insert(rate);
-        }
-        let mut rebuilt = QuantileSketch::new();
-        for (bucket, count) in sketch.entries() {
-            rebuilt.add_bucket(bucket, count);
-        }
-        assert_eq!(rebuilt, sketch);
-        assert_eq!(rebuilt.total(), 4);
+        assert_eq!(RateHistogram::bucket_of(1e-200), 0);
+        assert_eq!(RateHistogram::bucket_of(1e200), SKETCH_BUCKETS - 1);
     }
 }

@@ -39,30 +39,15 @@ pub enum SwitchStrategy {
     Learned,
     /// Static two-wave strawman (§6.3.2).
     Strawman(StrawmanConfig),
-    /// Never switch (pure RAS, useful for tests and ablations).
-    Never,
 }
 
-/// Parameters of the learned evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LearnedParams {
-    /// Which factors participate in sample matching.
-    pub factors: FactorSet,
-    /// Minimum number of relevant samples (per mode) before predictions are trusted.
-    pub min_samples: usize,
-    /// Number of candidate switch points evaluated across the remaining work.
-    pub candidate_points: usize,
-}
+/// Minimum number of relevant samples (per mode) before the learned predictor is
+/// trusted.
+const MIN_SAMPLES: usize = 3;
 
-impl Default for LearnedParams {
-    fn default() -> Self {
-        LearnedParams {
-            factors: FactorSet::all(),
-            min_samples: 3,
-            candidate_points: 10,
-        }
-    }
-}
+/// Number of candidate switch points the learned evaluation steps through across the
+/// remaining work.
+const CANDIDATE_POINTS: usize = 10;
 
 /// Decision returned by the evaluators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,12 +189,12 @@ pub fn strawman_decision_cached(
 pub fn learned_decision_cached(
     view: &JobView,
     store: &SampleStore,
-    params: &LearnedParams,
+    factors: FactorSet,
     cache: &mut SwitchScanCache,
 ) -> SwitchDecision {
     match view.bound {
-        Bound::Deadline(_) => learned_deadline(view, store, params, cache),
-        Bound::Error(_) => learned_error(view, store, params, cache),
+        Bound::Deadline(_) => learned_deadline(view, store, factors, cache),
+        Bound::Error(_) => learned_error(view, store, factors, cache),
     }
     .unwrap_or_else(|| strawman_decision_cached(view, &StrawmanConfig::default(), cache))
 }
@@ -220,18 +205,18 @@ pub fn learned_decision_cached(
 fn learned_deadline(
     view: &JobView,
     store: &SampleStore,
-    params: &LearnedParams,
+    factors: FactorSet,
     cache: &mut SwitchScanCache,
 ) -> Option<SwitchDecision> {
     let remaining = view.remaining_deadline()?;
     if remaining <= 0.0 {
         return Some(SwitchDecision::SwitchNow);
     }
-    if let Some(shortcut) = sparse_store_shortcut(store, BoundKind::Deadline, params, cache) {
+    if let Some(shortcut) = sparse_store_shortcut(store, BoundKind::Deadline, cache) {
         return shortcut;
     }
     let ctx = query_context(view, BoundKind::Deadline, remaining);
-    let points = params.candidate_points.max(1);
+    let points = CANDIDATE_POINTS;
     let step = remaining / points as f64;
 
     let mut best_value = f64::NEG_INFINITY;
@@ -243,15 +228,15 @@ fn learned_deadline(
             SpeculationMode::Ras,
             delay,
             &ctx,
-            params.factors,
-            params.min_samples,
+            factors,
+            MIN_SAMPLES,
         );
         let gs_part = store.predict_deadline_completion(
             SpeculationMode::Gs,
             remaining - delay,
             &ctx,
-            params.factors,
-            params.min_samples,
+            factors,
+            MIN_SAMPLES,
         );
         let (Some(r), Some(g)) = (ras_part, gs_part) else {
             continue;
@@ -279,18 +264,18 @@ fn learned_deadline(
 fn learned_error(
     view: &JobView,
     store: &SampleStore,
-    params: &LearnedParams,
+    factors: FactorSet,
     cache: &mut SwitchScanCache,
 ) -> Option<SwitchDecision> {
     let needed = view.input_tasks_still_needed()? as f64;
     if needed <= 0.0 {
         return Some(SwitchDecision::SwitchNow);
     }
-    if let Some(shortcut) = sparse_store_shortcut(store, BoundKind::Error, params, cache) {
+    if let Some(shortcut) = sparse_store_shortcut(store, BoundKind::Error, cache) {
         return shortcut;
     }
     let ctx = query_context(view, BoundKind::Error, needed);
-    let points = params.candidate_points.max(1);
+    let points = CANDIDATE_POINTS;
     let step = needed / points as f64;
 
     let mut best_value = f64::INFINITY;
@@ -302,15 +287,15 @@ fn learned_error(
             SpeculationMode::Ras,
             ras_tasks,
             &ctx,
-            params.factors,
-            params.min_samples,
+            factors,
+            MIN_SAMPLES,
         );
         let gs_part = store.predict_error_duration(
             SpeculationMode::Gs,
             needed - ras_tasks,
             &ctx,
-            params.factors,
-            params.min_samples,
+            factors,
+            MIN_SAMPLES,
         );
         let (Some(r), Some(g)) = (ras_part, gs_part) else {
             continue;
@@ -333,11 +318,11 @@ fn learned_error(
 }
 
 /// Cheap pre-flight over the sample store: when *neither* mode holds
-/// `min_samples` relevant samples — the cold-start case every GRASS job hits
+/// [`MIN_SAMPLES`] relevant samples — the cold-start case every GRASS job hits
 /// before the ξ-perturbation has produced learning data — the candidate-point
 /// sweep cannot yield a prediction at any split point (a positive-length segment
 /// of either mode returns `None`, and every split has at least one such segment),
-/// so a memoised count lookup replaces up to `2 × (candidate_points + 1)` store
+/// so a memoised count lookup replaces up to `2 × (CANDIDATE_POINTS + 1)` store
 /// scans that would each come back empty. The counts come from the cache's
 /// generation-keyed `StoreCounts` snapshot: one atomic load per decision while
 /// the store is unmutated, one O(1) locked snapshot when it has changed.
@@ -353,12 +338,10 @@ fn learned_error(
 fn sparse_store_shortcut(
     store: &SampleStore,
     kind: BoundKind,
-    params: &LearnedParams,
     cache: &mut SwitchScanCache,
 ) -> Option<Option<SwitchDecision>> {
     let (gs, ras) = cache.preflight_counts(store, kind);
-    let min = params.min_samples;
-    if gs < min && ras < min {
+    if gs < MIN_SAMPLES && ras < MIN_SAMPLES {
         Some(None)
     } else {
         None
@@ -384,14 +367,9 @@ mod tests {
         strawman_decision_cached(v, &StrawmanConfig::default(), &mut SwitchScanCache::new())
     }
 
-    /// The learned rule with default parameters and a fresh cache.
+    /// The learned rule over all three factors with a fresh cache.
     fn learned(v: &JobView, store: &SampleStore) -> SwitchDecision {
-        learned_decision_cached(
-            v,
-            store,
-            &LearnedParams::default(),
-            &mut SwitchScanCache::new(),
-        )
+        learned_decision_cached(v, store, FactorSet::all(), &mut SwitchScanCache::new())
     }
     use crate::bins::SizeBucket;
     use crate::grass::samples::Sample;
@@ -585,11 +563,11 @@ mod tests {
     fn preflight_memo_preserves_decisions_across_store_mutations() {
         // Decision-equivalence regression for the generation-keyed pre-flight memo:
         // walk the store through every state the shortcut distinguishes (empty,
-        // one mode below `min_samples`, one mode at the threshold, both at it,
+        // one mode below `MIN_SAMPLES`, one mode at the threshold, both at it,
         // cleared) and require a long-lived cache to agree with a fresh evaluation
         // at every step — i.e. the memo must never serve counts from a previous
         // store state that could change the sweep-vs-shortcut choice.
-        let params = LearnedParams::default();
+        let factors = FactorSet::all();
         let tasks: Vec<TaskView> = (0..20).map(|i| unscheduled(i, 4.0)).collect();
         let dl_view = view(&tasks, Bound::Deadline(40.0), 0.0, 2, 0, 20);
         let err_view = view(&tasks, Bound::Error(0.1), 0.0, 4, 10, 100);
@@ -598,8 +576,8 @@ mod tests {
 
         let check = |store: &SampleStore, cache: &mut SwitchScanCache| {
             for v in [&dl_view, &err_view] {
-                let with_memo = learned_decision_cached(v, store, &params, cache);
-                let fresh = learned_decision_cached(v, store, &params, &mut SwitchScanCache::new());
+                let with_memo = learned_decision_cached(v, store, factors, cache);
+                let fresh = learned_decision_cached(v, store, factors, &mut SwitchScanCache::new());
                 assert_eq!(with_memo, fresh, "memoised decision diverged");
             }
             assert_eq!(
@@ -611,7 +589,7 @@ mod tests {
 
         check(&store, &mut cache);
         for kind in [BoundKind::Deadline, BoundKind::Error] {
-            for i in 0..params.min_samples {
+            for i in 0..MIN_SAMPLES {
                 store.record(Sample {
                     mode: SpeculationMode::Ras,
                     kind,
@@ -624,10 +602,10 @@ mod tests {
                 check(&store, &mut cache);
             }
         }
-        // RAS now satisfies min_samples alone: the sweep must run (and find no
+        // RAS now satisfies MIN_SAMPLES alone: the sweep must run (and find no
         // full prediction), not the shortcut.
         for kind in [BoundKind::Deadline, BoundKind::Error] {
-            for _ in 0..params.min_samples {
+            for _ in 0..MIN_SAMPLES {
                 store.record(Sample {
                     mode: SpeculationMode::Gs,
                     kind,
@@ -650,10 +628,10 @@ mod tests {
         let tasks: Vec<TaskView> = (0..20).map(|i| unscheduled(i, 4.0)).collect();
         let v = view(&tasks, Bound::Deadline(40.0), 0.0, 2, 0, 20);
         let mut cache = SwitchScanCache::new();
-        learned_decision_cached(&v, &store, &LearnedParams::default(), &mut cache);
+        learned_decision_cached(&v, &store, FactorSet::all(), &mut cache);
         let snapshot = cache.preflight.expect("snapshot taken");
         assert_eq!(snapshot.generation, store.generation());
-        learned_decision_cached(&v, &store, &LearnedParams::default(), &mut cache);
+        learned_decision_cached(&v, &store, FactorSet::all(), &mut cache);
         assert_eq!(
             cache.preflight,
             Some(snapshot),
@@ -670,7 +648,7 @@ mod tests {
             accuracy: 0.75,
         });
         assert_ne!(snapshot.generation, store.generation());
-        learned_decision_cached(&v, &store, &LearnedParams::default(), &mut cache);
+        learned_decision_cached(&v, &store, FactorSet::all(), &mut cache);
         assert_eq!(cache.preflight, Some(store.counts_snapshot()));
         // Manual invalidation drops the snapshot alongside the median memo.
         cache.invalidate();

@@ -1,6 +1,6 @@
 //! Job specifications, approximation bounds and the per-job view handed to policies.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
 use serde::{Deserialize, Serialize};
 
@@ -452,12 +452,14 @@ pub struct JobView<'a> {
     pub tasks: &'a [TaskView],
     /// The job-wide input of every row's [`JobView::tnew`].
     pub tnew_estimate: TnewEstimate,
-    /// `tasks`' fresh rows in `tnew`-key order and running rows, where the caller
-    /// keeps them: the simulator keeps one per deadline-bound job. GS, RAS and GRASS
-    /// read it for deadline-bound jobs when it [is for](DeadlineIndex::is_for)
-    /// `tnew_estimate`'s kind, and otherwise build one from `tasks`, so `None` (or an
+    /// Where the caller keeps `tasks`' fresh rows in `tnew`-key order and running
+    /// rows: the simulator keeps one cell per job and keeps its index current once
+    /// built. GS, RAS and GRASS build the index into the cell at a deadline-bound
+    /// job's first decision, and read it when it [is for](DeadlineIndex::is_for)
+    /// `tnew_estimate`'s kind; otherwise they build one from `tasks`, so `None` (or an
     /// index of the other kind) costs one sort per decision and changes no decision.
-    pub deadline_index: Option<&'a DeadlineIndex>,
+    /// LATE, Mantri and no speculation never read one, so never build one.
+    pub deadline_index: Option<&'a OnceCell<DeadlineIndex>>,
     /// Number of slots currently allocated to this job (its current wave width).
     pub wave_width: usize,
     /// Fraction of the cluster's slots that are currently busy, in `[0, 1]`.

@@ -76,11 +76,12 @@ pub(crate) fn choose_memoised(
 
 /// Pseudocode 1: deadline-bound jobs.
 ///
-/// Pruning and selection read the view's [`DeadlineIndex`] (one built from the rows
-/// when the view carries none for its estimate kind): the front of the fresh order
-/// and every running row, not every row. The picks are the ones `min_by` / `max_by`
-/// over the pruned candidates in view order make: SJF keeps the *first* minimum
-/// `tnew`, and RAS keeps the *last* maximum saving.
+/// Pruning and selection read the view's [`DeadlineIndex`], built into the view's
+/// cell at the job's first decision (or built from the rows for this decision when
+/// the view carries no cell, or a cell holding the other estimate kind's index): the
+/// front of the fresh order and every running row, not every row. The picks are the
+/// ones `min_by` / `max_by` over the pruned candidates in view order make: SJF keeps
+/// the *first* minimum `tnew`, and RAS keeps the *last* maximum saving.
 ///
 /// * **Fresh pick.** The walk down the fresh order keeps the least (`tnew`, task id)
 ///   by [`f64::total_cmp`], which is the first minimum in view order. Key order is
@@ -99,11 +100,12 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     if remaining <= 0.0 {
         return None;
     }
+    let build = || DeadlineIndex::build(view.tasks, view.tnew_estimate);
     let built;
-    let index = match view.deadline_index {
+    let index = match view.deadline_index.map(|cell| cell.get_or_init(build)) {
         Some(index) if index.is_for(view.tnew_estimate) => index,
         _ => {
-            built = DeadlineIndex::build(view.tasks, view.tnew_estimate);
+            built = build();
             &built
         }
     };
@@ -749,6 +751,7 @@ mod tests {
     use crate::job::TnewEstimate;
     use crate::policy::ActionKind;
     use crate::task::{JobId, StageId, TaskId};
+    use std::cell::OnceCell;
 
     /// A row with no running copy whose `tnew` is `tnew`: its work, read through the
     /// test views' unit per-work estimate.
@@ -930,12 +933,13 @@ mod tests {
     }
 
     /// GS and RAS launch `want` from `rows` under the per-work estimate `per_work`
-    /// and a deadline every row meets, with an index built from the rows and
-    /// without one.
+    /// and a deadline every row meets, with an index built from the rows, with an
+    /// empty cell the decision builds one into, and without one.
     fn assert_deadline_launch(rows: &[TaskView], per_work: f64, want: u32) {
         let estimate = TnewEstimate::PerWork(per_work);
-        let index = DeadlineIndex::build(rows, estimate);
-        for deadline_index in [None, Some(&index)] {
+        let built = OnceCell::from(DeadlineIndex::build(rows, estimate));
+        let empty = OnceCell::new();
+        for deadline_index in [None, Some(&built), Some(&empty)] {
             let view = JobView {
                 tnew_estimate: estimate,
                 deadline_index,

@@ -31,7 +31,7 @@
 //!   declines, the decline stands at every later time while the job's own
 //!   tasks, copies and completed counts are unchanged.
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 
 use grass_core::speculation::{choose, MAX_COPIES_PER_TASK};
 use grass_core::{
@@ -386,7 +386,7 @@ proptest! {
             (TnewEstimate::PerWork(_), true) => TnewEstimate::Oracle,
             (_, false) => estimate,
         };
-        let mut index = DeadlineIndex::build(&rows, kind);
+        let mut index = OnceCell::from(DeadlineIndex::build(&rows, kind));
         let deadline = T0 + pick(&[-1.0, 0.0, 1.0, 2.0, 3.9, 6.0, 1e9], remaining);
         let mut now = T0;
         for (step, &(kind, pick_at, value)) in steps.iter().enumerate() {
@@ -410,26 +410,26 @@ proptest! {
                     let idle: Vec<usize> = (0..rows.len()).filter(|&i| !rows[i].is_running()).collect();
                     if let Some(&i) = idle.get(pick_at % idle.len().max(1)) {
                         launch_at(&mut rows[i], now, trem);
-                        index.launched(&rows, i);
+                        index.get_mut().unwrap().launched(&rows, i);
                     }
                 }
                 2 => {
                     if let Some(&i) = running.get(pick_at % running.len().max(1)) {
                         if rows[i].running_copies < MAX_COPIES_PER_TASK {
                             launch_at(&mut rows[i], now, trem);
-                            index.launched(&rows, i);
+                            index.get_mut().unwrap().launched(&rows, i);
                         }
                     }
                 }
                 3 => {
                     if let Some(&i) = running.get(pick_at % running.len().max(1)) {
                         rows.remove(i);
-                        index.removed(i);
+                        index.get_mut().unwrap().removed(i);
                     }
                 }
                 4 => {
                     rows.iter_mut().for_each(|t| t.eligible = true);
-                    index.unlocked(&rows);
+                    index.get_mut().unwrap().unlocked(&rows);
                 }
                 _ => now += pick(&[0.5, 1.0, 2.0], value),
             }

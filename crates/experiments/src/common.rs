@@ -129,9 +129,60 @@ impl PolicyKind {
         PolicyKind::Grass(GrassConfig::with_xi(xi))
     }
 
-    /// Default GRASS backed by the sketched (flat-memory) sample store.
-    pub fn grass_sketched() -> Self {
-        PolicyKind::Grass(GrassConfig::sketched())
+    /// The named policies and their CLI/wire names: the one table `--policies`,
+    /// `--policy`, cell specs and cache keys read. A custom-tuned `Grass(config)`
+    /// has no name.
+    fn named() -> [(&'static str, PolicyKind); 7] {
+        [
+            ("late", PolicyKind::Late),
+            ("mantri", PolicyKind::Mantri),
+            ("nospec", PolicyKind::NoSpec),
+            ("gs", PolicyKind::GsOnly),
+            ("ras", PolicyKind::RasOnly),
+            ("grass", PolicyKind::grass()),
+            ("oracle", PolicyKind::Oracle),
+        ]
+    }
+
+    /// Parse a policy name (case-insensitive) into a [`PolicyKind`].
+    pub fn parse(name: &str) -> Result<PolicyKind, String> {
+        let lower = name.to_ascii_lowercase();
+        let named = Self::named();
+        if let Some((_, policy)) = named.iter().find(|(n, _)| *n == lower) {
+            return Ok(policy.clone());
+        }
+        let names: Vec<&str> = named.iter().map(|(n, _)| *n).collect();
+        Err(format!(
+            "unknown policy '{lower}'; expected one of {}",
+            names.join(", ")
+        ))
+    }
+
+    /// CLI/wire name of a named policy ([`parse`](Self::parse)'s inverse). Refusing a
+    /// custom GRASS config keeps cache keys and cell specs unambiguous.
+    pub fn wire_name(&self) -> Result<&'static str, String> {
+        Self::named()
+            .into_iter()
+            .find(|(_, policy)| policy == self)
+            .map(|(name, _)| name)
+            .ok_or_else(|| {
+                "fleet cells carry named policies only; a custom GRASS config is not encodable"
+                    .to_string()
+            })
+    }
+
+    /// The factory that runs this policy. Only GRASS draws randomness, all of it
+    /// from `seed`, so two factories built from the same seed decide alike.
+    pub fn factory(&self, seed: u64) -> Box<dyn PolicyFactory> {
+        match self {
+            PolicyKind::Late => Box::new(LateFactory::default()),
+            PolicyKind::Mantri => Box::new(MantriFactory::default()),
+            PolicyKind::NoSpec => Box::new(NoSpecFactory),
+            PolicyKind::GsOnly => Box::new(GsFactory),
+            PolicyKind::RasOnly => Box::new(RasFactory),
+            PolicyKind::Oracle => Box::new(OracleFactory),
+            PolicyKind::Grass(cfg) => Box::new(GrassFactory::with_config(*cfg, seed)),
+        }
     }
 
     /// Display name used in tables.
@@ -174,17 +225,12 @@ pub fn run_once(
         max_time: None,
     };
     let outcomes = match policy {
-        PolicyKind::Late => run_simulation(&sim, jobs, &LateFactory::default()).outcomes,
-        PolicyKind::Mantri => run_simulation(&sim, jobs, &MantriFactory::default()).outcomes,
-        PolicyKind::NoSpec => run_simulation(&sim, jobs, &NoSpecFactory).outcomes,
-        PolicyKind::GsOnly => run_simulation(&sim, jobs, &GsFactory).outcomes,
-        PolicyKind::RasOnly => run_simulation(&sim, jobs, &RasFactory).outcomes,
-        PolicyKind::Oracle => run_simulation(&sim, jobs, &OracleFactory).outcomes,
         PolicyKind::Grass(cfg) => {
-            let store = warmed_store(exp, source, &sim, seed, cfg.sketched_store);
+            let store = warmed_store(exp, source, &sim, seed);
             let factory = GrassFactory::with_store(*cfg, store, seed ^ 0x9A55);
             run_simulation(&sim, jobs, &factory).outcomes
         }
+        other => run_simulation(&sim, jobs, other.factory(seed).as_ref()).outcomes,
     };
     OutcomeSet::new(outcomes)
 }
@@ -207,13 +253,8 @@ fn warmed_store(
     source: &dyn JobSource,
     sim: &SimConfig,
     seed: u64,
-    sketched: bool,
 ) -> Arc<SampleStore> {
-    let store = Arc::new(if sketched {
-        SampleStore::sketched()
-    } else {
-        SampleStore::new()
-    });
+    let store = Arc::new(SampleStore::new());
     if exp.warmup_fraction <= 0.0 {
         return store;
     }

@@ -28,11 +28,9 @@ use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use grass_core::{JobId, JobOutcome, SampleStore, SpeculationMode, StoreSnapshot};
+use grass_core::{JobId, JobOutcome, SampleStore, SpeculationMode};
 use grass_fleet::broker::serve_broker_on;
-use grass_fleet::{
-    run_fleet, run_worker, CellRunner, DigestCache, FleetConfig, FleetOutcome, SYNC_SEPARATOR,
-};
+use grass_fleet::{run_fleet, run_worker, CellRunner, DigestCache, FleetConfig, FleetOutcome};
 use grass_metrics::OutcomeSet;
 use grass_sim::ClusterConfig;
 use grass_trace::codec::{Fields, LineBuilder};
@@ -43,8 +41,8 @@ use grass_workload::StreamedWorkload;
 use crate::cli::{write_stdout, Flags};
 use crate::common::ExpConfig;
 use crate::sweep::{
-    assemble_sweep_result, on_pool, parse_policy, run_sweep_cell, sweep_config_from_flags,
-    SweepConfig, SweepResult,
+    assemble_sweep_result, on_pool, run_sweep_cell, sweep_config_from_flags, SweepConfig,
+    SweepResult,
 };
 use crate::trace_cli::resolve_workload_path;
 use crate::PolicyKind;
@@ -77,26 +75,6 @@ pub fn trace_identity(path: &Path) -> Result<String, String> {
     Ok(format!("fnv64-{hash:016x}-len{len}"))
 }
 
-/// CLI/wire name of a policy ([`parse_policy`]'s inverse). Only the named
-/// policy set is encodable — a custom-tuned `Grass(config)` has no wire name,
-/// and refusing it here keeps cache keys and cell specs unambiguous.
-fn policy_wire_name(policy: &PolicyKind) -> Result<&'static str, String> {
-    match policy {
-        PolicyKind::Late => Ok("late"),
-        PolicyKind::Mantri => Ok("mantri"),
-        PolicyKind::NoSpec => Ok("nospec"),
-        PolicyKind::GsOnly => Ok("gs"),
-        PolicyKind::RasOnly => Ok("ras"),
-        PolicyKind::Oracle => Ok("oracle"),
-        PolicyKind::Grass(_) if *policy == PolicyKind::grass() => Ok("grass"),
-        PolicyKind::Grass(_) if *policy == PolicyKind::grass_sketched() => Ok("grass-sketch"),
-        PolicyKind::Grass(_) => Err(
-            "fleet cells carry named policies only; a custom GRASS config is not encodable"
-                .to_string(),
-        ),
-    }
-}
-
 /// The digest-cache key for one sweep cell: every input that determines the
 /// cell's outcomes. Cluster shape beyond the machine count is normalised
 /// (machines are keyed separately) and included so heterogeneity/straggler
@@ -115,7 +93,7 @@ pub fn cell_key(
     Ok(LineBuilder::new("grass-fleet cell v1")
         .text("trace", trace_id)
         .num("machines", machines)
-        .text("policy", policy_wire_name(policy)?)
+        .text("policy", policy.wire_name()?)
         .num("seed", seed)
         .num("slots", base.cluster.slots_per_machine)
         .num("warmup", base.warmup_fraction)
@@ -145,7 +123,7 @@ pub fn encode_cell_spec(
 ) -> Result<String, String> {
     Ok(LineBuilder::new("")
         .num("machines", cell.machines)
-        .text("policy", policy_wire_name(&cell.policy)?)
+        .text("policy", cell.policy.wire_name()?)
         .num("seed", cell.seed)
         .num("slots", slots)
         .text("trace", &trace.display().to_string())
@@ -157,7 +135,7 @@ pub fn decode_cell_spec(spec: &str) -> Result<(PathBuf, FleetCellSpec, usize), S
     let fields = Fields::untagged("spec", spec)?;
     let cell = FleetCellSpec {
         machines: fields.num("machines")?,
-        policy: parse_policy(&fields.text("policy")?)?,
+        policy: PolicyKind::parse(&fields.text("policy")?)?,
         seed: fields.num("seed")?,
     };
     Ok((
@@ -312,7 +290,7 @@ impl FleetPlan {
 
         let cells = config.cells();
         for cell in &cells {
-            policy_wire_name(&cell.policy)?;
+            cell.policy.wire_name()?;
         }
         Ok(FleetPlan {
             trace_path,
@@ -458,12 +436,11 @@ impl FleetPlan {
 /// `repro fleet work`. Opened traces are cached per path and the streamed
 /// source is shared: no per-worker in-memory copy of the workload.
 ///
-/// Alongside the cells, the runner accumulates a **sketched** [`SampleStore`]
-/// of every pure-GS / pure-RAS job outcome its cells produce, and exchanges
-/// that store with the other workers through the broker's `sync` frames
-/// ([`CellRunner::snapshot`] / [`CellRunner::absorb`]). The exchange is
-/// observability-only for sweep digests: cells rebuild their own warmed stores
-/// from the trace, so merged fleet state never leaks into pinned outcomes.
+/// Alongside the cells, the runner records every pure-GS / pure-RAS job outcome
+/// its cells produce into a [`SampleStore`], and sends that store's snapshot to
+/// the broker with each `sync` frame ([`CellRunner::snapshot`]). What the broker
+/// sends back is not read: cells rebuild their own warmed stores from the
+/// trace, so fleet state never reaches pinned outcomes.
 pub struct SweepCellRunner {
     stall_ms: u64,
     mmap: bool,
@@ -471,11 +448,6 @@ pub struct SweepCellRunner {
     sources: Mutex<HashMap<PathBuf, StreamedWorkload>>,
     /// This worker's own observations — the snapshot it offers the fleet.
     learned: SampleStore,
-    /// Latest merged view of the *other* workers' snapshots. Replaced (not
-    /// accumulated) on every sync: the broker's board always carries each
-    /// peer's complete current state, so replacing avoids double-counting
-    /// across repeated exchanges.
-    peers: Mutex<StoreSnapshot>,
 }
 
 impl SweepCellRunner {
@@ -492,8 +464,7 @@ impl SweepCellRunner {
             mmap: false,
             // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; cells fetch their own trace by path")
             sources: Mutex::new(HashMap::new()),
-            learned: SampleStore::sketched(),
-            peers: Mutex::new(StoreSnapshot::default()),
+            learned: SampleStore::new(),
         }
     }
 
@@ -504,17 +475,9 @@ impl SweepCellRunner {
         self
     }
 
-    /// The sketched store of learned GS/RAS rates from this runner's own cells.
+    /// The store of learned GS/RAS rates from this runner's own cells.
     pub fn learned_store(&self) -> &SampleStore {
         &self.learned
-    }
-
-    /// Fleet-wide learned state: this worker's own snapshot merged with the
-    /// latest snapshots absorbed from every peer.
-    pub fn fleet_view(&self) -> StoreSnapshot {
-        let mut view = self.learned.snapshot();
-        view.merge(&self.peers.lock().unwrap());
-        view
     }
 
     fn source_for(&self, path: &Path) -> Result<StreamedWorkload, String> {
@@ -571,17 +534,6 @@ impl CellRunner for SweepCellRunner {
 
     fn snapshot(&self) -> Option<String> {
         Some(self.learned.snapshot().encode())
-    }
-
-    fn absorb(&self, snapshots: &str) {
-        let mut merged = StoreSnapshot::default();
-        for part in snapshots.split(SYNC_SEPARATOR) {
-            match StoreSnapshot::decode(part) {
-                Ok(snap) => merged.merge(&snap),
-                Err(reason) => eprintln!("fleet sync: ignoring malformed peer snapshot: {reason}"),
-            }
-        }
-        *self.peers.lock().unwrap() = merged;
     }
 }
 
@@ -939,10 +891,9 @@ mod tests {
             PolicyKind::RasOnly,
             PolicyKind::Oracle,
             PolicyKind::grass(),
-            PolicyKind::grass_sketched(),
         ] {
-            let name = policy_wire_name(&policy).unwrap();
-            assert_eq!(parse_policy(name).unwrap(), policy);
+            let name = policy.wire_name().unwrap();
+            assert_eq!(PolicyKind::parse(name).unwrap(), policy);
         }
         // A tuned GRASS config has no wire name.
         let mut tuned = match PolicyKind::grass() {
@@ -950,7 +901,7 @@ mod tests {
             _ => unreachable!(),
         };
         tuned.xi += 0.01;
-        assert!(policy_wire_name(&PolicyKind::Grass(tuned)).is_err());
+        assert!(PolicyKind::Grass(tuned).wire_name().is_err());
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub use common::{
 pub use fleet::{run_fleet_command, trace_identity, FleetCellSpec, FleetPlan, SweepCellRunner};
 pub use lint_cli::run_lint_command;
 pub use sweep::{
-    assemble_sweep_result, merge_seed_sets, parse_policy, run_sweep, run_sweep_cell,
-    run_sweep_command, SweepCell, SweepConfig, SweepResult,
+    assemble_sweep_result, merge_seed_sets, run_sweep, run_sweep_cell, run_sweep_command,
+    SweepCell, SweepConfig, SweepResult,
 };
 pub use trace_cli::{make_factory, outcome_digest, run_trace_command};
 

@@ -427,24 +427,6 @@ pub(crate) fn on_pool<R: Send>(
     indexed.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Parse a `--policies`/`--baseline` policy name into a [`PolicyKind`].
-pub fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "late" => Ok(PolicyKind::Late),
-        "mantri" => Ok(PolicyKind::Mantri),
-        "nospec" => Ok(PolicyKind::NoSpec),
-        "gs" => Ok(PolicyKind::GsOnly),
-        "ras" => Ok(PolicyKind::RasOnly),
-        "grass" => Ok(PolicyKind::grass()),
-        "grass-sketch" => Ok(PolicyKind::grass_sketched()),
-        "oracle" => Ok(PolicyKind::Oracle),
-        other => Err(format!(
-            "unknown policy '{other}'; expected late, mantri, nospec, gs, ras, grass, \
-             grass-sketch or oracle"
-        )),
-    }
-}
-
 fn parse_list<T, E: std::fmt::Display>(
     raw: &str,
     what: &str,
@@ -568,10 +550,10 @@ pub(crate) fn sweep_config_from_flags(
         config.machines = parse_list(raw, "machine count", |s| s.parse::<usize>())?;
     }
     if let Some(raw) = flags.get("policies") {
-        config.policies = parse_list(raw, "policy", parse_policy)?;
+        config.policies = parse_list(raw, "policy", PolicyKind::parse)?;
     }
     if let Some(raw) = flags.get("baseline") {
-        config.baseline = parse_policy(raw)?;
+        config.baseline = PolicyKind::parse(raw)?;
     }
     Ok(config)
 }
@@ -660,9 +642,11 @@ mod tests {
 
     #[test]
     fn policy_names_parse_and_reject() {
-        assert_eq!(parse_policy("late").unwrap(), PolicyKind::Late);
-        assert_eq!(parse_policy("GRASS").unwrap(), PolicyKind::grass());
-        assert!(parse_policy("quantum").is_err());
+        assert_eq!(PolicyKind::parse("late").unwrap(), PolicyKind::Late);
+        assert_eq!(PolicyKind::parse("GRASS").unwrap(), PolicyKind::grass());
+        assert!(PolicyKind::parse("quantum").is_err());
+        let err = PolicyKind::parse("grass-sketch").unwrap_err();
+        assert!(err.contains("unknown policy 'grass-sketch'"), "{err}");
         assert_eq!(
             parse_list("20,50,100", "machine count", |s| s.parse::<usize>()).unwrap(),
             vec![20, 50, 100]

@@ -34,8 +34,7 @@
 
 use std::path::{Path, PathBuf};
 
-use grass_core::{GrassFactory, GsFactory, PolicyFactory, RasFactory};
-use grass_policies::{LateFactory, MantriFactory, NoSpecFactory, OracleFactory};
+use grass_core::PolicyFactory;
 use grass_sim::{run_simulation, run_simulation_traced, SimResult};
 use grass_trace::{
     convert_stream, record_workload, replay_config, ExecutionMeta, ExecutionTraceSink, TraceFormat,
@@ -44,6 +43,7 @@ use grass_trace::{
 use grass_workload::{BoundSpec, Framework, JobGen, TraceProfile, WorkloadConfig};
 
 use crate::cli::{write_stdout, Flags};
+use crate::PolicyKind;
 
 /// Entry point for `repro trace <verb> ...`. Returns an error message on failure.
 pub fn run_trace_command(args: &[String]) -> Result<(), String> {
@@ -101,18 +101,7 @@ pub fn outcome_digest(result: &SimResult) -> String {
 /// Build the policy factory for a trace run. Seeded factories (GRASS) derive all
 /// their randomness from `seed`, so record and replay construct identical factories.
 pub fn make_factory(policy: &str, seed: u64) -> Result<Box<dyn PolicyFactory>, String> {
-    match policy.to_ascii_lowercase().as_str() {
-        "gs" => Ok(Box::new(GsFactory)),
-        "ras" => Ok(Box::new(RasFactory)),
-        "grass" => Ok(Box::new(GrassFactory::new(seed))),
-        "late" => Ok(Box::new(LateFactory::default())),
-        "mantri" => Ok(Box::new(MantriFactory::default())),
-        "nospec" => Ok(Box::new(NoSpecFactory)),
-        "oracle" => Ok(Box::new(OracleFactory)),
-        other => Err(format!(
-            "unknown policy '{other}'; expected gs, ras, grass, late, mantri, nospec or oracle"
-        )),
-    }
+    Ok(PolicyKind::parse(policy)?.factory(seed))
 }
 
 /// Flags `trace record` and `trace gen` share; record seeds the generator with

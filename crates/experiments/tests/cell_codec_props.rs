@@ -78,7 +78,7 @@ const TOKENS: &[&str] = &[
 const VALUE_CHARS: &str = "wZ0 =%:|,/.\n\r\t\x0b\x0c\x1f\x7f\0é\u{a0}\u{2028}日";
 
 /// Every policy a cell spec can name.
-fn named_policies() -> [PolicyKind; 8] {
+fn named_policies() -> [PolicyKind; 7] {
     [
         PolicyKind::Late,
         PolicyKind::Mantri,
@@ -87,7 +87,6 @@ fn named_policies() -> [PolicyKind; 8] {
         PolicyKind::RasOnly,
         PolicyKind::Oracle,
         PolicyKind::grass(),
-        PolicyKind::grass_sketched(),
     ]
 }
 
@@ -215,7 +214,7 @@ proptest! {
     fn generated_specs_round_trip(
         trace in prop::collection::vec(0usize..64, 0..24),
         (machines, seed, slots) in (any::<usize>(), any::<u64>(), any::<usize>()),
-        policy in 0usize..8,
+        policy in 0usize..7,
     ) {
         let trace = value_of(&trace);
         let cell = FleetCellSpec {

@@ -7,10 +7,12 @@
 //! half-written entry that a later run would trust.
 
 use grass_trace::codec::{escape, unescape};
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::process;
+
+use crate::protocol::MAX_FRAME_BYTES;
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, stable across runs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -47,8 +49,12 @@ impl DigestCache {
 
     /// Look `key` up. Returns `None` on a miss, a hash collision, or an entry
     /// that fails to parse (corruption is treated as a miss, not an error).
+    ///
+    /// Reads at most the key line plus what a fleet frame can carry
+    /// ([`MAX_FRAME_BYTES`]); a longer entry is a miss, so its cell re-runs.
     pub fn get(&self, key: &str) -> Option<String> {
-        let text = fs::read_to_string(self.path_for(key)).ok()?;
+        let cap = escape(key).len() + 1 + MAX_FRAME_BYTES;
+        let text = read_capped(&self.path_for(key), cap)?;
         let (stored_key, payload) = text.split_once('\n')?;
         if unescape(stored_key).ok()? != key {
             return None;
@@ -84,6 +90,18 @@ impl DigestCache {
     pub fn is_empty(&self) -> io::Result<bool> {
         Ok(self.len()? == 0)
     }
+}
+
+/// The text of the file at `path`, if it holds at most `cap` bytes.
+fn read_capped(path: &Path, cap: usize) -> Option<String> {
+    let file = File::open(path).ok()?;
+    if file.metadata().ok()?.len() > cap as u64 {
+        return None;
+    }
+    let mut text = String::new();
+    // grass: allow(unbounded-read, "Read::take stops one byte past `cap`, should the file grow")
+    file.take(cap as u64 + 1).read_to_string(&mut text).ok()?;
+    (text.len() <= cap).then_some(text)
 }
 
 #[cfg(test)]
@@ -136,6 +154,29 @@ mod tests {
         cache.put("k", "v").unwrap();
         fs::write(cache.path_for("k"), "no-newline-no-key").unwrap();
         assert!(cache.get("k").is_none());
+        fs::remove_dir_all(cache.dir()).unwrap();
+    }
+
+    #[test]
+    fn over_long_entry_is_a_miss() {
+        let cache = temp_cache("overlong");
+        let key = "k";
+        cache.put(key, "v").unwrap();
+        // One byte past the key line plus a full frame: the entry is refused
+        // unread. The file is sparse, so its length costs no disk.
+        let at_cap = (escape(key).len() + 1 + MAX_FRAME_BYTES) as u64;
+        let file = fs::OpenOptions::new()
+            .write(true)
+            .open(cache.path_for(key))
+            .unwrap();
+        file.set_len(at_cap + 1).unwrap();
+        assert!(cache.get(key).is_none());
+
+        // At the cap an entry is read; one byte more is refused.
+        let path = cache.dir().join("small");
+        fs::write(&path, "0123456789").unwrap();
+        assert_eq!(read_capped(&path, 10).as_deref(), Some("0123456789"));
+        assert!(read_capped(&path, 9).is_none());
         fs::remove_dir_all(cache.dir()).unwrap();
     }
 

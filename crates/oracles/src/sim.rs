@@ -12,9 +12,10 @@
 //! **Do not optimise or otherwise modify this module.** Its value is that it
 //! never changes. It shares `JobRuntime`, `EventQueue` and the trace hooks with
 //! the live engine, so any behavioural drift in those shared pieces is caught by
-//! the differential harness rather than hidden by a second copy.
+//! the differential harness rather than hidden by a second copy. It keeps
+//! finished jobs and their runtimes, and tracks which have finished itself.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -22,13 +23,10 @@ use rand::SeedableRng;
 use grass_core::{
     ActionKind, Bound, JobId, JobOutcome, JobSpec, JobView, PolicyFactory, Time, TnewEstimate,
 };
-
-use crate::event::{Event, EventQueue};
-use crate::machine::{Machine, SlotId};
-use crate::runtime::JobRuntime;
-use crate::simulator::{SimConfig, SimResult};
-use crate::stats::TimeWeighted;
-use crate::trace::{NullSink, SimTraceEvent, TraceSink};
+use grass_sim::{
+    Event, EventQueue, JobRuntime, Machine, NullSink, SimConfig, SimResult, SimTraceEvent, SlotId,
+    TimeWeighted, TraceSink,
+};
 
 /// Run a full simulation through the frozen reference engine.
 pub fn run_reference(
@@ -41,7 +39,7 @@ pub fn run_reference(
 }
 
 /// Run the frozen reference engine while streaming every scheduling-level event
-/// into `sink`, exactly as [`crate::run_simulation_traced`] does for the live
+/// into `sink`, exactly as [`grass_sim::run_simulation_traced`] does for the live
 /// engine.
 pub fn run_reference_traced(
     config: &SimConfig,
@@ -62,6 +60,8 @@ struct ReferenceSimulator<'a> {
     total_slots: usize,
     pending: HashMap<JobId, JobSpec>,
     running: HashMap<JobId, JobRuntime>,
+    /// Jobs whose deadline fired or whose error bound was met.
+    finished: HashSet<JobId>,
     active_order: Vec<JobId>,
     events: EventQueue,
     rng: StdRng,
@@ -101,6 +101,7 @@ impl<'a> ReferenceSimulator<'a> {
             total_slots,
             pending,
             running: HashMap::new(),
+            finished: HashSet::new(),
             active_order: Vec::new(),
             events,
             rng: StdRng::seed_from_u64(0),
@@ -134,7 +135,7 @@ impl<'a> ReferenceSimulator<'a> {
             .active_order
             .iter()
             .copied()
-            .filter(|id| self.running.get(id).is_some_and(|j| !j.done))
+            .filter(|id| self.is_live(id))
             .collect();
         for id in leftover {
             self.finalize_job(id);
@@ -148,6 +149,11 @@ impl<'a> ReferenceSimulator<'a> {
         }
     }
 
+    /// Whether `id` has arrived and not finished.
+    fn is_live(&self, id: &JobId) -> bool {
+        self.running.contains_key(id) && !self.finished.contains(id)
+    }
+
     fn utilization(&self) -> f64 {
         if self.total_slots == 0 {
             return 0.0;
@@ -158,7 +164,7 @@ impl<'a> ReferenceSimulator<'a> {
     fn active_job_count(&self) -> usize {
         self.active_order
             .iter()
-            .filter(|id| self.running.get(id).is_some_and(|j| !j.done))
+            .filter(|id| self.is_live(id))
             .count()
     }
 
@@ -250,7 +256,7 @@ impl<'a> ReferenceSimulator<'a> {
         let Some(job) = self.running.get_mut(&job_id) else {
             return;
         };
-        if job.done {
+        if self.finished.contains(&job_id) {
             return;
         }
         let effect = job.complete_copy(task, copy, self.now);
@@ -295,8 +301,7 @@ impl<'a> ReferenceSimulator<'a> {
     }
 
     fn handle_deadline(&mut self, id: JobId) {
-        let done = self.running.get(&id).map(|j| j.done).unwrap_or(true);
-        if !done {
+        if self.is_live(&id) {
             self.finalize_job(id);
         }
         self.dispatch();
@@ -307,7 +312,7 @@ impl<'a> ReferenceSimulator<'a> {
         let Some(job) = self.running.get_mut(&id) else {
             return;
         };
-        if job.done {
+        if self.finished.contains(&id) {
             return;
         }
         let freed = job.kill_all_copies(self.now);
@@ -323,7 +328,7 @@ impl<'a> ReferenceSimulator<'a> {
         self.free_slots
             .extend(freed.iter().map(|&(_, _, slot)| slot));
         job.update_stats(self.now, util);
-        job.done = true;
+        self.finished.insert(id);
         let outcome = job.outcome(self.now);
         self.sink.record(&SimTraceEvent::JobFinish {
             time: self.now,
@@ -382,7 +387,7 @@ impl<'a> ReferenceSimulator<'a> {
                 .iter()
                 .filter_map(|id| {
                     let job = self.running.get(id)?;
-                    if job.done || !job.has_unfinished_work() {
+                    if self.finished.contains(id) || !job.has_unfinished_work() {
                         return None;
                     }
                     Some((job.allocated_slots, *id))
@@ -406,7 +411,7 @@ impl<'a> ReferenceSimulator<'a> {
         self.util_stat.update(self.now, util);
         for id in &self.active_order {
             if let Some(job) = self.running.get_mut(id) {
-                if !job.done {
+                if !self.finished.contains(id) {
                     job.update_stats(self.now, util);
                 }
             }
@@ -506,8 +511,8 @@ impl<'a> ReferenceSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::run_simulation;
     use grass_core::GsFactory;
+    use grass_sim::{run_simulation, ClusterConfig};
 
     /// The reference engine is a frozen copy: on a quick workload it must agree
     /// with the live engine exactly (the full-breadth check lives in
@@ -515,7 +520,7 @@ mod tests {
     #[test]
     fn reference_matches_live_engine_on_a_small_run() {
         let config = SimConfig {
-            cluster: crate::cluster::ClusterConfig::small(3, 2),
+            cluster: ClusterConfig::small(3, 2),
             ..SimConfig::default()
         };
         let jobs: Vec<JobSpec> = (0..4)

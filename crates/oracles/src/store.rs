@@ -1,26 +1,21 @@
-//! Frozen pre-partitioning [`SampleStore`](crate::grass::SampleStore) — differential
-//! oracle only.
+//! Frozen pre-partitioning `grass_core::SampleStore`: differential oracle only.
 //!
-//! This is a verbatim copy of the sample store as it stood before the partitioned /
-//! sketched rebuild: one flat `Vec<Sample>` behind a lock, `predict_rate` scanning the
+//! This is a verbatim copy of the sample store as it stood before the partitioned
+//! rebuild: one flat `Vec<Sample>` behind a lock, `predict_rate` scanning the
 //! whole vector with a `(mode, kind)` filter, and `record` draining evicted samples
 //! from the front. It exists so the equivalence proptests
 //! (`tests/store_equivalence.rs`) can compare the optimised store **bit-for-bit**
 //! against the exact behaviour the repository's pinned digests were produced with.
 //!
 //! **Do not optimise, fix or otherwise improve this module.** Any divergence from the
-//! historical behaviour silently weakens the differential tests. The same convention
-//! as `grass_sim::reference` applies: not re-exported from the crate root or the
-//! facade prelude, reachable as `grass_core::grass::reference` for tests and
-//! diagnostics.
+//! historical behaviour silently weakens the differential tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use crate::grass::samples::{BoundKind, FactorSet, QueryContext, Sample, StoreCounts};
-use crate::outcome::JobOutcome;
-use crate::speculation::SpeculationMode;
+use grass_core::grass::{BoundKind, FactorSet, QueryContext, Sample, StoreCounts};
+use grass_core::{JobOutcome, SpeculationMode};
 
 /// Samples plus the incrementally maintained `counts[kind][mode]` table, kept under
 /// one lock so they can never disagree.
@@ -280,7 +275,7 @@ fn log_ratio(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bins::SizeBucket;
+    use grass_core::SizeBucket;
 
     fn sample(mode: SpeculationMode, kind: BoundKind, bound: f64, perf: f64) -> Sample {
         Sample {

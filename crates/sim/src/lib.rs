@@ -29,7 +29,6 @@
 pub mod cluster;
 pub mod event;
 pub mod machine;
-pub mod reference;
 pub mod runtime;
 pub mod simulator;
 pub mod stats;

@@ -1,6 +1,8 @@
 //! Per-job runtime state: running copies, completed counters, estimation state and the
 //! construction of the [`TaskView`]s / [`JobOutcome`]s handed to policies.
 
+use std::cell::OnceCell;
+
 use rand::Rng;
 
 use grass_core::{
@@ -186,10 +188,6 @@ pub struct JobRuntime {
     pub util_stat: TimeWeighted,
     /// Time-weighted measured estimation accuracy.
     pub acc_stat: TimeWeighted,
-    /// Whether the job has finished (deadline fired or error bound met). The frozen
-    /// [`crate::reference`] engine keeps finished jobs and sets this; the event core
-    /// drops a job's runtime as soon as it finishes instead.
-    pub done: bool,
     /// Number of tasks not yet finished (kept in lockstep with
     /// `tasks[i].finished` so [`has_unfinished_work`](Self::has_unfinished_work)
     /// is O(1) instead of an O(tasks) scan).
@@ -206,9 +204,11 @@ pub struct JobRuntime {
     /// [`complete_copy`](Self::complete_copy) touch it, since no row depends on
     /// `now`. Empty until built and again once the job is finalised.
     pub(crate) task_views: Vec<TaskView>,
-    /// A deadline-bound job's [`DeadlineIndex`] of `task_views`, built and kept
-    /// beside them; `None` for error-bound jobs, whose decisions never read one.
-    pub(crate) deadline_index: Option<DeadlineIndex>,
+    /// The [`DeadlineIndex`] of `task_views`, kept beside them once a decision has
+    /// built it: GS, RAS and GRASS build it at a deadline-bound job's first
+    /// decision; LATE, Mantri and no speculation never read one, and error-bound
+    /// jobs' decisions never do.
+    pub(crate) deadline_index: OnceCell<DeadlineIndex>,
 }
 
 impl JobRuntime {
@@ -251,11 +251,10 @@ impl JobRuntime {
             wave_width_stat: TimeWeighted::new(now, 0.0),
             util_stat: TimeWeighted::new(now, 0.0),
             acc_stat: TimeWeighted::new(now, prior_accuracy),
-            done: false,
             unfinished,
             stats_cursor: 0,
             task_views: Vec::new(),
-            deadline_index: None,
+            deadline_index: OnceCell::new(),
         }
     }
 
@@ -347,26 +346,22 @@ impl JobRuntime {
         &self.task_views
     }
 
-    /// The resident [`DeadlineIndex`] of [`task_views`](Self::task_views), kept
-    /// for deadline-bound jobs only and for the estimate kind of
-    /// [`tnew_estimate`](Self::tnew_estimate): a first launch moves its row from the
+    /// The cell of the resident [`DeadlineIndex`] of
+    /// [`task_views`](Self::task_views), which the simulator's views carry. It
+    /// stays empty until a decision builds the index into it, keyed for that
+    /// decision's estimate kind; from then on a first launch moves its row from the
     /// fresh order to the running list, a completion removes its row's position,
     /// and a stage's unlock re-sorts the fresh order with the stage's rows.
-    pub fn deadline_index(&self) -> Option<&DeadlineIndex> {
-        self.deadline_index.as_ref()
+    pub fn deadline_index(&self) -> &OnceCell<DeadlineIndex> {
+        &self.deadline_index
     }
 
-    /// Build the resident task views, and a deadline-bound job's index of them for
-    /// `estimator`'s estimate kind. The simulator calls this once, at the job's
+    /// Build the resident task views. The simulator calls this once, at the job's
     /// arrival; [`task_views`](Self::task_views) says what keeps them current.
-    pub fn init_task_views(&mut self, estimator: &EstimatorConfig, cluster_mean_slowdown: f64) {
+    pub fn init_task_views(&mut self, cluster_mean_slowdown: f64) {
         let mut rows = Vec::with_capacity(self.unfinished);
         rows.extend(self.rows(cluster_mean_slowdown));
         self.task_views = rows;
-        if self.spec.bound.is_deadline() {
-            let estimate = self.tnew_estimate(estimator, cluster_mean_slowdown);
-            self.deadline_index = Some(DeadlineIndex::build(&self.task_views, estimate));
-        }
     }
 
     /// One row per unfinished task, in ascending task id.
@@ -389,10 +384,10 @@ impl JobRuntime {
     }
 
     /// Build the [`TaskView`]s for every unfinished task into a caller-provided
-    /// buffer, clearing it first. The frozen [`crate::reference`] engine builds every
-    /// view it hands out through here. No row depends on `now` or on the estimator:
-    /// under oracle estimates [`launch_copy`](Self::launch_copy) already gives every
-    /// copy a unit `rem_bias`.
+    /// buffer, clearing it first. The frozen reference engine (`grass-oracles`)
+    /// builds every view it hands out through here. No row depends on `now` or on
+    /// the estimator: under oracle estimates [`launch_copy`](Self::launch_copy)
+    /// already gives every copy a unit `rem_bias`.
     pub fn build_task_views_into(&self, cluster_mean_slowdown: f64, views: &mut Vec<TaskView>) {
         views.clear();
         views.extend(self.rows(cluster_mean_slowdown));
@@ -432,11 +427,12 @@ impl JobRuntime {
             self.speculative_copies += 1;
         }
         self.allocated_slots += 1;
-        // Keep the resident row and index current (an unbuilt table is empty).
+        // Keep the resident row and a built index current (an unbuilt table is
+        // empty).
         if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
             // grass: allow(panicky-lib, "pos was just returned by binary_search over task_views")
             t.set_copy_fields(&mut self.task_views[pos]);
-            if let Some(index) = &mut self.deadline_index {
+            if let Some(index) = self.deadline_index.get_mut() {
                 index.launched(&self.task_views, pos);
             }
         }
@@ -506,12 +502,12 @@ impl JobRuntime {
             self.accuracy.record(work * tnew_bias, actual);
         }
 
-        // Keep the resident table current (an unbuilt table is empty): the
-        // task's row goes, and the completion that meets its stage's requirement
-        // unlocks the next stage.
+        // Keep the resident table and a built index current (an unbuilt table is
+        // empty): the task's row goes, and the completion that meets its stage's
+        // requirement unlocks the next stage.
         if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
             self.task_views.remove(pos);
-            if let Some(index) = &mut self.deadline_index {
+            if let Some(index) = self.deadline_index.get_mut() {
                 index.removed(pos);
             }
         }
@@ -522,7 +518,7 @@ impl JobRuntime {
                     row.eligible = true;
                 }
             }
-            if let Some(index) = &mut self.deadline_index {
+            if let Some(index) = self.deadline_index.get_mut() {
                 index.unlocked(&self.task_views);
             }
         }
@@ -534,7 +530,7 @@ impl JobRuntime {
     /// and their index are freed.
     pub fn kill_all_copies(&mut self, now: Time) -> Vec<(TaskId, CopyId, SlotId)> {
         self.task_views = Vec::new();
-        self.deadline_index = None;
+        self.deadline_index = OnceCell::new();
         let mut freed = Vec::new();
         for (idx, t) in self.tasks.iter_mut().enumerate() {
             for c in t.copies.drain(..) {

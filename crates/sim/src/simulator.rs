@@ -13,6 +13,7 @@
 //!   (§5.2 of the paper),
 //! * progress-style `trem` / `tnew` estimation with configurable accuracy.
 
+use std::cell::OnceCell;
 // grass: allow(unordered-iter-on-digest-path, "keyed lookup only; results are never taken from map iteration order")
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound as RangeBound;
@@ -140,7 +141,7 @@ pub fn run_simulation_traced(
 ///
 /// Three indexes keep per-event work proportional to the *affected* state
 /// rather than to every live job (the pre-refactor engine, preserved verbatim
-/// in [`crate::reference`], rescanned all of them per event):
+/// in `grass_oracles::sim`, rescanned all of them per event):
 ///
 /// * `free_slots` — a [`SlotPool`]: the same LIFO allocation order as before
 ///   (slot identity feeds the trace and copy durations) plus per-machine free
@@ -397,11 +398,11 @@ impl<'a> Simulator<'a> {
 
         // Let the policy observe the job's initial state: the one build of its
         // resident task views.
-        runtime.init_task_views(&self.config.estimator, self.mean_slowdown);
+        runtime.init_task_views(self.mean_slowdown);
         let view = Self::job_view(
             &runtime,
             &runtime.task_views,
-            runtime.deadline_index.as_ref(),
+            &runtime.deadline_index,
             self.now,
             self.fair_share(),
             self.utilization(),
@@ -492,7 +493,7 @@ impl<'a> Simulator<'a> {
             let view = Self::job_view(
                 job,
                 &job.task_views,
-                job.deadline_index.as_ref(),
+                &job.deadline_index,
                 self.now,
                 fair,
                 util,
@@ -556,7 +557,7 @@ impl<'a> Simulator<'a> {
     fn job_view<'v>(
         job: &JobRuntime,
         views: &'v [grass_core::TaskView],
-        deadline_index: Option<&'v DeadlineIndex>,
+        deadline_index: &'v OnceCell<DeadlineIndex>,
         now: Time,
         fair_share: usize,
         utilization: f64,
@@ -574,7 +575,7 @@ impl<'a> Simulator<'a> {
             completed_tasks: job.completed_total(),
             tasks: views,
             tnew_estimate,
-            deadline_index,
+            deadline_index: Some(deadline_index),
             wave_width: job
                 .allocated_slots
                 .max(fair_share.min(job.spec.total_tasks())),
@@ -632,7 +633,7 @@ impl<'a> Simulator<'a> {
         let view = Self::job_view(
             job,
             &job.task_views,
-            job.deadline_index.as_ref(),
+            &job.deadline_index,
             self.now,
             fair_share,
             utilization,

@@ -46,11 +46,6 @@ impl ExecutionTrace {
         ExecutionTrace { meta, events }
     }
 
-    /// Encode the trace onto any writer in the text (v1) format.
-    pub fn write_to<W: Write>(&self, w: W) -> Result<(), TraceError> {
-        self.write_as(w, TraceFormat::Text)
-    }
-
     /// Encode the trace onto any writer in the chosen format.
     pub fn write_as<W: Write>(&self, mut w: W, format: TraceFormat) -> Result<(), TraceError> {
         let mut codec = codec_for(format);

@@ -75,18 +75,18 @@ pub mod prelude {
     pub use grass_core::{
         degrade_estimate, AccuracyTracker, Action, ActionKind, Bound, BoxedPolicy, DeadlineIndex,
         EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy,
-        JobId, JobOutcome, JobSizeBin, JobSpec, JobView, PolicyFactory, QuantileSketch, RasFactory,
-        RasPolicy, SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
+        JobId, JobOutcome, JobSizeBin, JobSpec, JobView, PolicyFactory, RasFactory, RasPolicy,
+        SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
         StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskSpec, TaskView, Time,
         TnewEstimate,
     };
     pub use grass_experiments::{
         assemble_sweep_result, compare, compare_outcomes, experiment_ids, make_factory,
-        merge_seed_sets, metric_for, metric_for_source, outcome_digest, parse_policy,
-        run_experiment, run_experiments_command, run_fleet_command, run_lint_command, run_once,
-        run_policy, run_sweep, run_sweep_cell, run_sweep_command, run_trace_command,
-        sample_task_durations, trace_identity, Comparison, ExpConfig, FleetCellSpec, FleetPlan,
-        PolicyKind, SweepCell, SweepCellRunner, SweepConfig, SweepResult,
+        merge_seed_sets, metric_for, metric_for_source, outcome_digest, run_experiment,
+        run_experiments_command, run_fleet_command, run_lint_command, run_once, run_policy,
+        run_sweep, run_sweep_cell, run_sweep_command, run_trace_command, sample_task_durations,
+        trace_identity, Comparison, ExpConfig, FleetCellSpec, FleetPlan, PolicyKind, SweepCell,
+        SweepCellRunner, SweepConfig, SweepResult,
     };
     pub use grass_fleet::{
         fnv1a64, run_fleet, run_worker, serve_broker, BrokerHandle, CellRunner, CellStatus, Claim,

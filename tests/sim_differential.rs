@@ -5,7 +5,7 @@
 //! 1. **Pinned golden fixtures** (`tests/fixtures/sim/`): a small grid of
 //!    workload × policy × cluster cases whose full-precision outcome digest and
 //!    captured `ExecutionTrace` bytes were recorded from the pre-refactor engine
-//!    (now frozen verbatim as `grass::sim::reference`). The live engine must
+//!    (now frozen verbatim as `grass_oracles::sim`). The live engine must
 //!    reproduce every fixture byte-for-byte. This is the gate the event-core
 //!    refactor had to pass: the fixtures were committed *before* the refactor
 //!    landed and are never regenerated from the live engine.
@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 
 use grass::prelude::*;
-use grass::sim::reference::run_reference_traced;
+use grass_oracles::sim::run_reference_traced;
 use proptest::prelude::*;
 
 type ProfileEntry = (&'static str, fn() -> TraceProfile);

@@ -1,22 +1,14 @@
-//! Differential and property tests of the two-layer sample store.
+//! Differential tests of the partitioned sample store.
 //!
-//! The exact layer must be **bit-for-bit** equivalent to the frozen
-//! pre-partitioning store (`grass_core::grass::reference::ReferenceSampleStore`):
-//! same retained samples, same counts, same `predict_rate` bits under arbitrary
-//! record interleavings, capacities and queries — partitioning is a pure
-//! reorganisation, not a behaviour change.
-//!
-//! The sketched layer has weaker, explicitly-stated guarantees, checked here as
-//! properties: every prediction is a convex combination of recorded rates (so it
-//! lies inside the observed rate range), the `min_samples` gate counts lifetime
-//! records, and snapshot merging is commutative and has an identity *exactly*
-//! (byte-equal encodings) while associativity is exact for counts and sketches
-//! and holds to rounding for the float sums (IEEE addition is commutative but
-//! not associative).
+//! The store must be **bit-for-bit** equivalent to the frozen pre-partitioning
+//! store (`grass_oracles::store::ReferenceSampleStore`): same retained samples,
+//! same counts, same `predict_rate` bits under arbitrary record interleavings,
+//! capacities and queries — partitioning is a pure reorganisation, not a
+//! behaviour change.
 
 use grass::prelude::*;
-use grass_core::grass::reference::ReferenceSampleStore;
 use grass_core::grass::{BoundKind, QueryContext, Sample};
+use grass_oracles::store::ReferenceSampleStore;
 use proptest::prelude::*;
 
 /// Case count, overridable via `PROPTEST_CASES` (see `tests/properties.rs`).
@@ -142,156 +134,51 @@ proptest! {
             prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
         }
     }
-
-    /// A sketched prediction is a convex combination of recorded rates, so it
-    /// always lies within the [min, max] rate range of its partition, and the
-    /// `min_samples` gate counts lifetime (never-evicted) records.
-    #[test]
-    fn sketched_prediction_stays_within_the_recorded_rate_range(
-        ops in prop::collection::vec(sample_strategy(), 1..120),
-        queries in prop::collection::vec(query_strategy(), 1..12),
-    ) {
-        let store = SampleStore::sketched();
-        for op in &ops {
-            store.record(build_sample(op));
-        }
-        for q in &queries {
-            let (mode, ctx, factors) = build_query(q);
-            let rates: Vec<f64> = ops
-                .iter()
-                .map(build_sample)
-                .filter(|s| s.mode == mode && s.kind == ctx.kind)
-                .map(|s| s.rate())
-                .collect();
-            let gate = store.count_for(mode, ctx.kind);
-            prop_assert_eq!(gate, rates.len());
-            prop_assert!(store.predict_rate(mode, &ctx, factors, gate + 1).is_none());
-            if let Some(p) = store.predict_rate(mode, &ctx, factors, gate) {
-                let lo = rates.iter().cloned().fold(f64::INFINITY, f64::min);
-                let hi = rates.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                // Convexity up to float rounding of the weighted sums.
-                let slack = 1e-9 * (1.0 + hi.abs());
-                prop_assert!(
-                    p >= lo - slack && p <= hi + slack,
-                    "prediction {} outside recorded rate range [{}, {}]",
-                    p, lo, hi
-                );
-            }
-        }
-    }
-
-    /// Snapshot merge laws: commutative and identity-preserving exactly
-    /// (byte-equal canonical encodings); associative exactly for counts and
-    /// sketch buckets, and up to rounding for the float sums.
-    #[test]
-    fn snapshot_merge_is_commutative_with_identity_and_near_associative(
-        a_ops in prop::collection::vec(sample_strategy(), 0..60),
-        b_ops in prop::collection::vec(sample_strategy(), 0..60),
-        c_ops in prop::collection::vec(sample_strategy(), 0..60),
-    ) {
-        let snap = |ops: &[(u8, u8, f64, f64, f64)]| {
-            let store = SampleStore::sketched();
-            for op in ops {
-                store.record(build_sample(op));
-            }
-            store.snapshot()
-        };
-        let (a, b, c) = (snap(&a_ops), snap(&b_ops), snap(&c_ops));
-
-        // Commutativity: a ⊔ b == b ⊔ a byte for byte (u64 adds are exact;
-        // two-term IEEE addition is commutative).
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab.encode(), ba.encode());
-
-        // Identity: merging an empty snapshot changes nothing, either way.
-        let empty = StoreSnapshot::default();
-        let mut a_e = a.clone();
-        a_e.merge(&empty);
-        prop_assert_eq!(a_e.encode(), a.encode());
-        let mut e_a = empty.clone();
-        e_a.merge(&a);
-        prop_assert_eq!(e_a.encode(), a.encode());
-
-        // Associativity: exact on the integer state. The float sums may differ
-        // in the last bits, which the stores this feeds absorb (predictions
-        // are ratios of the sums); pin that they agree to relative tolerance
-        // by merging into fresh stores and comparing total sample counts and a
-        // quantile read-out, which depend only on the integer state.
-        let mut ab_c = ab;
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        prop_assert_eq!(ab_c.total_samples(), a_bc.total_samples());
-        let left = SampleStore::sketched();
-        left.merge(&ab_c);
-        let right = SampleStore::sketched();
-        right.merge(&a_bc);
-        for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
-            for kind in [BoundKind::Deadline, BoundKind::Error] {
-                prop_assert_eq!(left.count_for(mode, kind), right.count_for(mode, kind));
-                for q in [0.1, 0.5, 0.9] {
-                    let ql = left.rate_quantile(mode, kind, q);
-                    let qr = right.rate_quantile(mode, kind, q);
-                    prop_assert_eq!(ql.map(f64::to_bits), qr.map(f64::to_bits));
-                }
-                prop_assert_eq!(left.sketch_bins(), right.sketch_bins());
-            }
-        }
-    }
 }
 
-/// Pinned decision oracle: with clearly separated GS-fast / RAS-slow evidence,
-/// both layers must predict the same ordering — the sketched approximation may
-/// move the numbers, but it must not flip the switch decision GRASS derives
-/// from them.
+/// The ring-buffer eviction walks the same global FIFO as the historical
+/// front-drain, across partitions: drive both stores through an irregular
+/// mixed-partition overflow sequence and compare the retained samples per
+/// partition, in order, after every record.
 #[test]
-fn both_layers_agree_on_the_pinned_switch_decision() {
-    let exact = SampleStore::with_capacity(1000);
-    let sketched = SampleStore::sketched();
-    for i in 0..40 {
-        let spread = (i % 5) as f64;
-        let gs = Sample {
-            mode: SpeculationMode::Gs,
-            kind: BoundKind::Deadline,
-            size_bucket: SizeBucket(3),
-            bound_value: 40.0 + spread,
-            performance: 80.0 + spread, // fast: ~2 tasks per bound-second
-            utilization: 0.5 + spread / 50.0,
-            accuracy: 0.7,
+fn eviction_order_and_counts_match_the_frozen_reference() {
+    let store = SampleStore::with_capacity(5);
+    let oracle = ReferenceSampleStore::with_capacity(5);
+    let mix = [
+        (SpeculationMode::Gs, BoundKind::Deadline),
+        (SpeculationMode::Gs, BoundKind::Deadline),
+        (SpeculationMode::Ras, BoundKind::Error),
+        (SpeculationMode::Gs, BoundKind::Error),
+        (SpeculationMode::Ras, BoundKind::Deadline),
+        (SpeculationMode::Gs, BoundKind::Deadline),
+        (SpeculationMode::Ras, BoundKind::Error),
+    ];
+    for i in 0..23 {
+        let (mode, kind) = mix[(i * i) % mix.len()];
+        let sample = Sample {
+            mode,
+            kind,
+            size_bucket: SizeBucket(5),
+            bound_value: 10.0 + i as f64,
+            performance: 20.0 + i as f64,
+            utilization: 0.5,
+            accuracy: 0.75,
         };
-        let ras = Sample {
-            performance: 20.0 + spread, // slow: ~0.5 tasks per bound-second
-            mode: SpeculationMode::Ras,
-            ..gs.clone()
-        };
-        exact.record(gs.clone());
-        exact.record(ras.clone());
-        sketched.record(gs);
-        sketched.record(ras);
-    }
-    let ctx = QueryContext {
-        kind: BoundKind::Deadline,
-        size_bucket: SizeBucket(3),
-        bound_value: 42.0,
-        utilization: 0.52,
-        accuracy: 0.7,
-    };
-    for store in [&exact, &sketched] {
-        let gs = store
-            .predict_rate(SpeculationMode::Gs, &ctx, FactorSet::all(), 1)
-            .expect("gs prediction");
-        let ras = store
-            .predict_rate(SpeculationMode::Ras, &ctx, FactorSet::all(), 1)
-            .expect("ras prediction");
-        assert!(
-            gs > 2.0 * ras,
-            "GS must dominate RAS on this evidence (gs={gs}, ras={ras}, sketched={})",
-            store.is_sketched()
-        );
+        store.record(sample.clone());
+        oracle.record(sample);
+        for (m, k) in [
+            (SpeculationMode::Gs, BoundKind::Deadline),
+            (SpeculationMode::Ras, BoundKind::Deadline),
+            (SpeculationMode::Gs, BoundKind::Error),
+            (SpeculationMode::Ras, BoundKind::Error),
+        ] {
+            assert_eq!(
+                store.samples_for(m, k),
+                oracle.samples_for(m, k),
+                "partition ({m:?}, {k:?}) diverged after record {i}"
+            );
+            assert_eq!(store.count_for(m, k), oracle.count_for(m, k));
+        }
+        assert_eq!(store.len(), oracle.len());
     }
 }

@@ -25,9 +25,11 @@
 //!   match.
 //!
 //! A deadline-bound job also keeps a `DeadlineIndex` of its rows beside them
-//! (`JobRuntime::deadline_index`; error-bound jobs keep none). After every step
-//! it must equal one built from the resident rows: the same running rows in the
-//! same order, and the same live fresh rows in the same order.
+//! (`JobRuntime::deadline_index`), built by its first GS or RAS decision;
+//! error-bound jobs keep none. Once built, after every step it must equal one
+//! built from the resident rows: the same running rows in the same order, and
+//! the same live fresh rows in the same order. A deadline-bound job whose
+//! policy is LATE never builds one.
 //!
 //! Every case also keeps one `GsPolicy` and one `RasPolicy` across all the
 //! steps, as the simulator keeps one policy per job. After every step each
@@ -134,7 +136,7 @@ fn resident_view<'a>(rt: &'a JobRuntime, now: Time, estimator: &EstimatorConfig)
         completed_tasks: rt.completed_total(),
         tasks: rt.task_views(),
         tnew_estimate: rt.tnew_estimate(estimator, MEAN_SLOWDOWN),
-        deadline_index: rt.deadline_index(),
+        deadline_index: Some(rt.deadline_index()),
         wave_width: 1,
         cluster_utilization: 0.0,
         estimation_accuracy: rt.accuracy.accuracy(),
@@ -194,9 +196,17 @@ fn assert_resident_rows_match_a_full_build(
     }
 
     let estimate = rt.tnew_estimate(estimator, MEAN_SLOWDOWN);
-    match rt.deadline_index() {
-        None => assert!(rt.spec.bound.is_error(), "step {step}: no index kept"),
+    match rt.deadline_index().get() {
+        // The first decision, right after step 0's check, builds it.
+        None => assert!(
+            rt.spec.bound.is_error() || step == 0,
+            "step {step}: no index kept"
+        ),
         Some(kept) => {
+            assert!(
+                rt.spec.bound.is_deadline(),
+                "step {step}: index kept for an error-bound job"
+            );
             assert!(
                 kept.is_for(estimate),
                 "step {step}: index of the wrong kind"
@@ -288,7 +298,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rt = JobRuntime::new(spec, Box::new(Idle), &estimator, 0.0, &mut rng);
         let mut now = 0.0;
-        rt.init_task_views(&estimator, MEAN_SLOWDOWN);
+        rt.init_task_views(MEAN_SLOWDOWN);
         assert_resident_rows_match_a_full_build(&rt, now, &estimator, 0);
         let mut policies: Vec<(SpeculationMode, Box<dyn SpeculationPolicy>)> = vec![
             (SpeculationMode::Gs, Box::<GsPolicy>::default()),
@@ -366,4 +376,51 @@ proptest! {
             decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, step + 1);
         }
     }
+}
+
+/// LATE never reads a deadline index, so a deadline-bound job it schedules
+/// never builds one, through launches, races and completions; the first GS
+/// decision on the same rows builds one equal to a fresh build.
+#[test]
+fn a_late_deadline_job_keeps_no_index() {
+    let spec = JobSpec::single_stage(1, 0.0, Bound::Deadline(50.0), vec![1.0, 2.0, 3.0, 4.0]);
+    let estimator = EstimatorConfig::with_accuracy(0.6);
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut late = LateFactory::default().create(&spec);
+    let mut rt = JobRuntime::new(spec, Box::new(Idle), &estimator, 0.0, &mut rng);
+    rt.init_task_views(MEAN_SLOWDOWN);
+    let slot = SlotId {
+        machine: 0,
+        slot: 0,
+    };
+    let mut now = 0.0;
+    for copy in 0..6 {
+        let action = late.choose(&resident_view(&rt, now, &estimator));
+        assert!(rt.deadline_index().get().is_none(), "LATE built an index");
+        let Some(action) = action else { break };
+        rt.launch_copy(action.task, copy, slot, now, 2.0, &estimator, &mut rng);
+        if copy % 2 == 1 {
+            now += 2.0;
+            rt.complete_copy(action.task, copy, now);
+        }
+        assert!(
+            rt.deadline_index().get().is_none(),
+            "launches built an index"
+        );
+    }
+    assert!(!rt.task_views().is_empty());
+
+    let view = resident_view(&rt, now, &estimator);
+    GsPolicy::default().choose(&view);
+    let kept = rt.deadline_index().get().expect("GS builds the index");
+    let fresh = DeadlineIndex::build(rt.task_views(), view.tnew_estimate);
+    let ids = |rows: &mut dyn Iterator<Item = &TaskView>| rows.map(|t| t.id).collect::<Vec<_>>();
+    assert_eq!(
+        ids(&mut kept.fresh_rows(rt.task_views())),
+        ids(&mut fresh.fresh_rows(rt.task_views()))
+    );
+    assert_eq!(
+        ids(&mut kept.running_rows(rt.task_views())),
+        ids(&mut fresh.running_rows(rt.task_views()))
+    );
 }
