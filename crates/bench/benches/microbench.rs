@@ -10,14 +10,14 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use grass_core::grass::{BoundKind, QueryContext, Sample};
 use grass_core::{
-    Bound, DeadlineIndex, FactorSet, GrassConfig, GrassFactory, GsFactory, JobId, JobSpec, JobView,
-    PolicyFactory, RasFactory, SampleStore, SizeBucket, SpeculationMode, StageId, TaskId, TaskView,
-    TnewEstimate,
+    Bound, DeadlineIndex, EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GsFactory, JobId,
+    JobSpec, JobView, PolicyFactory, RasFactory, SampleStore, SizeBucket, SpeculationMode, StageId,
+    TaskId, TaskRows, TaskView, TnewEstimate,
 };
 use grass_model::tail_index;
 use grass_oracles::store::ReferenceSampleStore;
-use grass_policies::{LateFactory, MantriFactory};
-use grass_sim::{run_simulation, ClusterConfig, SimConfig};
+use grass_policies::{LateFactory, MantriFactory, NoSpecPolicy};
+use grass_sim::{run_simulation, ClusterConfig, JobRuntime, SimConfig, SlotId};
 use grass_workload::{generate, BoundSpec, Framework, TraceProfile, WorkloadConfig};
 
 /// The `now` of every [`view_of`] view.
@@ -26,8 +26,8 @@ const NOW: f64 = 10.0;
 /// Build a job view with `n` tasks, half of them running, for decision benchmarks.
 /// A row's `tnew` is its work: [`view_of`] reads it through a unit per-work estimate.
 /// A running row's copy started 5 s before [`NOW`] and has `4 + i % 7` seconds left.
-fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
-    let tasks: Vec<TaskView> = (0..n)
+fn synthetic_view(n: u32, bound: Bound) -> (TaskRows, JobSpec) {
+    let tasks: TaskRows = (0..n)
         .map(|i| {
             let running = i % 2 == 0;
             let (start, duration) = if running {
@@ -54,7 +54,7 @@ fn synthetic_view(n: u32, bound: Bound) -> (Vec<TaskView>, JobSpec) {
     (tasks, spec)
 }
 
-fn view_of(tasks: &[TaskView], bound: Bound) -> JobView<'_> {
+fn view_of(tasks: &TaskRows, bound: Bound) -> JobView<'_> {
     JobView {
         job: JobId(1),
         now: NOW,
@@ -141,7 +141,7 @@ fn policy_decision_latency(c: &mut Criterion) {
                 group.bench_function(format!("{name}_same_instant"), |b| {
                     b.iter(|| {
                         let action = policy.choose(&view_of(&rows, bound));
-                        match action.and_then(|a| rows.get_mut(a.task.index())) {
+                        match action.and_then(|a| rows.get_mut(a.task)) {
                             // One more copy, launched now, which becomes the best
                             // copy with a `trem` derived from the task id.
                             Some(row) => {
@@ -408,6 +408,55 @@ fn simulator_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// The resident task table's upkeep with no policy: one 4,000-task job launches a
+/// copy of every task in task-id (FIFO) order, then completes them in the same
+/// order, as LATE's FIFO launches complete near the front of the table. Each
+/// iteration starts from a freshly built runtime, made outside the timed part.
+fn job_runtime_upkeep(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let mut group = c.benchmark_group("job_runtime");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(500))
+        .measurement_time(Duration::from_secs(2));
+    const TASKS: u32 = 4_000;
+    let spec = JobSpec::single_stage(1, 0.0, Bound::EXACT, vec![1.0; TASKS as usize]);
+    let estimator = EstimatorConfig::oracle();
+    let slot = SlotId {
+        machine: 0,
+        slot: 0,
+    };
+    group.bench_function("fifo_launch_complete_4000_tasks", |b| {
+        b.iter_batched(
+            || {
+                let mut rng = StdRng::seed_from_u64(1);
+                let mut rt = JobRuntime::new(
+                    spec.clone(),
+                    Box::new(NoSpecPolicy),
+                    &estimator,
+                    0.0,
+                    &mut rng,
+                );
+                rt.init_task_views(1.0);
+                (rt, rng)
+            },
+            |(mut rt, mut rng)| {
+                for id in 0..TASKS {
+                    let copy = u64::from(id);
+                    rt.launch_copy(TaskId(id), copy, slot, 0.0, 1.0, &estimator, &mut rng);
+                }
+                for id in 0..TASKS {
+                    rt.complete_copy(TaskId(id), u64::from(id), 1.0);
+                }
+                criterion::black_box(rt.completed_total())
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
 fn workload_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("workload");
     group
@@ -448,6 +497,7 @@ criterion_group!(
     sample_store_prediction,
     grass_choose_warmed,
     simulator_throughput,
+    job_runtime_upkeep,
     workload_generation,
     hill_estimation
 );

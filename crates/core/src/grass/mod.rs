@@ -81,6 +81,16 @@ impl GrassConfig {
             ..Self::paper_default()
         }
     }
+
+    /// The name reports give this configuration: `GRASS-strawman`, `GRASS` for a
+    /// learned switch over all three factors, and `GRASS-best{n}` over `n` of them.
+    pub fn name(&self) -> String {
+        match (self.strategy, self.factors.count()) {
+            (SwitchStrategy::Strawman(_), _) => "GRASS-strawman".to_string(),
+            (SwitchStrategy::Learned, 3) => "GRASS".to_string(),
+            (SwitchStrategy::Learned, n) => format!("GRASS-best{n}"),
+        }
+    }
 }
 
 impl Default for GrassConfig {
@@ -211,16 +221,11 @@ impl GrassFactory {
 
     /// New factory with an explicit configuration.
     pub fn with_config(config: GrassConfig, seed: u64) -> Self {
-        let name = match (config.strategy, config.factors.count()) {
-            (SwitchStrategy::Strawman(_), _) => "GRASS-strawman".to_string(),
-            (SwitchStrategy::Learned, 3) => "GRASS".to_string(),
-            (SwitchStrategy::Learned, n) => format!("GRASS-best{n}"),
-        };
         GrassFactory {
             config,
             store: Arc::new(SampleStore::new()),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            name,
+            name: config.name(),
         }
     }
 
@@ -273,7 +278,7 @@ impl PolicyFactory for GrassFactory {
 mod tests {
     use super::*;
     use crate::job::{Bound, TnewEstimate};
-    use crate::task::{JobId, StageId, TaskId, TaskView};
+    use crate::task::{JobId, StageId, TaskId, TaskRows, TaskView};
 
     fn unscheduled(id: u32, tnew: f64) -> TaskView {
         TaskView {
@@ -291,7 +296,7 @@ mod tests {
         }
     }
 
-    fn deadline_view(tasks: &[TaskView], now: f64, deadline: f64) -> JobView<'_> {
+    fn deadline_view(tasks: &TaskRows, now: f64, deadline: f64) -> JobView<'_> {
         JobView {
             job: JobId(1),
             now,
@@ -328,7 +333,7 @@ mod tests {
     fn strawman_grass_switches_near_the_deadline() {
         let mut policy =
             GrassPolicy::new(GrassConfig::strawman(), Arc::new(SampleStore::new()), None);
-        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..10).map(|i| unscheduled(i, 4.0)).collect();
         // Far from the deadline: stays RAS.
         let view = deadline_view(&tasks, 0.0, 100.0);
         policy.choose(&view);
@@ -343,7 +348,7 @@ mod tests {
     #[test]
     fn declines_are_held_only_once_the_mode_is_final() {
         // Every task runs and a copy would save nothing, so every mode declines.
-        let tasks: Vec<TaskView> = (0..10)
+        let tasks: TaskRows = (0..10)
             .map(|i| TaskView {
                 running_copies: 1,
                 copy_duration: 1.0,
@@ -375,7 +380,7 @@ mod tests {
     #[test]
     fn check_interval_rate_limits_evaluation() {
         let config = GrassConfig::strawman();
-        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..10).map(|i| unscheduled(i, 4.0)).collect();
         // Checked at t=0 with 10s left (two 4s waves are 8s: stay); at t=2.5, with
         // 7.5s left and more than the 1s interval gone, it re-evaluates and switches.
         let mut policy = GrassPolicy::new(config, Arc::new(SampleStore::new()), None);

@@ -496,24 +496,6 @@ impl SampleStore {
         inner.parts[par_idx(mode, kind)].fifo.len()
     }
 
-    /// Count samples available for a given mode and bound kind, O(1).
-    pub fn count_for(&self, mode: SpeculationMode, kind: BoundKind) -> usize {
-        let guard = self.inner.read();
-        Self::partition_count(&guard, mode, kind)
-    }
-
-    /// Count samples available for both modes of one bound kind under a single lock
-    /// acquisition: `(GS count, RAS count)`, O(1). Used by the switching evaluation
-    /// to bail out before running a candidate-point sweep that cannot produce a
-    /// prediction.
-    pub fn counts_for_kind(&self, kind: BoundKind) -> (usize, usize) {
-        let guard = self.inner.read();
-        (
-            Self::partition_count(&guard, SpeculationMode::Gs, kind),
-            Self::partition_count(&guard, SpeculationMode::Ras, kind),
-        )
-    }
-
     /// Generation-tagged snapshot of every per-(kind, mode) count, one lock
     /// acquisition. The generation is read while the lock is held, so it matches
     /// the counts exactly.
@@ -798,12 +780,9 @@ mod tests {
         ));
         store.record(sample(SpeculationMode::Gs, BoundKind::Error, 30.0, 15.0));
         assert_eq!(store.len(), 3);
-        assert_eq!(store.count_for(SpeculationMode::Gs, BoundKind::Deadline), 1);
-        assert_eq!(
-            store.count_for(SpeculationMode::Ras, BoundKind::Deadline),
-            1
-        );
-        assert_eq!(store.count_for(SpeculationMode::Ras, BoundKind::Error), 0);
+        let counts = store.counts_snapshot();
+        assert_eq!(counts.for_kind(BoundKind::Deadline), (1, 1));
+        assert_eq!(counts.for_kind(BoundKind::Error), (1, 0));
         store.clear();
         assert!(store.is_empty());
     }
@@ -822,23 +801,26 @@ mod tests {
         for i in 0..10 {
             let (mode, kind) = mix[i % mix.len()];
             store.record(sample(mode, kind, 10.0, 20.0));
-            // Ground truth by definition: count_for must always equal a full scan —
+            // Ground truth by definition: the counts must always equal a full scan —
             // here recomputed from the deterministic record/evict pattern.
+            let counts = store.counts_snapshot();
             for (m, k) in mix {
                 let expected = (0..=i)
                     .skip(i.saturating_sub(3))
                     .filter(|j| mix[j % mix.len()] == (m, k))
                     .count();
-                assert_eq!(store.count_for(m, k), expected, "after record {i}");
+                let (gs, ras) = counts.for_kind(k);
+                let got = if m == SpeculationMode::Gs { gs } else { ras };
+                assert_eq!(got, expected, "after record {i}");
             }
         }
         let snapshot = store.counts_snapshot();
         assert_eq!(snapshot.for_kind(BoundKind::Deadline), (1, 1));
         assert_eq!(snapshot.for_kind(BoundKind::Error), (1, 1));
-        assert_eq!(store.counts_for_kind(BoundKind::Deadline), (1, 1));
         store.clear();
-        assert_eq!(store.counts_for_kind(BoundKind::Deadline), (0, 0));
-        assert_eq!(store.counts_for_kind(BoundKind::Error), (0, 0));
+        let cleared = store.counts_snapshot();
+        assert_eq!(cleared.for_kind(BoundKind::Deadline), (0, 0));
+        assert_eq!(cleared.for_kind(BoundKind::Error), (0, 0));
     }
 
     #[test]

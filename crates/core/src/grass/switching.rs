@@ -374,7 +374,7 @@ mod tests {
     use crate::bins::SizeBucket;
     use crate::grass::samples::Sample;
     use crate::job::TnewEstimate;
-    use crate::task::{JobId, StageId, TaskId, TaskView};
+    use crate::task::{JobId, StageId, TaskId, TaskRows, TaskView};
 
     fn unscheduled(id: u32, tnew: f64) -> TaskView {
         TaskView {
@@ -393,7 +393,7 @@ mod tests {
     }
 
     fn view<'a>(
-        tasks: &'a [TaskView],
+        tasks: &'a TaskRows,
         bound: Bound,
         now: f64,
         wave_width: usize,
@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn strawman_deadline_switches_inside_two_waves() {
-        let tasks: Vec<TaskView> = (0..6).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..6).map(|i| unscheduled(i, 4.0)).collect();
         // Remaining deadline 20s, median task 4s, two waves = 8s => stay.
         let v = view(&tasks, Bound::Deadline(20.0), 0.0, 2, 0, 20);
         assert_eq!(strawman(&v), SwitchDecision::Stay);
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn strawman_error_switches_when_needed_tasks_fit_in_two_waves() {
-        let tasks: Vec<TaskView> = (0..30).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..30).map(|i| unscheduled(i, 4.0)).collect();
         // 100 input tasks, ε = 0.2 => 80 needed; 50 done => 30 still needed.
         let v = view(&tasks, Bound::Error(0.2), 10.0, 5, 50, 100);
         // Two waves of 5 slots = 10 < 30 => stay.
@@ -474,14 +474,14 @@ mod tests {
 
     #[test]
     fn strawman_stays_when_no_duration_information() {
-        let tasks: Vec<TaskView> = vec![];
+        let tasks = TaskRows::default();
         let v = view(&tasks, Bound::Deadline(20.0), 0.0, 2, 0, 20);
         assert_eq!(strawman(&v), SwitchDecision::Stay);
     }
 
     #[test]
     fn learned_deadline_switches_when_gs_rate_dominates() {
-        let tasks: Vec<TaskView> = (0..20).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..20).map(|i| unscheduled(i, 4.0)).collect();
         let v = view(&tasks, Bound::Deadline(40.0), 0.0, 2, 0, 20);
         // GS completes 3 tasks/s, RAS 1 task/s everywhere => best to switch now.
         let store = store_with_rates(3.0, 1.0, BoundKind::Deadline);
@@ -495,7 +495,7 @@ mod tests {
 
     #[test]
     fn learned_error_switches_when_gs_is_faster() {
-        let tasks: Vec<TaskView> = (0..40).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..40).map(|i| unscheduled(i, 4.0)).collect();
         let v = view(&tasks, Bound::Error(0.1), 0.0, 4, 10, 100);
         let store = store_with_rates(3.0, 1.0, BoundKind::Error);
         assert_eq!(learned(&v, &store), SwitchDecision::SwitchNow);
@@ -505,7 +505,7 @@ mod tests {
 
     #[test]
     fn cached_scan_matches_uncached_and_memoises() {
-        let tasks: Vec<TaskView> = (0..101)
+        let tasks: TaskRows = (0..101)
             .map(|i| unscheduled(i, (i % 9) as f64 + 1.0))
             .collect();
         let v = view(&tasks, Bound::Deadline(30.0), 0.0, 2, 0, 120);
@@ -520,8 +520,8 @@ mod tests {
         assert_eq!(again, cached);
         assert_eq!(cache.memo, memo_before);
         // Progress changes (a task completed) invalidate the key.
-        let shorter = &tasks[..90];
-        let v2 = view(shorter, Bound::Deadline(30.0), 0.0, 2, 11, 120);
+        let shorter: TaskRows = tasks[..90].iter().cloned().collect();
+        let v2 = view(&shorter, Bound::Deadline(30.0), 0.0, 2, 11, 120);
         strawman_decision_cached(&v2, &StrawmanConfig::default(), &mut cache);
         assert_ne!(cache.memo, memo_before);
         // Manual invalidation drops the memo.
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn memo_is_keyed_by_job_identity() {
-        let tasks: Vec<TaskView> = (0..10).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..10).map(|i| unscheduled(i, 4.0)).collect();
         let mut v = view(&tasks, Bound::Deadline(30.0), 0.0, 2, 0, 20);
         let mut cache = SwitchScanCache::new();
         strawman_decision_cached(&v, &StrawmanConfig::default(), &mut cache);
@@ -547,7 +547,7 @@ mod tests {
         // Even- and odd-length eligible sets: the O(n) selection must agree with the
         // upper median of a full sort.
         for n in [7u32, 8, 101, 500] {
-            let tasks: Vec<TaskView> = (0..n)
+            let tasks: TaskRows = (0..n)
                 .map(|i| unscheduled(i, ((i * 37) % 23) as f64 + 0.5))
                 .collect();
             let v = view(&tasks, Bound::Deadline(1000.0), 0.0, 2, 0, n as usize);
@@ -568,7 +568,7 @@ mod tests {
         // at every step — i.e. the memo must never serve counts from a previous
         // store state that could change the sweep-vs-shortcut choice.
         let factors = FactorSet::all();
-        let tasks: Vec<TaskView> = (0..20).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..20).map(|i| unscheduled(i, 4.0)).collect();
         let dl_view = view(&tasks, Bound::Deadline(40.0), 0.0, 2, 0, 20);
         let err_view = view(&tasks, Bound::Error(0.1), 0.0, 4, 10, 100);
         let store = SampleStore::new();
@@ -625,7 +625,7 @@ mod tests {
     #[test]
     fn preflight_memo_is_reused_while_the_store_is_unmutated() {
         let store = store_with_rates(3.0, 1.0, BoundKind::Deadline);
-        let tasks: Vec<TaskView> = (0..20).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..20).map(|i| unscheduled(i, 4.0)).collect();
         let v = view(&tasks, Bound::Deadline(40.0), 0.0, 2, 0, 20);
         let mut cache = SwitchScanCache::new();
         learned_decision_cached(&v, &store, FactorSet::all(), &mut cache);
@@ -658,7 +658,7 @@ mod tests {
     #[test]
     fn learned_falls_back_to_strawman_without_samples() {
         let store = SampleStore::new();
-        let tasks: Vec<TaskView> = (0..6).map(|i| unscheduled(i, 4.0)).collect();
+        let tasks: TaskRows = (0..6).map(|i| unscheduled(i, 4.0)).collect();
         // Far from the deadline: strawman says stay.
         let v = view(&tasks, Bound::Deadline(100.0), 0.0, 2, 0, 20);
         assert_eq!(learned(&v, &store), SwitchDecision::Stay);

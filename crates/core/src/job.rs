@@ -4,7 +4,7 @@ use std::cell::{Cell, OnceCell};
 
 use serde::{Deserialize, Serialize};
 
-use crate::task::{JobId, StageId, TaskId, TaskSpec, TaskView, Time};
+use crate::task::{JobId, StageId, TaskId, TaskRows, TaskSpec, TaskView, Time};
 use crate::{Error, Result};
 
 /// The approximation bound of a job (§2.1 of the paper).
@@ -277,22 +277,23 @@ impl TnewEstimate {
 }
 
 /// A deadline-bound job's rows as Pseudocode 1 reads them: its eligible fresh rows in
-/// `tnew`-key order and the positions of its running rows, so a decision reads the
-/// front of the one and all of the other instead of every row. A row's key is the
-/// part of [`JobView::tnew`] that depends on the row alone: `work × tnew_bias` under
-/// a per-work estimate, the hint itself under oracle estimates. It depends on
-/// neither `now` nor the per-work estimate, so no completion reorders the rows.
+/// `tnew`-key order and its running rows, so a decision reads the front of the one
+/// and all of the other instead of every row. A row's key is the part of
+/// [`JobView::tnew`] that depends on the row alone: `work × tnew_bias` under a
+/// per-work estimate, the hint itself under oracle estimates. It depends on neither
+/// `now` nor the per-work estimate, so no completion reorders the rows.
 ///
 /// It is built for one estimate kind, per-work or oracle
-/// ([`DeadlineIndex::is_for`]), from the rows of a [`JobView`], and for those rows:
+/// ([`DeadlineIndex::is_for`]), from the rows of a [`JobView`], and for those rows.
+/// Both of its lists hold task ids, and it reads a row through the rows' id map
+/// ([`TaskRows::get`]), so the order of the rows, which is not sorted, never shows:
 ///
 /// * the fresh order holds the task id of every eligible row with no running copy,
 ///   sorted by (key, task id). It may also hold *stale* entries, tasks that launched
 ///   or finished after they joined it; [`DeadlineIndex::fresh_rows`] skips them, and
 ///   a launch of the front row drops it and the stale entries behind it, so the
 ///   front is live;
-/// * the running list holds the position in the rows of every row with a running
-///   copy, ascending, which is view order.
+/// * the running list holds the task id of every row with a running copy, ascending.
 ///
 /// A row's key never changes and a running row never becomes fresh again, so only a
 /// first launch, a row's removal and a stage's unlock move the index; its owner
@@ -305,23 +306,24 @@ pub struct DeadlineIndex {
     /// Task ids by (key, task id); the entries before `start` are stale.
     fresh: Vec<u32>,
     start: usize,
-    /// Row positions, ascending.
+    /// Task ids of the running rows, ascending.
     running: Vec<u32>,
 }
 
 impl DeadlineIndex {
     /// The index of `rows`, keyed for `estimate`'s kind.
-    pub fn build(rows: &[TaskView], estimate: TnewEstimate) -> Self {
+    pub fn build(rows: &TaskRows, estimate: TnewEstimate) -> Self {
+        let mut running: Vec<u32> = rows
+            .iter()
+            .filter(|t| t.is_running())
+            .map(|t| t.id.0)
+            .collect();
+        running.sort_unstable();
         let mut index = DeadlineIndex {
             kind: estimate,
             fresh: Vec::new(),
             start: 0,
-            running: rows
-                .iter()
-                .zip(0..)
-                .filter(|(t, _)| t.is_running())
-                .map(|(_, at)| at)
-                .collect(),
+            running,
         };
         index.unlocked(rows);
         index
@@ -334,38 +336,31 @@ impl DeadlineIndex {
     }
 
     /// The eligible rows of `rows` with no running copy, by (key, task id).
-    pub fn fresh_rows<'r>(&'r self, rows: &'r [TaskView]) -> impl Iterator<Item = &'r TaskView> {
+    pub fn fresh_rows<'r>(&'r self, rows: &'r TaskRows) -> impl Iterator<Item = &'r TaskView> {
         let ids = self.fresh.get(self.start..).unwrap_or_default();
-        ids.iter().filter_map(|&id| {
-            let at = rows.binary_search_by_key(&id, |t| t.id.0).ok()?;
-            rows.get(at).filter(|t| !t.is_running())
-        })
+        ids.iter()
+            .filter_map(|&id| rows.get(TaskId(id)).filter(|t| !t.is_running()))
     }
 
-    /// The rows of `rows` with a running copy, in view order.
-    pub fn running_rows<'r>(&'r self, rows: &'r [TaskView]) -> impl Iterator<Item = &'r TaskView> {
-        self.running.iter().filter_map(|&at| rows.get(at as usize))
+    /// The rows of `rows` with a running copy, by task id.
+    pub fn running_rows<'r>(&'r self, rows: &'r TaskRows) -> impl Iterator<Item = &'r TaskView> {
+        self.running.iter().filter_map(|&id| rows.get(TaskId(id)))
     }
 
-    /// Record a copy launched of the row at position `at` of `rows`: a first copy
-    /// moves the row from the fresh order to the running list.
-    pub fn launched(&mut self, rows: &[TaskView], at: usize) {
-        let Some(row) = rows.get(at).filter(|t| t.running_copies == 1) else {
+    /// Record a copy of `task` launched: a first copy moves its row from the fresh
+    /// order to the running list.
+    pub fn launched(&mut self, rows: &TaskRows, task: TaskId) {
+        if rows.get(task).is_none_or(|t| t.running_copies != 1) {
             return;
-        };
-        let was_front = self.fresh.get(self.start) == Some(&row.id.0);
-        let at = at as u32;
-        let i = self.running.partition_point(|&p| p < at);
-        self.running.insert(i, at);
+        }
+        let i = self.running.partition_point(|&id| id < task.0);
+        self.running.insert(i, task.0);
         // Every other launch leaves a live front live; this one moves the front
         // past itself and the stale entries behind it.
-        if was_front {
+        if self.fresh.get(self.start) == Some(&task.0) {
             self.start += 1;
             while let Some(&id) = self.fresh.get(self.start) {
-                let live = rows
-                    .binary_search_by_key(&id, |t| t.id.0)
-                    .is_ok_and(|row| rows.get(row).is_some_and(|t| !t.is_running()));
-                if live {
+                if rows.get(TaskId(id)).is_some_and(|t| !t.is_running()) {
                     break;
                 }
                 self.start += 1;
@@ -373,38 +368,25 @@ impl DeadlineIndex {
         }
     }
 
-    /// Record the removal of the row at position `at`, a completed task's: its
-    /// position leaves the running list and every later position moves down by one.
-    pub fn removed(&mut self, at: usize) {
-        let at = at as u32;
-        let i = self.running.partition_point(|&p| p < at);
-        if self.running.get(i) == Some(&at) {
+    /// Record the removal of `task`'s row, a completed task's: it leaves the running
+    /// list.
+    pub fn removed(&mut self, task: TaskId) {
+        if let Ok(i) = self.running.binary_search(&task.0) {
             self.running.remove(i);
-        }
-        for p in self.running.get_mut(i..).unwrap_or_default() {
-            *p -= 1;
         }
     }
 
     /// Rebuild the fresh order from `rows` after a stage's rows became eligible.
-    pub fn unlocked(&mut self, rows: &[TaskView]) {
-        // Sort (key, position) pairs, which live only for the sort: positions
-        // ascend with task ids, so they break key ties as the ids would.
+    pub fn unlocked(&mut self, rows: &TaskRows) {
         let mut keyed: Vec<(u64, u32)> = rows
             .iter()
-            .zip(0..)
-            .filter(|(t, _)| t.eligible && !t.is_running())
-            .map(|(t, at)| (total_order(self.kind.tnew_key(t)), at))
+            .filter(|t| t.eligible && !t.is_running())
+            .map(|t| (total_order(self.kind.tnew_key(t)), t.id.0))
             .collect();
         keyed.sort_unstable();
         self.start = 0;
         self.fresh.clear();
-        self.fresh.extend(
-            keyed
-                .iter()
-                .filter_map(|&(_, at)| rows.get(at as usize))
-                .map(|t| t.id.0),
-        );
+        self.fresh.extend(keyed.iter().map(|&(_, id)| id));
     }
 }
 
@@ -446,10 +428,12 @@ pub struct JobView<'a> {
     /// Completed tasks (all stages).
     pub completed_tasks: usize,
     /// Views of every *unfinished* task of the job (running or not, eligible or not),
-    /// in ascending task id. A row holds neither job-wide state nor anything that
+    /// with the map from task id to row ([`TaskRows::get`]). The rows come in a
+    /// deterministic order that is not sorted, so a reader breaks every tie by task
+    /// id, never by position. A row holds neither job-wide state nor anything that
     /// depends on `now`: read a task's `tnew`, `trem` and progress through this view's
     /// methods ([`JobView::tnew`], [`JobView::trem`], [`JobView::progress`], …).
-    pub tasks: &'a [TaskView],
+    pub tasks: &'a TaskRows,
     /// The job-wide input of every row's [`JobView::tnew`].
     pub tnew_estimate: TnewEstimate,
     /// Where the caller keeps `tasks`' fresh rows in `tnew`-key order and running
@@ -621,7 +605,7 @@ impl<'a> JobView<'a> {
 mod tests {
     use super::*;
 
-    fn view_with(bound: Bound, tasks: &[TaskView]) -> JobView<'_> {
+    fn view_with(bound: Bound, tasks: &TaskRows) -> JobView<'_> {
         JobView {
             job: JobId(1),
             now: 10.0,
@@ -670,8 +654,8 @@ mod tests {
             ..row(2.0, 1.0, 2.0)
         };
         let fresh = row(2.0, 1.0, 2.0);
-        let tasks = [running.clone(), fresh.clone()];
-        let mut v = view_with(Bound::Error(0.1), &tasks);
+        let none = TaskRows::default();
+        let mut v = view_with(Bound::Error(0.1), &none);
         v.now = 5.0;
         assert_eq!(v.true_remaining(&running), 2.0);
         assert_eq!(v.trem(&running), 3.0);
@@ -695,7 +679,8 @@ mod tests {
     #[test]
     fn tnew_scales_work_by_the_per_work_estimate_and_the_bias() {
         let tasks = [row(2.0, 1.5, 9.0), row(0.0, 0.8, 0.0)];
-        let mut v = view_with(Bound::Deadline(5.0), &tasks);
+        let none = TaskRows::default();
+        let mut v = view_with(Bound::Deadline(5.0), &none);
         v.tnew_estimate = TnewEstimate::PerWork(1.3);
         assert_eq!(v.tnew(&tasks[0]).to_bits(), (2.0f64 * 1.3 * 1.5).to_bits());
         // Zero work is floored, so no fresh copy is estimated to take no time.
@@ -705,15 +690,17 @@ mod tests {
     #[test]
     fn a_deadline_index_follows_launches_removals_and_unlocks() {
         // Tasks 0–2 of keys 3, 1 and 2, and task 3 of key 0 waiting for its stage.
-        let mut rows: Vec<TaskView> = [3.0, 1.0, 2.0, 0.0]
-            .into_iter()
-            .zip(0..)
-            .map(|(work, id)| TaskView {
-                id: TaskId(id),
-                eligible: id < 3,
-                ..row(work, 1.0, work)
-            })
-            .collect();
+        let mut rows = TaskRows::from(
+            [3.0, 1.0, 2.0, 0.0]
+                .into_iter()
+                .zip(0..)
+                .map(|(work, id)| TaskView {
+                    id: TaskId(id),
+                    eligible: id < 3,
+                    ..row(work, 1.0, work)
+                })
+                .collect::<Vec<_>>(),
+        );
         let mut index = DeadlineIndex::build(&rows, TnewEstimate::PerWork(1.0));
         assert!(index.is_for(TnewEstimate::PerWork(2.0)) && !index.is_for(TnewEstimate::Oracle));
         let ids =
@@ -721,22 +708,25 @@ mod tests {
         assert_eq!(ids(&mut index.fresh_rows(&rows)), [1, 2, 0]);
         assert_eq!(ids(&mut index.running_rows(&rows)), []);
 
+        let launch = |rows: &mut TaskRows, index: &mut DeadlineIndex, id| {
+            rows.get_mut(TaskId(id)).unwrap().running_copies = 1;
+            index.launched(rows, TaskId(id));
+        };
         // Launching the front moves it to the running list.
-        rows[1].running_copies = 1;
-        index.launched(&rows, 1);
+        launch(&mut rows, &mut index, 1);
         assert_eq!(ids(&mut index.fresh_rows(&rows)), [2, 0]);
         assert_eq!(ids(&mut index.running_rows(&rows)), [1]);
         // A launch behind the front leaves a stale entry, which readers skip.
-        rows[0].running_copies = 1;
-        index.launched(&rows, 0);
+        launch(&mut rows, &mut index, 0);
         assert_eq!(ids(&mut index.fresh_rows(&rows)), [2]);
         assert_eq!(ids(&mut index.running_rows(&rows)), [0, 1]);
-        // Task 0 completes: its row goes and task 1's position moves down.
-        rows.remove(0);
-        index.removed(0);
+        // Task 0 completes: its row goes, and task 3's row takes its place.
+        rows.remove(TaskId(0));
+        index.removed(TaskId(0));
+        assert_eq!(ids(&mut rows.iter()), [3, 1, 2]);
         assert_eq!(ids(&mut index.running_rows(&rows)), [1]);
         // Task 3's stage unlocks, and it joins the fresh order.
-        rows[2].eligible = true;
+        rows.get_mut(TaskId(3)).unwrap().eligible = true;
         index.unlocked(&rows);
         assert_eq!(ids(&mut index.fresh_rows(&rows)), [3, 2]);
         assert_eq!(ids(&mut index.running_rows(&rows)), [1]);
@@ -747,7 +737,8 @@ mod tests {
         // Zero work: the ground truth is 0.0 (or -0.0), where the estimated path's
         // 1e-6 floor would answer differently.
         let tasks = [row(0.0, 1.0, 0.0), row(0.0, 1.0, -0.0), row(3.0, 0.7, 4.1)];
-        let mut v = view_with(Bound::Error(0.1), &tasks);
+        let none = TaskRows::default();
+        let mut v = view_with(Bound::Error(0.1), &none);
         v.tnew_estimate = TnewEstimate::Oracle;
         for t in &tasks {
             assert_eq!(v.tnew(t).to_bits(), t.true_new_hint.to_bits());
@@ -863,7 +854,7 @@ mod tests {
 
     #[test]
     fn remaining_deadline_saturates_at_zero() {
-        let tasks: Vec<TaskView> = vec![];
+        let tasks = TaskRows::default();
         let mut v = view_with(Bound::Deadline(8.0), &tasks);
         assert_eq!(v.remaining_deadline(), Some(0.0));
         v.now = 3.0;
@@ -874,7 +865,7 @@ mod tests {
 
     #[test]
     fn input_deadline_overrides_bound_for_dag_jobs() {
-        let tasks: Vec<TaskView> = vec![];
+        let tasks = TaskRows::default();
         let mut v = view_with(Bound::Deadline(8.0), &tasks);
         v.now = 2.0;
         v.input_deadline = Some(6.0);
@@ -883,7 +874,7 @@ mod tests {
 
     #[test]
     fn error_bound_tasks_still_needed() {
-        let tasks: Vec<TaskView> = vec![];
+        let tasks = TaskRows::default();
         let v = view_with(Bound::Error(0.3), &tasks);
         // needed = ceil(0.7 * 10) = 7, completed 4 => 3 more.
         assert_eq!(v.input_tasks_still_needed(), Some(3));
@@ -893,7 +884,7 @@ mod tests {
 
     #[test]
     fn current_accuracy_is_completed_fraction() {
-        let tasks: Vec<TaskView> = vec![];
+        let tasks = TaskRows::default();
         let v = view_with(Bound::Deadline(5.0), &tasks);
         assert!((v.current_accuracy() - 0.4).abs() < 1e-12);
     }

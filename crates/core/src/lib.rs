@@ -7,7 +7,7 @@
 //! simulated or where workloads come from:
 //!
 //! * the shared task / job model ([`TaskSpec`], [`JobSpec`], [`Bound`], [`JobView`],
-//!   [`TaskView`], [`JobOutcome`]),
+//!   [`TaskView`], [`TaskRows`], [`JobOutcome`]),
 //! * the [`SpeculationPolicy`] / [`PolicyFactory`] traits through which a cluster
 //!   scheduler asks a per-job policy what to run next on a freed slot,
 //! * the paper's two building-block policies, **GS** (Greedy Speculative) and **RAS**
@@ -52,7 +52,7 @@ pub use job::{Bound, DeadlineIndex, JobSpec, JobView, StageSpec, TnewEstimate};
 pub use outcome::JobOutcome;
 pub use policy::{Action, ActionKind, BoxedPolicy, PolicyFactory, SpeculationPolicy};
 pub use speculation::{GsFactory, GsPolicy, RasFactory, RasPolicy, SpeculationMode};
-pub use task::{JobId, StageId, TaskId, TaskSpec, TaskView, Time};
+pub use task::{JobId, StageId, TaskId, TaskRows, TaskSpec, TaskView, Time};
 
 /// Crate-wide result alias (the crate has no fallible public API today, but the alias
 /// keeps signatures stable if validation errors are added).

@@ -67,6 +67,11 @@ pub trait SpeculationPolicy: Send {
     /// run one more copy, or `None` if the job has nothing useful to run right now
     /// (the slot is then offered to other jobs).
     ///
+    /// `view.tasks` comes in a deterministic order that is not sorted (a completion
+    /// swap-removes its row), and carries the map from task id to row. A decision
+    /// must depend on the rows, not on their order: every policy here breaks ties by
+    /// task id, and finds a row by id through [`TaskRows::get`](crate::TaskRows::get).
+    ///
     /// The simulator relies on a two-part contract to avoid re-asking jobs whose
     /// answer cannot have changed, and promises a third:
     ///

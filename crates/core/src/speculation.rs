@@ -80,21 +80,22 @@ pub(crate) fn choose_memoised(
 /// cell at the job's first decision (or built from the rows for this decision when
 /// the view carries no cell, or a cell holding the other estimate kind's index): the
 /// front of the fresh order and every running row, not every row. The picks are the
-/// ones `min_by` / `max_by` over the pruned candidates in view order make: SJF keeps
-/// the *first* minimum `tnew`, and RAS keeps the *last* maximum saving.
+/// ones `min_by` / `max_by` over the pruned candidates in task-id order make: SJF
+/// keeps the *first* minimum `tnew`, and RAS keeps the *last* maximum saving. So a tie
+/// goes to the lower task id under SJF and to the higher one under RAS, whatever the
+/// order of the rows.
 ///
 /// * **Fresh pick.** The walk down the fresh order keeps the least (`tnew`, task id)
-///   by [`f64::total_cmp`], which is the first minimum in view order. Key order is
-///   not `tnew` order (two keys an ulp apart can round to `tnew`s in the other
-///   order), so the walk stops only at the first row whose
-///   [`tnew_floor`](TnewEstimate::tnew_floor) exceeds the best `tnew` so far; the
-///   floor never decreases along the order, so no later row can win.
+///   by [`f64::total_cmp`]. Key order is not `tnew` order (two keys an ulp apart can
+///   round to `tnew`s in the other order), so the walk stops only at the first row
+///   whose [`tnew_floor`](TnewEstimate::tnew_floor) exceeds the best `tnew` so far;
+///   the floor never decreases along the order, so no later row can win.
 /// * **Admission** is one test on that pick: a copy launched now must be expected to
 ///   finish before the deadline. If the least `tnew` exceeds the remaining deadline,
 ///   so does every fresh row's, which is the per-row skip of the pseudocode.
-/// * **Speculative pick.** The running rows in view order, each with the per-row
-///   tests: eligibility, admission, the copy cap, then GS's `tnew < trem` or RAS's
-///   positive saving.
+/// * **Speculative pick.** The running rows by task id, each with the per-row tests:
+///   eligibility, admission, the copy cap, then GS's `tnew < trem` or RAS's positive
+///   saving.
 fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let remaining = view.remaining_deadline().unwrap_or(f64::INFINITY);
     if remaining <= 0.0 {
@@ -192,25 +193,24 @@ fn needed_candidate(t: &TaskView) -> bool {
 }
 
 /// A row's position in Pseudocode 2's walk: the needed input tasks sorted by
-/// `(effective duration, view index)` (a stable sort by duration), then every
-/// eligible non-input task in view order. Packed into one integer with that order,
-/// most significant first: the non-input flag (bit 127), the [`f64::total_cmp`]
-/// order of the effective duration (bits 63–126; non-input rows pass 0), and the view
-/// index (bits 0–62; a slice holds fewer than 2^63 rows). The index makes every
-/// row's key distinct.
-fn walk_key(non_input: bool, effective: f64, index: usize) -> u128 {
-    u128::from(non_input) << 127 | u128::from(total_order(effective)) << 63 | index as u128
+/// `(effective duration, task id)`, then every eligible non-input task by task id.
+/// Packed into one integer with that order, most significant first: the non-input
+/// flag (bit 96), the [`f64::total_cmp`] order of the effective duration (bits
+/// 32–95; non-input rows pass 0), and the task id (bits 0–31). The id makes every
+/// row's key distinct, and the walk independent of the order of the rows.
+fn walk_key(non_input: bool, effective: f64, id: TaskId) -> u128 {
+    u128::from(non_input) << 96 | u128::from(total_order(effective)) << 32 | u128::from(id.0)
 }
 
-/// The view index packed into a [`walk_key`].
-fn key_index(key: u128) -> usize {
-    (key & ((1 << 63) - 1)) as usize
+/// The task id packed into a [`walk_key`].
+fn key_task(key: u128) -> TaskId {
+    TaskId(key as u32)
 }
 
 /// An eligible input row's walk key.
-fn input_key(view: &JobView, index: usize, t: &TaskView) -> u128 {
+fn input_key(view: &JobView, t: &TaskView) -> u128 {
     let (tnew, trem) = (view.tnew(t), view.trem(t));
-    walk_key(false, t.effective_duration(trem, tnew), index)
+    walk_key(false, t.effective_duration(trem, tnew), t.id)
 }
 
 /// How many candidates of each kind the first pass at an instant keeps.
@@ -231,9 +231,9 @@ const FIRST_KEEP: usize = 2;
 /// and the answer they gave. The simulator decides again every time a slot frees, so
 /// an arrival or a finish that frees many slots asks the same job many times at one
 /// instant, each time with one more copy of the task it last named. A repeat decision
-/// at the stamped instant checks that the previous answer's row holds the same task
-/// with exactly one more copy, pops that answer, re-derives the one row and offers it
-/// again, then reads the two fronts. This is exact:
+/// at the stamped instant checks that the previous answer's task has exactly one more
+/// copy, pops that answer, re-derives the task's row and offers it again, then reads
+/// the two fronts. This is exact:
 ///
 /// * within one instant (same `now`, estimate, completed counts and row count) the
 ///   only row that changed is the one the answer acted on (the third clause of the
@@ -271,11 +271,10 @@ impl NeededSetMemo {
     /// the lists could answer. Either way a pass decides when they could not.
     fn serve_repeat(&mut self, view: &JobView, mode: SpeculationMode) -> Option<bool> {
         let answer = self.answer?;
-        let index = key_index(answer.key);
         let row = view
             .tasks
-            .get(index)
-            .filter(|t| t.id == answer.id && t.running_copies == answer.copies + 1)?;
+            .get(answer.id)
+            .filter(|t| t.running_copies == answer.copies + 1)?;
         let served = if answer.copies == 0 {
             self.picks.fresh.kept.pop()
         } else {
@@ -284,7 +283,7 @@ impl NeededSetMemo {
         debug_assert_eq!(served.map(|p| p.key), Some(answer.key));
         let (tnew, trem) = (view.tnew(row), view.trem(row));
         let key = if row.stage.is_input() {
-            walk_key(false, row.effective_duration(trem, tnew), index)
+            walk_key(false, row.effective_duration(trem, tnew), answer.id)
         } else {
             answer.key
         };
@@ -373,8 +372,9 @@ struct Pick {
 }
 
 /// The order `max_by` over the walk picks by: the largest value and, among equal
-/// values, the candidate latest in the walk. Walk keys are distinct, so two picks
-/// of different rows never compare equal.
+/// values, the candidate latest in the walk, which among candidates of one kind of
+/// task is the higher task id. Walk keys are distinct, so two picks of different
+/// rows never compare equal.
 impl Ord for Pick {
     #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
@@ -525,35 +525,29 @@ impl ErrorPicks {
         let threshold = if still_needed == 0 {
             None
         } else {
-            // Rows are in ascending task id, so the boundary task is a binary search
-            // away.
-            let Some(at) =
-                boundary.and_then(|id| view.tasks.binary_search_by_key(&id, |t| t.id).ok())
-            else {
+            let boundary = boundary.and_then(|id| view.tasks.get(id));
+            let Some(row) = boundary.filter(|t| needed_candidate(t)) else {
                 return false;
             };
-            let Some(row) = view.tasks.get(at).filter(|t| needed_candidate(t)) else {
-                return false;
-            };
-            Some(input_key(view, at, row))
+            Some(input_key(view, row))
         };
         let (offer_inputs, threshold) = (threshold.is_some(), threshold.unwrap_or(0));
         let (mut candidates, mut at_or_below) = (0, 0);
-        for (index, t) in view.tasks.iter().enumerate() {
+        for t in view.tasks.iter() {
             if !t.eligible {
                 continue;
             }
             let (tnew, trem) = (view.tnew(t), view.trem(t));
             let key = if t.stage.is_input() {
                 candidates += 1;
-                let key = walk_key(false, t.effective_duration(trem, tnew), index);
+                let key = walk_key(false, t.effective_duration(trem, tnew), t.id);
                 if !offer_inputs || key > threshold {
                     continue;
                 }
                 at_or_below += 1;
                 key
             } else {
-                walk_key(true, 0.0, index)
+                walk_key(true, 0.0, t.id)
             };
             self.offer(mode, key, t, tnew, trem);
         }
@@ -569,28 +563,27 @@ impl ErrorPicks {
         still_needed: usize,
     ) -> Option<TaskId> {
         let mut keys: Vec<u128> = Vec::new();
-        for (index, t) in view.tasks.iter().enumerate() {
+        for t in view.tasks.iter() {
             if !t.eligible {
                 continue;
             }
             if t.stage.is_input() {
-                keys.push(input_key(view, index, t));
+                keys.push(input_key(view, t));
             } else {
                 let (tnew, trem) = (view.tnew(t), view.trem(t));
-                self.offer(mode, walk_key(true, 0.0, index), t, tnew, trem);
+                self.offer(mode, walk_key(true, 0.0, t.id), t, tnew, trem);
             }
         }
         let needed = still_needed.min(keys.len());
         let last = needed.checked_sub(1)?;
         let boundary = *keys.select_nth_unstable(last).1;
         keys.truncate(needed);
-        let row = |key: u128| view.tasks.get(key_index(key));
         for key in keys {
-            if let Some(t) = row(key) {
+            if let Some(t) = view.tasks.get(key_task(key)) {
                 self.offer(mode, key, t, view.tnew(t), view.trem(t));
             }
         }
-        row(boundary).map(|t| t.id)
+        Some(key_task(boundary))
     }
 
     /// Pseudocode 2's pruning of the candidate `t` at walk position `key`, with its
@@ -750,7 +743,7 @@ mod tests {
     use super::*;
     use crate::job::TnewEstimate;
     use crate::policy::ActionKind;
-    use crate::task::{JobId, StageId, TaskId};
+    use crate::task::{JobId, StageId, TaskId, TaskRows};
     use std::cell::OnceCell;
 
     /// A row with no running copy whose `tnew` is `tnew`: its work, read through the
@@ -774,23 +767,23 @@ mod tests {
     /// A row with `copies` running copies whose best one, launched at `now` with a
     /// unit estimate bias, has `trem` left at `now`.
     fn running(id: u32, now: f64, trem: f64, tnew: f64, copies: u32) -> TaskView {
-        let rows = [TaskView {
+        let row = TaskView {
             running_copies: copies,
             copy_start: now,
             copy_duration: trem,
             oldest_start: now,
             ..fresh(id, tnew)
-        }];
+        };
+        let rows = TaskRows::default();
         let view = JobView {
             now,
             ..error_view(&rows, 0.0, 1, 0)
         };
-        assert_eq!(view.trem(&rows[0]).to_bits(), trem.to_bits());
-        let [row] = rows;
+        assert_eq!(view.trem(&row).to_bits(), trem.to_bits());
         row
     }
 
-    fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobView<'a> {
+    fn deadline_view<'a>(tasks: &'a TaskRows, now: f64, deadline: f64) -> JobView<'a> {
         JobView {
             job: JobId(1),
             now,
@@ -811,12 +804,7 @@ mod tests {
         }
     }
 
-    fn error_view<'a>(
-        tasks: &'a [TaskView],
-        epsilon: f64,
-        total: usize,
-        done: usize,
-    ) -> JobView<'a> {
+    fn error_view<'a>(tasks: &'a TaskRows, epsilon: f64, total: usize, done: usize) -> JobView<'a> {
         JobView {
             job: JobId(1),
             now: 5.0,
@@ -840,12 +828,12 @@ mod tests {
     /// Figure 1 of the paper: nine tasks, two slots, T2 just finished at t = 2.
     /// T1 is running with trem = 5, tnew = 2; T3..T9 are unscheduled with
     /// tnew = 2, 3, 3, 4, 4, 5, 5.
-    fn figure1_tasks() -> Vec<TaskView> {
+    fn figure1_tasks() -> TaskRows {
         let mut tasks = vec![running(1, 2.0, 5.0, 2.0, 1)];
         for (i, &w) in [2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0].iter().enumerate() {
             tasks.push(fresh(3 + i as u32, w));
         }
-        tasks
+        TaskRows::from(tasks)
     }
 
     #[test]
@@ -871,12 +859,12 @@ mod tests {
     #[test]
     fn deadline_pruning_drops_tasks_that_cannot_finish() {
         // Remaining deadline of 1s: only a task with tnew <= 1 survives.
-        let tasks = vec![fresh(1, 3.0), fresh(2, 0.8)];
+        let tasks = TaskRows::from(vec![fresh(1, 3.0), fresh(2, 0.8)]);
         let view = deadline_view(&tasks, 5.0, 6.0);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         assert_eq!(a.task, TaskId(2));
         // With nothing fitting, no action at all.
-        let tasks = vec![fresh(1, 3.0)];
+        let tasks = TaskRows::from(vec![fresh(1, 3.0)]);
         let view = deadline_view(&tasks, 5.0, 6.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         assert!(choose(&view, SpeculationMode::Ras).is_none());
@@ -884,7 +872,7 @@ mod tests {
 
     #[test]
     fn past_deadline_yields_no_action() {
-        let tasks = vec![fresh(1, 0.5)];
+        let tasks = TaskRows::from(vec![fresh(1, 0.5)]);
         let view = deadline_view(&tasks, 10.0, 6.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
     }
@@ -892,11 +880,11 @@ mod tests {
     #[test]
     fn gs_requires_new_copy_to_beat_running_copy() {
         // Running task with trem = 2, tnew = 3: a new copy is slower, GS must not copy.
-        let tasks = vec![running(1, 0.0, 2.0, 3.0, 1)];
+        let tasks = TaskRows::from(vec![running(1, 0.0, 2.0, 3.0, 1)]);
         let view = deadline_view(&tasks, 0.0, 10.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         // trem = 4, tnew = 3: now GS speculates.
-        let tasks = vec![running(1, 0.0, 4.0, 3.0, 1)];
+        let tasks = TaskRows::from(vec![running(1, 0.0, 4.0, 3.0, 1)]);
         let view = deadline_view(&tasks, 0.0, 10.0);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         assert_eq!(a.kind, ActionKind::Speculate);
@@ -905,11 +893,11 @@ mod tests {
     #[test]
     fn ras_requires_positive_resource_saving() {
         // trem = 4, tnew = 3: GS would speculate but saving = 4 − 6 = −2 < 0.
-        let tasks = vec![running(1, 0.0, 4.0, 3.0, 1)];
+        let tasks = TaskRows::from(vec![running(1, 0.0, 4.0, 3.0, 1)]);
         let view = deadline_view(&tasks, 0.0, 10.0);
         assert!(choose(&view, SpeculationMode::Ras).is_none());
         // trem = 7, tnew = 3: saving = 1 > 0.
-        let tasks = vec![running(1, 0.0, 7.0, 3.0, 1)];
+        let tasks = TaskRows::from(vec![running(1, 0.0, 7.0, 3.0, 1)]);
         let view = deadline_view(&tasks, 0.0, 10.0);
         let a = choose(&view, SpeculationMode::Ras).unwrap();
         assert_eq!(a.kind, ActionKind::Speculate);
@@ -917,7 +905,7 @@ mod tests {
 
     #[test]
     fn copy_cap_is_enforced() {
-        let tasks = vec![running(1, 0.0, 100.0, 1.0, MAX_COPIES_PER_TASK)];
+        let tasks = TaskRows::from(vec![running(1, 0.0, 100.0, 1.0, MAX_COPIES_PER_TASK)]);
         let view = deadline_view(&tasks, 0.0, 1000.0);
         assert!(choose(&view, SpeculationMode::Gs).is_none());
         assert!(choose(&view, SpeculationMode::Ras).is_none());
@@ -935,7 +923,7 @@ mod tests {
     /// GS and RAS launch `want` from `rows` under the per-work estimate `per_work`
     /// and a deadline every row meets, with an index built from the rows, with an
     /// empty cell the decision builds one into, and without one.
-    fn assert_deadline_launch(rows: &[TaskView], per_work: f64, want: u32) {
+    fn assert_deadline_launch(rows: &TaskRows, per_work: f64, want: u32) {
         let estimate = TnewEstimate::PerWork(per_work);
         let built = OnceCell::from(DeadlineIndex::build(rows, estimate));
         let empty = OnceCell::new();
@@ -964,7 +952,7 @@ mod tests {
         let estimate = TnewEstimate::PerWork(per_work);
         assert_eq!(estimate.tnew_key(&a), 4.835255356934568);
         assert_eq!(estimate.tnew_key(&b), 4.835255356934569);
-        let rows = [a, b];
+        let rows = TaskRows::from(vec![a, b]);
         let view = JobView {
             tnew_estimate: estimate,
             ..deadline_view(&rows, 0.0, 1e6)
@@ -983,7 +971,7 @@ mod tests {
         let estimate = TnewEstimate::PerWork(per_work);
         assert_eq!(estimate.tnew_key(&c), 11.341841555215332);
         assert_eq!(estimate.tnew_key(&d), 11.341841555215334);
-        let rows = [d, c];
+        let rows = TaskRows::from(vec![d, c]);
         let view = JobView {
             tnew_estimate: estimate,
             ..deadline_view(&rows, 0.0, 1e6)
@@ -1003,13 +991,17 @@ mod tests {
         rows.extend((1..4).map(|id| fresh_row(id, 0.0, 0.5 + f64::from(id))));
         rows.push(fresh_row(4, -0.0, 1.0));
         rows.push(fresh_row(5, 3.0, 1.0));
-        assert_deadline_launch(&rows, 1.7, 0);
+        assert_deadline_launch(&TaskRows::from(rows), 1.7, 0);
     }
 
     /// Figure 2 of the paper: six tasks, three slots, at t = 5 T1/T2/T4 are done,
     /// T3 is running with trem = 6, tnew = 3; T5, T6 are unscheduled with tnew 2 and 3.
-    fn figure2_tasks() -> Vec<TaskView> {
-        vec![running(3, 5.0, 6.0, 3.0, 1), fresh(5, 2.0), fresh(6, 3.0)]
+    fn figure2_tasks() -> TaskRows {
+        TaskRows::from(vec![
+            running(3, 5.0, 6.0, 3.0, 1),
+            fresh(5, 2.0),
+            fresh(6, 3.0),
+        ])
     }
 
     #[test]
@@ -1040,7 +1032,7 @@ mod tests {
     fn error_bound_ignores_tasks_beyond_needed_set() {
         // 10 input tasks, ε = 0.5 => 5 needed, 4 done => only the single earliest
         // unfinished task is a candidate.
-        let tasks = vec![fresh(1, 9.0), fresh(2, 1.0), fresh(3, 5.0)];
+        let tasks = TaskRows::from(vec![fresh(1, 9.0), fresh(2, 1.0), fresh(3, 5.0)]);
         let view = error_view(&tasks, 0.5, 10, 4);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         // Only the earliest (T2, effective duration 1.0) is in the needed set, so it
@@ -1050,7 +1042,7 @@ mod tests {
 
     #[test]
     fn exact_jobs_schedule_longest_first() {
-        let tasks = vec![fresh(1, 2.0), fresh(2, 8.0), fresh(3, 5.0)];
+        let tasks = TaskRows::from(vec![fresh(1, 2.0), fresh(2, 8.0), fresh(3, 5.0)]);
         let view = error_view(&tasks, 0.0, 10, 7);
         let a = choose(&view, SpeculationMode::Gs).unwrap();
         assert_eq!(a.task, TaskId(2));
@@ -1059,8 +1051,8 @@ mod tests {
     }
 
     /// The walk order the packed key replaces: the non-input flag, then the
-    /// effective duration by `total_cmp`, then the view index.
-    fn tuple_cmp(a: (bool, f64, usize), b: (bool, f64, usize)) -> std::cmp::Ordering {
+    /// effective duration by `total_cmp`, then the task id.
+    fn tuple_cmp(a: (bool, f64, u32), b: (bool, f64, u32)) -> std::cmp::Ordering {
         a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2))
     }
 
@@ -1082,17 +1074,17 @@ mod tests {
         let mut walk = Vec::new();
         for non_input in [false, true] {
             for &effective in &durations {
-                for index in [0, 1, 2, 1 << 40, (1 << 63) - 1] {
-                    walk.push((non_input, effective, index));
+                for id in [0, 1, 2, 1 << 20, u32::MAX] {
+                    walk.push((non_input, effective, id));
                 }
             }
         }
         for &a in &walk {
-            let key = walk_key(a.0, a.1, a.2);
-            assert_eq!(key_index(key), a.2);
+            let key = walk_key(a.0, a.1, TaskId(a.2));
+            assert_eq!(key_task(key), TaskId(a.2));
             for &b in &walk {
                 assert_eq!(
-                    key.cmp(&walk_key(b.0, b.1, b.2)),
+                    key.cmp(&walk_key(b.0, b.1, TaskId(b.2))),
                     tuple_cmp(a, b),
                     "{a:?} against {b:?}"
                 );
@@ -1110,18 +1102,24 @@ mod tests {
         ];
         rows[3].true_new_hint = 0.0;
         rows[4].true_new_hint = -0.0;
+        let rows = TaskRows::from(rows);
         let mut view = error_view(&rows, 0.0, 10, 5);
         for estimate in [TnewEstimate::PerWork(1.0), TnewEstimate::Oracle] {
             view.tnew_estimate = estimate;
-            let walk: Vec<(bool, f64, usize)> = rows
+            let walk: Vec<(bool, f64, u32)> = rows
                 .iter()
-                .enumerate()
-                .map(|(i, t)| (false, t.effective_duration(view.trem(t), view.tnew(t)), i))
+                .map(|t| {
+                    (
+                        false,
+                        t.effective_duration(view.trem(t), view.tnew(t)),
+                        t.id.0,
+                    )
+                })
                 .collect();
             for (i, a) in rows.iter().enumerate() {
                 for (j, b) in rows.iter().enumerate() {
                     assert_eq!(
-                        input_key(&view, i, a).cmp(&input_key(&view, j, b)),
+                        input_key(&view, a).cmp(&input_key(&view, b)),
                         tuple_cmp(walk[i], walk[j]),
                         "{estimate:?}: row {i} against row {j}"
                     );
@@ -1143,6 +1141,10 @@ mod tests {
         // Works 1..=6 under a unit estimate; 10 input tasks, ε = 0.2, 5 done: the
         // three shortest rows are needed, so the row of work 3 is the boundary.
         let rows: Vec<TaskView> = (1..=6).map(|w| fresh(w, f64::from(w))).collect();
+        let (rows, later_rows) = (
+            TaskRows::from(rows.clone()),
+            TaskRows::from(rows[1..].to_vec()),
+        );
         let view = error_view(&rows, 0.2, 10, 5);
         for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
             let mut memo = NeededSetMemo::default();
@@ -1160,7 +1162,7 @@ mod tests {
 
             // The row of work 1 completes and the per-work estimate doubles: every
             // key moves, but re-keyed at the new estimate the boundary still holds.
-            let mut later = error_view(&rows[1..], 0.2, 10, 6);
+            let mut later = error_view(&later_rows, 0.2, 10, 6);
             later.tnew_estimate = TnewEstimate::PerWork(2.0);
             assert!(memo_check(&memo, &later, mode));
             assert_eq!(
@@ -1187,7 +1189,7 @@ mod tests {
     fn repeat_decisions_at_one_instant_are_served_from_the_kept_lists() {
         // Eight fresh rows of works 1..=8, all needed. RAS launches them longest
         // first, and each launched copy's `trem` is too short to be worth racing.
-        let mut rows: Vec<TaskView> = (1..=8).map(|w| fresh(w, f64::from(w))).collect();
+        let mut rows = TaskRows::from((1..=8).map(|w| fresh(w, f64::from(w))).collect::<Vec<_>>());
         let mut memo = NeededSetMemo::default();
         for (decision, work) in (1..=8).rev().enumerate() {
             let view = error_view(&rows, 0.0, 10, 2);
@@ -1198,8 +1200,7 @@ mod tests {
                 Some(Action::launch(TaskId(work))),
                 "decision {decision}"
             );
-            let row = rows.iter_mut().find(|t| t.id == TaskId(work)).unwrap();
-            *row = running(work, 5.0, 0.5, f64::from(work), 1);
+            *rows.get_mut(TaskId(work)).unwrap() = running(work, 5.0, 0.5, f64::from(work), 1);
         }
         // Passes kept 2, then 4 once those ran dry, then 8: three passes for
         // eight decisions.
@@ -1227,7 +1228,7 @@ mod tests {
     #[test]
     fn factories_create_working_policies() {
         let job = JobSpec::single_stage(1, 0.0, Bound::Deadline(10.0), vec![1.0, 2.0]);
-        let tasks = vec![fresh(0, 1.0), fresh(1, 2.0)];
+        let tasks = TaskRows::from(vec![fresh(0, 1.0), fresh(1, 2.0)]);
         let view = deadline_view(&tasks, 0.0, 10.0);
         let mut gs = GsFactory.create(&job);
         assert_eq!(gs.choose(&view).unwrap().task, TaskId(0));

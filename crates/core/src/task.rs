@@ -172,6 +172,129 @@ impl TaskView {
     }
 }
 
+/// The position [`TaskRows`] maps a task without a row to.
+const NO_ROW: u32 = u32::MAX;
+
+/// A job's rows, one per unfinished task, and where each task's row sits.
+///
+/// Rows come in a deterministic order that is not sorted:
+/// [`remove`](TaskRows::remove) moves the last row into the removed row's place.
+/// Every reader that breaks a tie breaks it by task id, never by position, so a
+/// decision depends on the rows and not on their order. A task's row is one array
+/// read away ([`TaskRows::get`]). The rows read as a slice through `Deref`; a caller
+/// that changes a row through [`get_mut`](TaskRows::get_mut) or
+/// [`iter_mut`](TaskRows::iter_mut) must not change its `id`.
+#[derive(Debug, Clone, Default)]
+pub struct TaskRows {
+    rows: Vec<TaskView>,
+    /// `at[id]`: the position of task `id`'s row, [`NO_ROW`] if it has none.
+    at: Vec<u32>,
+}
+
+impl TaskRows {
+    /// Task `id`'s row, if it has one.
+    #[inline]
+    pub fn get(&self, id: TaskId) -> Option<&TaskView> {
+        // `NO_ROW` lies past the end of every table.
+        let row = self.rows.get(*self.at.get(id.index())? as usize)?;
+        debug_assert_eq!(row.id, id, "a row's id changed under its map");
+        Some(row)
+    }
+
+    /// Task `id`'s row, mutably, if it has one.
+    pub fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskView> {
+        let row = self.rows.get_mut(*self.at.get(id.index())? as usize)?;
+        debug_assert_eq!(row.id, id, "a row's id changed under its map");
+        Some(row)
+    }
+
+    /// Every row, mutably, in row order.
+    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, TaskView> {
+        self.rows.iter_mut()
+    }
+
+    /// Remove task `id`'s row and return it. The last row takes its place, so one
+    /// row moves and none shifts.
+    pub fn remove(&mut self, id: TaskId) -> Option<TaskView> {
+        let at = std::mem::replace(self.at.get_mut(id.index())?, NO_ROW) as usize;
+        if at >= self.rows.len() {
+            return None;
+        }
+        let row = self.rows.swap_remove(at);
+        if let Some(moved) = self.rows.get(at).map(|t| t.id) {
+            self.place(moved, at);
+        }
+        Some(row)
+    }
+
+    /// Remove every row, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.at.clear();
+    }
+
+    /// Map task `id` to position `at`, growing the map to hold it.
+    fn place(&mut self, id: TaskId, at: usize) {
+        let id = id.index();
+        if id >= self.at.len() {
+            self.at.resize(id + 1, NO_ROW);
+        }
+        // grass: allow(panicky-lib, "the map was just sized past id")
+        self.at[id] = at as u32;
+    }
+}
+
+impl std::ops::Deref for TaskRows {
+    type Target = [TaskView];
+
+    #[inline]
+    fn deref(&self) -> &[TaskView] {
+        &self.rows
+    }
+}
+
+impl Extend<TaskView> for TaskRows {
+    /// Add `rows` at the end. Their tasks must have no row yet.
+    fn extend<I: IntoIterator<Item = TaskView>>(&mut self, rows: I) {
+        for row in rows {
+            debug_assert!(self.get(row.id).is_none(), "{:?} has a row already", row.id);
+            self.place(row.id, self.rows.len());
+            self.rows.push(row);
+        }
+    }
+}
+
+impl FromIterator<TaskView> for TaskRows {
+    fn from_iter<I: IntoIterator<Item = TaskView>>(rows: I) -> Self {
+        let mut table = TaskRows::default();
+        table.extend(rows);
+        table
+    }
+}
+
+impl From<Vec<TaskView>> for TaskRows {
+    /// `rows` in their order, each task's at most once, with a map sized to the
+    /// largest task id.
+    fn from(rows: Vec<TaskView>) -> Self {
+        let len = rows.iter().map(|t| t.id.index() + 1).max().unwrap_or(0);
+        let mut table = TaskRows {
+            rows: Vec::new(),
+            at: vec![NO_ROW; len],
+        };
+        for (at, row) in rows.iter().enumerate() {
+            debug_assert_eq!(
+                table.at.get(row.id.index()),
+                Some(&NO_ROW),
+                "{:?} has two rows",
+                row.id
+            );
+            table.place(row.id, at);
+        }
+        table.rows = rows;
+        table
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,6 +319,30 @@ mod tests {
     fn a_row_is_72_bytes() {
         // Every field is fixed at a launch; adding one back is a visible decision.
         assert_eq!(std::mem::size_of::<TaskView>(), 72);
+    }
+
+    #[test]
+    fn task_rows_map_each_task_to_its_row_through_removals() {
+        let row = |id| TaskView {
+            id: TaskId(id),
+            ..running_task(1)
+        };
+        let mut rows = TaskRows::from((0..5).map(row).collect::<Vec<_>>());
+        assert_eq!(rows.get(TaskId(5)), None);
+        // Removing a row moves the last one into its place and no other.
+        assert_eq!(rows.remove(TaskId(1)).map(|t| t.id), Some(TaskId(1)));
+        assert_eq!(rows.remove(TaskId(1)), None);
+        let order: Vec<u32> = rows.iter().map(|t| t.id.0).collect();
+        assert_eq!(order, [0, 4, 2, 3]);
+        rows.extend([row(9)]);
+        for id in (0..12).map(TaskId) {
+            let at = rows.iter().position(|t| t.id == id);
+            assert_eq!(rows.get(id).map(|t| t.id), at.map(|_| id));
+        }
+        // Removing the last row moves nothing.
+        rows.remove(TaskId(9));
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|t| rows.get(t.id) == Some(t)));
     }
 
     #[test]

@@ -30,13 +30,22 @@
 //! * The held-decline contract (`JobView::hold_decline`): when GS or RAS
 //!   declines, the decline stands at every later time while the job's own
 //!   tasks, copies and completed counts are unchanged.
+//! * Row order carries no meaning: GS and RAS pick the same action on a view and
+//!   on the same rows shuffled, with the shuffled rows' id map, under both
+//!   bounds, with a fresh and a kept memo, and with an index the view carries and
+//!   one the decision builds, while the shuffled rows take every change as the
+//!   simulator applies it (a completion swap-removes its row).
+//!
+//! The test-only oracles walk the eligible rows in task-id order, so every tie
+//! they break by walk order goes by task id. The rows the properties keep come in
+//! no particular order once a completion has swap-removed a row.
 
 use std::cell::{Cell, OnceCell};
 
 use grass_core::speculation::{choose, MAX_COPIES_PER_TASK};
 use grass_core::{
     Action, Bound, DeadlineIndex, GsPolicy, JobId, JobView, RasPolicy, SpeculationMode,
-    SpeculationPolicy, StageId, TaskId, TaskView, Time, TnewEstimate,
+    SpeculationPolicy, StageId, TaskId, TaskRows, TaskView, Time, TnewEstimate,
 };
 use proptest::prelude::*;
 
@@ -45,15 +54,25 @@ const TNEW: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
 const TREM: [f64; 6] = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0];
 const EPSILON: [f64; 4] = [0.0, 0.1, 0.3, 0.5];
 
-/// The pre-selection `choose_error`: stable-sort the eligible input tasks by
-/// effective duration, keep the needed prefix, append the eligible non-input
-/// tasks, then prune and pick with `max_by` (which keeps the last maximum).
+/// The view's eligible rows in task-id order.
+fn eligible_by_id<'v>(view: &JobView<'v>) -> Vec<&'v TaskView> {
+    let mut rows: Vec<&TaskView> = view.tasks.iter().filter(|t| t.eligible).collect();
+    rows.sort_by_key(|t| t.id);
+    rows
+}
+
+/// The pre-selection `choose_error`: stable-sort the eligible input tasks, in
+/// task-id order, by effective duration, keep the needed prefix, append the
+/// eligible non-input tasks by task id, then prune and pick with `max_by` (which
+/// keeps the last maximum).
 fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let tnew = |t: &TaskView| view.tnew(t);
     let trem = |t: &TaskView| view.trem(t);
     let effective = |t: &TaskView| t.effective_duration(trem(t), tnew(t));
-    let mut input_tasks: Vec<&TaskView> = view
-        .eligible_tasks()
+    let eligible = eligible_by_id(view);
+    let mut input_tasks: Vec<&TaskView> = eligible
+        .iter()
+        .copied()
         .filter(|t| t.stage.is_input())
         .collect();
     input_tasks.sort_by(|a, b| effective(a).total_cmp(&effective(b)));
@@ -64,7 +83,7 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
     let candidates = input_tasks
         .into_iter()
         .take(still_needed)
-        .chain(view.eligible_tasks().filter(|t| !t.stage.is_input()));
+        .chain(eligible.iter().copied().filter(|t| !t.stage.is_input()));
 
     let mut fresh: Vec<&TaskView> = Vec::new();
     let mut speculative: Vec<&TaskView> = Vec::new();
@@ -125,9 +144,10 @@ fn sorted_choose_error(view: &JobView, mode: SpeculationMode) -> Option<Action> 
     }
 }
 
-/// The pre-one-pass `choose_deadline` (Pseudocode 1): prune into a `Vec` of fresh
-/// tasks and one of admissible speculative copies, then pick with `min_by` (which
-/// keeps the first minimum) and `max_by` (which keeps the last maximum).
+/// The pre-one-pass `choose_deadline` (Pseudocode 1): prune the eligible rows, in
+/// task-id order, into a `Vec` of fresh tasks and one of admissible speculative
+/// copies, then pick with `min_by` (which keeps the first minimum) and `max_by`
+/// (which keeps the last maximum).
 fn two_vec_choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
     let remaining = view.remaining_deadline().unwrap_or(f64::INFINITY);
     if remaining <= 0.0 {
@@ -137,7 +157,7 @@ fn two_vec_choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Acti
     let trem = |t: &TaskView| view.trem(t);
     let mut fresh: Vec<&TaskView> = Vec::new();
     let mut speculative: Vec<&TaskView> = Vec::new();
-    for t in view.eligible_tasks() {
+    for t in eligible_by_id(view) {
         if tnew(t) > remaining {
             continue;
         }
@@ -198,6 +218,11 @@ fn pick<T: Copy>(values: &[T], i: usize) -> T {
     values[i % values.len()]
 }
 
+/// The ids of the rows that pass `keep`, in row order.
+fn ids(rows: &TaskRows, keep: impl Fn(&TaskView) -> bool) -> Vec<TaskId> {
+    rows.iter().filter(|t| keep(t)).map(|t| t.id).collect()
+}
+
 /// The instant the quantised views start at.
 const T0: Time = 5.0;
 
@@ -210,8 +235,8 @@ fn launch_at(row: &mut TaskView, now: Time, trem: f64) {
         row.oldest_start = now;
     }
     row.running_copies += 1;
-    let rows = std::slice::from_ref(row);
-    let view = error_view(rows, 0.0, 1, 0, now);
+    let rows = TaskRows::default();
+    let view = error_view(&rows, 0.0, 1, 0, now);
     assert_eq!(view.trem(row).to_bits(), trem.to_bits(), "{row:?} at {now}");
 }
 
@@ -245,7 +270,7 @@ fn quantised_task(
 }
 
 fn error_view(
-    tasks: &[TaskView],
+    tasks: &TaskRows,
     epsilon: f64,
     total_input: usize,
     completed: usize,
@@ -281,7 +306,7 @@ proptest! {
         completed in 0usize..6,
         extra_input in 0usize..8,
     ) {
-        let tasks: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let tasks: TaskRows = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
         let input_in_view = tasks.iter().filter(|t| t.stage.is_input()).count();
         // `still_needed` spans 0 through more than the eligible input tasks.
         let view = error_view(&tasks, pick(&EPSILON, eps), input_in_view + completed + extra_input, completed, T0);
@@ -296,7 +321,7 @@ proptest! {
         remaining in 0usize..7,
         dag in any::<bool>(),
     ) {
-        let tasks: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let tasks: TaskRows = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
         // Remaining deadline at `now` = 5 from past due through wider than every
         // `tnew`, with values equal to a `tnew` so admission ties occur; DAG jobs
         // get a shorter input-stage deadline.
@@ -373,7 +398,7 @@ proptest! {
         remaining in 0usize..7,
         steps in prop::collection::vec((0u8..6, any::<usize>(), 0usize..6), 1..24),
     ) {
-        let mut rows: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| index_row(i, r)).collect();
+        let mut rows: TaskRows = raw.iter().enumerate().map(|(i, &r)| index_row(i, r)).collect();
         let estimate = match ESTIMATES.get(estimate) {
             Some(None) => TnewEstimate::Oracle,
             Some(&Some(p)) => TnewEstimate::PerWork(p),
@@ -403,28 +428,29 @@ proptest! {
                     "{:?} at step {} on {:?} under {:?}", mode, step, rows, estimate
                 );
             }
-            let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
+            let running = ids(&rows, TaskView::is_running);
             let trem = pick(&TREM, value);
             match kind {
                 0 | 1 => {
-                    let idle: Vec<usize> = (0..rows.len()).filter(|&i| !rows[i].is_running()).collect();
-                    if let Some(&i) = idle.get(pick_at % idle.len().max(1)) {
-                        launch_at(&mut rows[i], now, trem);
-                        index.get_mut().unwrap().launched(&rows, i);
+                    let idle = ids(&rows, |t| !t.is_running());
+                    if let Some(&id) = idle.get(pick_at % idle.len().max(1)) {
+                        launch_at(rows.get_mut(id).unwrap(), now, trem);
+                        index.get_mut().unwrap().launched(&rows, id);
                     }
                 }
                 2 => {
-                    if let Some(&i) = running.get(pick_at % running.len().max(1)) {
-                        if rows[i].running_copies < MAX_COPIES_PER_TASK {
-                            launch_at(&mut rows[i], now, trem);
-                            index.get_mut().unwrap().launched(&rows, i);
+                    if let Some(&id) = running.get(pick_at % running.len().max(1)) {
+                        let row = rows.get_mut(id).unwrap();
+                        if row.running_copies < MAX_COPIES_PER_TASK {
+                            launch_at(row, now, trem);
+                            index.get_mut().unwrap().launched(&rows, id);
                         }
                     }
                 }
                 3 => {
-                    if let Some(&i) = running.get(pick_at % running.len().max(1)) {
-                        rows.remove(i);
-                        index.get_mut().unwrap().removed(i);
+                    if let Some(&id) = running.get(pick_at % running.len().max(1)) {
+                        rows.remove(id);
+                        index.get_mut().unwrap().removed(id);
                     }
                 }
                 4 => {
@@ -453,24 +479,22 @@ const TICK: Time = 1.0 / 64.0;
 /// and the per-work estimate moves), unlock the waiting rows, or let time pass so
 /// every running `trem` shrinks. Returns whether an input task completed.
 fn apply_step(
-    rows: &mut Vec<TaskView>,
+    rows: &mut TaskRows,
     per_work: &mut f64,
     now: &mut Time,
     (kind, pick_at, value): Step,
 ) -> bool {
-    let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
+    let running = ids(rows, TaskView::is_running);
     match kind {
         0 => {
-            let idle: Vec<usize> = (0..rows.len())
-                .filter(|&i| rows[i].eligible && !rows[i].is_running())
-                .collect();
-            if let Some(&i) = idle.get(pick_at % idle.len().max(1)) {
-                launch_at(&mut rows[i], *now, pick(&TREM, value));
+            let idle = ids(rows, |t| t.eligible && !t.is_running());
+            if let Some(&id) = idle.get(pick_at % idle.len().max(1)) {
+                launch_at(rows.get_mut(id).unwrap(), *now, pick(&TREM, value));
             }
         }
         1 => {
-            if let Some(&i) = running.get(pick_at % running.len().max(1)) {
-                let row = &mut rows[i];
+            if let Some(&id) = running.get(pick_at % running.len().max(1)) {
+                let row = rows.get_mut(id).unwrap();
                 let trem = pick(&TREM, value);
                 if row.running_copies < MAX_COPIES_PER_TASK {
                     if *now + trem < row.copy_start + row.copy_duration {
@@ -482,9 +506,9 @@ fn apply_step(
             }
         }
         2 => {
-            if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+            if let Some(&id) = running.get(pick_at % running.len().max(1)) {
                 *per_work = pick(&PER_WORK, value);
-                return rows.remove(i).stage.is_input();
+                return rows.remove(id).unwrap().stage.is_input();
             }
         }
         3 => rows.iter_mut().for_each(|t| t.eligible = true),
@@ -503,7 +527,7 @@ proptest! {
         extra_input in 0usize..8,
         steps in prop::collection::vec((0u8..6, any::<usize>(), 0usize..6), 1..40),
     ) {
-        let mut rows: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let mut rows: TaskRows = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
         let total_input = rows.iter().filter(|t| t.stage.is_input()).count() + extra_input;
         let epsilon = pick(&EPSILON, eps);
         let (mut per_work, mut completed, mut now) = (1.0, 0, T0);
@@ -535,8 +559,8 @@ proptest! {
 /// Apply `answer` to the rows at `now` as a caller applies it: one more copy of the
 /// task it names, whose best copy's `trem` becomes `trem`. For a speculative copy
 /// that may rise, since a new best copy may carry a larger estimate bias.
-fn apply_answer(rows: &mut [TaskView], answer: Action, now: Time, trem: f64) {
-    if let Some(row) = rows.iter_mut().find(|t| t.id == answer.task) {
+fn apply_answer(rows: &mut TaskRows, answer: Action, now: Time, trem: f64) {
+    if let Some(row) = rows.get_mut(answer.task) {
         assert_eq!(
             row.is_running(),
             answer.is_speculative(),
@@ -560,7 +584,7 @@ proptest! {
         extra_input in 0usize..8,
         steps in prop::collection::vec((0u8..40, any::<usize>(), 0usize..6), 1..120),
     ) {
-        let initial: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let initial: TaskRows = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
         let total_input = initial.iter().filter(|t| t.stage.is_input()).count() + extra_input;
         let epsilon = pick(&EPSILON, eps);
         for mode in MODES {
@@ -598,10 +622,10 @@ proptest! {
                         }
                     }
                     (37, _) => {
-                        let running: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_running()).collect();
-                        if let Some(&i) = running.get(pick_at % running.len().max(1)) {
+                        let running = ids(&rows, TaskView::is_running);
+                        if let Some(&id) = running.get(pick_at % running.len().max(1)) {
                             per_work = pick(&PER_WORK, value);
-                            if rows.remove(i).stage.is_input() {
+                            if rows.remove(id).unwrap().stage.is_input() {
                                 completed += 1;
                             }
                             if pick_at % 2 == 0 {
@@ -619,6 +643,118 @@ proptest! {
                     }
                     _ => now += pick(&[0.5, 1.0, 2.0], value),
                 }
+            }
+        }
+    }
+}
+
+/// `rows` in the order of `keys`: row `i` goes where `keys[i]` sorts, ties by id.
+fn shuffled(rows: &[TaskView], keys: &[u32]) -> TaskRows {
+    let mut order: Vec<(u32, &TaskView)> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (pick(keys, i), t))
+        .collect();
+    order.sort_by_key(|&(key, t)| (key, t.id));
+    order.into_iter().map(|(_, t)| t.clone()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// One job's rows in ascending task id, and the same rows shuffled, take the
+    /// same steps: 0 launches a first copy of an eligible row, 1 races another
+    /// copy, 2 applies the last answer of the kept GS or RAS policy at the same
+    /// `now`, 3 completes a running task (the shuffled rows swap-remove its row,
+    /// the per-work estimate moves, and the later stages may unlock), 4 unlocks
+    /// every row, and 5–7 let time pass. Before every step `choose` on the sorted
+    /// rows decides; `choose` on the shuffled rows with an index it builds, and a
+    /// policy kept across the steps on the shuffled rows with an index the view
+    /// carries, must decide alike.
+    #[test]
+    fn decisions_do_not_depend_on_the_order_of_the_rows(
+        raw in prop::collection::vec((0usize..4, 0usize..6, 0u32..=MAX_COPIES_PER_TASK, 0u8..8, 0u8..8), 1..24),
+        keys in prop::collection::vec(any::<u32>(), 1..24),
+        error_bound in any::<bool>(),
+        (oracle, eps, extra_input, remaining) in (any::<bool>(), 0usize..4, 0usize..8, 0usize..7),
+        steps in prop::collection::vec((0u8..8, any::<usize>(), 0usize..6), 1..32),
+    ) {
+        let mut sorted: Vec<TaskView> = raw.iter().enumerate().map(|(i, &r)| quantised_task(i, r)).collect();
+        let mut rows = shuffled(&sorted, &keys);
+        let total_input = sorted.iter().filter(|t| t.stage.is_input()).count() + extra_input;
+        let bound = if error_bound {
+            Bound::Error(pick(&EPSILON, eps))
+        } else {
+            Bound::Deadline(T0 + pick(&[-1.0, 0.0, 1.0, 2.0, 3.0, 6.0, 1e9], remaining))
+        };
+        let (mut per_work, mut completed, mut now) = (1.0, 0, T0);
+        let estimate = |per_work| if oracle { TnewEstimate::Oracle } else { TnewEstimate::PerWork(per_work) };
+        let mut index = OnceCell::from(DeadlineIndex::build(&rows, estimate(per_work)));
+        let mut kept: [(SpeculationMode, Box<dyn SpeculationPolicy>); 2] = [
+            (SpeculationMode::Gs, Box::<GsPolicy>::default()),
+            (SpeculationMode::Ras, Box::<RasPolicy>::default()),
+        ];
+        let mut answers = [None, None];
+        for (step, &(kind, pick_at, value)) in steps.iter().enumerate() {
+            let reference = TaskRows::from(sorted.clone());
+            let view = |tasks| JobView {
+                bound,
+                tnew_estimate: estimate(per_work),
+                ..error_view(tasks, 0.0, total_input, completed, now)
+            };
+            let carried = JobView {
+                deadline_index: Some(&index),
+                ..view(&rows)
+            };
+            for ((mode, policy), answer) in kept.iter_mut().zip(&mut answers) {
+                let want = choose(&view(&reference), *mode);
+                prop_assert_eq!(
+                    choose(&view(&rows), *mode),
+                    want,
+                    "{:?} at step {} on {:?}", mode, step, rows
+                );
+                *answer = policy.choose(&carried);
+                prop_assert_eq!(*answer, want, "kept {:?} at step {} on {:?}", mode, step, rows);
+            }
+
+            // The same change to both arrangements, and to the index.
+            let trem = pick(&TREM, value);
+            let one_of = |ids: Vec<TaskId>| ids.get(pick_at % ids.len().max(1)).copied();
+            let launch = match kind {
+                0 => one_of(ids(&rows, |t| t.eligible && !t.is_running())),
+                1 => one_of(ids(&rows, |t| t.is_running() && t.running_copies < MAX_COPIES_PER_TASK)),
+                2 => answers[pick_at % 2].map(|a| a.task),
+                _ => None,
+            };
+            if let Some(id) = launch {
+                launch_at(rows.get_mut(id).unwrap(), now, trem);
+                launch_at(sorted.iter_mut().find(|t| t.id == id).unwrap(), now, trem);
+                index.get_mut().unwrap().launched(&rows, id);
+            }
+            match kind {
+                3 => {
+                    let running = ids(&rows, TaskView::is_running);
+                    if let Some(&id) = running.get(pick_at % running.len().max(1)) {
+                        per_work = pick(&PER_WORK, value);
+                        if rows.remove(id).unwrap().stage.is_input() {
+                            completed += 1;
+                        }
+                        sorted.retain(|t| t.id != id);
+                        index.get_mut().unwrap().removed(id);
+                    }
+                    if pick_at % 2 == 0 {
+                        rows.iter_mut().for_each(|t| t.eligible = true);
+                        sorted.iter_mut().for_each(|t| t.eligible = true);
+                        index.get_mut().unwrap().unlocked(&rows);
+                    }
+                }
+                4 => {
+                    rows.iter_mut().for_each(|t| t.eligible = true);
+                    sorted.iter_mut().for_each(|t| t.eligible = true);
+                    index.get_mut().unwrap().unlocked(&rows);
+                }
+                5..=7 => now += pick(&[0.5, 1.0, 2.0], value),
+                _ => {}
             }
         }
     }
@@ -701,7 +837,7 @@ fn model_tasks(raw: &[TaskDraw]) -> Vec<ModelTask> {
 /// keeps its best copy's start, duration and bias, the best copy being the one that
 /// ends first (the first launched among equal ends). No row depends on `now`; a view
 /// derives `trem` at its own `now`.
-fn model_rows(tasks: &[ModelTask]) -> Vec<TaskView> {
+fn model_rows(tasks: &[ModelTask]) -> TaskRows {
     tasks
         .iter()
         .enumerate()
@@ -736,7 +872,7 @@ fn model_rows(tasks: &[ModelTask]) -> Vec<TaskView> {
         .collect()
 }
 
-fn job_view(shape: Shape, tasks: &[TaskView], now: Time) -> JobView<'_> {
+fn job_view(shape: Shape, tasks: &TaskRows, now: Time) -> JobView<'_> {
     match shape {
         Shape::Error {
             epsilon,

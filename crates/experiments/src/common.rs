@@ -194,7 +194,7 @@ impl PolicyKind {
             PolicyKind::GsOnly => "GS-only".to_string(),
             PolicyKind::RasOnly => "RAS-only".to_string(),
             PolicyKind::Oracle => "Optimal".to_string(),
-            PolicyKind::Grass(cfg) => GrassFactory::with_config(*cfg, 0).name().to_string(),
+            PolicyKind::Grass(cfg) => cfg.name(),
         }
     }
 

@@ -54,7 +54,7 @@ struct ReferenceSimulator<'a> {
     config: SimConfig,
     factory: &'a dyn PolicyFactory,
     sink: &'a mut dyn TraceSink,
-    view_scratch: Vec<grass_core::TaskView>,
+    view_scratch: grass_core::TaskRows,
     machines: Vec<Machine>,
     free_slots: Vec<SlotId>,
     total_slots: usize,
@@ -95,7 +95,7 @@ impl<'a> ReferenceSimulator<'a> {
             config,
             factory,
             sink,
-            view_scratch: Vec::new(),
+            view_scratch: grass_core::TaskRows::default(),
             machines,
             free_slots,
             total_slots,
@@ -343,7 +343,7 @@ impl<'a> ReferenceSimulator<'a> {
 
     fn job_view<'v>(
         job: &JobRuntime,
-        views: &'v [grass_core::TaskView],
+        views: &'v grass_core::TaskRows,
         now: Time,
         fair_share: usize,
         utilization: f64,
@@ -431,7 +431,7 @@ impl<'a> ReferenceSimulator<'a> {
         job_id: JobId,
         fair_share: usize,
         utilization: f64,
-        views: &mut Vec<grass_core::TaskView>,
+        views: &mut grass_core::TaskRows,
     ) -> bool {
         let mean_slowdown = self.mean_slowdown;
         let estimator = self.config.estimator;

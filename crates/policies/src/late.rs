@@ -82,6 +82,8 @@ impl LatePolicy {
         rates.get(idx.min(rates.len() - 1)).copied()
     }
 
+    /// The slow running task with the longest estimated time to end, the higher task
+    /// id among equal times, whatever the order of the rows.
     fn speculation_candidate<'v>(&self, view: &'v JobView) -> Option<&'v TaskView> {
         let cutoff = self.slow_rate_cutoff(view)?;
         view.tasks
@@ -93,7 +95,7 @@ impl LatePolicy {
                     && view.progress_rate(t) <= cutoff
             })
             .map(|t| (view.trem(t), t))
-            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .max_by(|(a, s), (b, t)| a.total_cmp(b).then(s.id.cmp(&t.id)))
             .map(|(_, t)| t)
     }
 }
@@ -148,15 +150,15 @@ impl PolicyFactory for LateFactory {
 mod tests {
     use super::*;
     use crate::test_util::{deadline_view, error_view, running_task, unscheduled_task};
-    use grass_core::{ActionKind, TaskId};
+    use grass_core::{ActionKind, TaskId, TaskRows};
 
     #[test]
     fn pending_tasks_take_priority_over_speculation() {
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 50.0, 2.0, 1), // an obvious straggler
             unscheduled_task(3, 2.0),
             unscheduled_task(2, 9.0),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         let a = LatePolicy::default().choose(&view).unwrap();
         // FIFO: lowest task id among unscheduled, regardless of duration or bound.
@@ -167,11 +169,11 @@ mod tests {
     fn speculates_slowest_task_when_no_pending_work() {
         // Three running tasks; task 2 has by far the slowest progress rate and the
         // longest time to end.
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 3.0, 3.0, 1),
             running_task(1, 4.0, 3.0, 1),
             running_task(2, 60.0, 3.0, 1),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         let a = LatePolicy::default().choose(&view).unwrap();
         assert_eq!(a.task, TaskId(2));
@@ -179,8 +181,27 @@ mod tests {
     }
 
     #[test]
+    fn equal_times_to_end_go_to_the_higher_task_id_in_either_row_order() {
+        // Tasks 3 and 5 are equally slow with equal times to end; task 1 is fast.
+        let rows = [
+            running_task(3, 60.0, 3.0, 1),
+            running_task(1, 4.0, 3.0, 1),
+            running_task(5, 60.0, 3.0, 1),
+        ];
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let tasks = TaskRows::from(order.map(|i| rows[i].clone()).to_vec());
+            let view = deadline_view(&tasks, 0.0, 100.0);
+            let a = LatePolicy::default().choose(&view);
+            assert_eq!(a, Some(Action::speculate(TaskId(5))), "order {order:?}");
+        }
+    }
+
+    #[test]
     fn respects_one_speculative_copy_per_task() {
-        let tasks = vec![running_task(0, 60.0, 3.0, 2), running_task(1, 4.0, 3.0, 1)];
+        let tasks = TaskRows::from(vec![
+            running_task(0, 60.0, 3.0, 2),
+            running_task(1, 4.0, 3.0, 1),
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         // Task 0 already has 2 copies; with the cap of max(1, 10% of 4) = 1 speculative
         // copy already running, LATE declines.
@@ -193,11 +214,11 @@ mod tests {
             speculative_cap: 0.5, // budget = 2 for wave width 4
             ..LateConfig::default()
         };
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 60.0, 3.0, 2),
             running_task(1, 50.0, 3.0, 2),
             running_task(2, 80.0, 3.0, 1),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         // Two speculative copies already running == budget, so no more.
         assert!(LatePolicy::new(config).choose(&view).is_none());
@@ -219,7 +240,7 @@ mod tests {
             oldest_start: 0.0,
             ..running_task(0, 100.0, 3.0, 1)
         };
-        let tasks = vec![barely_started];
+        let tasks = TaskRows::from(vec![barely_started]);
         let view = error_view(&tasks, 0.1, 10, 9);
         assert!(LatePolicy::default().choose(&view).is_none());
     }

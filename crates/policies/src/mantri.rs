@@ -49,6 +49,8 @@ impl MantriPolicy {
         MantriPolicy { config }
     }
 
+    /// The running task whose duplicate saves the most, by the largest `trem`, the
+    /// higher task id among equal ones, whatever the order of the rows.
     fn duplicate_candidate<'v>(&self, view: &'v JobView) -> Option<&'v TaskView> {
         view.tasks
             .iter()
@@ -60,7 +62,7 @@ impl MantriPolicy {
             })
             .map(|t| (view.trem(t), t))
             .filter(|&(trem, t)| trem > self.config.restart_threshold * view.tnew(t))
-            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .max_by(|(a, s), (b, t)| a.total_cmp(b).then(s.id.cmp(&t.id)))
             .map(|(_, t)| t)
     }
 }
@@ -111,14 +113,14 @@ impl PolicyFactory for MantriFactory {
 mod tests {
     use super::*;
     use crate::test_util::{deadline_view, error_view, running_task, unscheduled_task};
-    use grass_core::{ActionKind, TaskId};
+    use grass_core::{ActionKind, TaskId, TaskRows};
 
     #[test]
     fn duplicates_resource_wasting_stragglers_even_with_pending_work() {
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 10.0, 3.0, 1), // trem > 2*tnew => duplicate
             unscheduled_task(1, 3.0),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         let a = MantriPolicy::default().choose(&view).unwrap();
         assert_eq!(a.task, TaskId(0));
@@ -127,10 +129,10 @@ mod tests {
 
     #[test]
     fn does_not_duplicate_when_saving_is_insufficient() {
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 5.0, 3.0, 1), // trem < 2*tnew => keep waiting
             unscheduled_task(1, 3.0),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         let a = MantriPolicy::default().choose(&view).unwrap();
         assert_eq!(a, Action::launch(TaskId(1)));
@@ -138,23 +140,38 @@ mod tests {
 
     #[test]
     fn respects_copy_cap() {
-        let tasks = vec![running_task(0, 50.0, 3.0, 2)];
+        let tasks = TaskRows::from(vec![running_task(0, 50.0, 3.0, 2)]);
         let view = error_view(&tasks, 0.0, 10, 9);
         assert!(MantriPolicy::default().choose(&view).is_none());
     }
 
     #[test]
     fn picks_worst_straggler_among_candidates() {
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 20.0, 3.0, 1),
             running_task(1, 40.0, 3.0, 1),
             running_task(2, 30.0, 3.0, 1),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         assert_eq!(
             MantriPolicy::default().choose(&view).unwrap().task,
             TaskId(1)
         );
+    }
+
+    #[test]
+    fn equal_stragglers_go_to_the_higher_task_id_in_either_row_order() {
+        let rows = [
+            running_task(2, 40.0, 3.0, 1),
+            running_task(4, 20.0, 3.0, 1),
+            running_task(6, 40.0, 3.0, 1),
+        ];
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let tasks = TaskRows::from(order.map(|i| rows[i].clone()).to_vec());
+            let view = deadline_view(&tasks, 0.0, 100.0);
+            let a = MantriPolicy::default().choose(&view);
+            assert_eq!(a, Some(Action::speculate(TaskId(6))), "order {order:?}");
+        }
     }
 
     #[test]
@@ -166,7 +183,7 @@ mod tests {
             oldest_start: -0.5,
             ..running_task(0, 50.0, 3.0, 1)
         };
-        let tasks = vec![fresh];
+        let tasks = TaskRows::from(vec![fresh]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         assert!(MantriPolicy::default().choose(&view).is_none());
     }

@@ -41,20 +41,20 @@ impl PolicyFactory for NoSpecFactory {
 mod tests {
     use super::*;
     use crate::test_util::{deadline_view, running_task, unscheduled_task};
-    use grass_core::TaskId;
+    use grass_core::{TaskId, TaskRows};
 
     #[test]
     fn nospec_launches_in_fifo_order_and_never_speculates() {
-        let tasks = vec![
+        let tasks = TaskRows::from(vec![
             running_task(0, 10.0, 1.0, 1),
             unscheduled_task(2, 5.0),
             unscheduled_task(1, 9.0),
-        ];
+        ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         let mut p = NoSpecPolicy;
         assert_eq!(p.choose(&view).unwrap(), Action::launch(TaskId(1)));
         // Only a straggling running task left: NoSpec has nothing to do.
-        let tasks = vec![running_task(0, 10.0, 1.0, 1)];
+        let tasks = TaskRows::from(vec![running_task(0, 10.0, 1.0, 1)]);
         let view = deadline_view(&tasks, 0.0, 100.0);
         assert!(p.choose(&view).is_none());
     }

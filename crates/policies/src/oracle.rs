@@ -70,7 +70,7 @@ impl PolicyFactory for OracleFactory {
 mod tests {
     use super::*;
     use crate::test_util::{deadline_view, error_view, running_task, unscheduled_task};
-    use grass_core::{ActionKind, TaskId, TaskView};
+    use grass_core::{ActionKind, TaskId, TaskRows, TaskView};
 
     #[test]
     fn oracle_uses_ground_truth_not_estimates() {
@@ -81,7 +81,7 @@ mod tests {
             rem_bias: 0.02,
             ..running_task(0, 50.0, 3.0, 1)
         };
-        let tasks = vec![straggler];
+        let tasks = TaskRows::from(vec![straggler]);
         let view = error_view(&tasks, 0.0, 10, 9);
         assert!(view.trem(&tasks[0]) < 1.01);
         assert_eq!(choose(&view, SpeculationMode::Gs), None);
@@ -93,10 +93,10 @@ mod tests {
     #[test]
     fn truth_rows_read_the_ground_truth_remaining_time() {
         for bias in [0.5, 1.0, 1.7] {
-            let tasks = [TaskView {
+            let tasks = TaskRows::from(vec![TaskView {
                 rem_bias: bias,
                 ..running_task(0, 6.5, 3.0, 2)
-            }];
+            }]);
             let view = error_view(&tasks, 0.0, 10, 9);
             let truth = JobView {
                 tnew_estimate: TnewEstimate::Oracle,
@@ -119,6 +119,7 @@ mod tests {
         for i in 1..21 {
             tasks.push(unscheduled_task(i, 3.0));
         }
+        let tasks = TaskRows::from(tasks);
         let view = deadline_view(&tasks, 0.0, 1000.0);
         let a = OraclePolicy.choose(&view).unwrap();
         assert_eq!(a.kind, ActionKind::Launch);
@@ -128,7 +129,7 @@ mod tests {
     fn oracle_speculates_aggressively_in_the_last_wave() {
         // Same marginal speculation, but no unscheduled work left: GS regime, so the
         // oracle races a copy (tnew < trem by ground truth).
-        let tasks = vec![running_task(0, 4.0, 3.0, 1)];
+        let tasks = TaskRows::from(vec![running_task(0, 4.0, 3.0, 1)]);
         let view = deadline_view(&tasks, 0.0, 1000.0);
         let a = OraclePolicy.choose(&view).unwrap();
         assert_eq!(a.kind, ActionKind::Speculate);

@@ -2,7 +2,7 @@
 
 #![allow(dead_code)]
 
-use grass_core::{Bound, JobId, JobView, StageId, TaskId, TaskView, TnewEstimate};
+use grass_core::{Bound, JobId, JobView, StageId, TaskId, TaskRows, TaskView, TnewEstimate};
 
 /// An unscheduled input-stage task with the given estimated fresh-copy duration: its
 /// `work` with a unit bias, read through the helper views' unit per-work estimate.
@@ -36,7 +36,7 @@ pub fn running_task(id: u32, trem: f64, tnew: f64, copies: u32) -> TaskView {
         oldest_start: -elapsed,
         ..unscheduled_task(id, tnew)
     };
-    let derived = error_view(std::slice::from_ref(&row), 0.0, 1, 0).trem(&row);
+    let derived = error_view(&TaskRows::default(), 0.0, 1, 0).trem(&row);
     assert_eq!(
         derived.to_bits(),
         trem.to_bits(),
@@ -46,7 +46,7 @@ pub fn running_task(id: u32, trem: f64, tnew: f64, copies: u32) -> TaskView {
 }
 
 /// A deadline-bound job view over the given tasks.
-pub fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobView<'a> {
+pub fn deadline_view<'a>(tasks: &'a TaskRows, now: f64, deadline: f64) -> JobView<'a> {
     JobView {
         job: JobId(1),
         now,
@@ -69,7 +69,7 @@ pub fn deadline_view<'a>(tasks: &'a [TaskView], now: f64, deadline: f64) -> JobV
 
 /// An error-bound job view over the given tasks.
 pub fn error_view<'a>(
-    tasks: &'a [TaskView],
+    tasks: &'a TaskRows,
     epsilon: f64,
     total: usize,
     completed: usize,

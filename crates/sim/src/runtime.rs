@@ -7,7 +7,7 @@ use rand::Rng;
 
 use grass_core::{
     degrade_estimate, AccuracyTracker, Bound, BoxedPolicy, DeadlineIndex, EstimatorConfig,
-    JobOutcome, JobSpec, TaskId, TaskSpec, TaskView, Time, TnewEstimate,
+    JobOutcome, JobSpec, TaskId, TaskRows, TaskSpec, TaskView, Time, TnewEstimate,
 };
 
 use crate::event::CopyId;
@@ -197,13 +197,13 @@ pub struct JobRuntime {
     /// the simulator's lazy stats catch-up). Unused by the frozen reference
     /// engine.
     pub stats_cursor: usize,
-    /// Resident [`TaskView`] table: one row per unfinished task, in ascending
-    /// task id. Built once, at the job's arrival
+    /// Resident [`TaskView`] table: one row per unfinished task, with the map from
+    /// task id to row. Built once, at the job's arrival
     /// ([`init_task_views`](Self::init_task_views)); from then on only
     /// [`launch_copy`](Self::launch_copy) and
     /// [`complete_copy`](Self::complete_copy) touch it, since no row depends on
     /// `now`. Empty until built and again once the job is finalised.
-    pub(crate) task_views: Vec<TaskView>,
+    pub(crate) task_views: TaskRows,
     /// The [`DeadlineIndex`] of `task_views`, kept beside them once a decision has
     /// built it: GS, RAS and GRASS build it at a deadline-bound job's first
     /// decision; LATE, Mantri and no speculation never read one, and error-bound
@@ -253,7 +253,7 @@ impl JobRuntime {
             acc_stat: TimeWeighted::new(now, prior_accuracy),
             unfinished,
             stats_cursor: 0,
-            task_views: Vec::new(),
+            task_views: TaskRows::default(),
             deadline_index: OnceCell::new(),
         }
     }
@@ -334,24 +334,26 @@ impl JobRuntime {
         }
     }
 
-    /// The resident task views. They equal, bit for bit, what
-    /// [`build_task_views`](Self::build_task_views) returns: a launch re-derives its
-    /// task's row ([`launch_copy`](Self::launch_copy)), and a task completion removes
-    /// its task's row and, when it meets its stage's requirement, marks the next
-    /// stage's rows eligible ([`complete_copy`](Self::complete_copy)). A row holds
+    /// The resident task views. They hold, bit for bit, the rows
+    /// [`build_task_views`](Self::build_task_views) returns, in a deterministic
+    /// order that is not sorted: a launch re-derives its task's row in place
+    /// ([`launch_copy`](Self::launch_copy)), and a task completion swap-removes its
+    /// task's row and, when it meets its stage's requirement, marks the next stage's
+    /// rows eligible ([`complete_copy`](Self::complete_copy)). Readers find a row by
+    /// task id through the table's map and break ties by task id. A row holds
     /// neither job-wide state nor anything that depends on `now`: views derive
     /// `tnew` from the job's per-work estimate and every time-dependent field at
     /// their own `now` ([`grass_core::JobView::trem`] and its siblings).
-    pub fn task_views(&self) -> &[TaskView] {
+    pub fn task_views(&self) -> &TaskRows {
         &self.task_views
     }
 
     /// The cell of the resident [`DeadlineIndex`] of
     /// [`task_views`](Self::task_views), which the simulator's views carry. It
     /// stays empty until a decision builds the index into it, keyed for that
-    /// decision's estimate kind; from then on a first launch moves its row from the
-    /// fresh order to the running list, a completion removes its row's position,
-    /// and a stage's unlock re-sorts the fresh order with the stage's rows.
+    /// decision's estimate kind; from then on a first launch moves its task from the
+    /// fresh order to the running list, a completion drops its task from the running
+    /// list, and a stage's unlock re-sorts the fresh order with the stage's rows.
     pub fn deadline_index(&self) -> &OnceCell<DeadlineIndex> {
         &self.deadline_index
     }
@@ -361,7 +363,7 @@ impl JobRuntime {
     pub fn init_task_views(&mut self, cluster_mean_slowdown: f64) {
         let mut rows = Vec::with_capacity(self.unfinished);
         rows.extend(self.rows(cluster_mean_slowdown));
-        self.task_views = rows;
+        self.task_views = TaskRows::from(rows);
     }
 
     /// One row per unfinished task, in ascending task id.
@@ -376,19 +378,17 @@ impl JobRuntime {
             })
     }
 
-    /// Build the [`TaskView`]s for every unfinished task.
-    pub fn build_task_views(&self, cluster_mean_slowdown: f64) -> Vec<TaskView> {
-        let mut views = Vec::with_capacity(self.tasks.len());
-        self.build_task_views_into(cluster_mean_slowdown, &mut views);
-        views
+    /// Build the [`TaskView`]s for every unfinished task, in ascending task id.
+    pub fn build_task_views(&self, cluster_mean_slowdown: f64) -> TaskRows {
+        self.rows(cluster_mean_slowdown).collect()
     }
 
-    /// Build the [`TaskView`]s for every unfinished task into a caller-provided
-    /// buffer, clearing it first. The frozen reference engine (`grass-oracles`)
-    /// builds every view it hands out through here. No row depends on `now` or on
-    /// the estimator: under oracle estimates [`launch_copy`](Self::launch_copy)
-    /// already gives every copy a unit `rem_bias`.
-    pub fn build_task_views_into(&self, cluster_mean_slowdown: f64, views: &mut Vec<TaskView>) {
+    /// Build the [`TaskView`]s for every unfinished task, in ascending task id, into
+    /// a caller-provided table, clearing it first. The frozen reference engine
+    /// (`grass-oracles`) builds every view it hands out through here. No row depends
+    /// on `now` or on the estimator: under oracle estimates
+    /// [`launch_copy`](Self::launch_copy) already gives every copy a unit `rem_bias`.
+    pub fn build_task_views_into(&self, cluster_mean_slowdown: f64, views: &mut TaskRows) {
         views.clear();
         views.extend(self.rows(cluster_mean_slowdown));
     }
@@ -429,11 +429,10 @@ impl JobRuntime {
         self.allocated_slots += 1;
         // Keep the resident row and a built index current (an unbuilt table is
         // empty).
-        if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
-            // grass: allow(panicky-lib, "pos was just returned by binary_search over task_views")
-            t.set_copy_fields(&mut self.task_views[pos]);
+        if let Some(row) = self.task_views.get_mut(task) {
+            t.set_copy_fields(row);
             if let Some(index) = self.deadline_index.get_mut() {
-                index.launched(&self.task_views, pos);
+                index.launched(&self.task_views, task);
             }
         }
     }
@@ -505,15 +504,14 @@ impl JobRuntime {
         // Keep the resident table and a built index current (an unbuilt table is
         // empty): the task's row goes, and the completion that meets its stage's
         // requirement unlocks the next stage.
-        if let Ok(pos) = self.task_views.binary_search_by_key(&task, |row| row.id) {
-            self.task_views.remove(pos);
+        if self.task_views.remove(task).is_some() {
             if let Some(index) = self.deadline_index.get_mut() {
-                index.removed(pos);
+                index.removed(task);
             }
         }
         // grass: allow(panicky-lib, "stage comes from this task's spec; completed_per_stage is sized from spec.stages")
         if self.completed_per_stage[stage] == self.stage_needed(stage) {
-            for row in &mut self.task_views {
+            for row in self.task_views.iter_mut() {
                 if row.stage.value() as usize == stage + 1 {
                     row.eligible = true;
                 }
@@ -529,7 +527,7 @@ impl JobRuntime {
     /// (task, copy id, freed slot). The job is done, so its resident task views
     /// and their index are freed.
     pub fn kill_all_copies(&mut self, now: Time) -> Vec<(TaskId, CopyId, SlotId)> {
-        self.task_views = Vec::new();
+        self.task_views = TaskRows::default();
         self.deadline_index = OnceCell::new();
         let mut freed = Vec::new();
         for (idx, t) in self.tasks.iter_mut().enumerate() {
@@ -612,7 +610,7 @@ mod tests {
     }
 
     /// A view of `rows` at `now`, through which a test reads the derived fields.
-    fn view_at<'a>(rt: &JobRuntime, rows: &'a [TaskView], now: Time) -> JobView<'a> {
+    fn view_at<'a>(rt: &JobRuntime, rows: &'a TaskRows, now: Time) -> JobView<'a> {
         JobView {
             job: rt.spec.id,
             now,
@@ -862,7 +860,7 @@ mod tests {
         // here, so `tnew` = work × bias deviates from the hint iff the bias is not 1.
         assert_eq!(rt.tnew_estimate(&est, 1.0), TnewEstimate::PerWork(1.0));
         let mut any_differs = false;
-        for v in &views {
+        for v in views.iter() {
             assert!(v.tnew_bias > 0.0);
             if v.is_running() {
                 assert!(view.trem(v) >= 0.0);

@@ -173,14 +173,16 @@ pub fn run_simulation_traced(
 /// consultation and per completion hook. `on_job_start`, `on_task_complete` and
 /// `choose()` all read that table: built once at arrival
 /// ([`JobRuntime::init_task_views`]) and kept current by the job's own events
-/// alone (a launch re-derives its row; a completion removes its own row and,
-/// when it meets its stage's requirement, marks the next stage's rows
-/// eligible), so it always equals what [`JobRuntime::build_task_views`] would
-/// build, bit for bit. A row holds no job-wide state and nothing that depends
-/// on `now`: each view carries the job's [`TnewEstimate`] and its `now`, and
-/// policies derive `tnew` and `trem` on read ([`JobView::tnew`],
-/// [`JobView::trem`]). So neither passing time nor the per-work estimate a
-/// completion moves rewrites a row.
+/// alone (a launch re-derives its row; a completion swap-removes its own row
+/// and, when it meets its stage's requirement, marks the next stage's rows
+/// eligible), so it always holds the rows [`JobRuntime::build_task_views`]
+/// would build, bit for bit, in an order that is not sorted. Views carry the
+/// table's map from task id to row, so a lookup is one array read, and every
+/// policy breaks ties by task id, never by row order. A row holds no job-wide
+/// state and nothing that depends on `now`: each view carries the job's
+/// [`TnewEstimate`] and its `now`, and policies derive `tnew` and `trem` on read
+/// ([`JobView::tnew`], [`JobView::trem`]). So neither passing time nor the
+/// per-work estimate a completion moves rewrites a row.
 ///
 /// A finished job leaves `running` as soon as its outcome is recorded, so its
 /// runtime, its task views and its policy are freed; every lookup treats a
@@ -556,7 +558,7 @@ impl<'a> Simulator<'a> {
     #[allow(clippy::too_many_arguments)]
     fn job_view<'v>(
         job: &JobRuntime,
-        views: &'v [grass_core::TaskView],
+        views: &'v grass_core::TaskRows,
         deadline_index: &'v OnceCell<DeadlineIndex>,
         now: Time,
         fair_share: usize,

@@ -77,7 +77,7 @@ pub mod prelude {
         EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy,
         JobId, JobOutcome, JobSizeBin, JobSpec, JobView, PolicyFactory, RasFactory, RasPolicy,
         SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
-        StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskSpec, TaskView, Time,
+        StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskRows, TaskSpec, TaskView, Time,
         TnewEstimate,
     };
     pub use grass_experiments::{

@@ -177,7 +177,9 @@ fn eviction_order_and_counts_match_the_frozen_reference() {
                 oracle.samples_for(m, k),
                 "partition ({m:?}, {k:?}) diverged after record {i}"
             );
-            assert_eq!(store.count_for(m, k), oracle.count_for(m, k));
+            let (gs, ras) = store.counts_snapshot().for_kind(k);
+            let count = if m == SpeculationMode::Gs { gs } else { ras };
+            assert_eq!(count, oracle.count_for(m, k));
         }
         assert_eq!(store.len(), oracle.len());
     }

@@ -1,11 +1,14 @@
 //! The simulator keeps each job's `TaskView` rows resident: it builds them
 //! once, at the job's arrival (`JobRuntime::init_task_views`), and from then on
 //! only the job's own launches and completions touch them, since no row depends
-//! on `now`. This property pins that table against a full build: one
-//! `JobRuntime` is driven through random launches, speculative races, stale
-//! finishes, time advances and the stage unlocks its completions cause, and
-//! after every step the resident rows must equal `build_task_views`, every
-//! `f64` compared by its bits.
+//! on `now`. A completion swap-removes its row, so the resident rows come in an
+//! order that is not sorted, with a map from task id to row. This property pins
+//! that table against a full build: one `JobRuntime` is driven through random
+//! launches, speculative races, stale finishes, time advances and the stage
+//! unlocks its completions cause, and after every step the resident rows, taken
+//! by task id, must equal `build_task_views`, which lists them in ascending task
+//! id, every `f64` compared by its bits. The map must send each resident row's
+//! id to that row's position, and each finished task's id to no row.
 //!
 //! Rows hold neither `tnew` nor anything that moves with time: views derive
 //! them on read. So every step also checks, by bits, each resident row's
@@ -31,13 +34,16 @@
 //! the same live fresh rows in the same order. A deadline-bound job whose
 //! policy is LATE never builds one.
 //!
-//! Every case also keeps one `GsPolicy` and one `RasPolicy` across all the
-//! steps, as the simulator keeps one policy per job. After every step each
-//! one's decision on the resident view, which carries the kept index, must
-//! equal `speculation::choose`, which keeps no memo, on the same rows with no
-//! index. One step kind applies a kept policy's own last answer through
+//! Every case also keeps one `GsPolicy`, `RasPolicy`, `LatePolicy`,
+//! `MantriPolicy` and `OraclePolicy` across all the steps, as the simulator
+//! keeps one policy per job. After every step each one's decision on the
+//! resident view, which carries the kept index, must equal the reference
+//! decision on the id-sorted rows of `build_task_views` with no index:
+//! `speculation::choose`, which keeps no memo, for GS and RAS, and a policy
+//! made afresh for the others. So no decision may depend on the order of the
+//! rows. One step kind applies a kept policy's own last answer through
 //! `JobRuntime::launch_copy` at the same `now`, as the simulator does when one
-//! instant frees several slots, so the policies answer repeat decisions from the
+//! instant frees several slots, so GS and RAS answer repeat decisions from the
 //! runner-up candidates they kept; the other launches change some other row,
 //! which those answers must notice.
 //!
@@ -144,27 +150,68 @@ fn resident_view<'a>(rt: &'a JobRuntime, now: Time, estimator: &EstimatorConfig)
     }
 }
 
-/// Each kept policy's decision on the resident view equals the memo-free `choose`
-/// on the same rows with no index. Returns the decisions, in policy order.
-fn assert_kept_policies_match_choose(
-    policies: &mut [(SpeculationMode, Box<dyn SpeculationPolicy>)],
+/// A policy the property keeps across every step, and how it takes its reference
+/// decision on the built rows.
+enum Reference {
+    /// `speculation::choose` in this mode, which keeps no memo.
+    Choose(SpeculationMode),
+    /// A policy made afresh by this factory.
+    Fresh(Box<dyn PolicyFactory>),
+}
+
+/// The kept policies: GS and RAS, and LATE, Mantri and the oracle.
+fn kept_policies(spec: &JobSpec) -> Vec<(Reference, Box<dyn SpeculationPolicy>)> {
+    let mut kept: Vec<(Reference, Box<dyn SpeculationPolicy>)> = vec![
+        (
+            Reference::Choose(SpeculationMode::Gs),
+            Box::<GsPolicy>::default(),
+        ),
+        (
+            Reference::Choose(SpeculationMode::Ras),
+            Box::<RasPolicy>::default(),
+        ),
+    ];
+    let factories: [Box<dyn PolicyFactory>; 3] = [
+        Box::new(LateFactory::default()),
+        Box::new(MantriFactory::default()),
+        Box::new(OracleFactory),
+    ];
+    for factory in factories {
+        let policy = factory.create(spec);
+        kept.push((Reference::Fresh(factory), policy));
+    }
+    kept
+}
+
+/// Each kept policy's decision on the resident view equals the reference decision
+/// on the id-sorted rows of a full build with no index. Returns the decisions, in
+/// policy order.
+fn assert_kept_policies_match_the_built_rows(
+    policies: &mut [(Reference, Box<dyn SpeculationPolicy>)],
     rt: &JobRuntime,
     now: Time,
     estimator: &EstimatorConfig,
     step: usize,
 ) -> Vec<Option<Action>> {
     let view = resident_view(rt, now, estimator);
-    let unindexed = JobView {
+    let built = rt.build_task_views(MEAN_SLOWDOWN);
+    let sorted = JobView {
+        tasks: &built,
         deadline_index: None,
         ..view.clone()
     };
     let mut decisions = Vec::new();
-    for (mode, policy) in policies.iter_mut() {
+    for (reference, policy) in policies.iter_mut() {
         let decision = policy.choose(&view);
+        let want = match reference {
+            Reference::Choose(mode) => choose(&sorted, *mode),
+            Reference::Fresh(factory) => factory.create(&rt.spec).choose(&sorted),
+        };
         assert_eq!(
             decision,
-            choose(&unindexed, *mode),
-            "step {step} at t={now}: {mode:?} on {:?}",
+            want,
+            "step {step} at t={now}: {} on {:?}",
+            policy.name(),
             view.tasks
         );
         decisions.push(decision);
@@ -187,12 +234,33 @@ fn assert_resident_rows_match_a_full_build(
         resident.len(),
         built.len()
     );
-    for (have, want) in resident.iter().zip(&built) {
+    let mut by_id: Vec<&TaskView> = resident.iter().collect();
+    by_id.sort_by_key(|t| t.id);
+    for (have, want) in by_id.into_iter().zip(built.iter()) {
         assert_eq!(
             row_bits(have),
             row_bits(want),
             "step {step} at t={now}: resident {have:?} != built {want:?}"
         );
+    }
+    // The map sends each row's id to its position, and a finished task's to none.
+    for (at, row) in resident.iter().enumerate() {
+        let mapped = resident.get(row.id);
+        assert!(
+            mapped.is_some_and(|t| std::ptr::eq(t, &resident[at])),
+            "step {step}: {:?} maps to {mapped:?}, not to position {at}",
+            row.id
+        );
+    }
+    for (id, task) in rt.tasks.iter().enumerate() {
+        let id = TaskId(id as u32);
+        if task.finished {
+            assert_eq!(
+                resident.get(id),
+                None,
+                "step {step}: finished {id:?} has a row"
+            );
+        }
     }
 
     let estimate = rt.tnew_estimate(estimator, MEAN_SLOWDOWN);
@@ -229,7 +297,7 @@ fn assert_resident_rows_match_a_full_build(
 
     let view = resident_view(rt, now, estimator);
     let per_work = rt.duration_per_work_estimate(MEAN_SLOWDOWN);
-    for row in resident {
+    for row in resident.iter() {
         let task = &rt.tasks[row.id.index()];
         let want = if estimator.oracle {
             task.spec.work * MEAN_SLOWDOWN
@@ -290,6 +358,7 @@ proptest! {
             .collect();
         let bound = if error_bound { Bound::Error(epsilon) } else { Bound::Deadline(50.0) };
         let spec = JobSpec::multi_stage(1, 0.0, bound, stage_work);
+        let mut policies = kept_policies(&spec);
         let estimator = if noisy {
             EstimatorConfig::with_accuracy(0.6)
         } else {
@@ -300,11 +369,7 @@ proptest! {
         let mut now = 0.0;
         rt.init_task_views(MEAN_SLOWDOWN);
         assert_resident_rows_match_a_full_build(&rt, now, &estimator, 0);
-        let mut policies: Vec<(SpeculationMode, Box<dyn SpeculationPolicy>)> = vec![
-            (SpeculationMode::Gs, Box::<GsPolicy>::default()),
-            (SpeculationMode::Ras, Box::<RasPolicy>::default()),
-        ];
-        let mut decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, 0);
+        let mut decisions = assert_kept_policies_match_the_built_rows(&mut policies, &rt, now, &estimator, 0);
 
         let slot = SlotId { machine: 0, slot: 0 };
         let mut next_copy: CopyId = 0;
@@ -373,7 +438,7 @@ proptest! {
                 }
             }
             assert_resident_rows_match_a_full_build(&rt, now, &estimator, step + 1);
-            decisions = assert_kept_policies_match_choose(&mut policies, &rt, now, &estimator, step + 1);
+            decisions = assert_kept_policies_match_the_built_rows(&mut policies, &rt, now, &estimator, step + 1);
         }
     }
 }
