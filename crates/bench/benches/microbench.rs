@@ -110,8 +110,8 @@ fn policy_decision_latency(c: &mut Criterion) {
             ("GS", Box::new(GsFactory)),
             ("RAS", Box::new(RasFactory)),
             ("GRASS", Box::new(GrassFactory::new(1))),
-            ("LATE", Box::new(LateFactory::default())),
-            ("Mantri", Box::new(MantriFactory::default())),
+            ("LATE", Box::new(LateFactory)),
+            ("Mantri", Box::new(MantriFactory)),
         ];
         for (name, factory) in &factories {
             group.bench_function(*name, |b| {
@@ -375,7 +375,7 @@ fn simulator_throughput(c: &mut Criterion) {
         },
         ..SimConfig::default()
     };
-    let late = LateFactory::default();
+    let late = LateFactory;
     let factories: [(&str, &dyn PolicyFactory); 3] =
         [("gs", &GsFactory), ("ras", &RasFactory), ("late", &late)];
     for (name, factory) in factories {

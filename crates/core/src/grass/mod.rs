@@ -7,12 +7,9 @@
 //! (§4.2, empirically ξ = 15%).
 
 mod samples;
-mod sketch;
 mod switching;
 
-pub use samples::{
-    BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreCounts, StoreSnapshot,
-};
+pub use samples::{BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreCounts};
 pub use switching::{
     learned_decision_cached, strawman_decision_cached, StrawmanConfig, SwitchDecision,
     SwitchScanCache, SwitchStrategy,

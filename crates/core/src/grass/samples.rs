@@ -27,21 +27,15 @@
 //! partition fronts), reproducing the historical FIFO exactly — but as an O(1)
 //! `VecDeque::pop_front` instead of an O(cap) front drain.
 //!
-//! Every record also feeds per-partition **aggregates**: bins keyed by size bucket ×
-//! coarse bound / utilisation / accuracy bins, each holding `(count, Σw, Σw·rate)`,
-//! plus a log-spaced histogram of observed rates. No prediction reads them; they are
-//! what [`SampleStore::snapshot`] carries, the payload a fleet worker sends with
-//! each sync exchange. See `docs/sample-store.md`.
+//! The retained samples are the store's whole state; see `docs/sample-store.md`.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::bins::SizeBucket;
-use crate::grass::sketch::{floor_log2, pow2, RateHistogram};
 use crate::job::Bound;
 use crate::outcome::JobOutcome;
 use crate::speculation::SpeculationMode;
@@ -266,119 +260,9 @@ fn par_idx(mode: SpeculationMode, kind: BoundKind) -> usize {
     kind_idx(kind) * 2 + mode_idx(mode)
 }
 
-/// Inverse of [`par_idx`], used when walking every partition by index.
-fn par_mode_kind(idx: usize) -> (SpeculationMode, BoundKind) {
-    let kind = if idx / 2 == 0 {
-        BoundKind::Deadline
-    } else {
-        BoundKind::Error
-    };
-    let mode = if idx.is_multiple_of(2) {
-        SpeculationMode::Gs
-    } else {
-        SpeculationMode::Ras
-    };
-    (mode, kind)
-}
-
-/// Sentinel bound bin for non-positive / non-finite bound values, which the exact
-/// kernel assigns infinite log-distance (zero weight) whenever the bound factor is
-/// active.
-const BOUND_BIN_NONE: u8 = 255;
-
-/// Coarse bound bin: one bin per power of two over `[2^-31, 2^31]`, clamped at the
-/// edges; [`BOUND_BIN_NONE`] for values without a usable logarithm.
-fn bound_bin(value: f64) -> u8 {
-    if value > 0.0 && value.is_finite() {
-        (floor_log2(value) + 31).clamp(0, 62) as u8
-    } else {
-        BOUND_BIN_NONE
-    }
-}
-
-/// Geometric centre `1.5 · 2^(bin-31)` of a (non-sentinel) bound bin.
-fn bound_bin_center(bin: u8) -> f64 {
-    1.5 * pow2(i32::from(bin) - 31)
-}
-
-/// Decile bin for utilisation / accuracy values nominally in `[0, 1]`; out-of-range
-/// and NaN values clamp into the edge deciles.
-fn decile_bin(value: f64) -> u8 {
-    ((value * 10.0) as i32).clamp(0, 9) as u8
-}
-
-/// Centre of a decile bin.
-fn decile_center(bin: u8) -> f64 {
-    (f64::from(bin) + 0.5) / 10.0
-}
-
-/// Key of one aggregate bin: size bucket × coarse factor bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct BinKey {
-    size: u8,
-    bound: u8,
-    util: u8,
-    acc: u8,
-}
-
-impl BinKey {
-    fn of(sample: &Sample) -> BinKey {
-        BinKey {
-            size: sample.size_bucket.0,
-            bound: bound_bin(sample.bound_value),
-            util: decile_bin(sample.utilization),
-            acc: decile_bin(sample.accuracy),
-        }
-    }
-}
-
-/// Aggregates of one bin: `(count, Σw, Σw·rate)` over the samples
-/// that landed in it, where `w` is each sample's kernel weight against its own bin's
-/// centres (its "self weight").
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct BinAgg {
-    count: u64,
-    w_sum: f64,
-    wr_sum: f64,
-}
-
-/// Kernel weight of a sample against the centres of its own bin — strictly positive,
-/// so every recorded rate contributes to the bin's weighted mean.
-fn self_weight(sample: &Sample, key: BinKey) -> f64 {
-    // Size-bucket distance to the sample's own bucket is zero, so that kernel is 1.
-    let mut w = 1.0;
-    if key.bound != BOUND_BIN_NONE {
-        w *= 1.0 / (1.0 + log_ratio(sample.bound_value, bound_bin_center(key.bound)));
-    }
-    w *= 1.0 / (1.0 + 5.0 * (sample.utilization - decile_center(key.util)).abs());
-    w *= 1.0 / (1.0 + 5.0 * (sample.accuracy - decile_center(key.acc)).abs());
-    w
-}
-
-/// One `(BoundKind, SpeculationMode)` partition: the FIFO of retained samples plus
-/// the aggregates — binned sums, a rate histogram and a lifetime record count, none
-/// of which eviction touches.
-#[derive(Debug, Clone, Default)]
-struct Partition {
-    fifo: VecDeque<(u64, Sample)>,
-    bins: BTreeMap<BinKey, BinAgg>,
-    rates: RateHistogram,
-    lifetime: u64,
-}
-
-impl Partition {
-    fn absorb(&mut self, sample: &Sample) {
-        let key = BinKey::of(sample);
-        let rate = sample.rate();
-        let w = self_weight(sample, key);
-        let agg = self.bins.entry(key).or_default();
-        agg.count += 1;
-        agg.w_sum += w;
-        agg.wr_sum += w * rate;
-        self.rates.insert(rate);
-        self.lifetime += 1;
-    }
-}
+/// One `(BoundKind, SpeculationMode)` partition: its retained samples in insertion
+/// order, each tagged with its global sequence number.
+type Partition = VecDeque<(u64, Sample)>;
 
 /// All four partitions plus the global sequence counter that preserves cross-partition
 /// FIFO order for eviction.
@@ -397,7 +281,7 @@ impl Inner {
         let mut oldest: Option<usize> = None;
         let mut oldest_seq = u64::MAX;
         for (i, part) in self.parts.iter().enumerate() {
-            if let Some(&(seq, _)) = part.fifo.front() {
+            if let Some(&(seq, _)) = part.front() {
                 if seq < oldest_seq {
                     oldest_seq = seq;
                     oldest = Some(i);
@@ -405,7 +289,8 @@ impl Inner {
             }
         }
         if let Some(i) = oldest {
-            self.parts[i].fifo.pop_front();
+            // grass: allow(panicky-lib, "i was enumerated from parts itself")
+            self.parts[i].pop_front();
             self.retained -= 1;
         }
     }
@@ -474,13 +359,13 @@ impl SampleStore {
     pub fn record(&self, sample: Sample) {
         let mut guard = self.inner.write();
         let idx = par_idx(sample.mode, sample.kind);
-        guard.parts[idx].absorb(&sample);
         while guard.retained >= self.max_samples {
             guard.evict_oldest();
         }
         let seq = guard.next_seq;
         guard.next_seq += 1;
-        guard.parts[idx].fifo.push_back((seq, sample));
+        // grass: allow(panicky-lib, "par_idx is at most 3, and parts has NUM_PARTITIONS = 4 entries")
+        guard.parts[idx].push_back((seq, sample));
         guard.retained += 1;
         self.generation.fetch_add(1, Ordering::Release);
     }
@@ -493,7 +378,8 @@ impl SampleStore {
     }
 
     fn partition_count(inner: &Inner, mode: SpeculationMode, kind: BoundKind) -> usize {
-        inner.parts[par_idx(mode, kind)].fifo.len()
+        // grass: allow(panicky-lib, "par_idx is at most 3, and parts has NUM_PARTITIONS = 4 entries")
+        inner.parts[par_idx(mode, kind)].len()
     }
 
     /// Generation-tagged snapshot of every per-(kind, mode) count, one lock
@@ -529,11 +415,12 @@ impl SampleStore {
         min_samples: usize,
     ) -> Option<f64> {
         let guard = self.inner.read();
+        // grass: allow(panicky-lib, "par_idx is at most 3, and parts has NUM_PARTITIONS = 4 entries")
         let part = &guard.parts[par_idx(mode, ctx.kind)];
         let mut weight_sum = 0.0;
         let mut weighted_rate = 0.0;
         let mut count = 0usize;
-        for (_, s) in part.fifo.iter() {
+        for (_, s) in part.iter() {
             let mut w = 1.0 / (1.0 + f64::from(s.size_bucket.distance(&ctx.size_bucket)));
             if factors.bound {
                 let ratio = log_ratio(s.bound_value, ctx.bound_value);
@@ -599,7 +486,7 @@ impl SampleStore {
         Some(tasks / rate)
     }
 
-    /// Drop every stored sample and the aggregates.
+    /// Drop every stored sample.
     pub fn clear(&self) {
         let mut guard = self.inner.write();
         *guard = Inner::default();
@@ -609,27 +496,11 @@ impl SampleStore {
     /// Retained samples matching `(mode, kind)` in insertion order — a test /
     /// diagnostics accessor.
     pub fn samples_for(&self, mode: SpeculationMode, kind: BoundKind) -> Vec<Sample> {
+        // grass: allow(panicky-lib, "par_idx is at most 3, and parts has NUM_PARTITIONS = 4 entries")
         self.inner.read().parts[par_idx(mode, kind)]
-            .fifo
             .iter()
             .map(|(_, s)| s.clone())
             .collect()
-    }
-
-    /// Snapshot of the aggregates (binned sums, rate histograms and lifetime counts)
-    /// for a fleet worker's sync exchange. Never contains raw samples; its encoded
-    /// form is canonical (deterministic bin order, bit-exact floats).
-    pub fn snapshot(&self) -> StoreSnapshot {
-        let guard = self.inner.read();
-        let mut snap = StoreSnapshot::default();
-        for (idx, part) in guard.parts.iter().enumerate() {
-            snap.parts[idx] = PartSnapshot {
-                lifetime: part.lifetime,
-                rates: part.rates.clone(),
-                bins: part.bins.clone(),
-            };
-        }
-        snap
     }
 }
 
@@ -639,74 +510,6 @@ fn log_ratio(a: f64, b: f64) -> f64 {
         return f64::INFINITY;
     }
     (a / b).log2().abs()
-}
-
-/// Aggregates of one partition, as carried by a [`StoreSnapshot`].
-#[derive(Debug, Clone, Default, PartialEq)]
-struct PartSnapshot {
-    lifetime: u64,
-    rates: RateHistogram,
-    bins: BTreeMap<BinKey, BinAgg>,
-}
-
-/// A store's aggregates, as a fleet worker sends them to its broker.
-///
-/// The wire form ([`encode`](Self::encode)) is line-oriented text with floats
-/// carried as hexadecimal IEEE-754 bit patterns, so two equal snapshots always
-/// encode to identical bytes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StoreSnapshot {
-    parts: [PartSnapshot; NUM_PARTITIONS],
-}
-
-impl StoreSnapshot {
-    /// Canonical text encoding. Partitions appear in index order, bins in `BinKey`
-    /// order, sketch buckets ascending; empty partitions are omitted.
-    pub fn encode(&self) -> String {
-        let mut out = String::from("storesnap v1\n");
-        for (idx, part) in self.parts.iter().enumerate() {
-            if part.lifetime == 0 && part.bins.is_empty() && part.rates.is_empty() {
-                continue;
-            }
-            let (mode, kind) = par_mode_kind(idx);
-            let _ = write!(
-                out,
-                "part idx={idx} kind={} mode={} lifetime={}",
-                match kind {
-                    BoundKind::Deadline => "deadline",
-                    BoundKind::Error => "error",
-                },
-                match mode {
-                    SpeculationMode::Gs => "gs",
-                    SpeculationMode::Ras => "ras",
-                },
-                part.lifetime
-            );
-            let buckets: Vec<String> = part
-                .rates
-                .entries()
-                .map(|(b, c)| format!("{b}:{c}"))
-                .collect();
-            if !buckets.is_empty() {
-                let _ = write!(out, " sketch={}", buckets.join(","));
-            }
-            out.push('\n');
-            for (key, agg) in &part.bins {
-                let _ = writeln!(
-                    out,
-                    "bin part={idx} size={} bound={} util={} acc={} count={} w={:016x} wr={:016x}",
-                    key.size,
-                    key.bound,
-                    key.util,
-                    key.acc,
-                    agg.count,
-                    agg.w_sum.to_bits(),
-                    agg.wr_sum.to_bits(),
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -980,52 +783,5 @@ mod tests {
             ..outcome
         };
         assert!(Sample::from_outcome(SpeculationMode::Ras, &zero_duration).is_none());
-    }
-
-    #[test]
-    fn snapshot_round_trips_bit_exactly() {
-        let record_all = |store: &SampleStore| {
-            for i in 0..25 {
-                let (mode, kind) = if i % 3 == 0 {
-                    (SpeculationMode::Ras, BoundKind::Error)
-                } else {
-                    (SpeculationMode::Gs, BoundKind::Deadline)
-                };
-                store.record(sample(mode, kind, 3.0 + i as f64, 11.0 + i as f64));
-            }
-        };
-        let store = SampleStore::with_capacity(4);
-        record_all(&store);
-        let snap = store.snapshot();
-        let encoded = snap.encode();
-        // Eviction leaves the aggregates alone: every record is counted.
-        assert!(encoded.starts_with("storesnap v1\npart idx=0 kind=deadline mode=gs lifetime=16 "));
-        assert!(encoded.contains("\npart idx=3 kind=error mode=ras lifetime=9 "));
-        // Every bin's sums travel as their bit patterns, in bin order.
-        let hex = |line: &str, field: &str| {
-            let value = line.split(' ').find_map(|f| f.strip_prefix(field)).unwrap();
-            u64::from_str_radix(value, 16).unwrap()
-        };
-        let sent: Vec<(u64, u64)> = encoded
-            .lines()
-            .filter(|l| l.starts_with("bin "))
-            .map(|l| (hex(l, "w="), hex(l, "wr=")))
-            .collect();
-        let held: Vec<(u64, u64)> = snap
-            .parts
-            .iter()
-            .flat_map(|p| p.bins.values())
-            .map(|agg| (agg.w_sum.to_bits(), agg.wr_sum.to_bits()))
-            .collect();
-        assert_eq!(sent, held);
-        assert!(!sent.is_empty());
-        // The same records in the same order encode to the same bytes, whatever
-        // the retention cap.
-        let again = SampleStore::new();
-        record_all(&again);
-        assert_eq!(again.snapshot().encode(), encoded);
-
-        // An empty snapshot is a bare header.
-        assert_eq!(SampleStore::new().snapshot().encode(), "storesnap v1\n");
     }
 }

@@ -7,22 +7,14 @@
 //! Bing/Mantri results are qualitatively identical), except Figure 15 which shows both
 //! workloads.
 
-use grass_core::{FactorSet, JobSizeBin};
-use grass_metrics::{Cell, Report, Table};
-use grass_workload::{BoundSpec, Framework, TraceProfile, WorkloadConfig};
+use grass_core::FactorSet;
+use grass_metrics::{Report, Table};
+use grass_workload::{BoundSpec, Framework, GeneratedWorkload, TraceProfile, WorkloadConfig};
 
-use grass_workload::GeneratedWorkload;
-
-use crate::common::{compare_outcomes, run_policy, ExpConfig, PolicyKind};
-
-fn workload(exp: &ExpConfig, profile: TraceProfile, bound: BoundSpec) -> WorkloadConfig {
-    let mut cfg = WorkloadConfig::new(profile)
-        .with_jobs(exp.jobs_per_run)
-        .with_bound(bound);
-    cfg.expected_share = (exp.cluster.total_slots() / 5).max(4);
-    cfg.duration_calibration = exp.cluster.mean_slowdown() * 0.8;
-    cfg
-}
+use crate::common::{
+    compare, compare_outcomes, improvement_cell, run_policy, size_bin_rows, workload, ExpConfig,
+    PolicyKind,
+};
 
 /// Improvement-vs-LATE table with one column per candidate policy and one row per
 /// job-size bin (plus an overall row).
@@ -45,22 +37,7 @@ fn candidates_table(
 
     let mut columns = vec!["Job Bin"];
     columns.extend(candidates.iter().map(|(_, label)| *label));
-    let mut table = Table::new(title, columns);
-    for (i, bin) in JobSizeBin::all().iter().enumerate() {
-        let cells: Vec<Cell> = comparisons
-            .iter()
-            .map(|c| c.by_size_bin[i].map(Cell::Number).unwrap_or(Cell::Empty))
-            .collect();
-        table.push_row(bin.label(), cells);
-    }
-    table.push_row(
-        "overall",
-        comparisons
-            .iter()
-            .map(|c| c.overall.map(Cell::Number).unwrap_or(Cell::Empty))
-            .collect(),
-    );
-    table
+    size_bin_rows(title, columns, &comparisons)
 }
 
 fn switching_candidates() -> Vec<(PolicyKind, &'static str)> {
@@ -232,11 +209,9 @@ pub fn fig15(exp: &ExpConfig) -> Report {
                 TraceProfile::bing(Framework::Spark),
             ] {
                 let source = GeneratedWorkload::new(workload(exp, profile, bound));
-                let base = run_policy(exp, &source, &PolicyKind::Late);
                 let candidate = PolicyKind::grass_with_xi(xi / 100.0);
-                let cand = run_policy(exp, &source, &candidate);
-                let cmp = compare_outcomes(&source, &PolicyKind::Late, &candidate, &base, &cand);
-                cells.push(cmp.overall.map(Cell::Number).unwrap_or(Cell::Empty));
+                let cmp = compare(exp, &source, &PolicyKind::Late, &candidate);
+                cells.push(improvement_cell(cmp.overall));
             }
             table.push_row(format!("{xi:.0}"), cells);
         }

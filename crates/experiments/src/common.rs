@@ -13,13 +13,15 @@
 use std::sync::Arc;
 
 use grass_core::{
-    EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GsFactory, PolicyFactory, RasFactory,
-    SampleStore, SpeculationMode,
+    EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GsFactory, JobSizeBin, PolicyFactory,
+    RasFactory, SampleStore, SpeculationMode,
 };
-use grass_metrics::{improvement_by_size_bin, overall_improvement, Metric, OutcomeSet};
+use grass_metrics::{
+    improvement_by_size_bin, overall_improvement, Cell, Metric, OutcomeSet, Table,
+};
 use grass_policies::{LateFactory, MantriFactory, NoSpecFactory, OracleFactory};
 use grass_sim::{run_simulation, ClusterConfig, SimConfig};
-use grass_workload::{JobSource, WorkloadConfig};
+use grass_workload::{BoundSpec, JobSource, TraceProfile, WorkloadConfig};
 use serde::{Deserialize, Serialize};
 
 /// Global knobs of an experiment run.
@@ -175,8 +177,8 @@ impl PolicyKind {
     /// from `seed`, so two factories built from the same seed decide alike.
     pub fn factory(&self, seed: u64) -> Box<dyn PolicyFactory> {
         match self {
-            PolicyKind::Late => Box::new(LateFactory::default()),
-            PolicyKind::Mantri => Box::new(MantriFactory::default()),
+            PolicyKind::Late => Box::new(LateFactory),
+            PolicyKind::Mantri => Box::new(MantriFactory),
             PolicyKind::NoSpec => Box::new(NoSpecFactory),
             PolicyKind::GsOnly => Box::new(GsFactory),
             PolicyKind::RasOnly => Box::new(RasFactory),
@@ -275,6 +277,18 @@ fn warmed_store(
     store
 }
 
+/// A generated workload at the experiment's scale: `exp.jobs_per_run` jobs of
+/// `profile` under `bound`, whose deadlines are calibrated for a job that gets a
+/// fifth of the cluster's slots (at least four) on 0.8 × its mean slowdown.
+pub(crate) fn workload(exp: &ExpConfig, profile: TraceProfile, bound: BoundSpec) -> WorkloadConfig {
+    let mut cfg = WorkloadConfig::new(profile)
+        .with_jobs(exp.jobs_per_run)
+        .with_bound(bound);
+    cfg.expected_share = (exp.cluster.total_slots() / 5).max(4);
+    cfg.duration_calibration = exp.cluster.mean_slowdown() * 0.8;
+    cfg
+}
+
 /// Metric appropriate for a workload's bound specification.
 pub fn metric_for(workload: &WorkloadConfig) -> Metric {
     if workload.bound.is_deadline() {
@@ -339,6 +353,34 @@ pub fn compare_outcomes(
             .map(|b| by_bin.get(b).copied())
             .collect(),
     }
+}
+
+/// Table cell of an improvement; an undefined one (`None`) is an empty cell.
+pub(crate) fn improvement_cell(improvement: Option<f64>) -> Cell {
+    improvement.map(Cell::Number).unwrap_or(Cell::Empty)
+}
+
+/// Improvement table with one column per comparison, headed by `columns` (whose
+/// first entry heads the row labels): one row per job-size bin, then `overall`.
+pub(crate) fn size_bin_rows(
+    title: impl Into<String>,
+    columns: Vec<&str>,
+    comparisons: &[Comparison],
+) -> Table {
+    let mut table = Table::new(title, columns);
+    for (i, bin) in JobSizeBin::all().iter().enumerate() {
+        let cells = comparisons
+            .iter()
+            .map(|c| improvement_cell(c.by_size_bin[i]))
+            .collect();
+        table.push_row(bin.label(), cells);
+    }
+    let overall = comparisons
+        .iter()
+        .map(|c| improvement_cell(c.overall))
+        .collect();
+    table.push_row("overall", overall);
+    table
 }
 
 /// Convenience: durations of individual tasks as the simulator would produce them, for

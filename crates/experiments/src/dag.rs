@@ -1,30 +1,13 @@
 //! Figure 9: GRASS's gains as a function of the job DAG's length (2–6 stages), for
 //! deadline- and error-bound jobs on the Facebook and Bing workloads.
 
-use grass_metrics::{Cell, Report, Table};
-use grass_workload::{BoundSpec, Framework, TraceProfile, WorkloadConfig};
+use grass_metrics::{Report, Table};
+use grass_workload::{BoundSpec, Framework, GeneratedWorkload, TraceProfile};
 
-use grass_workload::GeneratedWorkload;
-
-use crate::common::{compare_outcomes, run_policy, ExpConfig, PolicyKind};
+use crate::common::{compare, improvement_cell, workload, ExpConfig, PolicyKind};
 
 /// The DAG lengths swept in Figure 9.
 pub const DAG_LENGTHS: [usize; 5] = [2, 3, 4, 5, 6];
-
-fn workload(
-    exp: &ExpConfig,
-    profile: TraceProfile,
-    bound: BoundSpec,
-    dag_length: usize,
-) -> WorkloadConfig {
-    let mut cfg = WorkloadConfig::new(profile)
-        .with_jobs(exp.jobs_per_run)
-        .with_bound(bound)
-        .with_dag_length(dag_length);
-    cfg.expected_share = (exp.cluster.total_slots() / 5).max(4);
-    cfg.duration_calibration = exp.cluster.mean_slowdown() * 0.8;
-    cfg
-}
 
 /// Figure 9: improvement of GRASS over LATE versus the number of DAG stages.
 pub fn fig9(exp: &ExpConfig) -> Report {
@@ -46,17 +29,10 @@ pub fn fig9(exp: &ExpConfig) -> Report {
                 TraceProfile::facebook(Framework::Hadoop),
                 TraceProfile::bing(Framework::Hadoop),
             ] {
-                let source = GeneratedWorkload::new(workload(exp, profile, bound, dag));
-                let base = run_policy(exp, &source, &PolicyKind::Late);
-                let cand = run_policy(exp, &source, &PolicyKind::grass());
-                let cmp = compare_outcomes(
-                    &source,
-                    &PolicyKind::Late,
-                    &PolicyKind::grass(),
-                    &base,
-                    &cand,
-                );
-                cells.push(cmp.overall.map(Cell::Number).unwrap_or(Cell::Empty));
+                let wl = workload(exp, profile, bound).with_dag_length(dag);
+                let source = GeneratedWorkload::new(wl);
+                let cmp = compare(exp, &source, &PolicyKind::Late, &PolicyKind::grass());
+                cells.push(improvement_cell(cmp.overall));
             }
             table.push_row(format!("{dag}"), cells);
         }
@@ -81,8 +57,8 @@ mod tests {
             &exp,
             TraceProfile::facebook(Framework::Hadoop),
             BoundSpec::paper_errors(),
-            4,
-        );
+        )
+        .with_dag_length(4);
         let jobs = grass_workload::generate(&wl, 3);
         assert!(jobs.iter().all(|j| j.dag_length() == 4));
     }

@@ -437,10 +437,11 @@ impl FleetPlan {
 /// source is shared: no per-worker in-memory copy of the workload.
 ///
 /// Alongside the cells, the runner records every pure-GS / pure-RAS job outcome
-/// its cells produce into a [`SampleStore`], and sends that store's snapshot to
-/// the broker with each `sync` frame ([`CellRunner::snapshot`]). What the broker
-/// sends back is not read: cells rebuild their own warmed stores from the
-/// trace, so fleet state never reaches pinned outcomes.
+/// its cells produce into a [`SampleStore`], and sends that store's retained
+/// counts to the broker with each `sync` frame ([`CellRunner::snapshot`]), as one
+/// `storecounts generation=… deadline_gs=… deadline_ras=… error_gs=… error_ras=…`
+/// line. What the broker sends back is not read: cells rebuild their own warmed
+/// stores from the trace, so fleet state never reaches pinned outcomes.
 pub struct SweepCellRunner {
     stall_ms: u64,
     mmap: bool,
@@ -533,7 +534,16 @@ impl CellRunner for SweepCellRunner {
     }
 
     fn snapshot(&self) -> Option<String> {
-        Some(self.learned.snapshot().encode())
+        let counts = self.learned.counts_snapshot();
+        Some(
+            LineBuilder::new("storecounts")
+                .num("generation", counts.generation)
+                .num("deadline_gs", counts.deadline.0)
+                .num("deadline_ras", counts.deadline.1)
+                .num("error_gs", counts.error.0)
+                .num("error_ras", counts.error.1)
+                .build(),
+        )
     }
 }
 
@@ -960,6 +970,43 @@ mod tests {
         let (fourth, ran) = plan(3).resume(&fresh_cache).unwrap();
         assert_eq!(fourth.digest(), expected.digest());
         assert_eq!(ran, cells);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn runner_offers_its_store_counts_as_one_line() {
+        let dir = temp_dir("storecounts");
+        let trace_path = record_trace(&dir);
+        let runner = SweepCellRunner::new();
+        for (cell, policy) in [PolicyKind::GsOnly, PolicyKind::RasOnly]
+            .into_iter()
+            .enumerate()
+        {
+            let spec = FleetCellSpec {
+                machines: 6,
+                policy,
+                seed: 11,
+            };
+            runner
+                .run(cell, &encode_cell_spec(&trace_path, &spec, 4).unwrap())
+                .unwrap();
+        }
+        let counts = runner.learned_store().counts_snapshot();
+        assert!(counts.error.0 > 0 && counts.error.1 > 0, "{counts:?}");
+
+        let offered = runner.snapshot().unwrap();
+        let fields = Fields::parse(&offered).unwrap();
+        assert_eq!(fields.tag, "storecounts");
+        assert_eq!(fields.num::<u64>("generation").unwrap(), counts.generation);
+        let count = |key| fields.num::<usize>(key).unwrap();
+        assert_eq!(
+            (count("deadline_gs"), count("deadline_ras")),
+            counts.deadline
+        );
+        assert_eq!((count("error_gs"), count("error_ras")), counts.error);
+        // One line of exactly those five fields.
+        assert!(!offered.contains('\n'));
+        assert_eq!(offered.split(' ').count(), 6, "{offered}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,13 +1,13 @@
 //! Headline-gain experiments: the §2.3 potential-gains study, the Figure 5–8 accuracy
 //! and speed-up comparisons, and the §6.2.2 exact-job result.
 
-use grass_core::JobSizeBin;
-use grass_metrics::{Cell, Report, Table};
-use grass_workload::{BoundSpec, Framework, TraceProfile, WorkloadConfig};
+use grass_metrics::{Report, Table};
+use grass_workload::{BoundSpec, Framework, GeneratedWorkload, TraceProfile, WorkloadConfig};
 
-use grass_workload::GeneratedWorkload;
-
-use crate::common::{compare_outcomes, run_policy, ExpConfig, PolicyKind};
+use crate::common::{
+    compare, compare_outcomes, improvement_cell, run_policy, size_bin_rows, workload, ExpConfig,
+    PolicyKind,
+};
 
 /// All four trace × framework combinations the paper evaluates.
 pub fn workload_combos() -> Vec<(TraceProfile, &'static str)> {
@@ -17,15 +17,6 @@ pub fn workload_combos() -> Vec<(TraceProfile, &'static str)> {
         (TraceProfile::facebook(Framework::Spark), "Facebook-Spark"),
         (TraceProfile::bing(Framework::Spark), "Bing-Spark"),
     ]
-}
-
-fn workload(exp: &ExpConfig, profile: TraceProfile, bound: BoundSpec) -> WorkloadConfig {
-    let mut cfg = WorkloadConfig::new(profile)
-        .with_jobs(exp.jobs_per_run)
-        .with_bound(bound);
-    cfg.expected_share = (exp.cluster.total_slots() / 5).max(4);
-    cfg.duration_calibration = exp.cluster.mean_slowdown() * 0.8;
-    cfg
 }
 
 /// Build one "improvement by job-size bin" table: one row per size bin, one column per
@@ -75,21 +66,11 @@ fn size_bin_table(
             ));
         }
     }
-
-    let mut table = Table::new(title, columns.iter().map(String::as_str).collect());
-    for (i, bin) in JobSizeBin::all().iter().enumerate() {
-        let cells: Vec<Cell> = comparisons
-            .iter()
-            .map(|c| c.by_size_bin[i].map(Cell::Number).unwrap_or(Cell::Empty))
-            .collect();
-        table.push_row(bin.label(), cells);
-    }
-    let overall: Vec<Cell> = comparisons
-        .iter()
-        .map(|c| c.overall.map(Cell::Number).unwrap_or(Cell::Empty))
-        .collect();
-    table.push_row("overall", overall);
-    table
+    size_bin_rows(
+        title,
+        columns.iter().map(String::as_str).collect(),
+        &comparisons,
+    )
 }
 
 /// §2.3 "Potential Gains": improvement of the oracle scheduler over LATE (Facebook)
@@ -117,13 +98,8 @@ pub fn potential_gains(exp: &ExpConfig) -> Report {
             (BoundSpec::paper_errors(), "error-bound duration"),
         ] {
             let source = GeneratedWorkload::new(workload(exp, profile, bound));
-            let base = run_policy(exp, &source, &baseline);
-            let cand = run_policy(exp, &source, &PolicyKind::Oracle);
-            let cmp = compare_outcomes(&source, &baseline, &PolicyKind::Oracle, &base, &cand);
-            table.push_row(
-                label,
-                vec![cmp.overall.map(Cell::Number).unwrap_or(Cell::Empty)],
-            );
+            let cmp = compare(exp, &source, &baseline, &PolicyKind::Oracle);
+            table.push_row(label, vec![improvement_cell(cmp.overall)]);
         }
         report.add_table(table);
     }
@@ -178,16 +154,8 @@ pub fn fig6(exp: &ExpConfig) -> Report {
                 },
             );
             let source = GeneratedWorkload::new(wl);
-            let base = run_policy(exp, &source, &PolicyKind::Late);
-            let cand = run_policy(exp, &source, &PolicyKind::grass());
-            let cmp = compare_outcomes(
-                &source,
-                &PolicyKind::Late,
-                &PolicyKind::grass(),
-                &base,
-                &cand,
-            );
-            cells.push(cmp.overall.map(Cell::Number).unwrap_or(Cell::Empty));
+            let cmp = compare(exp, &source, &PolicyKind::Late, &PolicyKind::grass());
+            cells.push(improvement_cell(cmp.overall));
         }
         table_a.push_row(*label, cells);
     }
@@ -213,16 +181,8 @@ pub fn fig6(exp: &ExpConfig) -> Report {
         ] {
             let wl = workload(exp, profile, BoundSpec::ErrorRange { min: *lo, max: *hi });
             let source = GeneratedWorkload::new(wl);
-            let base = run_policy(exp, &source, &PolicyKind::Late);
-            let cand = run_policy(exp, &source, &PolicyKind::grass());
-            let cmp = compare_outcomes(
-                &source,
-                &PolicyKind::Late,
-                &PolicyKind::grass(),
-                &base,
-                &cand,
-            );
-            cells.push(cmp.overall.map(Cell::Number).unwrap_or(Cell::Empty));
+            let cmp = compare(exp, &source, &PolicyKind::Late, &PolicyKind::grass());
+            cells.push(improvement_cell(cmp.overall));
         }
         table_b.push_row(*label, cells);
     }

@@ -33,9 +33,10 @@ pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Longest frame either side reads through [`grass_trace::codec::read_frame`],
 /// in bytes, newline excluded. The largest frames are `complete` payloads,
-/// about 450 B per trace job (21.7 KB for a 48-job trace); `sync` snapshots
-/// stay near 14 KB. 64 MiB holds the cells of a 100k-job trace (about 45 MB)
-/// with room to spare, and bounds what one peer can make the other buffer.
+/// about 450 B per trace job (21.7 KB for a 48-job trace); the sweep runner's
+/// `sync` payload is one line of store counts, about 90 B. 64 MiB holds the
+/// cells of a 100k-job trace (about 45 MB) with room to spare, and bounds what
+/// one peer can make the other buffer.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Separator between individual peer snapshots inside a `state` payload. Chosen as

@@ -7,57 +7,37 @@
 //! * unscheduled tasks are launched first, in plain FIFO order — LATE has no notion of
 //!   approximation bounds, which is exactly the deficiency GRASS targets;
 //! * speculation is considered only when the job has no unscheduled work left;
-//! * only tasks whose progress rate falls below the `slow_task_threshold` percentile of
-//!   currently running tasks are candidates;
+//! * only tasks whose progress rate falls below the 25th percentile of currently
+//!   running tasks are candidates (`SLOW_TASK_THRESHOLD`);
 //! * among candidates, the task with the *longest estimated time to end* is speculated;
 //! * at most one speculative copy per task, and the number of concurrently running
-//!   speculative copies is capped at `speculative_cap` × the job's wave width.
+//!   speculative copies is capped at 10% of the job's wave width (`SPECULATIVE_CAP`).
 
 use grass_core::{
     Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
 };
-use serde::{Deserialize, Serialize};
 
-/// Tunables of the LATE reimplementation, mirroring the defaults of the original
-/// paper / Hadoop implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LateConfig {
-    /// Fraction of a job's wave width that may be used for concurrently running
-    /// speculative copies (Hadoop's `SpeculativeCap` is 10% of the cluster; per job we
-    /// apply it to the job's slot share).
-    pub speculative_cap: f64,
-    /// Percentile (0–1) of progress rates below which a task counts as slow
-    /// (`SlowTaskThreshold`, 25th percentile by default).
-    pub slow_task_threshold: f64,
-    /// Minimum progress a copy must have made before it can be judged (avoids
-    /// speculating tasks that only just started).
-    pub min_progress: f64,
-}
+/// Fraction of a job's wave width that may be used for concurrently running
+/// speculative copies (Hadoop's `SpeculativeCap` is 10% of the cluster; per job we
+/// apply it to the job's slot share).
+const SPECULATIVE_CAP: f64 = 0.10;
 
-impl Default for LateConfig {
-    fn default() -> Self {
-        LateConfig {
-            speculative_cap: 0.10,
-            slow_task_threshold: 0.25,
-            min_progress: 0.05,
-        }
-    }
-}
+/// Percentile (0–1) of progress rates below which a task counts as slow (Hadoop's
+/// `SlowTaskThreshold`, the 25th percentile).
+const SLOW_TASK_THRESHOLD: f64 = 0.25;
 
-/// Per-job LATE policy instance.
+/// Minimum progress a copy must have made before it can be judged (avoids
+/// speculating tasks that only just started).
+const MIN_PROGRESS: f64 = 0.05;
+
+/// Per-job LATE policy instance. Its tunables are this module's constants, the
+/// defaults of the original paper / Hadoop implementation.
 #[derive(Debug, Clone, Default)]
-pub struct LatePolicy {
-    config: LateConfig,
-}
+pub struct LatePolicy;
 
 impl LatePolicy {
-    /// New LATE policy with the given tunables.
-    pub fn new(config: LateConfig) -> Self {
-        LatePolicy { config }
-    }
-
-    fn speculative_budget(&self, view: &JobView) -> usize {
-        ((view.wave_width as f64 * self.config.speculative_cap).floor() as usize).max(1)
+    fn speculative_budget(view: &JobView) -> usize {
+        ((view.wave_width as f64 * SPECULATIVE_CAP).floor() as usize).max(1)
     }
 
     fn running_speculative_copies(view: &JobView) -> usize {
@@ -67,31 +47,31 @@ impl LatePolicy {
             .sum()
     }
 
-    fn slow_rate_cutoff(&self, view: &JobView) -> Option<f64> {
+    fn slow_rate_cutoff(view: &JobView) -> Option<f64> {
         let mut rates: Vec<f64> = view
             .tasks
             .iter()
-            .filter(|t| t.is_running() && view.progress(t) >= self.config.min_progress)
+            .filter(|t| t.is_running() && view.progress(t) >= MIN_PROGRESS)
             .map(|t| view.progress_rate(t))
             .collect();
         if rates.is_empty() {
             return None;
         }
         rates.sort_by(f64::total_cmp);
-        let idx = ((rates.len() as f64) * self.config.slow_task_threshold).floor() as usize;
+        let idx = ((rates.len() as f64) * SLOW_TASK_THRESHOLD).floor() as usize;
         rates.get(idx.min(rates.len() - 1)).copied()
     }
 
     /// The slow running task with the longest estimated time to end, the higher task
     /// id among equal times, whatever the order of the rows.
-    fn speculation_candidate<'v>(&self, view: &'v JobView) -> Option<&'v TaskView> {
-        let cutoff = self.slow_rate_cutoff(view)?;
+    fn speculation_candidate<'v>(view: &'v JobView) -> Option<&'v TaskView> {
+        let cutoff = Self::slow_rate_cutoff(view)?;
         view.tasks
             .iter()
             .filter(|t| {
                 t.eligible
                     && t.running_copies == 1
-                    && view.progress(t) >= self.config.min_progress
+                    && view.progress(t) >= MIN_PROGRESS
                     && view.progress_rate(t) <= cutoff
             })
             .map(|t| (view.trem(t), t))
@@ -115,26 +95,16 @@ impl SpeculationPolicy for LatePolicy {
             return Some(Action::launch(t.id));
         }
         // 2. No pending work: consider speculation, subject to the cap.
-        if Self::running_speculative_copies(view) >= self.speculative_budget(view) {
+        if Self::running_speculative_copies(view) >= Self::speculative_budget(view) {
             return None;
         }
-        self.speculation_candidate(view)
-            .map(|t| Action::speculate(t.id))
+        Self::speculation_candidate(view).map(|t| Action::speculate(t.id))
     }
 }
 
 /// Factory for [`LatePolicy`].
 #[derive(Debug, Clone, Default)]
-pub struct LateFactory {
-    config: LateConfig,
-}
-
-impl LateFactory {
-    /// Factory with explicit tunables.
-    pub fn new(config: LateConfig) -> Self {
-        LateFactory { config }
-    }
-}
+pub struct LateFactory;
 
 impl PolicyFactory for LateFactory {
     fn name(&self) -> &str {
@@ -142,7 +112,7 @@ impl PolicyFactory for LateFactory {
     }
 
     fn create(&self, _job: &JobSpec) -> BoxedPolicy {
-        Box::new(LatePolicy::new(self.config))
+        Box::new(LatePolicy)
     }
 }
 
@@ -160,7 +130,7 @@ mod tests {
             unscheduled_task(2, 9.0),
         ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
-        let a = LatePolicy::default().choose(&view).unwrap();
+        let a = LatePolicy.choose(&view).unwrap();
         // FIFO: lowest task id among unscheduled, regardless of duration or bound.
         assert_eq!(a, Action::launch(TaskId(2)));
     }
@@ -175,7 +145,7 @@ mod tests {
             running_task(2, 60.0, 3.0, 1),
         ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
-        let a = LatePolicy::default().choose(&view).unwrap();
+        let a = LatePolicy.choose(&view).unwrap();
         assert_eq!(a.task, TaskId(2));
         assert_eq!(a.kind, ActionKind::Speculate);
     }
@@ -191,7 +161,7 @@ mod tests {
         for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
             let tasks = TaskRows::from(order.map(|i| rows[i].clone()).to_vec());
             let view = deadline_view(&tasks, 0.0, 100.0);
-            let a = LatePolicy::default().choose(&view);
+            let a = LatePolicy.choose(&view);
             assert_eq!(a, Some(Action::speculate(TaskId(5))), "order {order:?}");
         }
     }
@@ -205,29 +175,25 @@ mod tests {
         let view = deadline_view(&tasks, 0.0, 100.0);
         // Task 0 already has 2 copies; with the cap of max(1, 10% of 4) = 1 speculative
         // copy already running, LATE declines.
-        assert!(LatePolicy::default().choose(&view).is_none());
+        assert!(LatePolicy.choose(&view).is_none());
     }
 
     #[test]
     fn speculative_cap_limits_concurrent_duplicates() {
-        let config = LateConfig {
-            speculative_cap: 0.5, // budget = 2 for wave width 4
-            ..LateConfig::default()
-        };
         let tasks = TaskRows::from(vec![
             running_task(0, 60.0, 3.0, 2),
             running_task(1, 50.0, 3.0, 2),
             running_task(2, 80.0, 3.0, 1),
         ]);
-        let view = deadline_view(&tasks, 0.0, 100.0);
-        // Two speculative copies already running == budget, so no more.
-        assert!(LatePolicy::new(config).choose(&view).is_none());
-        // With a larger cap it speculates task 2, the slowest task with a single copy.
-        let config = LateConfig {
-            speculative_cap: 0.9,
-            ..config
+        let view = |wave_width| JobView {
+            wave_width,
+            ..deadline_view(&tasks, 0.0, 100.0)
         };
-        let a = LatePolicy::new(config).choose(&view).unwrap();
+        // Wave width 20: budget = 2, and two speculative copies already run.
+        assert!(LatePolicy.choose(&view(20)).is_none());
+        // Wave width 30: budget = 3, so it speculates task 2, the slowest task with a
+        // single copy.
+        let a = LatePolicy.choose(&view(30)).unwrap();
         assert_eq!(a.task, TaskId(2));
     }
 
@@ -242,14 +208,14 @@ mod tests {
         };
         let tasks = TaskRows::from(vec![barely_started]);
         let view = error_view(&tasks, 0.1, 10, 9);
-        assert!(LatePolicy::default().choose(&view).is_none());
+        assert!(LatePolicy.choose(&view).is_none());
     }
 
     #[test]
     fn factory_name_and_creation() {
         let job =
             grass_core::JobSpec::single_stage(1, 0.0, grass_core::Bound::Deadline(10.0), vec![1.0]);
-        assert_eq!(LateFactory::default().name(), "LATE");
-        assert_eq!(LateFactory::default().create(&job).name(), "LATE");
+        assert_eq!(LateFactory.name(), "LATE");
+        assert_eq!(LateFactory.create(&job).name(), "LATE");
     }
 }

@@ -18,7 +18,7 @@ pub mod oracle;
 #[cfg(test)]
 mod test_util;
 
-pub use late::{LateConfig, LateFactory, LatePolicy};
-pub use mantri::{MantriConfig, MantriFactory, MantriPolicy};
+pub use late::{LateFactory, LatePolicy};
+pub use mantri::{MantriFactory, MantriPolicy};
 pub use naive::{NoSpecFactory, NoSpecPolicy};
 pub use oracle::{OracleFactory, OraclePolicy};

@@ -12,56 +12,36 @@
 use grass_core::{
     Action, BoxedPolicy, JobSpec, JobView, PolicyFactory, SpeculationPolicy, TaskView,
 };
-use serde::{Deserialize, Serialize};
 
-/// Tunables of the Mantri reimplementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MantriConfig {
-    /// Duplicate a task when its estimated remaining time exceeds this multiple of a
-    /// fresh copy's estimated duration (the "2×" rule).
-    pub restart_threshold: f64,
-    /// Maximum concurrently running copies per task (original + duplicates).
-    pub max_copies: u32,
-    /// Minimum progress a copy must have made before Mantri judges it (its estimate of
-    /// `trem` is meaningless before any progress reports).
-    pub min_progress: f64,
-}
+/// Duplicate a task when its estimated remaining time exceeds this multiple of a
+/// fresh copy's estimated duration (the "2×" rule).
+const RESTART_THRESHOLD: f64 = 2.0;
 
-impl Default for MantriConfig {
-    fn default() -> Self {
-        MantriConfig {
-            restart_threshold: 2.0,
-            max_copies: 2,
-            min_progress: 0.05,
-        }
-    }
-}
+/// Maximum concurrently running copies per task (original + duplicates).
+const MAX_COPIES: u32 = 2;
 
-/// Per-job Mantri policy instance.
+/// Minimum progress a copy must have made before Mantri judges it (its estimate of
+/// `trem` is meaningless before any progress reports).
+const MIN_PROGRESS: f64 = 0.05;
+
+/// Per-job Mantri policy instance. Its tunables are this module's constants.
 #[derive(Debug, Clone, Default)]
-pub struct MantriPolicy {
-    config: MantriConfig,
-}
+pub struct MantriPolicy;
 
 impl MantriPolicy {
-    /// New Mantri policy with the given tunables.
-    pub fn new(config: MantriConfig) -> Self {
-        MantriPolicy { config }
-    }
-
     /// The running task whose duplicate saves the most, by the largest `trem`, the
     /// higher task id among equal ones, whatever the order of the rows.
-    fn duplicate_candidate<'v>(&self, view: &'v JobView) -> Option<&'v TaskView> {
+    fn duplicate_candidate<'v>(view: &'v JobView) -> Option<&'v TaskView> {
         view.tasks
             .iter()
             .filter(|t| {
                 t.eligible
                     && t.is_running()
-                    && t.running_copies < self.config.max_copies
-                    && view.progress(t) >= self.config.min_progress
+                    && t.running_copies < MAX_COPIES
+                    && view.progress(t) >= MIN_PROGRESS
             })
             .map(|t| (view.trem(t), t))
-            .filter(|&(trem, t)| trem > self.config.restart_threshold * view.tnew(t))
+            .filter(|&(trem, t)| trem > RESTART_THRESHOLD * view.tnew(t))
             .max_by(|(a, s), (b, t)| a.total_cmp(b).then(s.id.cmp(&t.id)))
             .map(|(_, t)| t)
     }
@@ -75,7 +55,7 @@ impl SpeculationPolicy for MantriPolicy {
     fn choose(&mut self, view: &JobView) -> Option<Action> {
         // Resource-saving duplicates are taken eagerly — that is Mantri's defining
         // behaviour relative to LATE.
-        if let Some(t) = self.duplicate_candidate(view) {
+        if let Some(t) = Self::duplicate_candidate(view) {
             return Some(Action::speculate(t.id));
         }
         // Otherwise launch pending work FIFO (no approximation awareness).
@@ -88,16 +68,7 @@ impl SpeculationPolicy for MantriPolicy {
 
 /// Factory for [`MantriPolicy`].
 #[derive(Debug, Clone, Default)]
-pub struct MantriFactory {
-    config: MantriConfig,
-}
-
-impl MantriFactory {
-    /// Factory with explicit tunables.
-    pub fn new(config: MantriConfig) -> Self {
-        MantriFactory { config }
-    }
-}
+pub struct MantriFactory;
 
 impl PolicyFactory for MantriFactory {
     fn name(&self) -> &str {
@@ -105,7 +76,7 @@ impl PolicyFactory for MantriFactory {
     }
 
     fn create(&self, _job: &JobSpec) -> BoxedPolicy {
-        Box::new(MantriPolicy::new(self.config))
+        Box::new(MantriPolicy)
     }
 }
 
@@ -122,7 +93,7 @@ mod tests {
             unscheduled_task(1, 3.0),
         ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
-        let a = MantriPolicy::default().choose(&view).unwrap();
+        let a = MantriPolicy.choose(&view).unwrap();
         assert_eq!(a.task, TaskId(0));
         assert_eq!(a.kind, ActionKind::Speculate);
     }
@@ -134,7 +105,7 @@ mod tests {
             unscheduled_task(1, 3.0),
         ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
-        let a = MantriPolicy::default().choose(&view).unwrap();
+        let a = MantriPolicy.choose(&view).unwrap();
         assert_eq!(a, Action::launch(TaskId(1)));
     }
 
@@ -142,7 +113,7 @@ mod tests {
     fn respects_copy_cap() {
         let tasks = TaskRows::from(vec![running_task(0, 50.0, 3.0, 2)]);
         let view = error_view(&tasks, 0.0, 10, 9);
-        assert!(MantriPolicy::default().choose(&view).is_none());
+        assert!(MantriPolicy.choose(&view).is_none());
     }
 
     #[test]
@@ -153,10 +124,7 @@ mod tests {
             running_task(2, 30.0, 3.0, 1),
         ]);
         let view = deadline_view(&tasks, 0.0, 100.0);
-        assert_eq!(
-            MantriPolicy::default().choose(&view).unwrap().task,
-            TaskId(1)
-        );
+        assert_eq!(MantriPolicy.choose(&view).unwrap().task, TaskId(1));
     }
 
     #[test]
@@ -169,7 +137,7 @@ mod tests {
         for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
             let tasks = TaskRows::from(order.map(|i| rows[i].clone()).to_vec());
             let view = deadline_view(&tasks, 0.0, 100.0);
-            let a = MantriPolicy::default().choose(&view);
+            let a = MantriPolicy.choose(&view);
             assert_eq!(a, Some(Action::speculate(TaskId(6))), "order {order:?}");
         }
     }
@@ -185,14 +153,14 @@ mod tests {
         };
         let tasks = TaskRows::from(vec![fresh]);
         let view = deadline_view(&tasks, 0.0, 100.0);
-        assert!(MantriPolicy::default().choose(&view).is_none());
+        assert!(MantriPolicy.choose(&view).is_none());
     }
 
     #[test]
     fn factory_name_and_creation() {
         let job =
             grass_core::JobSpec::single_stage(1, 0.0, grass_core::Bound::Deadline(10.0), vec![1.0]);
-        assert_eq!(MantriFactory::default().name(), "Mantri");
-        assert_eq!(MantriFactory::default().create(&job).name(), "Mantri");
+        assert_eq!(MantriFactory.name(), "Mantri");
+        assert_eq!(MantriFactory.create(&job).name(), "Mantri");
     }
 }

@@ -25,8 +25,6 @@ pub struct CopyRuntime {
     pub start: Time,
     /// Total runtime the copy needs on its slot.
     pub duration: Time,
-    /// Whether this copy was launched as a speculative duplicate.
-    pub speculative: bool,
     /// Multiplicative estimation bias applied to this copy's remaining-time estimates
     /// (drawn once at launch so estimates are consistent over the copy's lifetime).
     pub rem_bias: f64,
@@ -48,12 +46,8 @@ pub struct TaskRuntime {
     pub copies: Vec<CopyRuntime>,
     /// Whether the task has completed.
     pub finished: bool,
-    /// Completion time, if finished.
-    pub finish_time: Option<Time>,
     /// Multiplicative estimation bias applied to this task's `tnew` estimates.
     pub tnew_bias: f64,
-    /// Total number of copies ever launched for this task.
-    pub launched_copies: usize,
 }
 
 impl TaskRuntime {
@@ -62,9 +56,7 @@ impl TaskRuntime {
             spec,
             copies: Vec::new(),
             finished: false,
-            finish_time: None,
             tnew_bias,
-            launched_copies: 0,
         }
     }
 
@@ -129,8 +121,6 @@ impl TaskRuntime {
 pub struct CompletionEffect {
     /// Slots freed (the finishing copy's slot plus every killed sibling's slot).
     pub freed_slots: Vec<SlotId>,
-    /// Number of sibling copies killed.
-    pub killed: usize,
     /// Identity (copy id, slot) of every killed sibling, for trace capture.
     pub killed_copies: Vec<(CopyId, SlotId)>,
     /// Whether the event referred to a copy that no longer exists (stale).
@@ -146,7 +136,6 @@ impl CompletionEffect {
     pub fn reset(&mut self) {
         self.freed_slots.clear();
         self.killed_copies.clear();
-        self.killed = 0;
         self.stale = false;
         self.task_completed = false;
     }
@@ -408,7 +397,9 @@ impl JobRuntime {
         // grass: allow(panicky-lib, "TaskIds are minted by this runtime's constructor; index is always valid")
         let t = &mut self.tasks[task.index()];
         debug_assert!(!t.finished, "launched a copy of a finished task");
-        let speculative = !t.copies.is_empty();
+        if !t.copies.is_empty() {
+            self.speculative_copies += 1;
+        }
         let rem_bias = if estimator.oracle {
             1.0
         } else {
@@ -419,13 +410,8 @@ impl JobRuntime {
             slot,
             start: now,
             duration,
-            speculative,
             rem_bias,
         });
-        t.launched_copies += 1;
-        if speculative {
-            self.speculative_copies += 1;
-        }
         self.allocated_slots += 1;
         // Keep the resident row and a built index current (an unbuilt table is
         // empty).
@@ -474,14 +460,12 @@ impl JobRuntime {
             self.slot_seconds += sibling.elapsed(now);
             effect.freed_slots.push(sibling.slot);
             effect.killed_copies.push((sibling.id, sibling.slot));
-            effect.killed += 1;
         }
-        self.killed_copies += effect.killed;
+        self.killed_copies += effect.killed_copies.len();
         self.allocated_slots = self
             .allocated_slots
             .saturating_sub(effect.freed_slots.len());
         t.finished = true;
-        t.finish_time = Some(now);
         effect.task_completed = true;
         self.unfinished -= 1;
 
@@ -637,7 +621,6 @@ mod tests {
             slot: slot(0),
             start,
             duration,
-            speculative: id > 0,
             rem_bias: 1.0,
         }
     }
@@ -676,7 +659,7 @@ mod tests {
         assert!(effect.task_completed);
         assert!(!effect.stale);
         assert_eq!(effect.freed_slots, vec![slot(0)]);
-        assert_eq!(effect.killed, 0);
+        assert!(effect.killed_copies.is_empty());
         assert_eq!(rt.completed_input(), 1);
         assert_eq!(rt.allocated_slots, 0);
         assert!((rt.slot_seconds - 2.0).abs() < 1e-12);
@@ -695,7 +678,7 @@ mod tests {
         // The speculative copy (id 2) finishes at t = 5.
         let effect = rt.complete_copy(TaskId(0), 2, 5.0);
         assert!(effect.task_completed);
-        assert_eq!(effect.killed, 1);
+        assert_eq!(effect.killed_copies.len(), 1);
         assert_eq!(effect.freed_slots.len(), 2);
         assert_eq!(rt.killed_copies, 1);
         assert_eq!(rt.allocated_slots, 0);

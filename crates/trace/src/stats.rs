@@ -12,10 +12,8 @@ use grass_core::JobSpec;
 use grass_sim::SimTraceEvent;
 
 use crate::codec::{StreamKind, TraceError};
-use crate::execution::ExecutionTrace;
 use crate::format::TraceFormat;
 use crate::stream::TraceItems;
-use crate::workload::WorkloadTrace;
 
 /// Aggregate description of one trace file.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,24 +79,6 @@ impl TraceStats {
                 Ok(acc.finish(format))
             }
         }
-    }
-
-    /// Statistics of an already-decoded workload trace.
-    pub fn of_workload(trace: &WorkloadTrace) -> Self {
-        let mut acc = WorkloadAccumulator::default();
-        for job in &trace.jobs {
-            acc.add(job);
-        }
-        acc.finish(TraceFormat::Text)
-    }
-
-    /// Statistics of an already-decoded execution trace.
-    pub fn of_execution(trace: &ExecutionTrace) -> Self {
-        let mut acc = ExecutionAccumulator::default();
-        for event in &trace.events {
-            acc.add(event);
-        }
-        acc.finish(TraceFormat::Text)
     }
 }
 

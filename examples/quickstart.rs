@@ -37,7 +37,7 @@ fn main() {
     );
 
     for (name, outcome) in [
-        ("LATE", run(&sim, &work, deadline, &LateFactory::default())),
+        ("LATE", run(&sim, &work, deadline, &LateFactory)),
         ("GS", run(&sim, &work, deadline, &GsFactory)),
         ("RAS", run(&sim, &work, deadline, &RasFactory)),
         ("GRASS", run(&sim, &work, deadline, &GrassFactory::new(1))),

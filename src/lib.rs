@@ -77,8 +77,7 @@ pub mod prelude {
         EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy,
         JobId, JobOutcome, JobSizeBin, JobSpec, JobView, PolicyFactory, RasFactory, RasPolicy,
         SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
-        StoreSnapshot, StrawmanConfig, SwitchScanCache, TaskId, TaskRows, TaskSpec, TaskView, Time,
-        TnewEstimate,
+        StrawmanConfig, SwitchScanCache, TaskId, TaskRows, TaskSpec, TaskView, Time, TnewEstimate,
     };
     pub use grass_experiments::{
         assemble_sweep_result, compare, compare_outcomes, experiment_ids, make_factory,
@@ -103,8 +102,8 @@ pub mod prelude {
         ProactiveModel, ReactiveModel,
     };
     pub use grass_policies::{
-        LateConfig, LateFactory, LatePolicy, MantriConfig, MantriFactory, MantriPolicy,
-        NoSpecFactory, NoSpecPolicy, OracleFactory, OraclePolicy,
+        LateFactory, LatePolicy, MantriFactory, MantriPolicy, NoSpecFactory, NoSpecPolicy,
+        OracleFactory, OraclePolicy,
     };
     pub use grass_sim::{
         run_simulation, run_simulation_traced, ClusterConfig, CompletionEffect, CopyId,
@@ -143,7 +142,7 @@ mod tests {
             cluster: ClusterConfig::small(4, 2),
             ..SimConfig::default()
         };
-        let result = run_simulation(&sim, jobs, &LateFactory::default());
+        let result = run_simulation(&sim, jobs, &LateFactory);
         assert_eq!(result.outcomes.len(), 5);
     }
 }

@@ -63,8 +63,8 @@ fn every_policy_completes_an_error_bound_workload() {
     let jobs = generate(&wl, 5);
     let factories: Vec<Box<dyn PolicyFactory>> = vec![
         Box::new(NoSpecFactory),
-        Box::new(LateFactory::default()),
-        Box::new(MantriFactory::default()),
+        Box::new(LateFactory),
+        Box::new(MantriFactory),
         Box::new(GsFactory),
         Box::new(RasFactory),
         Box::new(GrassFactory::new(3)),
@@ -96,7 +96,7 @@ fn deadline_jobs_respect_their_deadline_under_every_policy() {
     let wl = quick_workload(BoundSpec::paper_deadlines(), scaled_jobs(12));
     let jobs = generate(&wl, 7);
     let factories: Vec<Box<dyn PolicyFactory>> = vec![
-        Box::new(LateFactory::default()),
+        Box::new(LateFactory),
         Box::new(GsFactory),
         Box::new(GrassFactory::new(4)),
     ];
@@ -183,7 +183,7 @@ fn speculation_aware_policies_beat_no_speculation_on_error_bound_jobs() {
 fn metrics_layer_summarises_simulation_outcomes() {
     let wl = quick_workload(BoundSpec::paper_deadlines(), scaled_jobs(15));
     let jobs = generate(&wl, 31);
-    let result = run_simulation(&quick_sim(31), jobs, &LateFactory::default());
+    let result = run_simulation(&quick_sim(31), jobs, &LateFactory);
     let set = OutcomeSet::new(result.outcomes);
     let mean = set.mean(Metric::Accuracy).unwrap();
     assert!(mean > 0.0 && mean <= 1.0);

@@ -41,7 +41,7 @@ fn policy_for(selector: u8) -> Box<dyn PolicyFactory> {
     match selector {
         0 => Box::new(GsFactory),
         1 => Box::new(RasFactory),
-        _ => Box::new(LateFactory::default()),
+        _ => Box::new(LateFactory),
     }
 }
 

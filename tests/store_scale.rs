@@ -1,8 +1,7 @@
 //! Scale pin for the sample store: recording far past the retention cap must
 //! keep memory flat. Past the cap every record evicts the globally oldest
-//! sample, so the store retains exactly the last `cap` records, and the
-//! aggregates its snapshot carries are bounded by their key space, not by the
-//! stream length.
+//! sample, so the store retains exactly the last `cap` records and nothing
+//! else grows with the stream length.
 //!
 //! Profiles, following `tests/sim_scale.rs`:
 //!
@@ -36,9 +35,8 @@ fn mib(bytes: u64) -> f64 {
 }
 
 /// A varied-but-bounded sample stream: all four partitions, 12 size buckets,
-/// bound values spanning several powers of two, utilization/accuracy across
-/// their decile bins — rich enough to populate many aggregate bins, bounded so
-/// the bin count saturates the way real workloads do.
+/// bound values spanning several powers of two, and utilization/accuracy
+/// across their whole range.
 fn scale_sample(i: usize) -> Sample {
     let mode = if i.is_multiple_of(2) {
         SpeculationMode::Gs

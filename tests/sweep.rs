@@ -155,7 +155,7 @@ fn pre_refactor_run_once(
         max_time: None,
     };
     match policy {
-        PolicyKind::Late => run_simulation(&sim, jobs, &LateFactory::default()).outcomes,
+        PolicyKind::Late => run_simulation(&sim, jobs, &LateFactory).outcomes,
         PolicyKind::GsOnly => run_simulation(&sim, jobs, &GsFactory).outcomes,
         PolicyKind::Grass(cfg) => {
             let store = Arc::new(SampleStore::new());

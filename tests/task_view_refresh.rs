@@ -172,8 +172,8 @@ fn kept_policies(spec: &JobSpec) -> Vec<(Reference, Box<dyn SpeculationPolicy>)>
         ),
     ];
     let factories: [Box<dyn PolicyFactory>; 3] = [
-        Box::new(LateFactory::default()),
-        Box::new(MantriFactory::default()),
+        Box::new(LateFactory),
+        Box::new(MantriFactory),
         Box::new(OracleFactory),
     ];
     for factory in factories {
@@ -451,7 +451,7 @@ fn a_late_deadline_job_keeps_no_index() {
     let spec = JobSpec::single_stage(1, 0.0, Bound::Deadline(50.0), vec![1.0, 2.0, 3.0, 4.0]);
     let estimator = EstimatorConfig::with_accuracy(0.6);
     let mut rng = StdRng::seed_from_u64(3);
-    let mut late = LateFactory::default().create(&spec);
+    let mut late = LateFactory.create(&spec);
     let mut rt = JobRuntime::new(spec, Box::new(Idle), &estimator, 0.0, &mut rng);
     rt.init_task_views(MEAN_SLOWDOWN);
     let slot = SlotId {

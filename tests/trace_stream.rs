@@ -5,6 +5,8 @@
 //! `open_workload_source` prefix-loads behave exactly like an in-memory
 //! recording.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use grass::prelude::*;
@@ -253,29 +255,67 @@ fn streaming_convert_is_byte_identical_to_eager_convert() {
 #[test]
 fn streamed_stats_match_decoded_trace_stats() {
     let workload = recorded(8);
-    let execution = recorded_execution();
-    for format in TraceFormat::ALL {
-        let streamed = TraceStats::from_bytes(&workload.to_bytes_as(format)).unwrap();
-        assert_eq!(streamed.format, format);
-        let eager = TraceStats::of_workload(&workload);
-        assert_eq!(
-            TraceStats {
-                format: TraceFormat::Text,
-                ..streamed
-            },
-            eager
-        );
+    let jobs = &workload.jobs;
+    let workload_stats = TraceStats {
+        format: TraceFormat::Text,
+        kind: StreamKind::Workload,
+        jobs: jobs.len(),
+        tasks: jobs.iter().map(JobSpec::total_tasks).sum(),
+        records_by_tag: BTreeMap::from([("job".to_string(), jobs.len()), ("meta".to_string(), 1)]),
+        total_work: jobs.iter().fold(0.0, |sum, j| sum + j.total_work()),
+        horizon: jobs.iter().fold(0.0, |max, j| f64::max(max, j.arrival)),
+    };
 
-        let streamed = TraceStats::from_bytes(&execution.to_bytes_as(format)).unwrap();
-        assert_eq!(streamed.format, format);
-        let eager = TraceStats::of_execution(&execution);
-        assert_eq!(
-            TraceStats {
-                format: TraceFormat::Text,
-                ..streamed
-            },
-            eager
-        );
+    let execution = recorded_execution();
+    let events = &execution.events;
+    let mut records_by_tag = BTreeMap::from([("meta".to_string(), 1)]);
+    for event in events {
+        *records_by_tag
+            .entry(event.kind_label().to_string())
+            .or_insert(0) += 1;
+    }
+    let execution_stats = TraceStats {
+        format: TraceFormat::Text,
+        kind: StreamKind::Execution,
+        jobs: events
+            .iter()
+            .filter(|e| matches!(e, SimTraceEvent::JobFinish { .. }))
+            .count(),
+        tasks: events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    SimTraceEvent::CopyFinish {
+                        task_completed: true,
+                        ..
+                    }
+                )
+            })
+            .count(),
+        records_by_tag,
+        total_work: events.iter().fold(0.0, |sum, e| match e {
+            SimTraceEvent::CopyLaunch { duration, .. } => sum + duration,
+            _ => sum,
+        }),
+        horizon: events.iter().fold(0.0, |max, e| f64::max(max, e.time())),
+    };
+
+    for format in TraceFormat::ALL {
+        for (bytes, expected) in [
+            (workload.to_bytes_as(format), &workload_stats),
+            (execution.to_bytes_as(format), &execution_stats),
+        ] {
+            let streamed = TraceStats::from_bytes(&bytes).unwrap();
+            assert_eq!(streamed.format, format);
+            assert_eq!(
+                &TraceStats {
+                    format: TraceFormat::Text,
+                    ..streamed
+                },
+                expected
+            );
+        }
     }
 }
 
