@@ -166,6 +166,67 @@ fn policy_decision_latency(c: &mut Criterion) {
     }
 }
 
+/// One completion, then one decision, on a 1,000-row error-bound job in its last
+/// wave. Its 600 still-needed tasks all run with half a second left, a new copy of
+/// any would take 2–6 s, and 400 fresh rows of 8–12 s lie beyond the needed set, so
+/// every decision declines. The per-work estimate moves with each completion, as in
+/// the simulator. A kept GS or RAS policy certifies its first decline and answers
+/// the declines after it from the certificate; the job starts over from its first
+/// rows once its running rows have all completed.
+fn error_bound_last_wave(c: &mut Criterion) {
+    let mut group = c.benchmark_group("policy_error_last_wave_1000_tasks");
+    group
+        .sample_size(30)
+        .warm_up_time(Duration::from_millis(500))
+        .measurement_time(Duration::from_secs(2));
+    const RUNNING: u32 = 600;
+    let rows: TaskRows = (0..1000u32)
+        .map(|i| {
+            let running = i < RUNNING;
+            let work = if running { 2.0 } else { 8.0 } + f64::from(i % 5);
+            TaskView {
+                id: TaskId(i),
+                stage: StageId::INPUT,
+                eligible: true,
+                running_copies: u32::from(running),
+                copy_start: if running { NOW - 5.0 } else { 0.0 },
+                copy_duration: if running { 5.5 } else { 0.0 },
+                rem_bias: 1.0,
+                oldest_start: if running { NOW - 5.0 } else { 0.0 },
+                tnew_bias: 1.0,
+                true_new_hint: work,
+                work,
+            }
+        })
+        .collect();
+    let bound = Bound::Error(0.4);
+    let spec = JobSpec::single_stage(1, 0.0, bound, vec![2.0; rows.len()]);
+    let factories: [(&str, Box<dyn PolicyFactory>); 2] =
+        [("GS", Box::new(GsFactory)), ("RAS", Box::new(RasFactory))];
+    for (name, factory) in &factories {
+        let (mut job, mut policy, mut done) = (rows.clone(), factory.create(&spec), 0);
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                if done == RUNNING {
+                    (job, policy, done) = (rows.clone(), factory.create(&spec), 0);
+                }
+                job.remove(TaskId(done));
+                done += 1;
+                let view = JobView {
+                    total_input_tasks: rows.len(),
+                    completed_input_tasks: done as usize,
+                    total_tasks: rows.len(),
+                    completed_tasks: done as usize,
+                    tnew_estimate: TnewEstimate::PerWork(1.0 + 0.01 * f64::from(done % 5)),
+                    ..view_of(&job, bound)
+                };
+                criterion::black_box(policy.choose(&view))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// Deterministic synthetic sample stream spread evenly over all four
 /// (mode, kind) partitions — the worst case for the partitioned layout, since
 /// only a quarter of the records land in the queried partition.
@@ -494,6 +555,7 @@ fn hill_estimation(c: &mut Criterion) {
 criterion_group!(
     micro,
     policy_decision_latency,
+    error_bound_last_wave,
     sample_store_prediction,
     grass_choose_warmed,
     simulator_throughput,

@@ -250,6 +250,15 @@ pub enum TnewEstimate {
 }
 
 impl TnewEstimate {
+    /// [`JobView::tnew`] of `task` under this estimate.
+    #[inline]
+    pub(crate) fn tnew(self, task: &TaskView) -> Time {
+        match self {
+            TnewEstimate::PerWork(per_work) => (task.work * per_work * task.tnew_bias).max(1e-6),
+            TnewEstimate::Oracle => task.true_new_hint,
+        }
+    }
+
     /// The key a [`DeadlineIndex`] orders `task` by, if it is fresh: `work ×
     /// tnew_bias` under a per-work estimate, the hint under oracle estimates.
     pub(crate) fn tnew_key(self, task: &TaskView) -> f64 {
@@ -485,10 +494,7 @@ impl<'a> JobView<'a> {
     /// the ground-truth hint under [`TnewEstimate::Oracle`]. Every reader of `tnew`
     /// goes through here.
     pub fn tnew(&self, task: &TaskView) -> Time {
-        match self.tnew_estimate {
-            TnewEstimate::PerWork(per_work) => (task.work * per_work * task.tnew_bias).max(1e-6),
-            TnewEstimate::Oracle => task.true_new_hint,
-        }
+        self.tnew_estimate.tnew(task)
     }
 
     /// Ground-truth remaining duration of `task`'s best running copy at `now`:

@@ -91,8 +91,11 @@ pub trait SpeculationPolicy: Send {
     /// state that speeds up its next decision on that job: GS, RAS and GRASS remember
     /// where the job's error-bound needed set ended last time, and, by the third
     /// clause, answer repeat decisions within one instant from the runner-up
-    /// candidates their last pass kept. Such a memo must stay a hint the decision
-    /// re-checks: it may make a decision cheaper, never different.
+    /// candidates their last pass kept. After an error-bound decline they keep a
+    /// certificate that later declines check against the rows' change stamp, so a
+    /// decline that only completions followed costs no row read. Such a memo must
+    /// stay a hint the decision re-checks: it may make a decision cheaper, never
+    /// different.
     fn choose(&mut self, view: &JobView) -> Option<Action>;
 
     /// Called when one of the job's tasks completes (its first copy finishes).

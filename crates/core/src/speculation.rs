@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::{total_order, Bound, DeadlineIndex, JobSpec, JobView, TnewEstimate};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::task::{JobId, TaskId, TaskView};
+use crate::task::{JobId, RowsStamp, TaskId, TaskView};
 
 /// Which of the two building-block algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -173,18 +173,19 @@ fn choose_deadline(view: &JobView, mode: SpeculationMode) -> Option<Action> {
 /// non-input task (intermediate stages must run in full for the completed
 /// fraction). Only the needed *set* matters, and the picks below depend only on it,
 /// not on the order its rows are offered in.
+///
+/// A decline the memo's [`Certificate`] covers costs no row read; any other decision
+/// drops the certificate, decides as below, and certifies its decline if it makes one.
 fn choose_error(view: &JobView, mode: SpeculationMode, memo: &mut NeededSetMemo) -> Option<Action> {
-    let stamp = Stamp::of(view, mode);
-    let repeat = memo.stamp == Some(stamp);
-    let keep = match repeat.then(|| memo.serve_repeat(view, mode)).flatten() {
-        Some(true) => return memo.answer(stamp, mode),
-        // A list ran dry: a pass inside an instant keeps twice what the previous
-        // one kept, so a run of decisions at one instant costs O(log run) passes.
-        Some(false) => (memo.picks.fresh.keep * 2).min(view.tasks.len().max(FIRST_KEEP)),
-        None => FIRST_KEEP,
+    if memo.certificate.is_some_and(|c| c.holds(view, mode)) {
+        return None;
+    }
+    let action = memo.decide(view, mode);
+    memo.certificate = match action {
+        Some(_) => None,
+        None => Certificate::build(view, mode),
     };
-    memo.pass(view, mode, keep);
-    memo.answer(stamp, mode)
+    action
 }
 
 /// Whether Pseudocode 2 ranks `t` by effective duration: an eligible input task.
@@ -255,6 +256,72 @@ const FIRST_KEEP: usize = 2;
 /// decline drops the lists. The memo only saves work: a missing, stale or foreign
 /// boundary costs one selection, a failed stamp or row check costs one pass, and
 /// neither changes an answer.
+///
+/// **Certified declines.** In a job's last wave every still-needed task runs, and
+/// after each of the job's own completions a pass would read every row only to
+/// decline again. So a decline reads the rows once more ([`Certificate::build`])
+/// and keeps a [`Certificate`] of `from`: the least per-work estimate, up to
+/// [`MARGIN`], at which, at the decline's `now`, every eligible running row fails
+/// its GS or RAS test and, if an input row is fresh, still-needed many eligible
+/// running input rows rank strictly below every fresh one. A later decision
+/// declines without reading a row when ([`Certificate::holds`]):
+///
+/// * the rows' change stamp is the certificate's: the rows are its rows minus
+///   some removed ones (see [`TaskRows`]);
+/// * the input tasks still needed fell by at least one per removed row, as they do
+///   when each removal is an input completion;
+/// * `now` is not earlier, and the mode and the estimate kind are the same;
+/// * the per-work estimate lies in `[from, TAME]`; under oracle estimates there
+///   is no condition on it.
+///
+/// Any other decision drops the certificate. **Why a certified decline is exact.**
+/// Let `now` and `p` be a later decision's instant and estimate, and `now₀` the
+/// certificate's.
+///
+/// * *No row changes except removals.* Each remaining row keeps its eligibility,
+///   its copies and its best copy. So its `trem` only falls as `now` grows: each
+///   step of [`JobView::trem`] (the subtraction, the product with a fixed bias, the
+///   clamps) is monotone. Its `tnew = max(1e-6, (work × p) × tnew_bias)` only rises
+///   with `p`: two rounded products by non-negative factors, then a clamp. The
+///   builder covers only rows whose work and bias lie in `[0, TAME]`.
+/// * *The tests keep failing.* GS fails iff the row is at the copy cap or
+///   `tnew ≥ trem`. RAS fails iff it is at the cap or `fl(c·trem) ≤
+///   fl((c+1)·tnew)`, since float subtraction keeps the sign of the difference. Both
+///   failures persist as `trem` falls and `tnew` rises, so a failure at (`now₀`, `p₀`)
+///   is a failure at every later `now` and every `p ≥ p₀`. The builder tries each
+///   running row at `trem / (work·tnew_bias)` (GS) or `c·trem / ((c+1)·work·tnew_bias)`
+///   (RAS), widened by twice the margin, and runs the test itself there; a row that fails
+///   at `p = 0`, where `tnew` reads the `1e-6` floor as at every smaller `p`, fails
+///   at every estimate. The margin only makes the test at the widened estimate pass.
+/// * *The running rows rank below the fresh ones.* Write `k` for a row's key
+///   `work × tnew_bias` and `k_f` for the least fresh key. A running input row `r`
+///   has effective duration at most `trem_r` and at most `tnew_r`; a fresh row `f`
+///   has `tnew_f ≥ max(1e-6, tnew_floor(k_f, p))`. So `r` ranks strictly below
+///   every fresh row, at any later `now`, in one of two ways:
+///   - once `tnew_floor(k_f, p)` exceeds `r`'s `trem` at `now₀`, or that `trem` is
+///     below `1e-6`. `tnew_floor` is monotone in `p`, so the builder checks it at
+///     the row's widened estimate;
+///   - at any `p` at which `tnew_floor(k_f, p) > 1e-6`, if `k_r < fl(k_f × (1 −
+///     MARGIN))`. Then every fresh `tnew` is its raw product, above the floor, and
+///     each raw product is within three roundings of `k × p` (plus the subnormal
+///     error [`TAME`] bounds), so `tnew_r < tnew_f`.
+/// * *The needed set stays inside the running rows.* `from` is at least the
+///   still-needed-th least estimate from which a running input row ranks below
+///   every fresh row, so at `p ≥ from` that many running rows do. Each removal is
+///   matched by a fall of the still-needed count, so later at least the new count
+///   of them remain. The needed set is the still-needed smallest walk keys, so no
+///   fresh row is in it: it holds running rows only, each of which fails its test,
+///   and the decision declines. With no fresh input row there is nothing to rank.
+/// * *Oracle estimates.* `tnew` is the fixed hint and the effective durations of
+///   running rows only fall, so a failed test keeps failing, and a running row whose
+///   effective duration lies below every fresh row's at `now₀` stays below at every
+///   later `now`. The same counting gives the same result, with no condition on the
+///   estimate.
+/// * *Multi-stage jobs.* Every eligible non-input row is a candidate, so at a
+///   decline each of them runs and fails its test. The certificate treats them like
+///   running input rows whose rank does not matter: their tests must fail from
+///   `from` on. A completion of one is a removal that the still-needed count does
+///   not match, so it drops the certificate unless no input task is still needed.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct NeededSetMemo {
     boundary: Option<TaskId>,
@@ -263,9 +330,28 @@ pub(crate) struct NeededSetMemo {
     /// The last answer, still the front of its list.
     answer: Option<Pick>,
     picks: ErrorPicks,
+    /// The proof that the decisions after the last decline decline too, while it
+    /// holds.
+    certificate: Option<Certificate>,
 }
 
 impl NeededSetMemo {
+    /// Pseudocode 2's decision on `view`: from the kept lists for a repeat decision
+    /// at the stamped instant, otherwise from a pass.
+    fn decide(&mut self, view: &JobView, mode: SpeculationMode) -> Option<Action> {
+        let stamp = Stamp::of(view, mode);
+        let repeat = self.stamp == Some(stamp);
+        let keep = match repeat.then(|| self.serve_repeat(view, mode)).flatten() {
+            Some(true) => return self.answer(stamp, mode),
+            // A list ran dry: a pass inside an instant keeps twice what the previous
+            // one kept, so a run of decisions at one instant costs O(log run) passes.
+            Some(false) => (self.picks.fresh.keep * 2).min(view.tasks.len().max(FIRST_KEEP)),
+            None => FIRST_KEEP,
+        };
+        self.pass(view, mode, keep);
+        self.answer(stamp, mode)
+    }
+
     /// Answer a repeat decision at the stamped instant from the kept lists: `None`
     /// when the view does not show the previous answer applied, otherwise whether
     /// the lists could answer. Either way a pass decides when they could not.
@@ -608,13 +694,7 @@ impl ErrorPicks {
         if !t.is_running() {
             return Some((&mut self.fresh, pick(tnew)));
         }
-        if t.running_copies >= MAX_COPIES_PER_TASK {
-            return None;
-        }
-        let value = match mode {
-            SpeculationMode::Gs => t.new_copy_beats_running(trem, tnew).then_some(trem),
-            SpeculationMode::Ras => t.speculation_saving(trem, tnew).filter(|s| *s > 0.0),
-        }?;
+        let value = speculation_value(mode, t, trem, tnew)?;
         Some((&mut self.speculative, pick(value)))
     }
 
@@ -640,6 +720,189 @@ impl ErrorPicks {
             (_, _, s) => s.is_some(),
         };
         if prefer_copy { speculative } else { fresh }.copied()
+    }
+}
+
+/// Pseudocode 2's test on the running row `t`, with its `tnew` and `trem`: the value
+/// a copy of it ranks by (`trem` under GS, the resource saving under RAS), or `None`
+/// when it fails: the row is at the copy cap, or `tnew ≥ trem` (GS), or the saving
+/// is not positive (RAS).
+#[inline]
+fn speculation_value(mode: SpeculationMode, t: &TaskView, trem: f64, tnew: f64) -> Option<f64> {
+    if t.running_copies >= MAX_COPIES_PER_TASK {
+        return None;
+    }
+    match mode {
+        SpeculationMode::Gs => t.new_copy_beats_running(trem, tnew).then_some(trem),
+        SpeculationMode::Ras => t.speculation_saving(trem, tnew).filter(|s| *s > 0.0),
+    }
+}
+
+/// The relative margin a [`Certificate`] widens its bounds by: far above the few
+/// roundings each involves, as for [`TnewEstimate::tnew_floor`].
+const MARGIN: f64 = 1e-9;
+
+/// The largest work, estimate bias and per-work estimate a [`Certificate`] covers.
+/// Below it no product of the three overflows, and a subnormal intermediate product
+/// is off by under `1e-200`, which the `1e-6` floor of `tnew` makes irrelevant.
+const TAME: f64 = 1e100;
+
+/// A proof that the decisions after an error-bound decline decline too: what
+/// [`NeededSetMemo`] keeps after a decline, and whose doc says when it holds and
+/// why that is exact.
+#[derive(Debug, Clone, Copy)]
+struct Certificate {
+    rows: RowsStamp,
+    /// The row count at the decline.
+    len: usize,
+    now: f64,
+    still_needed: usize,
+    mode: SpeculationMode,
+    /// The least per-work estimate the proof holds for, `None` under oracle
+    /// estimates.
+    from: Option<f64>,
+}
+
+impl Certificate {
+    /// Whether this certificate proves that `view`'s decision in `mode` declines.
+    #[inline]
+    fn holds(&self, view: &JobView, mode: SpeculationMode) -> bool {
+        let removed = self.len.checked_sub(view.tasks.len());
+        view.tasks.stamp() == self.rows
+            && view.now >= self.now
+            && self.mode == mode
+            && removed.is_some_and(|removed| {
+                view.input_tasks_still_needed()
+                    .is_some_and(|n| n <= self.still_needed.saturating_sub(removed))
+            })
+            && match (self.from, view.tnew_estimate) {
+                (Some(from), TnewEstimate::PerWork(p)) => from <= p && p <= TAME,
+                (None, TnewEstimate::Oracle) => true,
+                _ => false,
+            }
+    }
+
+    /// The certificate of a decline on `view` in `mode`, if one holds at some
+    /// per-work estimate up to [`TAME`] (at the view's own `now`, under oracle
+    /// estimates).
+    fn build(view: &JobView, mode: SpeculationMode) -> Option<Certificate> {
+        let still_needed = view.input_tasks_still_needed()?;
+        let per_work = matches!(view.tnew_estimate, TnewEstimate::PerWork(_));
+        let tame = |x: f64| (0.0..=TAME).contains(&x);
+        // The fresh input rows' least key: `work × tnew_bias`, or the effective
+        // duration (the hint) under oracle estimates.
+        let (mut least_fresh, mut fresh) = (f64::INFINITY, false);
+        for t in view.tasks.iter().filter(|t| t.eligible) {
+            if per_work && !(tame(t.work) && tame(t.tnew_bias)) {
+                return None;
+            }
+            if t.is_running() {
+                continue;
+            }
+            // A fresh non-input row is a candidate: no decline.
+            if !t.stage.is_input() {
+                return None;
+            }
+            fresh = true;
+            least_fresh = least_fresh.min(if per_work {
+                t.work * t.tnew_bias
+            } else {
+                view.tnew(t)
+            });
+        }
+        // Every running row's test must fail, and `still_needed` running input rows
+        // must rank below every fresh row, if any is fresh.
+        let ranked = fresh && still_needed > 0;
+        let (mut from, mut ranks) = (f64::NEG_INFINITY, Vec::new());
+        for t in view.tasks.iter().filter(|t| t.eligible && t.is_running()) {
+            let trem = view.trem(t);
+            let (fails, below) = if per_work {
+                per_work_from(mode, t, trem, least_fresh)
+            } else {
+                let tnew = view.tnew(t);
+                let at = |holds: bool| {
+                    if holds {
+                        f64::NEG_INFINITY
+                    } else {
+                        f64::INFINITY
+                    }
+                };
+                (
+                    at(speculation_value(mode, t, trem, tnew).is_none()),
+                    at(t.effective_duration(trem, tnew) < least_fresh),
+                )
+            };
+            from = from.max(fails);
+            if from > TAME {
+                return None;
+            }
+            if ranked && t.stage.is_input() {
+                ranks.push(below);
+            }
+        }
+        if ranked {
+            // Fewer running input rows than still needed: some fresh row is needed.
+            if ranks.len() < still_needed {
+                return None;
+            }
+            from = from.max(
+                *ranks
+                    .select_nth_unstable_by(still_needed - 1, f64::total_cmp)
+                    .1,
+            );
+        }
+        (from <= TAME).then_some(Certificate {
+            rows: view.tasks.stamp(),
+            len: view.tasks.len(),
+            now: view.now,
+            still_needed,
+            mode,
+            from: per_work.then_some(from),
+        })
+    }
+}
+
+/// For the running row `t` (of `trem` at the certificate's `now`): the least
+/// per-work estimate from which it fails its test, and the least from which it
+/// ranks strictly below every fresh row, whose least key is `least_fresh` (see
+/// [`Certificate`]).
+fn per_work_from(mode: SpeculationMode, t: &TaskView, trem: f64, least_fresh: f64) -> (f64, f64) {
+    let key = t.work * t.tnew_bias;
+    let copies = f64::from(t.running_copies);
+    let fails = least_estimate(
+        match mode {
+            SpeculationMode::Gs => trem,
+            SpeculationMode::Ras => copies * trem / (copies + 1.0),
+        } / key,
+        |estimate| speculation_value(mode, t, trem, estimate.tnew(t)).is_none(),
+    );
+    // What the least fresh `tnew` bound must exceed: the row's `trem`, or only the
+    // `1e-6` floor when the row's key lies below every fresh key by the margin.
+    let bar = if key < least_fresh * (1.0 - MARGIN) {
+        trem.min(1e-6)
+    } else {
+        trem
+    };
+    let below = least_estimate(bar / least_fresh, |estimate| {
+        bar < 1e-6 || estimate.tnew_floor(least_fresh) > bar
+    });
+    (fails, below)
+}
+
+/// The least per-work estimate, up to [`MARGIN`], from which `holds` holds, for a
+/// `holds` that, once true, stays true at every larger estimate: `-INFINITY` if it
+/// holds at zero (where `tnew` reads the `1e-6` floor, as at every smaller
+/// estimate), `guess` widened by twice the margin if it holds there, and `INFINITY`
+/// otherwise or past [`TAME`].
+fn least_estimate(guess: f64, holds: impl Fn(TnewEstimate) -> bool) -> f64 {
+    if holds(TnewEstimate::PerWork(0.0)) {
+        return f64::NEG_INFINITY;
+    }
+    let p = guess * (1.0 + 2.0 * MARGIN);
+    if (0.0..=TAME).contains(&p) && holds(TnewEstimate::PerWork(p)) {
+        p
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -674,7 +937,8 @@ pub(crate) fn choose_holding(
 ///
 /// One instance serves one job: it remembers where the job's error-bound needed set
 /// ended at its last decision, so a decision whose boundary has not moved is one pass
-/// over the rows instead of a selection. Its actions equal [`choose`]'s in
+/// over the rows instead of a selection, and a decline its certificate covers reads
+/// no row (see `NeededSetMemo`). Its actions equal [`choose`]'s in
 /// [`SpeculationMode::Gs`] on every view.
 #[derive(Debug, Default, Clone)]
 pub struct GsPolicy {
@@ -1213,6 +1477,98 @@ mod tests {
         );
         assert!(memo.stamp.is_none() && memo.answer.is_none());
         assert_eq!(memo.picks.fresh.keep, FIRST_KEEP);
+    }
+
+    #[test]
+    fn a_last_wave_decline_is_certified_until_the_rows_change() {
+        // Ten input tasks, ε = 0.2, two done: six still needed. The six running rows
+        // (works 1..=6, half a second left each) are the needed set and fail both
+        // tests; the fresh rows of works 8 and 9 lie beyond it.
+        let mut initial: Vec<TaskView> = (1..=6)
+            .map(|w| running(w, 5.0, 0.5, f64::from(w), 1))
+            .collect();
+        initial.extend([fresh(7, 8.0), fresh(8, 9.0)]);
+        for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
+            let mut rows = TaskRows::from(initial.clone());
+            let mut memo = NeededSetMemo::default();
+            assert_eq!(
+                choose_memoised(&error_view(&rows, 0.2, 10, 2), mode, &mut memo),
+                None
+            );
+            let certificate = memo.certificate.expect("a last-wave decline is certified");
+            assert!(certificate.from.is_some_and(|from| from <= 1.0));
+
+            // Task 1 completes, time passes and the estimate moves either way: the
+            // certificate answers, as a pass would.
+            rows.remove(TaskId(1));
+            let at = |per_work| JobView {
+                now: 5.25,
+                tnew_estimate: TnewEstimate::PerWork(per_work),
+                ..error_view(&rows, 0.2, 10, 3)
+            };
+            for per_work in [1.0, 1.3, 0.9] {
+                assert!(certificate.holds(&at(per_work), mode));
+                assert_eq!(choose_memoised(&at(per_work), mode, &mut memo), None);
+                assert_eq!(choose(&at(per_work), mode), None);
+            }
+            // A removal no input completion matches, an earlier `now`, the other
+            // mode, or an estimate far below the bound: not certified.
+            let other = match mode {
+                SpeculationMode::Gs => SpeculationMode::Ras,
+                SpeculationMode::Ras => SpeculationMode::Gs,
+            };
+            assert!(!certificate.holds(&error_view(&rows, 0.2, 10, 2), mode));
+            assert!(!certificate.holds(
+                &JobView {
+                    now: 4.0,
+                    ..at(1.0)
+                },
+                mode
+            ));
+            assert!(!certificate.holds(&at(1.0), other));
+            assert!(!certificate.holds(&at(0.01), mode));
+            assert_eq!(
+                choose_memoised(&at(0.01), mode, &mut memo),
+                choose(&at(0.01), mode)
+            );
+
+            // A launch moves the rows' stamp: no certificate holds across it.
+            rows.get_mut(TaskId(7)).unwrap().running_copies = 1;
+            assert!(!certificate.holds(&error_view(&rows, 0.2, 10, 3), mode));
+        }
+    }
+
+    #[test]
+    fn a_key_an_ulp_below_a_fresh_one_is_not_certified_to_rank_below_it() {
+        // Row 0 runs at the copy cap with a long `trem`, so its effective duration is
+        // its `tnew`; its key lies one ulp below fresh row 1's. One task is still
+        // needed: at a unit estimate that is row 0 and the job declines, but at
+        // `per_work` row 1's `tnew` rounds below row 0's, and row 1 launches.
+        let per_work = 2.8020375238942243;
+        let rows = TaskRows::from(vec![
+            TaskView {
+                work: 5.261359425877181,
+                tnew_bias: 0.9190125527545436,
+                ..running(0, 5.0, 100.0, 1.0, MAX_COPIES_PER_TASK)
+            },
+            fresh_row(1, 7.661950635819112, 0.6310736765034833),
+        ]);
+        for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
+            let mut memo = NeededSetMemo::default();
+            let view = error_view(&rows, 0.0, 10, 9);
+            assert_eq!(choose_memoised(&view, mode, &mut memo), None);
+            assert!(memo.certificate.is_some());
+            let later = JobView {
+                tnew_estimate: TnewEstimate::PerWork(per_work),
+                ..view
+            };
+            assert_eq!(later.tnew(&rows[0]), 13.548566947741223);
+            assert_eq!(later.tnew(&rows[1]), 13.548566947741222);
+            assert_eq!(
+                choose_memoised(&later, mode, &mut memo),
+                Some(Action::launch(TaskId(1)))
+            );
+        }
     }
 
     #[test]

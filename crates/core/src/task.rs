@@ -1,5 +1,7 @@
 //! Task-level identifiers and the per-task view a speculation policy sees.
 
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+
 use serde::{Deserialize, Serialize};
 
 /// Simulation time in seconds. The simulator is a continuous-time discrete-event model,
@@ -184,14 +186,64 @@ const NO_ROW: u32 = u32::MAX;
 /// read away ([`TaskRows::get`]). The rows read as a slice through `Deref`; a caller
 /// that changes a row through [`get_mut`](TaskRows::get_mut) or
 /// [`iter_mut`](TaskRows::iter_mut) must not change its `id`.
+///
+/// **Change stamp.** A table carries a stamp that tells a reader, in O(1), that
+/// nothing but removals happened to it since the reader last looked: an id drawn
+/// from a process-wide counter by every constructor, [`Default`] and [`Clone`], so
+/// no two tables share one, plus a version that [`get_mut`](TaskRows::get_mut),
+/// [`iter_mut`](TaskRows::iter_mut), [`extend`](Extend::extend) and
+/// [`clear`](TaskRows::clear) bump and [`remove`](TaskRows::remove) leaves alone.
+/// Every way to change a row goes through one of the four, so an equal stamp means
+/// the rows are the stamped rows minus some removed ones. GS and RAS certify their
+/// error-bound declines against it. The stamp never reaches an output: it differs
+/// from run to run, and no decision depends on it.
 #[derive(Debug, Clone, Default)]
 pub struct TaskRows {
     rows: Vec<TaskView>,
     /// `at[id]`: the position of task `id`'s row, [`NO_ROW`] if it has none.
     at: Vec<u32>,
+    table: TableId,
+    /// Changes other than removals since the table was made.
+    version: u64,
+}
+
+/// A [`TaskRows`]' change stamp: which table, and its version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowsStamp(u64, u64);
+
+/// A table's identity: every new table draws one no other table has drawn, and a
+/// clone is a new table.
+#[derive(Debug)]
+struct TableId(u64);
+
+impl Default for TableId {
+    /// `Relaxed` is enough: the id publishes no other data, and `fetch_add` alone
+    /// makes it unique.
+    fn default() -> Self {
+        static TABLES: AtomicU64 = AtomicU64::new(0);
+        TableId(TABLES.fetch_add(1, AtomicOrdering::Relaxed))
+    }
+}
+
+impl Clone for TableId {
+    fn clone(&self) -> Self {
+        TableId::default()
+    }
 }
 
 impl TaskRows {
+    /// The table's change stamp (see [`TaskRows`]).
+    #[inline]
+    pub(crate) fn stamp(&self) -> RowsStamp {
+        RowsStamp(self.table.0, self.version)
+    }
+
+    /// Count one change that may rewrite rows.
+    #[inline]
+    fn changed(&mut self) {
+        self.version = self.version.wrapping_add(1);
+    }
+
     /// Task `id`'s row, if it has one.
     #[inline]
     pub fn get(&self, id: TaskId) -> Option<&TaskView> {
@@ -203,6 +255,7 @@ impl TaskRows {
 
     /// Task `id`'s row, mutably, if it has one.
     pub fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskView> {
+        self.changed();
         let row = self.rows.get_mut(*self.at.get(id.index())? as usize)?;
         debug_assert_eq!(row.id, id, "a row's id changed under its map");
         Some(row)
@@ -210,11 +263,13 @@ impl TaskRows {
 
     /// Every row, mutably, in row order.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, TaskView> {
+        self.changed();
         self.rows.iter_mut()
     }
 
     /// Remove task `id`'s row and return it. The last row takes its place, so one
-    /// row moves and none shifts.
+    /// row moves and none shifts. The change stamp stays: every other row is as it
+    /// was.
     pub fn remove(&mut self, id: TaskId) -> Option<TaskView> {
         let at = std::mem::replace(self.at.get_mut(id.index())?, NO_ROW) as usize;
         if at >= self.rows.len() {
@@ -229,6 +284,7 @@ impl TaskRows {
 
     /// Remove every row, keeping the capacity.
     pub fn clear(&mut self) {
+        self.changed();
         self.rows.clear();
         self.at.clear();
     }
@@ -256,6 +312,7 @@ impl std::ops::Deref for TaskRows {
 impl Extend<TaskView> for TaskRows {
     /// Add `rows` at the end. Their tasks must have no row yet.
     fn extend<I: IntoIterator<Item = TaskView>>(&mut self, rows: I) {
+        self.changed();
         for row in rows {
             debug_assert!(self.get(row.id).is_none(), "{:?} has a row already", row.id);
             self.place(row.id, self.rows.len());
@@ -278,8 +335,8 @@ impl From<Vec<TaskView>> for TaskRows {
     fn from(rows: Vec<TaskView>) -> Self {
         let len = rows.iter().map(|t| t.id.index() + 1).max().unwrap_or(0);
         let mut table = TaskRows {
-            rows: Vec::new(),
             at: vec![NO_ROW; len],
+            ..TaskRows::default()
         };
         for (at, row) in rows.iter().enumerate() {
             debug_assert_eq!(
@@ -343,6 +400,53 @@ mod tests {
         rows.remove(TaskId(9));
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|t| rows.get(t.id) == Some(t)));
+    }
+
+    #[test]
+    fn every_change_but_a_removal_moves_the_change_stamp() {
+        let row = |id| TaskView {
+            id: TaskId(id),
+            ..running_task(1)
+        };
+        // Every constructor, `Default` and `Clone` draw a table of their own.
+        let mut rows = TaskRows::from((0..4).map(row).collect::<Vec<_>>());
+        let others = [
+            TaskRows::default(),
+            TaskRows::default(),
+            (0..4).map(row).collect(),
+            rows.clone(),
+        ];
+        let mut seen = vec![rows.stamp()];
+        for other in &others {
+            assert!(!seen.contains(&other.stamp()), "{:?}", other.stamp());
+            seen.push(other.stamp());
+        }
+        // Removals, found or not, keep the stamp.
+        let stamp = rows.stamp();
+        rows.remove(TaskId(1));
+        rows.remove(TaskId(1));
+        rows.remove(TaskId(99));
+        assert_eq!(rows.stamp(), stamp);
+        // Every other change moves it, to a stamp no earlier state had.
+        let changes: [fn(&mut TaskRows); 5] = [
+            |rows| rows.get_mut(TaskId(0)).unwrap().running_copies += 1,
+            |rows| rows.iter_mut().for_each(|t| t.eligible = false),
+            |rows| {
+                rows.extend([TaskView {
+                    id: TaskId(7),
+                    ..running_task(0)
+                }])
+            },
+            |rows| rows.clear(),
+            |rows| {
+                rows.get_mut(TaskId(42));
+            },
+        ];
+        for change in changes {
+            change(&mut rows);
+            assert!(!seen.contains(&rows.stamp()), "{:?}", rows.stamp());
+            seen.push(rows.stamp());
+        }
     }
 
     #[test]

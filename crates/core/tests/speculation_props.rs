@@ -974,3 +974,155 @@ proptest! {
         prop_assert!(checked.is_ok(), "{checked:?} for {tasks:?} {shape:?}");
     }
 }
+
+/// One row of the certificate property: `(work, bias, trem, copies, kind)` draws,
+/// where `kind` picks a near-floor work, a duplicate of the previous row (so
+/// effective durations and keys tie and task ids decide), a row whose key is the
+/// previous one's to within an ulp or two, or a non-input or ineligible row.
+type CertDraw = (f64, f64, f64, u32, u8);
+
+/// Relative nudges of a per-work estimate around a threshold: just below and just
+/// above it, by less than, about and more than the certificates' `1e-9` margin.
+const NUDGE: [f64; 10] = [
+    -3e-9, -1e-9, -1e-12, -1e-16, 0.0, 1e-16, 1e-12, 1e-9, 2e-9, 3e-9,
+];
+
+/// The rows of the certificate property at [`T0`]: unquantised works, biases and
+/// `trem`s. Works near zero put `tnew` near its `1e-6` floor.
+fn cert_rows(raw: &[CertDraw]) -> TaskRows {
+    let mut rows: Vec<TaskView> = Vec::new();
+    for (i, &(work, bias, trem, copies, kind)) in raw.iter().enumerate() {
+        let mut row = match (kind, rows.last()) {
+            (0, Some(previous)) => TaskView {
+                id: TaskId(i as u32),
+                ..previous.clone()
+            },
+            // The previous row's key to within an ulp or two, so that `tnew`s may
+            // round either way around the keys' order.
+            (4, Some(previous)) => TaskView {
+                id: TaskId(i as u32),
+                stage: StageId::INPUT,
+                eligible: true,
+                running_copies: 0,
+                work: previous.work * (1.0 + (work - 0.5) * 1e-3),
+                tnew_bias: previous.tnew_bias / (1.0 + (work - 0.5) * 1e-3),
+                ..previous.clone()
+            },
+            _ => TaskView {
+                id: TaskId(i as u32),
+                stage: StageId(u8::from(kind == 1)),
+                eligible: kind != 2,
+                running_copies: 0,
+                copy_start: 0.0,
+                copy_duration: 0.0,
+                rem_bias: 1.0,
+                oldest_start: 0.0,
+                tnew_bias: 0.5 + bias,
+                true_new_hint: work * (0.5 + bias),
+                work: if kind == 3 { work * 1e-6 } else { work * 4.0 },
+            },
+        };
+        if kind != 0 && copies > 0 {
+            let trem = if kind == 3 { trem * 2e-6 } else { trem * 8.0 };
+            (row.copy_start, row.copy_duration, row.rem_bias) =
+                (T0 - 1.0, 1.0 + trem, 0.75 + bias / 2.0);
+            (row.oldest_start, row.running_copies) = (T0 - 1.0, copies);
+        }
+        rows.push(row);
+    }
+    rows.into()
+}
+
+/// Per-work estimates near where a certificate's bound may sit on `view`: each
+/// running row's test threshold (`trem / key`, and RAS's `c·trem / ((c+1)·key)`)
+/// and rank thresholds against the least fresh key (`trem / k_f`, `1e-6 / k_f`).
+fn thresholds(view: &JobView) -> Vec<f64> {
+    let key = |t: &TaskView| t.work * t.tnew_bias;
+    let least_fresh = view
+        .tasks
+        .iter()
+        .filter(|t| t.eligible && !t.is_running())
+        .map(key)
+        .fold(f64::INFINITY, f64::min);
+    let mut at = Vec::new();
+    for t in view.tasks.iter().filter(|t| t.is_running()) {
+        let (trem, c) = (view.trem(t), f64::from(t.running_copies));
+        at.extend([
+            trem / key(t),
+            c * trem / ((c + 1.0) * key(t)),
+            trem / least_fresh,
+            1e-6 / least_fresh,
+        ]);
+    }
+    at.retain(|p| p.is_finite() && *p > 0.0);
+    at
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// A `GsPolicy` and a `RasPolicy` kept across one job's decisions equal the
+    /// stateless `choose` at every step, so that every decline they certify is a
+    /// decline. Steps: 0–3 complete a running task (its row goes), 4–5 let time
+    /// pass, 6–7 move the per-work estimate to just below or above one of the
+    /// thresholds a certificate's bound is made of, 8 moves it by a factor either
+    /// way, and 9 launches a copy of an eligible row, which a certificate must not
+    /// survive. Under oracle estimates the estimate steps change nothing.
+    #[test]
+    fn kept_policies_certify_only_true_declines(
+        raw in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0, 0u32..=MAX_COPIES_PER_TASK, 0u8..12), 1..30),
+        (oracle, eps, extra_input) in (any::<bool>(), 0usize..4, 0usize..4),
+        steps in prop::collection::vec((0u8..10, any::<usize>(), 0.0f64..1.0), 1..40),
+    ) {
+        let mut rows = cert_rows(&raw);
+        let total_input = rows.iter().filter(|t| t.stage.is_input()).count() + extra_input;
+        let epsilon = pick(&EPSILON, eps);
+        let (mut per_work, mut completed, mut now) = (1.0, 0, T0);
+        let mut kept: [(SpeculationMode, Box<dyn SpeculationPolicy>); 2] = [
+            (SpeculationMode::Gs, Box::<GsPolicy>::default()),
+            (SpeculationMode::Ras, Box::<RasPolicy>::default()),
+        ];
+        for (step, &(kind, pick_at, value)) in steps.iter().enumerate() {
+            let view = JobView {
+                tnew_estimate: if oracle { TnewEstimate::Oracle } else { TnewEstimate::PerWork(per_work) },
+                ..error_view(&rows, epsilon, total_input, completed, now)
+            };
+            for (mode, policy) in &mut kept {
+                prop_assert_eq!(
+                    policy.choose(&view),
+                    choose(&view, *mode),
+                    "kept {:?} at step {} on {:?} (per work {}, now {})", mode, step, rows, per_work, now
+                );
+            }
+            let near = thresholds(&view);
+            match kind {
+                0..=3 => {
+                    let running = ids(&rows, TaskView::is_running);
+                    if let Some(&id) = running.get(pick_at % running.len().max(1)) {
+                        if rows.remove(id).unwrap().stage.is_input() {
+                            completed += 1;
+                        }
+                    }
+                }
+                4 | 5 => now += pick(&[0.0, 1e-9, 0.25, 1.0], pick_at) * value,
+                6 | 7 => {
+                    if let Some(&p) = near.get(pick_at % near.len().max(1)) {
+                        per_work = p * (1.0 + pick(&NUDGE, pick_at / 7));
+                    }
+                }
+                8 => per_work *= 0.25 + 1.5 * value,
+                _ => {
+                    let eligible = ids(&rows, |t| t.eligible && t.running_copies < MAX_COPIES_PER_TASK);
+                    if let Some(&id) = eligible.get(pick_at % eligible.len().max(1)) {
+                        let row = rows.get_mut(id).unwrap();
+                        if row.running_copies == 0 {
+                            row.oldest_start = now;
+                        }
+                        row.running_copies += 1;
+                        (row.copy_start, row.copy_duration) = (now, 8.0 * value);
+                    }
+                }
+            }
+        }
+    }
+}

@@ -116,10 +116,12 @@ impl WorkloadAccumulator {
 }
 
 /// O(1) fold of execution events into [`TraceStats`] (per-tag counts are bounded
-/// by the fixed event vocabulary).
+/// by the fixed event vocabulary). Records count under their `&'static str` tags,
+/// so folding one allocates nothing; [`finish`](Self::finish) builds the `String`
+/// keys once.
 #[derive(Default)]
 struct ExecutionAccumulator {
-    records_by_tag: BTreeMap<String, usize>,
+    records_by_tag: BTreeMap<&'static str, usize>,
     jobs: usize,
     tasks: usize,
     total_work: f64,
@@ -128,10 +130,7 @@ struct ExecutionAccumulator {
 
 impl ExecutionAccumulator {
     fn add(&mut self, event: &SimTraceEvent) {
-        *self
-            .records_by_tag
-            .entry(event.kind_label().to_string())
-            .or_insert(0) += 1;
+        *self.records_by_tag.entry(event.kind_label()).or_insert(0) += 1;
         self.horizon = self.horizon.max(event.time());
         match *event {
             SimTraceEvent::JobFinish { .. } => self.jobs += 1,
@@ -145,13 +144,18 @@ impl ExecutionAccumulator {
     }
 
     fn finish(mut self, format: TraceFormat) -> TraceStats {
-        self.records_by_tag.insert("meta".to_string(), 1);
+        self.records_by_tag.insert("meta", 1);
+        let records_by_tag = self
+            .records_by_tag
+            .into_iter()
+            .map(|(tag, count)| (tag.to_string(), count))
+            .collect();
         TraceStats {
             format,
             kind: StreamKind::Execution,
             jobs: self.jobs,
             tasks: self.tasks,
-            records_by_tag: self.records_by_tag,
+            records_by_tag,
             total_work: self.total_work,
             horizon: self.horizon,
         }
