@@ -60,16 +60,6 @@ impl SizeBucket {
         SizeBucket((usize::BITS - 1 - t.leading_zeros()) as u8)
     }
 
-    /// Smallest task count in this bucket.
-    pub fn lower_bound(&self) -> usize {
-        1usize << self.0
-    }
-
-    /// Largest task count in this bucket.
-    pub fn upper_bound(&self) -> usize {
-        (1usize << (self.0 + 1)) - 1
-    }
-
     /// Distance between buckets (used to borrow samples from neighbouring buckets when
     /// a bucket has too few samples of its own).
     pub fn distance(&self, other: &SizeBucket) -> u8 {
@@ -111,8 +101,10 @@ mod tests {
 
     #[test]
     fn bucket_bounds_and_distance() {
-        let b = SizeBucket::of(100);
-        assert!(b.lower_bound() <= 100 && 100 <= b.upper_bound());
+        // Bucket k holds the task counts 2^k ..= 2^(k+1) - 1.
+        assert_eq!(SizeBucket::of(64), SizeBucket(6));
+        assert_eq!(SizeBucket::of(127), SizeBucket(6));
+        assert_eq!(SizeBucket::of(128), SizeBucket(7));
         assert_eq!(SizeBucket(3).distance(&SizeBucket(5)), 2);
         assert_eq!(SizeBucket(5).distance(&SizeBucket(3)), 2);
     }

@@ -11,8 +11,7 @@ mod switching;
 
 pub use samples::{BoundKind, FactorSet, QueryContext, Sample, SampleStore, StoreCounts};
 pub use switching::{
-    learned_decision_cached, strawman_decision_cached, StrawmanConfig, SwitchDecision,
-    SwitchScanCache, SwitchStrategy,
+    learned_decision, strawman_decision, StrawmanConfig, SwitchDecision, SwitchStrategy,
 };
 
 use std::sync::Arc;
@@ -106,7 +105,6 @@ pub struct GrassPolicy {
     mode: SpeculationMode,
     switched: bool,
     last_check: Option<Time>,
-    scan_cache: SwitchScanCache,
     /// Where this job's error-bound needed set ended at its last decision. The set
     /// does not depend on the mode, so one memo serves RAS and GS alike.
     memo: NeededSetMemo,
@@ -126,7 +124,6 @@ impl GrassPolicy {
             mode: SpeculationMode::Ras,
             switched: false,
             last_check: None,
-            scan_cache: SwitchScanCache::new(),
             memo: NeededSetMemo::default(),
         }
     }
@@ -152,15 +149,8 @@ impl GrassPolicy {
         }
         self.last_check = Some(view.now);
         let decision = match self.config.strategy {
-            SwitchStrategy::Strawman(cfg) => {
-                strawman_decision_cached(view, &cfg, &mut self.scan_cache)
-            }
-            SwitchStrategy::Learned => learned_decision_cached(
-                view,
-                &self.store,
-                self.config.factors,
-                &mut self.scan_cache,
-            ),
+            SwitchStrategy::Strawman(cfg) => strawman_decision(view, &cfg),
+            SwitchStrategy::Learned => learned_decision(view, &self.store, self.config.factors),
         };
         if decision == SwitchDecision::SwitchNow {
             self.mode = SpeculationMode::Gs;
@@ -237,11 +227,6 @@ impl GrassFactory {
     /// Access the shared sample store.
     pub fn store(&self) -> Arc<SampleStore> {
         Arc::clone(&self.store)
-    }
-
-    /// The factory's configuration.
-    pub fn config(&self) -> &GrassConfig {
-        &self.config
     }
 }
 

@@ -216,8 +216,7 @@ pub struct QueryContext {
 /// O(1) snapshot of the store's per-(kind, mode) sample counts, tagged with the
 /// store generation it was taken at. Taken under a single lock acquisition, so the
 /// counts are mutually consistent and the generation identifies exactly which store
-/// state they describe — a [`crate::grass::SwitchScanCache`] holds one of these and
-/// reuses it for every switching evaluation until the generation moves.
+/// state they describe. The fleet sweep runner's `sync` line carries one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreCounts {
     /// [`SampleStore::generation`] at snapshot time.
@@ -299,11 +298,9 @@ impl Inner {
 /// Thread-safe store of GS / RAS performance samples shared by every GRASS job in a
 /// simulation run.
 ///
-/// Per-(kind, mode) sample counts are maintained incrementally alongside the sample
-/// partitions, and a monotonically increasing *generation* is bumped on every
-/// mutation. Together they let the switching evaluation's sparse-store pre-flight run
-/// without scanning — and, via `StoreCounts` memoisation, usually without even taking
-/// the lock.
+/// Each partition's length is its sample count, and a monotonically increasing
+/// *generation* is bumped on every mutation; [`SampleStore::counts_snapshot`] reads
+/// both in O(1) under one lock.
 #[derive(Debug)]
 pub struct SampleStore {
     inner: RwLock<Inner>,

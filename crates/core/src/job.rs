@@ -210,22 +210,6 @@ impl JobSpec {
         self.tasks.iter().map(|t| t.work).sum()
     }
 
-    /// Median work of the input-stage tasks. Used for the paper's "ideal duration"
-    /// deadline calibration (§6.1) and by the strawman switcher.
-    pub fn median_input_work(&self) -> f64 {
-        let mut w: Vec<f64> = self
-            .tasks
-            .iter()
-            .filter(|t| t.stage.is_input())
-            .map(|t| t.work)
-            .collect();
-        if w.is_empty() {
-            return 0.0;
-        }
-        w.sort_by(f64::total_cmp);
-        w.get(w.len() / 2).copied().unwrap_or(0.0)
-    }
-
     /// Task ids belonging to the given stage.
     pub fn tasks_of_stage(&self, stage: StageId) -> Vec<TaskId> {
         self.tasks
@@ -585,14 +569,6 @@ impl<'a> JobView<'a> {
         }
     }
 
-    /// Current accuracy of the result: fraction of input tasks completed.
-    pub fn current_accuracy(&self) -> f64 {
-        if self.total_input_tasks == 0 {
-            return 0.0;
-        }
-        self.completed_input_tasks as f64 / self.total_input_tasks as f64
-    }
-
     /// Unfinished tasks that are eligible to run (their stage is unlocked).
     pub fn eligible_tasks(&self) -> impl Iterator<Item = &TaskView> {
         self.tasks.iter().filter(|t| t.eligible)
@@ -815,7 +791,6 @@ mod tests {
         assert_eq!(job.input_tasks(), 3);
         assert_eq!(job.dag_length(), 1);
         assert_eq!(job.total_work(), 6.0);
-        assert_eq!(job.median_input_work(), 2.0);
     }
 
     #[test]
@@ -886,12 +861,5 @@ mod tests {
         assert_eq!(v.input_tasks_still_needed(), Some(3));
         let v = view_with(Bound::Deadline(5.0), &tasks);
         assert_eq!(v.input_tasks_still_needed(), None);
-    }
-
-    #[test]
-    fn current_accuracy_is_completed_fraction() {
-        let tasks = TaskRows::default();
-        let v = view_with(Bound::Deadline(5.0), &tasks);
-        assert!((v.current_accuracy() - 0.4).abs() < 1e-12);
     }
 }

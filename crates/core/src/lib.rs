@@ -44,9 +44,7 @@ pub mod task;
 
 pub use bins::{JobSizeBin, SizeBucket};
 pub use estimate::{degrade_estimate, AccuracyTracker, EstimatorConfig};
-pub use grass::{
-    FactorSet, GrassConfig, GrassFactory, GrassPolicy, SampleStore, StrawmanConfig, SwitchScanCache,
-};
+pub use grass::{FactorSet, GrassConfig, GrassFactory, GrassPolicy, SampleStore, StrawmanConfig};
 pub use job::{Bound, DeadlineIndex, JobSpec, JobView, StageSpec, TnewEstimate};
 pub use outcome::JobOutcome;
 pub use policy::{Action, ActionKind, BoxedPolicy, PolicyFactory, SpeculationPolicy};

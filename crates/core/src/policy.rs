@@ -73,7 +73,7 @@ pub trait SpeculationPolicy: Send {
     /// task id, and finds a row by id through [`TaskRows::get`](crate::TaskRows::get).
     ///
     /// The simulator relies on a two-part contract to avoid re-asking jobs whose
-    /// answer cannot have changed, and promises a third:
+    /// answer cannot have changed:
     ///
     /// 1. Within one dispatch pass (one `now`, one fair share) a job that declined is
     ///    not asked again, even after other jobs launched copies and utilisation rose.
@@ -81,21 +81,17 @@ pub trait SpeculationPolicy: Send {
     /// 2. A `None` returned after [`JobView::hold_decline`] stands until the job's own
     ///    state changes: the job is not asked again until one of its copies finishes.
     ///    Policies that cannot promise this simply never call it.
-    /// 3. Between two calls with the same `now`, the same completed counts and the
-    ///    same number of rows, the caller changes the job's rows only by applying the
-    ///    previous answer (one more copy of the task it named), if it applies anything.
-    ///    Both simulator engines behave this way: within one instant only launches
-    ///    change a job, and only the launches its policy asked for.
     ///
     /// An instance is asked only about the job it was created for, so it may keep
     /// state that speeds up its next decision on that job: GS, RAS and GRASS remember
-    /// where the job's error-bound needed set ended last time, and, by the third
-    /// clause, answer repeat decisions within one instant from the runner-up
-    /// candidates their last pass kept. After an error-bound decline they keep a
-    /// certificate that later declines check against the rows' change stamp, so a
-    /// decline that only completions followed costs no row read. Such a memo must
-    /// stay a hint the decision re-checks: it may make a decision cheaper, never
-    /// different.
+    /// where the job's error-bound needed set ended last time. They answer a repeat
+    /// decision within one instant from the runner-up candidates their last pass
+    /// kept, when the rows' change stamp (see [`TaskRows`](crate::TaskRows)) shows
+    /// that the only change since was one more copy of the task they named. After an
+    /// error-bound decline they keep a certificate that later declines check against
+    /// the same stamp, so a decline that only completions followed costs no row read.
+    /// Such a memo must stay a hint the decision re-checks: it may make a decision
+    /// cheaper, never different.
     fn choose(&mut self, view: &JobView) -> Option<Action>;
 
     /// Called when one of the job's tasks completes (its first copy finishes).

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::job::{total_order, Bound, DeadlineIndex, JobSpec, JobView, TnewEstimate};
 use crate::policy::{Action, BoxedPolicy, PolicyFactory, SpeculationPolicy};
-use crate::task::{JobId, RowsStamp, TaskId, TaskView};
+use crate::task::{RowsStamp, TaskId, TaskView};
 
 /// Which of the two building-block algorithms to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -228,18 +228,23 @@ const FIRST_KEEP: usize = 2;
 /// are distinct. Otherwise the pass selects the set and stores its new boundary.
 ///
 /// **Repeat decisions within one instant.** A pass keeps the best few candidates of
-/// each kind ([`RunnerUps`]), and the memo stamps them with the instant ([`Stamp`])
-/// and the answer they gave. The simulator decides again every time a slot frees, so
-/// an arrival or a finish that frees many slots asks the same job many times at one
-/// instant, each time with one more copy of the task it last named. A repeat decision
-/// at the stamped instant checks that the previous answer's task has exactly one more
-/// copy, pops that answer, re-derives the task's row and offers it again, then reads
-/// the two fronts. This is exact:
+/// each kind ([`RunnerUps`]), and the memo stamps them ([`Stamp`]) with the instant,
+/// the answer they gave, and the rows' change stamp as it reads once that answer is
+/// applied: one change past the pass's. The simulator decides again every time a slot
+/// frees, so an arrival or a finish that frees many slots asks the same job many times
+/// at one instant, each time after one launch (one [`TaskRows::get_mut`]) of the task
+/// it last named. A decision whose stamp matches checks that the previous answer's
+/// task has exactly one more copy, pops that answer, re-derives the task's row and
+/// offers it again, then reads the two fronts. This is exact:
 ///
-/// * within one instant (same `now`, estimate, completed counts and row count) the
-///   only row that changed is the one the answer acted on (the third clause of the
-///   [`SpeculationPolicy::choose`] contract), and every other row, and so its walk key
-///   and the value it ranks by, depends only on `now`, the estimate and its own copies;
+/// * the rows took exactly one change since the pass, at the same `now`, estimate,
+///   completed counts and row count, and that change gave the answer's row one more
+///   copy. Only a `get_mut` of that row can: `iter_mut` counts as two changes, and
+///   `extend` and `clear` add no copy to a row (see [`TaskRows`]). So every other row
+///   is as the pass read it, and its walk key and the value it ranks by, which depend
+///   only on `now`, the estimate and its own copies, are too. A caller that also
+///   launches another task at that instant makes a second change, and the next
+///   decision makes a pass;
 /// * an answer never raises its row's effective duration. It only acts on a row whose
 ///   effective duration is its `tnew`: a fresh row; a running row with `tnew < trem`
 ///   (GS); or a running row with a positive saving, which implies `trem > tnew`
@@ -398,7 +403,8 @@ impl NeededSetMemo {
         self.picks.speculative.finish();
     }
 
-    /// The decision the lists name, stamped with `stamp`; a decline drops the lists.
+    /// The decision the lists name, stamped with `stamp` as the rows will read it
+    /// once the caller has applied the answer; a decline drops the lists.
     fn answer(&mut self, stamp: Stamp, mode: SpeculationMode) -> Option<Action> {
         let Some(pick) = self.picks.best(mode) else {
             self.stamp = None;
@@ -406,7 +412,10 @@ impl NeededSetMemo {
             self.picks.start(FIRST_KEEP);
             return None;
         };
-        self.stamp = Some(stamp);
+        self.stamp = Some(Stamp {
+            table: stamp.table.after_one_change(),
+            ..stamp
+        });
         self.answer = Some(pick);
         Some(if pick.copies == 0 {
             Action::launch(pick.id)
@@ -416,11 +425,12 @@ impl NeededSetMemo {
     }
 }
 
-/// What every row's walk key and ranking value depend on besides the row itself,
-/// and the mode that ranks them (GRASS shares one memo across RAS and GS).
+/// The rows' change stamp, what every row's walk key and ranking value depend on
+/// besides the row itself, and the mode that ranks them (GRASS shares one memo
+/// across RAS and GS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Stamp {
-    job: JobId,
+    table: RowsStamp,
     now: u64,
     /// The per-work estimate's bits, `None` for oracle estimates.
     estimate: Option<u64>,
@@ -433,7 +443,7 @@ struct Stamp {
 impl Stamp {
     fn of(view: &JobView, mode: SpeculationMode) -> Self {
         Stamp {
-            job: view.job,
+            table: view.tasks.stamp(),
             now: view.now.to_bits(),
             estimate: match view.tnew_estimate {
                 TnewEstimate::PerWork(per_work) => Some(per_work.to_bits()),
@@ -1477,6 +1487,30 @@ mod tests {
         );
         assert!(memo.stamp.is_none() && memo.answer.is_none());
         assert_eq!(memo.picks.fresh.keep, FIRST_KEEP);
+    }
+
+    #[test]
+    fn a_second_launch_at_one_instant_is_not_served_from_the_kept_lists() {
+        // Five fresh rows, all needed: both modes launch the longest, task 4, then
+        // task 3. The caller applies the answer and at the same `now` also launches
+        // task 3, with copies too short to be worth racing, so task 2 is next. The
+        // lists kept at the first decision still front task 3; only the rows'
+        // change stamp, which moved twice, says they are stale.
+        for mode in [SpeculationMode::Gs, SpeculationMode::Ras] {
+            let mut policy: Box<dyn SpeculationPolicy> = match mode {
+                SpeculationMode::Gs => Box::<GsPolicy>::default(),
+                SpeculationMode::Ras => Box::<RasPolicy>::default(),
+            };
+            let mut rows: TaskRows = (0..5).map(|id| fresh(id, f64::from(id + 1))).collect();
+            let view = error_view(&rows, 0.0, 5, 0);
+            assert_eq!(policy.choose(&view), Some(Action::launch(TaskId(4))));
+            for id in [4, 3] {
+                *rows.get_mut(TaskId(id)).unwrap() = running(id, 5.0, 0.5, f64::from(id + 1), 1);
+            }
+            let view = error_view(&rows, 0.0, 5, 0);
+            assert_eq!(choose(&view, mode), Some(Action::launch(TaskId(2))));
+            assert_eq!(policy.choose(&view), choose(&view, mode), "{mode:?}");
+        }
     }
 
     #[test]

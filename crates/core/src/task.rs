@@ -195,8 +195,11 @@ const NO_ROW: u32 = u32::MAX;
 /// [`clear`](TaskRows::clear) bump and [`remove`](TaskRows::remove) leaves alone.
 /// Every way to change a row goes through one of the four, so an equal stamp means
 /// the rows are the stamped rows minus some removed ones. GS and RAS certify their
-/// error-bound declines against it. The stamp never reaches an output: it differs
-/// from run to run, and no decision depends on it.
+/// error-bound declines against it. `iter_mut` counts as two changes, so a version
+/// one past a stamped one means one of: a `get_mut`, which changed at most one row;
+/// an `extend`, which changed none; or a `clear`. GS and RAS serve a repeat decision
+/// at one instant only then (see `NeededSetMemo`). The stamp never reaches an
+/// output: it differs from run to run, and no decision depends on it.
 #[derive(Debug, Clone, Default)]
 pub struct TaskRows {
     rows: Vec<TaskView>,
@@ -210,6 +213,15 @@ pub struct TaskRows {
 /// A [`TaskRows`]' change stamp: which table, and its version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RowsStamp(u64, u64);
+
+impl RowsStamp {
+    /// The stamp the table reads after one more change, such as one
+    /// [`get_mut`](TaskRows::get_mut).
+    #[inline]
+    pub(crate) fn after_one_change(self) -> RowsStamp {
+        RowsStamp(self.0, self.1.wrapping_add(1))
+    }
+}
 
 /// A table's identity: every new table draws one no other table has drawn, and a
 /// clone is a new table.
@@ -238,10 +250,10 @@ impl TaskRows {
         RowsStamp(self.table.0, self.version)
     }
 
-    /// Count one change that may rewrite rows.
+    /// Count `changes` changes that may rewrite rows.
     #[inline]
-    fn changed(&mut self) {
-        self.version = self.version.wrapping_add(1);
+    fn changed(&mut self, changes: u64) {
+        self.version = self.version.wrapping_add(changes);
     }
 
     /// Task `id`'s row, if it has one.
@@ -255,15 +267,16 @@ impl TaskRows {
 
     /// Task `id`'s row, mutably, if it has one.
     pub fn get_mut(&mut self, id: TaskId) -> Option<&mut TaskView> {
-        self.changed();
+        self.changed(1);
         let row = self.rows.get_mut(*self.at.get(id.index())? as usize)?;
         debug_assert_eq!(row.id, id, "a row's id changed under its map");
         Some(row)
     }
 
-    /// Every row, mutably, in row order.
+    /// Every row, mutably, in row order. This counts as two changes, since it may
+    /// rewrite many rows (see [`TaskRows`]).
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, TaskView> {
-        self.changed();
+        self.changed(2);
         self.rows.iter_mut()
     }
 
@@ -284,7 +297,7 @@ impl TaskRows {
 
     /// Remove every row, keeping the capacity.
     pub fn clear(&mut self) {
-        self.changed();
+        self.changed(1);
         self.rows.clear();
         self.at.clear();
     }
@@ -312,7 +325,7 @@ impl std::ops::Deref for TaskRows {
 impl Extend<TaskView> for TaskRows {
     /// Add `rows` at the end. Their tasks must have no row yet.
     fn extend<I: IntoIterator<Item = TaskView>>(&mut self, rows: I) {
-        self.changed();
+        self.changed(1);
         for row in rows {
             debug_assert!(self.get(row.id).is_none(), "{:?} has a row already", row.id);
             self.place(row.id, self.rows.len());

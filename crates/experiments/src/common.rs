@@ -224,7 +224,6 @@ pub fn run_once(
         cluster: exp.cluster,
         estimator,
         seed,
-        max_time: None,
     };
     let outcomes = match policy {
         PolicyKind::Grass(cfg) => {

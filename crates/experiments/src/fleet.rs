@@ -639,7 +639,7 @@ fn fleet_run_command(args: &[String]) -> Result<(), String> {
     let exe = env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     // grass: allow(wall-clock-in-core, "elapsed is operator-facing metadata; digests and comparisons never read it")
     let started = Instant::now();
-    let report = run_fleet(specs, cached.clone(), fleet_config, workers, |i, addr| {
+    let outcome = run_fleet(specs, cached.clone(), fleet_config, workers, |i, addr| {
         let mut cmd = Command::new(&exe);
         cmd.arg("fleet")
             .arg("work")
@@ -658,13 +658,7 @@ fn fleet_run_command(args: &[String]) -> Result<(), String> {
         cmd
     })
     .map_err(|e| e.to_string())?;
-    finish_fleet(
-        &plan,
-        cache.as_ref(),
-        &cached,
-        report.outcome,
-        started.elapsed(),
-    )
+    finish_fleet(&plan, cache.as_ref(), &cached, outcome, started.elapsed())
 }
 
 fn fleet_work_command(args: &[String]) -> Result<(), String> {

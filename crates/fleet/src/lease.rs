@@ -2,7 +2,8 @@
 //! fresh its heartbeat is. Purely in-memory bookkeeping over a caller-supplied
 //! millisecond clock — no threads, no sockets — so it is trivially testable.
 
-/// One active lease: `worker` holds `cell` since `granted_ms`.
+/// One active lease: `worker` holds `cell`; its last heartbeat came at
+/// `last_heartbeat_ms`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lease {
     /// Unique, monotonically increasing id. A `complete` must quote the id it
@@ -11,7 +12,6 @@ pub struct Lease {
     pub id: u64,
     pub worker: String,
     pub cell: usize,
-    pub granted_ms: u64,
     pub last_heartbeat_ms: u64,
 }
 
@@ -40,7 +40,6 @@ impl LeaseTable {
             id,
             worker: worker.to_string(),
             cell,
-            granted_ms: now_ms,
             last_heartbeat_ms: now_ms,
         });
         id

@@ -50,7 +50,7 @@ pub use cache::{fnv1a64, DigestCache};
 pub use config::FleetConfig;
 pub use lease::{Lease, LeaseTable};
 pub use protocol::{Request, Response, PROTOCOL_VERSION, SYNC_SEPARATOR};
-pub use spawn::{run_fleet, FleetRunReport};
+pub use spawn::run_fleet;
 pub use state::{CellStatus, Claim, Completion, FleetStats, GridState};
 pub use worker::{run_worker, CellRunner, WorkerReport};
 

@@ -9,15 +9,6 @@ use std::process::{Child, Command};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// The outcome of a spawned fleet run plus per-worker exit codes.
-#[derive(Debug)]
-pub struct FleetRunReport {
-    pub outcome: FleetOutcome,
-    /// Exit code per worker (`None` when the process was killed by a signal
-    /// or had to be reaped forcibly at shutdown).
-    pub worker_exit_codes: Vec<Option<i32>>,
-}
-
 /// Serve the grid on an ephemeral port, spawn `workers` child processes via
 /// `make_worker(index, broker_addr)`, and wait for every cell to finish.
 ///
@@ -29,7 +20,7 @@ pub fn run_fleet(
     config: FleetConfig,
     workers: usize,
     mut make_worker: impl FnMut(usize, SocketAddr) -> Command,
-) -> Result<FleetRunReport, FleetError> {
+) -> Result<FleetOutcome, FleetError> {
     let poll = Duration::from_millis(config.poll_ms.max(1));
     let handle = serve_broker(specs, cached, config)?;
     let addr = handle.addr();
@@ -48,18 +39,14 @@ pub fn run_fleet(
             }
         }
     }
-    let mut exit_codes: Vec<Option<i32>> = vec![None; workers];
 
     // Watch for the all-workers-dead-with-work-left condition.
     while !handle.done() {
         let mut alive = 0;
-        for (slot, code) in children.iter_mut().zip(exit_codes.iter_mut()) {
+        for slot in children.iter_mut() {
             if let Some(child) = slot {
                 match child.try_wait() {
-                    Ok(Some(status)) => {
-                        *code = status.code();
-                        *slot = None;
-                    }
+                    Ok(Some(_)) => *slot = None,
                     Ok(None) => alive += 1,
                     Err(_) => alive += 1,
                 }
@@ -76,29 +63,21 @@ pub fn run_fleet(
     // Workers exit on their own after `finished`; give them a grace window,
     // then reap forcibly so the harness never leaks processes.
     let deadline = Instant::now() + Duration::from_secs(10);
-    for (slot, code) in children.iter_mut().zip(exit_codes.iter_mut()) {
-        if let Some(child) = slot {
-            loop {
-                match child.try_wait() {
-                    Ok(Some(status)) => {
-                        *code = status.code();
-                        break;
-                    }
-                    Ok(None) if Instant::now() < deadline => thread::sleep(poll),
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
+    for child in children.iter_mut().flatten() {
+        loop {
+            match child.try_wait() {
+                Ok(Some(_)) => break,
+                Ok(None) if Instant::now() < deadline => thread::sleep(poll),
+                _ => {
+                    let _ = child.kill();
+                    let _ = child.wait();
+                    break;
                 }
             }
         }
     }
 
-    Ok(FleetRunReport {
-        outcome,
-        worker_exit_codes: exit_codes,
-    })
+    Ok(outcome)
 }
 
 fn kill_all(children: &mut [Option<Child>]) {
@@ -114,7 +93,7 @@ mod tests {
 
     #[test]
     fn fully_cached_grid_needs_no_workers() {
-        let report = run_fleet(
+        let outcome = run_fleet(
             vec!["a".into(), "b".into()],
             vec![Some("ra".into()), Some("rb".into())],
             FleetConfig::test_profile(),
@@ -122,8 +101,7 @@ mod tests {
             |_i, _addr| unreachable!("no workers should be spawned"),
         )
         .unwrap();
-        assert_eq!(report.outcome.results, vec!["ra", "rb"]);
-        assert!(report.worker_exit_codes.is_empty());
+        assert_eq!(outcome.results, vec!["ra", "rb"]);
     }
 
     #[test]

@@ -277,16 +277,6 @@ impl GridState {
         self.cells.iter().all(|c| c.status.is_terminal())
     }
 
-    /// Cells that ran out of retries.
-    pub fn exhausted_cells(&self) -> Vec<usize> {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.status == CellStatus::Exhausted)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Grid-order result payloads, or the cells without one: after
     /// [`GridState::all_done`], exactly the cells that ran out of retries.
     pub fn results(&self) -> Result<Vec<String>, Vec<usize>> {

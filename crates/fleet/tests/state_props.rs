@@ -4,7 +4,7 @@
 //! live worker can always drive it to termination (every cell completed or
 //! exhausted-retries).
 
-use grass_fleet::{Claim, Completion, FleetConfig, GridState};
+use grass_fleet::{CellStatus, Claim, Completion, FleetConfig, GridState};
 use proptest::prelude::*;
 
 const WORKERS: usize = 4;
@@ -164,7 +164,15 @@ impl Model {
         assert!(self.state.all_done());
         let statuses = self.state.statuses();
         assert_eq!(statuses.len(), cells);
-        let exhausted = self.state.exhausted_cells();
+        let results = self.state.results();
+        let exhausted = results.clone().err().unwrap_or_default();
+        for (cell, status) in statuses.iter().enumerate() {
+            assert_eq!(
+                *status == CellStatus::Exhausted,
+                exhausted.contains(&cell),
+                "cell {cell} is {status:?}"
+            );
+        }
         for (cell, accepted) in self.accepted.iter().enumerate() {
             let is_exhausted = exhausted.contains(&cell);
             assert!(
@@ -176,15 +184,11 @@ impl Model {
                 "cell {cell} both completed and exhausted"
             );
         }
-        match self.state.results() {
-            Ok(results) => {
-                assert!(exhausted.is_empty());
-                assert_eq!(results.len(), cells);
-                for (cell, payload) in results.iter().enumerate() {
-                    assert_eq!(Some(payload), self.accepted[cell].as_ref());
-                }
+        if let Ok(results) = results {
+            assert_eq!(results.len(), cells);
+            for (cell, payload) in results.iter().enumerate() {
+                assert_eq!(Some(payload), self.accepted[cell].as_ref());
             }
-            Err(cells_out) => assert_eq!(cells_out, exhausted),
         }
         let stats = self.state.stats();
         let max_dispatches = (1 + self.config.max_retries) as u64 * cells as u64;

@@ -173,22 +173,6 @@ impl Series {
             points,
         }
     }
-
-    /// Minimum y value.
-    pub fn min_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|(_, y)| *y)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// Maximum y value.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|(_, y)| *y)
-            .max_by(|a, b| a.total_cmp(b))
-    }
 }
 
 /// A complete experiment report: tables plus optional series, keyed by subfigure id.
@@ -285,14 +269,6 @@ mod tests {
         let csv = t.render_csv();
         assert!(csv.starts_with("Job Bin,LATE,Mantri"));
         assert!(csv.contains("51-500,20.0,n/a"));
-    }
-
-    #[test]
-    fn series_extrema() {
-        let s = Series::new("ratio", vec![(1.0, 2.0), (2.0, 1.5), (3.0, 4.0)]);
-        assert_eq!(s.min_y(), Some(1.5));
-        assert_eq!(s.max_y(), Some(4.0));
-        assert!(Series::new("empty", vec![]).min_y().is_none());
     }
 
     #[test]

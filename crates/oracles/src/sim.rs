@@ -117,12 +117,6 @@ impl<'a> ReferenceSimulator<'a> {
     fn run(mut self) -> SimResult {
         self.rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(0x5EED));
         while let Some((time, event)) = self.events.pop() {
-            if let Some(max) = self.config.max_time {
-                if time > max {
-                    self.now = max;
-                    break;
-                }
-            }
             self.now = time;
             match event {
                 Event::JobArrival(id) => self.handle_arrival(id),
@@ -130,7 +124,7 @@ impl<'a> ReferenceSimulator<'a> {
                 Event::JobDeadline(id) => self.handle_deadline(id),
             }
         }
-        // Finalise anything still running (hit max_time or starved of slots).
+        // Finalise anything still running (starved of slots).
         let leftover: Vec<JobId> = self
             .active_order
             .iter()

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::machine::{HeterogeneityModel, Machine, SlotId};
+use crate::machine::{HeterogeneityModel, Machine};
 use crate::straggler::StragglerModel;
 
 /// Static configuration of the simulated cluster.
@@ -67,18 +67,6 @@ impl ClusterConfig {
             })
             .collect()
     }
-
-    /// All slot ids of the cluster.
-    pub fn all_slots(&self) -> Vec<SlotId> {
-        (0..self.machines)
-            .flat_map(|m| {
-                (0..self.slots_per_machine).map(move |s| SlotId {
-                    machine: m,
-                    slot: s,
-                })
-            })
-            .collect()
-    }
 }
 
 impl Default for ClusterConfig {
@@ -95,7 +83,6 @@ mod tests {
     fn slot_accounting() {
         let c = ClusterConfig::small(3, 4);
         assert_eq!(c.total_slots(), 12);
-        assert_eq!(c.all_slots().len(), 12);
         let machines = c.build_machines(1);
         assert_eq!(machines.len(), 3);
         assert!(machines.iter().all(|m| m.slots == 4));

@@ -98,11 +98,6 @@ impl EventQueue {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -125,7 +120,6 @@ mod tests {
         q.push(1.0, Event::JobArrival(JobId(2)));
         q.push(3.0, Event::JobDeadline(JobId(3)));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(1.0));
         let order: Vec<Time> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
         assert_eq!(order, vec![1.0, 3.0, 5.0]);
         assert!(q.is_empty());

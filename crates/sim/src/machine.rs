@@ -107,18 +107,16 @@ impl Machine {
     }
 }
 
-/// The cluster's free-slot pool, indexed per machine.
+/// The cluster's free-slot pool.
 ///
 /// Allocation order is a strict LIFO stack — the same order a plain
 /// `Vec<SlotId>` with `pop()`/`extend()` gives — because the slot a copy lands
 /// on feeds the execution trace and (through the machine's slowdown) the copy's
 /// duration, so the allocation sequence is part of the simulator's reproducible
-/// behaviour. The per-machine free counts ride alongside the stack, giving the
-/// event core O(1) "how loaded is this machine" answers without a scan.
+/// behaviour.
 #[derive(Debug, Clone)]
 pub struct SlotPool {
     stack: Vec<SlotId>,
-    free_per_machine: Vec<usize>,
     total: usize,
 }
 
@@ -127,27 +125,17 @@ impl SlotPool {
     /// (so the first `pop` returns the last slot of the last machine).
     pub fn new(machines: &[Machine]) -> Self {
         let stack: Vec<SlotId> = machines.iter().flat_map(|m| m.slot_ids()).collect();
-        let free_per_machine = machines.iter().map(|m| m.slots).collect();
         let total = stack.len();
-        SlotPool {
-            stack,
-            free_per_machine,
-            total,
-        }
+        SlotPool { stack, total }
     }
 
     /// Take the most recently freed slot, if any.
     pub fn pop(&mut self) -> Option<SlotId> {
-        let slot = self.stack.pop()?;
-        // grass: allow(panicky-lib, "SlotId.machine is minted by this pool from the cluster config and is always in range")
-        self.free_per_machine[slot.machine] -= 1;
-        Some(slot)
+        self.stack.pop()
     }
 
     /// Return a slot to the pool (it becomes the next `pop` result).
     pub fn push(&mut self, slot: SlotId) {
-        // grass: allow(panicky-lib, "SlotId.machine is minted by this pool from the cluster config and is always in range")
-        self.free_per_machine[slot.machine] += 1;
         self.stack.push(slot);
     }
 
@@ -171,11 +159,6 @@ impl SlotPool {
     /// Total slots in the cluster (free or busy).
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Free slots on one machine, O(1). Unknown machine indices have no slots.
-    pub fn free_on_machine(&self, machine: usize) -> usize {
-        self.free_per_machine.get(machine).copied().unwrap_or(0)
     }
 }
 
@@ -245,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn slot_pool_preserves_vec_lifo_order_and_tracks_per_machine_counts() {
+    fn slot_pool_preserves_vec_lifo_order() {
         let machines: Vec<Machine> = (0..3)
             .map(|id| Machine {
                 id,
@@ -259,14 +242,12 @@ mod tests {
         let mut pool = SlotPool::new(&machines);
         assert_eq!(pool.total(), 6);
         assert_eq!(pool.free_len(), 6);
-        assert_eq!(pool.free_on_machine(1), 2);
 
         let a = pool.pop().unwrap();
         assert_eq!(Some(a), reference.pop());
         let b = pool.pop().unwrap();
         assert_eq!(Some(b), reference.pop());
         assert_eq!(pool.free_len(), 4);
-        assert_eq!(pool.free_on_machine(2), 0);
 
         pool.extend([b, a]);
         reference.extend([b, a]);
@@ -275,8 +256,5 @@ mod tests {
         }
         assert!(pool.is_empty());
         assert_eq!(pool.pop(), None);
-        for m in 0..3 {
-            assert_eq!(pool.free_on_machine(m), 0);
-        }
     }
 }

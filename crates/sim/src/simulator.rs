@@ -43,8 +43,6 @@ pub struct SimConfig {
     pub estimator: EstimatorConfig,
     /// RNG seed; every random draw in the run derives from it.
     pub seed: u64,
-    /// Optional hard stop: jobs still running at this time are finalised as-is.
-    pub max_time: Option<Time>,
 }
 
 impl SimConfig {
@@ -55,7 +53,6 @@ impl SimConfig {
             cluster: ClusterConfig::ec2_scaled(),
             estimator: EstimatorConfig::paper_default(),
             seed: 0,
-            max_time: None,
         }
     }
 }
@@ -144,8 +141,8 @@ pub fn run_simulation_traced(
 /// in `grass_oracles::sim`, rescanned all of them per event):
 ///
 /// * `free_slots` — a [`SlotPool`]: the same LIFO allocation order as before
-///   (slot identity feeds the trace and copy durations) plus per-machine free
-///   counts, so `utilization()` and machine-load queries are O(1).
+///   (slot identity feeds the trace and copy durations), whose free count makes
+///   `utilization()` O(1).
 /// * `candidates` — an ordered `(allocated_slots, job id)` index over jobs that
 ///   are live, still have unfinished work, and have not held a decline since
 ///   their last copy finish. One dispatch probe is an O(log n) range step
@@ -320,12 +317,6 @@ impl<'a> Simulator<'a> {
     fn run(mut self) -> SimResult {
         self.rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(0x5EED));
         while let Some((time, event)) = self.events.pop() {
-            if let Some(max) = self.config.max_time {
-                if time > max {
-                    self.now = max;
-                    break;
-                }
-            }
             self.stats.events_processed += 1;
             self.now = time;
             match event {
@@ -334,7 +325,7 @@ impl<'a> Simulator<'a> {
                 Event::JobDeadline(id) => self.handle_deadline(id),
             }
         }
-        // Finalise anything still running (hit max_time or starved of slots).
+        // Finalise anything still running (starved of slots).
         let leftover: Vec<JobId> = self
             .active_order
             .iter()
@@ -736,7 +727,6 @@ mod tests {
             cluster: ClusterConfig::small(2, 2),
             estimator: EstimatorConfig::paper_default(),
             seed,
-            max_time: None,
         }
     }
 
@@ -826,19 +816,6 @@ mod tests {
         // reserved.
         assert!(o.duration() < 40.0 - 1e-9);
         assert!(o.duration() > 0.0);
-    }
-
-    #[test]
-    fn max_time_truncates_the_run() {
-        let config = SimConfig {
-            max_time: Some(5.0),
-            ..small_config(8)
-        };
-        let job = exact_job(1, 0.0, 100, 3.0);
-        let result = run_simulation(&config, vec![job], &GsFactory);
-        assert_eq!(result.outcomes.len(), 1);
-        assert!(result.outcomes[0].completed_input_tasks < 100);
-        assert!(result.makespan <= 5.0 + 1e-9);
     }
 
     #[test]

@@ -112,16 +112,6 @@ impl RecordedWorkload {
             jobs,
         }
     }
-
-    /// The recorded jobs, borrowed.
-    pub fn jobs_ref(&self) -> &[JobSpec] {
-        &self.jobs
-    }
-
-    /// Consume the source, yielding the recorded jobs without cloning.
-    pub fn into_jobs(self) -> Vec<JobSpec> {
-        self.jobs
-    }
 }
 
 impl JobSource for RecordedWorkload {
@@ -266,8 +256,6 @@ mod tests {
         assert_eq!(source.jobs(0), jobs);
         assert_eq!(source.jobs(123), jobs);
         assert_eq!(source.label(), "fixture");
-        assert_eq!(source.jobs_ref(), &jobs[..]);
-        assert_eq!(source.into_jobs(), jobs);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod prelude {
         EstimatorConfig, FactorSet, GrassConfig, GrassFactory, GrassPolicy, GsFactory, GsPolicy,
         JobId, JobOutcome, JobSizeBin, JobSpec, JobView, PolicyFactory, RasFactory, RasPolicy,
         SampleStore, SizeBucket, SpeculationMode, SpeculationPolicy, StageId, StageSpec,
-        StrawmanConfig, SwitchScanCache, TaskId, TaskRows, TaskSpec, TaskView, Time, TnewEstimate,
+        StrawmanConfig, TaskId, TaskRows, TaskSpec, TaskView, Time, TnewEstimate,
     };
     pub use grass_experiments::{
         assemble_sweep_result, compare, compare_outcomes, experiment_ids, make_factory,
@@ -89,9 +89,9 @@ pub mod prelude {
     };
     pub use grass_fleet::{
         fnv1a64, run_fleet, run_worker, serve_broker, BrokerHandle, CellRunner, CellStatus, Claim,
-        Completion, DigestCache, FleetConfig, FleetError, FleetOutcome, FleetRunReport,
-        FleetSnapshot, FleetStats, GridState, Lease, LeaseTable, Request, Response, WorkerReport,
-        PROTOCOL_VERSION, SYNC_SEPARATOR,
+        Completion, DigestCache, FleetConfig, FleetError, FleetOutcome, FleetSnapshot, FleetStats,
+        GridState, Lease, LeaseTable, Request, Response, WorkerReport, PROTOCOL_VERSION,
+        SYNC_SEPARATOR,
     };
     pub use grass_metrics::{
         improvement_by_size_bin, improvement_percent, mean_metric, overall_improvement, Cell,

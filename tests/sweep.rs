@@ -152,7 +152,6 @@ fn pre_refactor_run_once(
         cluster: exp.cluster,
         estimator: exp.estimator,
         seed,
-        max_time: None,
     };
     match policy {
         PolicyKind::Late => run_simulation(&sim, jobs, &LateFactory).outcomes,
